@@ -21,6 +21,7 @@ from . import generators, maxlin, oracle, recover
 from .config import numeric_config
 from .core import (
     UGError,
+    UGInstance,
     load_instance,
     save_instance,
     serialize_instance,
@@ -85,18 +86,14 @@ def _parse_labels(text):
 
 def cmd_gen(args, t0):
     if args.kind == "kv":
-        spec = generators.KVSpec(args.kappa, args.eps)
-        inst = generators.kv_instance(spec)
-        planted = None
+        inst = generators.kv_instance(generators.KVSpec(args.kappa, args.eps))
     elif args.kind == "regular":
         edges, lam2 = generators.random_regular_graph(args.n, args.d, seed=args.seed)
-        from .core import Permutation, UGEdge, UGInstance
-
-        inst = UGInstance.create(
-            args.n, 1, [UGEdge(u, v, 1.0, Permutation.identity(1)) for u, v in edges]
+        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        inst = UGInstance.from_arrays(
+            args.n, 1, ends[:, 0], ends[:, 1], np.ones(len(ends)), np.zeros((len(ends), 1))
         )
         print(f"second adjacency eigenvalue: {lam2:.6f}", file=sys.stderr)
-        planted = None
     else:  # planted
         inst, planted, lam2 = generators.planted_regular_instance(
             args.n, args.d, args.k, seed=args.seed, constraint_family=args.family
@@ -107,13 +104,13 @@ def cmd_gen(args, t0):
             inst = generators.perturb(
                 inst, planted, args.perturb, seed=args.seed + 17, constraint_family=family
             )
+        if args.planted_out:
+            with open(args.planted_out, "w", encoding="utf-8") as fh:
+                fh.write(",".join(str(int(x)) for x in planted) + "\n")
     if args.out:
         save_instance(inst, args.out)
     else:
         sys.stdout.write(serialize_instance(inst))
-    if planted is not None and args.planted_out:
-        with open(args.planted_out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(str(int(x)) for x in planted) + "\n")
     return 0
 
 
@@ -230,13 +227,11 @@ def build_parser():
     gk.add_argument("--kappa", type=int, required=True)
     gk.add_argument("--eps", type=float, required=True)
     gk.add_argument("--out")
-    gk.add_argument("--planted-out")
     gr = gs.add_parser("regular")
     gr.add_argument("--n", type=int, required=True)
     gr.add_argument("--d", type=int, required=True)
     gr.add_argument("--seed", type=int, default=0)
     gr.add_argument("--out")
-    gr.add_argument("--planted-out")
     g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("solve", help="run the spectral solver")
@@ -247,7 +242,6 @@ def build_parser():
     s.add_argument("--max-dim", type=int, default=8)
     s.add_argument("--net-step", type=float, default=None)
     s.add_argument("--yes-constant", type=float, default=10.0)
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--maxlin", action="store_true")
     s.add_argument("--theta", type=float, default=None)

@@ -9,9 +9,9 @@ permutation.  Multi-edges and self-loops are allowed.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,10 +52,7 @@ class Permutation:
         return self.images[i]
 
     def inverse(self):
-        inv = [0] * self.k
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation(np.argsort(self.images))
 
     def matrix(self):
         """k x k 0/1 matrix P with P[i, j] = 1 iff the permutation maps i to j."""
@@ -80,63 +77,109 @@ class UGEdge:
     weight: float
     perm: Permutation
 
-    def __post_init__(self):
-        if self.weight < 0:
-            raise UGError(f"negative edge weight {self.weight}")
-
     def reversed(self):
         return UGEdge(self.v, self.u, self.weight, self.perm.inverse())
 
 
-@dataclass
+class EdgeView(Sequence):
+    """Read-only sequence of an instance's edges.  ``len`` is O(1); each
+    UGEdge is built from the instance's arrays when it is accessed."""
+
+    def __init__(self, inst: UGInstance):
+        self._inst = inst
+
+    def __len__(self):
+        return len(self._inst.w)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        inst = self._inst
+        return UGEdge(
+            int(inst.u[i]), int(inst.v[i]), float(inst.w[i]), Permutation(inst.perm[i].tolist())
+        )
+
+
+def _edge_arrays(edges: Iterable[UGEdge], k):
+    """(u, v, w, perm) of UGEdge objects.  Permutations of an arity other
+    than k are left out of perm, so that its shape check rejects them."""
+    edges = tuple(edges)
+    perm = np.array([e.perm.images for e in edges if e.perm.k == k], dtype=np.int64)
+    w = [e.weight for e in edges]
+    return [e.u for e in edges], [e.v for e in edges], w, perm.reshape(-1, k)
+
+
+def _unit_scale(w):
+    """Weights divided by their maximum when it exceeds 1, and that factor."""
+    wmax = max(w, default=0.0)
+    return (np.divide(w, wmax), wmax) if wmax > 1.0 else (w, 1.0)
+
+
 class UGInstance:
     """A Unique Games instance: n vertices, alphabet size k, weighted
     permutation-constrained edges.  Immutable after construction.
+
+    Edges are stored as four read-only arrays: endpoints ``u`` and ``v``,
+    weights ``w``, and the E x k image table ``perm`` (``perm[e, i]`` is the
+    image of label i under edge e's permutation).  ``edges`` is a sequence
+    view over them.
 
     ``scale`` records the factor weights were divided by on ingest (1.0 when
     no rescaling happened), so reports can recover original totals.
     """
 
-    n: int
-    k: int
-    edges: tuple[UGEdge, ...]
-    scale: float = 1.0
+    def __init__(self, n, k, edges: Iterable[UGEdge], scale=1.0):
+        self._store(n, k, *_edge_arrays(edges, k), scale)
 
-    def __post_init__(self):
-        self.edges = tuple(self.edges)
-        for e in self.edges:
-            if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-                raise UGError(f"edge ({e.u},{e.v}) out of range for n={self.n}")
-            if e.perm.k != self.k:
-                raise UGError(f"permutation arity {e.perm.k} != k={self.k}")
-        if self.edges and self.total_weight <= 0:
-            raise UGError("total edge weight must be positive")
+    @classmethod
+    def from_arrays(cls, n, k, u, v, w, perm, scale=1.0):
+        """Build an instance from edge arrays (copied), without rescaling."""
+        inst = cls.__new__(cls)
+        inst._store(n, k, u, v, w, perm, scale)
+        return inst
 
     @classmethod
     def create(cls, n, k, edges: Iterable[UGEdge]):
         """Build an instance, rescaling weights by the maximum if it exceeds 1."""
-        edges = tuple(edges)
-        scale = 1.0
-        wmax = max((e.weight for e in edges), default=0.0)
-        if wmax > 1.0:
-            scale = wmax
-            edges = tuple(UGEdge(e.u, e.v, e.weight / scale, e.perm) for e in edges)
-        return cls(n, k, edges, scale)
+        u, v, w, perm = _edge_arrays(edges, k)
+        w, scale = _unit_scale(w)
+        return cls.from_arrays(n, k, u, v, w, perm, scale)
+
+    def _store(self, n, k, u, v, w, perm, scale):
+        """Validate and store the arrays; every constructor ends here."""
+        self.n, self.k, self.scale = int(n), int(k), float(scale)
+        # Copies, made read-only: the instance owns its arrays.
+        self.u, self.v, self.perm = (np.array(a, dtype=np.int64) for a in (u, v, perm))
+        self.w = np.array(w, dtype=np.float64)
+        for a in (self.u, self.v, self.w, self.perm):
+            a.flags.writeable = False
+        E = len(self.w)
+        if self.u.shape != (E,) or self.v.shape != (E,) or self.perm.shape != (E, self.k):
+            raise UGError(f"need endpoints, weights and an arity-{self.k} permutation per edge")
+        bad = (self.u < 0) | (self.u >= self.n) | (self.v < 0) | (self.v >= self.n)
+        if bad.any():
+            i = np.argmax(bad)
+            raise UGError(f"edge ({self.u[i]},{self.v[i]}) out of range for n={self.n}")
+        bad = np.any(np.sort(self.perm, axis=1) != np.arange(self.k), axis=1)
+        if bad.any():
+            raise UGError(f"not a bijection on [{self.k}]: {self.perm[np.argmax(bad)].tolist()}")
+        bad = ~np.isfinite(self.w) | (self.w < 0)
+        if bad.any():
+            raise UGError(f"bad edge weight {self.w[np.argmax(bad)]}")
+        if E and self.total_weight <= 0:
+            raise UGError("total edge weight must be positive")
+
+    @property
+    def edges(self) -> EdgeView:
+        return EdgeView(self)
 
     @property
     def total_weight(self):
-        return float(sum(e.weight for e in self.edges))
+        # Sequential sum, in edge order.
+        return float(sum(self.w.tolist()))
 
     def degrees(self):
         """Constraint-graph degrees; self-loop weight counted once."""
-        deg = np.zeros(self.n)
-        for e in self.edges:
-            if e.u == e.v:
-                deg[e.u] += e.weight
-            else:
-                deg[e.u] += e.weight
-                deg[e.v] += e.weight
-        return deg
+        return accumulate_edges(np.zeros(self.n), self, self.u[:, None], self.v[:, None])
 
     def degree(self, u):
         return float(self.degrees()[u])
@@ -152,20 +195,21 @@ class UGInstance:
             return True
         return bool(np.max(np.abs(deg - d)) <= rel_tol * max(1.0, d))
 
-    @cached_property
-    def _arrays(self):
-        """(u, v, w, perm_table) as numpy arrays for vectorized evaluation.
 
-        perm_table[e, i] is the image of label i under edge e's permutation.
-        """
-        E = len(self.edges)
-        u = np.fromiter((e.u for e in self.edges), dtype=np.int64, count=E)
-        v = np.fromiter((e.v for e in self.edges), dtype=np.int64, count=E)
-        w = np.fromiter((e.weight for e in self.edges), dtype=np.float64, count=E)
-        perm_table = np.empty((E, self.k), dtype=np.int64)
-        for i, e in enumerate(self.edges):
-            perm_table[i] = e.perm.images
-        return u, v, w, perm_table
+def accumulate_edges(out: np.ndarray, inst: UGInstance, fwd, rev) -> np.ndarray:
+    """Add every edge's weight into ``out`` (flat indexing) at its forward
+    positions ``fwd[e]`` and then, unless the edge is a self-loop, at its
+    reverse positions ``rev[e]``; ``fwd`` and ``rev`` are (E, m) arrays.
+
+    Contributions land edge by edge in edge order, forward before reverse,
+    so every float sum is the one an edge-by-edge loop would compute.
+    """
+    idx = np.stack([fwd, rev], axis=1)
+    keep = np.ones(idx.shape, dtype=bool)
+    keep[:, 1] = (inst.u != inst.v)[:, None]
+    weights = np.broadcast_to(inst.w[:, None, None], idx.shape)
+    np.add.at(out.reshape(-1), idx[keep], weights[keep])
+    return out
 
 
 def validate_labeling(inst: UGInstance, labels: Sequence[int]) -> np.ndarray:
@@ -179,30 +223,32 @@ def validate_labeling(inst: UGInstance, labels: Sequence[int]) -> np.ndarray:
 
 def value(inst: UGInstance, labels: Sequence[int]) -> float:
     """Fraction of total edge weight satisfied by the labeling."""
-    L = validate_labeling(inst, labels)
-    if not inst.edges:
-        return 1.0
-    u, v, w, perm_table = inst._arrays
-    sat = perm_table[np.arange(len(u)), L[u]] == L[v]
-    return float(w[sat].sum() / w.sum())
+    return float(value_batch(inst, validate_labeling(inst, labels)[None, :])[0])
 
 
 def value_batch(inst: UGInstance, labels_batch: np.ndarray) -> np.ndarray:
-    """Satisfied-weight fractions for a (batch, n) array of labelings.
+    """Satisfied-weight fractions for a (batch, n) array of labelings; 1.0
+    for every labeling of an instance without edges.
 
     Processed in row slices so the (rows x edges) intermediates stay within
     a fixed memory budget even for instances with millions of edges.
     """
-    u, v, w, perm_table = inst._arrays
-    E = len(u)
+    u, v, w = inst.u, inst.v, inst.w
+    E = len(w)
+    if not E:
+        return np.ones(len(labels_batch))
     edge_idx = np.arange(E)[None, :]
     total = w.sum()
     out = np.empty(len(labels_batch))
-    rows = max(1, 10**7 // max(E, 1))
+    rows = max(1, 10**7 // E)
     for start in range(0, len(labels_batch), rows):
         chunk = labels_batch[start : start + rows]
-        sat = perm_table[edge_idx, chunk[:, u]] == chunk[:, v]
-        out[start : start + rows] = sat @ w / total
+        sat = inst.perm[edge_idx, chunk[:, u]] == chunk[:, v]
+        # Row by row over a C-ordered array, so a labeling's value does not
+        # depend on the batch it is in (a matrix-vector product rounds
+        # differently by the row's position in the batch).
+        sat = np.ascontiguousarray(sat)
+        out[start : start + rows] = np.einsum("re,e->r", sat, w) / total
     return out
 
 
@@ -262,53 +308,46 @@ def parse_instance(text: str) -> UGInstance:
     if n < 1 or k < 1:
         raise ParseError("n and k must be positive", header_line)
 
-    edges = []
-    for i, raw in enumerate(lines, start=1):
-        if i <= header_line:
-            continue
+    want = 4 if fmt == "maxlin" else 3 + k
+    identity = list(range(k))
+    u, v, w, perm = [], [], [], []
+    for i, raw in enumerate(lines[header_line:], start=header_line + 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        want = 4 if fmt == "maxlin" else 3 + k
         if len(parts) != want:
             raise ParseError(f"expected {want} fields, got {len(parts)}", i)
         try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2])
+            ui, vi, wi = int(parts[0]), int(parts[1]), float(parts[2])
+            images = [int(p) for p in parts[3:]]  # the shift constant for maxlin
         except ValueError:
             raise ParseError("malformed edge fields", i)
-        if not (0 <= u < n and 0 <= v < n):
+        if not (0 <= ui < n and 0 <= vi < n):
             raise ParseError(f"vertex index out of range [0, {n})", i)
-        if w < 0 or not np.isfinite(w):
+        if wi < 0 or not math.isfinite(wi):
             raise ParseError(f"bad weight {parts[2]}", i)
         if fmt == "maxlin":
-            try:
-                c = int(parts[3])
-            except ValueError:
-                raise ParseError("malformed shift constant", i)
-            if not (0 <= c < k):
+            if not (0 <= images[0] < k):
                 raise ParseError(f"shift constant out of range [0, {k})", i)
-            perm = Permutation.shift(k, c)
-        else:
-            try:
-                images = tuple(int(p) for p in parts[3:])
-            except ValueError:
-                raise ParseError("malformed permutation images", i)
-            try:
-                perm = Permutation(images)
-            except UGError as exc:
-                raise ParseError(str(exc), i)
-        edges.append(UGEdge(u, v, w, perm))
-    return UGInstance.create(n, k, edges)
+        elif sorted(images) != identity:
+            raise ParseError(f"not a bijection on [{k}]: {tuple(images)}", i)
+        u.append(ui)
+        v.append(vi)
+        w.append(wi)
+        perm.append(images)
+    perm = np.array(perm, dtype=np.int64).reshape(len(w), want - 3)
+    if fmt == "maxlin":
+        perm = (np.arange(k) - perm) % k  # Permutation.shift: i -> (i - c) mod k
+    w, scale = _unit_scale(w)
+    return UGInstance.from_arrays(n, k, u, v, w, perm, scale)
 
 
 def serialize_instance(inst: UGInstance) -> str:
-    out = [f"ug {inst.n} {inst.k}"]
-    for e in inst.edges:
-        images = " ".join(str(i) for i in e.perm.images)
-        out.append(f"{e.u} {e.v} {_fmt_weight(e.weight)} {images}")
-    return "\n".join(out) + "\n"
+    row = "%d %d %s" + " %d" * inst.k
+    weights = map(_fmt_weight, inst.w.tolist())
+    fields = zip(inst.u.tolist(), inst.v.tolist(), weights, *inst.perm.T.tolist())
+    return "\n".join([f"ug {inst.n} {inst.k}", *(row % f for f in fields)]) + "\n"
 
 
 def load_instance(path) -> UGInstance:

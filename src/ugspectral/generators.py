@@ -94,29 +94,21 @@ def perturb(inst: UGInstance, planted, eps, seed=0, constraint_family="general-p
     if inst.k < 2:
         raise UGError("cannot violate constraints with k=1")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(inst.edges))
-    target = eps * inst.total_weight
-    chosen = set()
-    cum = 0.0
-    for idx in order:
-        if cum >= target:
-            break
-        chosen.add(int(idx))
-        cum += inst.edges[idx].weight
-    new_edges = []
-    for i, e in enumerate(inst.edges):
-        if i in chosen:
-            a, b = int(planted[e.u]), int(planted[e.v])
-            if constraint_family == "maxlin":
-                c = (a - b) % inst.k
-                c2 = int(rng.choice([x for x in range(inst.k) if x != c]))
-                perm = Permutation.shift(inst.k, c2)
-            else:
-                perm = _random_perm_avoiding_image(rng, inst.k, a, b)
-            new_edges.append(UGEdge(e.u, e.v, e.weight, perm))
+    order = rng.permutation(len(inst.w))
+    # picked[j] is the weight picked before pick j, a sequential running total
+    # that never decreases; picking stops at the first j reaching the target.
+    picked = np.concatenate([[0.0], np.cumsum(inst.w[order])])
+    count = np.searchsorted(picked, eps * inst.total_weight)
+    perm = inst.perm.copy()
+    for i in np.sort(order[:count]):
+        a, b = int(planted[inst.u[i]]), int(planted[inst.v[i]])
+        if constraint_family == "maxlin":
+            c = (a - b) % inst.k
+            c2 = int(rng.choice([x for x in range(inst.k) if x != c]))
+            perm[i] = Permutation.shift(inst.k, c2).images
         else:
-            new_edges.append(e)
-    return UGInstance(inst.n, inst.k, tuple(new_edges), inst.scale)
+            perm[i] = _random_perm_avoiding_image(rng, inst.k, a, b).images
+    return UGInstance.from_arrays(inst.n, inst.k, inst.u, inst.v, inst.w, perm, inst.scale)
 
 
 def random_regular_graph(n, d, seed=0, max_tries=10000):
@@ -328,17 +320,15 @@ def kv_instance(spec: KVSpec) -> UGInstance:
     H = hadamard_code(spec.kappa)
     wt = _kv_weight_table(spec)
     m, n = spec.m, spec.n
-    shift_perms = [Permutation(tuple(x ^ c for x in range(n))) for c in range(n)]
-    edges = []
-    for i in range(m):
-        for j in range(i, m):
-            base = reps[i] ^ reps[j]
-            for s in range(n):
-                for t in range(n):
-                    z = int(base ^ H[s] ^ H[t])
-                    w = wt[bin(z).count("1")]
-                    edges.append(UGEdge(i, j, float(w), shift_perms[s ^ t]))
-    return UGInstance.create(m, n, edges)
+    i, j = np.triu_indices(m)           # coset pairs i <= j, row-major
+    s, t = np.divmod(np.arange(n * n), n)  # codeword pairs, s outermost
+    z = (reps[i] ^ reps[j])[:, None] ^ (H[s] ^ H[t])[None, :]
+    popcount = np.array([bin(x).count("1") for x in range(2**n)])
+    perm = np.arange(n)[None, :] ^ (s ^ t)[:, None]  # x -> x XOR (s XOR t)
+    return UGInstance.from_arrays(
+        m, n, np.repeat(i, n * n), np.repeat(j, n * n), wt[popcount[z.ravel()]],
+        np.tile(perm, (len(i), 1)),
+    )
 
 
 def kv_label_extended(spec: KVSpec) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UGInstance
+from .core import UGInstance, accumulate_edges
 from .linalg import symmetrize
 
 
@@ -35,19 +35,13 @@ class LabelExtendedMatrix:
 
 
 def _accumulate_adjacency(inst: UGInstance) -> np.ndarray:
-    n, k = inst.n, inst.k
-    M = np.zeros((n * k, n * k))
-    idx = np.arange(k)
-    for e in inst.edges:
-        rows = e.u * k + idx
-        cols = e.v * k + np.asarray(e.perm.images)
-        if e.u == e.v:
-            # Self-loop: w * Pi once on the diagonal block, so that it
-            # contributes its weight (not twice) to the row sum.
-            M[rows, cols] += e.weight
-        else:
-            M[rows, cols] += e.weight
-            M[cols, rows] += e.weight
+    # Edge e puts w * Pi_e in block (u, v) and its transpose in block (v, u);
+    # a self-loop puts w * Pi_e once on its diagonal block, so that it
+    # contributes its weight (not twice) to the row sum.
+    nk = inst.n * inst.k
+    rows = inst.u[:, None] * inst.k + np.arange(inst.k)
+    cols = inst.v[:, None] * inst.k + inst.perm
+    M = accumulate_edges(np.zeros((nk, nk)), inst, rows * nk + cols, cols * nk + rows)
     return symmetrize(M)
 
 
@@ -69,12 +63,14 @@ def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
     """L_M = D - M.  Positive semidefinite; annihilates the characteristic
     vector of every perfectly satisfying labeling."""
     adj = build_label_extended(inst)
-    D = np.repeat(adj.degree_profile, inst.k)
-    L = np.diag(D) - adj.matrix
+    # M is exactly symmetric already, so no second symmetrize; 0.0 - M (not
+    # -M) keeps zero entries +0.0.
+    L = 0.0 - adj.matrix
+    L[np.diag_indices_from(L)] += np.repeat(adj.degree_profile, inst.k)
     return LabelExtendedMatrix(
         inst_n=inst.n,
         inst_k=inst.k,
-        matrix=symmetrize(L),
+        matrix=L,
         kind="laplacian",
         degree_profile=adj.degree_profile,
         d_avg=adj.d_avg,
@@ -84,11 +80,5 @@ def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
 def constraint_graph_adjacency(inst: UGInstance) -> np.ndarray:
     """n x n weighted adjacency of the underlying constraint graph
     (permutations forgotten, parallel edges summed)."""
-    A = np.zeros((inst.n, inst.n))
-    for e in inst.edges:
-        if e.u == e.v:
-            A[e.u, e.u] += e.weight
-        else:
-            A[e.u, e.v] += e.weight
-            A[e.v, e.u] += e.weight
-    return A
+    fwd, rev = inst.u * inst.n + inst.v, inst.v * inst.n + inst.u
+    return accumulate_edges(np.zeros((inst.n, inst.n)), inst, fwd[:, None], rev[:, None])

@@ -65,6 +65,10 @@ class AbelianGroup:
         """The map i -> i - c, so that pi(x_u) = x_v encodes x_u - x_v = c."""
         return Permutation(tuple(self.sub(i, c) for i in range(self.order)))
 
+    def shift_table(self) -> np.ndarray:
+        """(order, order) array whose row c is the image table of the shift by c."""
+        return np.array([self.shift_permutation(c).images for c in range(self.order)])
+
     @staticmethod
     def cyclic(k):
         return AbelianGroup((k,))
@@ -79,9 +83,14 @@ class MaxLinInstance:
     def __post_init__(self):
         if self.group.order != self.base.k:
             raise UGError("group order must equal the alphabet size")
-        for e, c in zip(self.base.edges, self.shifts):
-            if e.perm.images != self.group.shift_permutation(c).images:
-                raise UGError(f"edge ({e.u},{e.v}) is not the shift by {c}")
+        shifts = np.asarray(self.shifts, dtype=np.int64)
+        if shifts.shape != self.base.u.shape:
+            raise UGError("need exactly one shift per edge")
+        wrong = np.any(self.base.perm != self.group.shift_table()[shifts % self.k], axis=1)
+        if wrong.any():
+            e = int(np.argmax(wrong))
+            u, v = self.base.u[e], self.base.v[e]
+            raise UGError(f"edge ({u},{v}) is not the shift by {self.shifts[e]}")
 
     @property
     def k(self):
@@ -90,26 +99,22 @@ class MaxLinInstance:
     @classmethod
     def from_constraints(cls, n, group: AbelianGroup, constraints):
         """constraints: iterable of (u, v, weight, c)."""
-        edges = []
-        shifts = []
-        for u, v, w, c in constraints:
-            edges.append(UGEdge(u, v, w, group.shift_permutation(c)))
-            shifts.append(int(c))
-        return cls(UGInstance.create(n, group.order, edges), tuple(shifts), group)
+        constraints = list(constraints)
+        edges = [UGEdge(u, v, w, group.shift_permutation(c)) for u, v, w, c in constraints]
+        shifts = tuple(int(c) for *_, c in constraints)
+        return cls(UGInstance.create(n, group.order, edges), shifts, group)
 
     @classmethod
     def from_instance(cls, inst: UGInstance, group: AbelianGroup | None = None):
         """Detect the shift of every edge; error if any edge is not a group
         difference constraint for the given group (cyclic Z_k by default)."""
         group = group or AbelianGroup.cyclic(inst.k)
-        tables = {group.shift_permutation(c).images: c for c in range(group.order)}
-        shifts = []
-        for e in inst.edges:
-            c = tables.get(e.perm.images)
-            if c is None:
-                raise UGError(f"edge ({e.u},{e.v}) is not a shift constraint")
-            shifts.append(c)
-        return cls(inst, tuple(shifts), group)
+        if group.order != inst.k:
+            raise UGError("group order must equal the alphabet size")
+        # The shift by c maps 0 to -c, so the image of 0 names the only
+        # candidate shift; __post_init__ rejects edges that are not it.
+        shifts = np.argsort(group.shift_table()[:, 0])[inst.perm[:, 0]]
+        return cls(inst, tuple(shifts.tolist()), group)
 
 
 def shift(labels, i, group: AbelianGroup) -> np.ndarray:
@@ -213,17 +218,15 @@ class PerturbationReport:
 def perturbed_edge_matrix(inst: UGInstance, completion: UGInstance) -> np.ndarray:
     """n x n matrix R carrying the weight of every edge whose constraint
     differs between the instance and its completion."""
-    if len(inst.edges) != len(completion.edges):
+    if inst.k != completion.k or not (
+        np.array_equal(inst.u, completion.u) and np.array_equal(inst.v, completion.v)
+    ):
         raise UGError("instance and completion must share the edge skeleton")
+    changed = np.any(inst.perm != completion.perm, axis=1)
     R = np.zeros((inst.n, inst.n))
-    for e, ec in zip(inst.edges, completion.edges):
-        if (e.u, e.v) != (ec.u, ec.v):
-            raise UGError("instance and completion must share the edge skeleton")
-        if e.perm.images != ec.perm.images:
-            R[e.u, e.v] = max(R[e.u, e.v], e.weight)
-            if e.u != e.v:
-                R[e.v, e.u] = R[e.u, e.v]
-    return R
+    np.maximum.at(R, (inst.u[changed], inst.v[changed]), inst.w[changed])
+    # Both orientations of a vertex pair share one entry: the largest weight.
+    return np.maximum(R, R.T)
 
 
 def sin_theta_report(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import numeric_config
-from .core import UGEdge, UGInstance, UGError, value_batch
+from .core import UGInstance, UGError, value_batch
 from .maxlin import AbelianGroup, MaxLinInstance
 
 
@@ -37,22 +37,19 @@ class OracleResult:
 
 
 def _components(inst: UGInstance):
-    parent = list(range(inst.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in inst.edges:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[ru] = rv
-    comps = {}
-    for v in range(inst.n):
-        comps.setdefault(find(v), []).append(v)
-    return list(comps.values())
+    """Vertex arrays of the connected components, ordered by smallest vertex."""
+    # Min-label propagation with pointer jumping; at the fixed point every
+    # vertex is labelled with the smallest vertex of its component.
+    root = np.arange(inst.n)
+    while True:
+        low = np.minimum(root[inst.u], root[inst.v])
+        new = root.copy()
+        np.minimum.at(new, inst.u, low)
+        np.minimum.at(new, inst.v, low)
+        new = new[new]
+        if np.array_equal(new, root):
+            return [np.flatnonzero(root == r) for r in np.unique(root)]
+        root = new
 
 
 def _is_shiftable(inst: UGInstance, group: AbelianGroup | None):
@@ -102,20 +99,17 @@ def brute_force(inst: UGInstance, budget=None, group: AbelianGroup | None = None
     examined = 0
     best_weight = 0.0
     for comp in comps:
-        local = {v: i for i, v in enumerate(comp)}
-        comp_edges = [
-            UGEdge(local[e.u], local[e.v], e.weight, e.perm)
-            for e in inst.edges
-            if e.u in local
-        ]
-        if not comp_edges:
+        inside = np.isin(inst.u, comp)
+        if not inside.any():
             continue
-        sub = UGInstance(len(comp), inst.k, tuple(comp_edges))
+        sub = UGInstance.from_arrays(  # comp is sorted: searchsorted renumbers
+            len(comp), inst.k, np.searchsorted(comp, inst.u[inside]),
+            np.searchsorted(comp, inst.v[inside]), inst.w[inside], inst.perm[inside],
+        )
         comp_weight = sub.total_weight
         m = len(comp) - 1 if reduce_by_one else len(comp)
         comp_best = -1.0
         comp_best_lab = None
-        done = False
         for chunk in _enumerate_chunks(m, inst.k) if m > 0 else [np.zeros((1, 0), dtype=np.int64)]:
             if reduce_by_one:
                 chunk = np.column_stack([np.zeros(len(chunk), dtype=np.int64), chunk])
@@ -126,12 +120,9 @@ def brute_force(inst: UGInstance, budget=None, group: AbelianGroup | None = None
                 comp_best = float(vals[i])
                 comp_best_lab = chunk[i]
             if comp_best == 1.0:
-                done = True
-            if done:
                 break
         best_weight += comp_best * comp_weight
-        for v, lab in zip(comp, comp_best_lab):
-            best_labeling[v] = lab
+        best_labeling[comp] = comp_best_lab
 
     total = inst.total_weight
     return OracleResult(

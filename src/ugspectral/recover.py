@@ -180,9 +180,10 @@ def _lattice_chunks(dim, step, chunk=8192) -> Iterator[np.ndarray]:
 def enumerate_net(spec: NetSpec) -> Iterator[np.ndarray]:
     """Stream every net vector sum_s alpha_s w(s), alpha_s in step*Z, with
     coefficient norm at most 1 + step*sqrt(dim)/2, exactly once in
-    lexicographic coefficient order.  The extra half-cell-diagonal of slack
-    beyond the unit ball guarantees every vector of norm <= 1 has a net
-    point within step*sqrt(dim)/2 of it."""
+    lexicographic coefficient order, as (chunk, dim_ambient) arrays.  The
+    extra half-cell-diagonal of slack beyond the unit ball guarantees every
+    vector of norm <= 1 has a net point within step*sqrt(dim)/2 of it.
+    Raises NetTooLargeError before yielding if the net exceeds the cap."""
     dim = spec.basis.dim
     if dim < 1:
         raise UGError("empty basis")
@@ -192,9 +193,8 @@ def enumerate_net(spec: NetSpec) -> Iterator[np.ndarray]:
         raise NetTooLargeError(
             f"net would have {total} points (> cap {cap}) at dim={dim}, step={spec.step}"
         )
-    B = spec.basis.basis
     for Z in _lattice_chunks(dim, spec.step):
-        yield from (Z * spec.step) @ B.T
+        yield (Z * spec.step) @ spec.basis.basis.T
 
 
 def select_search_space(inst: UGInstance, params: SolveParams):
@@ -234,6 +234,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
     """The main solver: enumerate the epsilon-net of W plus the signed basis
     vectors, read off labelings, return the best."""
     params.validate(strict=strict)
+    threshold = default_yes_threshold(params)
     t0 = time.perf_counter()
     W, d = select_search_space(inst, params)
     eigen_time = time.perf_counter() - t0
@@ -251,28 +252,20 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
     if step is None:
         step = float(np.sqrt(2 * params.epsilon / (params.gamma * dim)))
 
-    total = net_size(dim, step)
-    cap = numeric_config().net_cap
-    if total > cap:
-        raise NetTooLargeError(
-            f"net would have {total} points (> cap {cap}) at dim={dim}, step={step}"
-        )
-
     n, k = inst.n, inst.k
     t1 = time.perf_counter()
     best_value = -1.0
     best_index = -1
     best_labeling = None
     index_base = 0
-    for Z in _lattice_chunks(dim, step):
-        X = (Z.astype(np.float64) * step) @ W.basis.T
+    for X in enumerate_net(NetSpec(W, step)):
         labels = read_off_batch(X, n, k)
         uniq, first = np.unique(labels, axis=0, return_index=True)
         vals = value_batch(inst, uniq)
         for v, i, lab in zip(vals, first, uniq):
             if v > best_value or (v == best_value and index_base + i < best_index):
                 best_value, best_index, best_labeling = float(v), index_base + int(i), lab
-        index_base += len(Z)
+        index_base += len(X)
 
     # Signed basis vectors are always candidates so a one-dimensional W
     # cannot be missed by lattice misalignment.
@@ -284,14 +277,13 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
             best_value, best_index, best_labeling = float(v), index_base + i, lab
     enumeration_time = time.perf_counter() - t1
 
-    threshold = default_yes_threshold(params)
     return SolveReport(
         best_labeling=best_labeling,
         best_value=best_value,
         decision="YES" if best_value >= threshold else "NO",
         yes_threshold=threshold,
         dim_W=dim,
-        net_points_evaluated=total,
+        net_points_evaluated=index_base,
         eigen_time=eigen_time,
         enumeration_time=enumeration_time,
         net_step=step,

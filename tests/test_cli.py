@@ -3,6 +3,7 @@ determinism."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import ugspectral
 from ugspectral.core import load_instance, save_instance, value
 from ugspectral.generators import PlantedSpec, planted_instance, perturb
 
@@ -20,11 +22,21 @@ SCHEMA = json.loads(
 )
 
 
+# The CLI subprocess imports the same package as the tests, also when the
+# tests found it through pytest's pythonpath setting rather than PYTHONPATH.
+SRC = str(Path(ugspectral.__file__).resolve().parent.parent)
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
+
+
 def run_cli(*args, check=False):
     proc = subprocess.run(
         [sys.executable, "-m", "ugspectral.cli", *map(str, args)],
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -217,3 +229,12 @@ class TestKVSpectrum:
 def test_unknown_arguments_exit_1():
     assert run_cli("solve").returncode == 1
     assert run_cli("frobnicate").returncode == 1
+
+
+def test_removed_flags_rejected(maxlin_file, tmp_path):
+    """solve --threads and --planted-out on gen kv / gen regular are gone."""
+    path, _, _ = maxlin_file
+    assert run_cli("solve", path, "--epsilon", 0.03, "--gamma", 0.5,
+                   "--threads", 2).returncode == 1
+    for kind in (("kv", "--kappa", 2, "--eps", 0.25), ("regular", "--n", 6, "--d", 2)):
+        assert run_cli("gen", *kind, "--planted-out", tmp_path / "p").returncode == 1

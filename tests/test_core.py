@@ -52,18 +52,46 @@ class TestPermutation:
         assert Permutation.identity(4).images == (0, 1, 2, 3)
 
 
+def from_edges(n, k, u, v, w, images):
+    return UGInstance(n, k, [UGEdge(u, v, w, Permutation(images))])
+
+
+def from_arrays(n, k, u, v, w, images):
+    return UGInstance.from_arrays(n, k, [u], [v], [w], [images])
+
+
+both_constructors = pytest.mark.parametrize("build", [from_edges, from_arrays])
+
+
 class TestInstance:
-    def test_edge_out_of_range(self):
+    @both_constructors
+    def test_edge_out_of_range(self, build):
         with pytest.raises(UGError):
-            UGInstance(2, 2, (UGEdge(0, 5, 1.0, Permutation.identity(2)),))
+            build(2, 2, 0, 5, 1.0, (0, 1))
 
-    def test_arity_mismatch(self):
+    @both_constructors
+    def test_arity_mismatch(self, build):
         with pytest.raises(UGError):
-            UGInstance(2, 3, (UGEdge(0, 1, 1.0, Permutation.identity(2)),))
+            build(2, 3, 0, 1, 1.0, (0, 1))
 
-    def test_negative_weight(self):
+    @both_constructors
+    def test_negative_weight(self, build):
         with pytest.raises(UGError):
-            UGEdge(0, 1, -1.0, Permutation.identity(2))
+            build(2, 2, 0, 1, -1.0, (0, 1))
+
+    def test_arrays_are_the_stored_form(self, small_instance):
+        """from_arrays round-trips the arrays, they are read-only, and edges
+        is a view rebuilding each UGEdge from them."""
+        inst = small_instance
+        again = UGInstance.from_arrays(inst.n, inst.k, inst.u, inst.v, inst.w, inst.perm)
+        assert serialize_instance(again) == serialize_instance(inst)
+        with pytest.raises(ValueError):
+            inst.w[0] = 0.5
+        assert len(inst.edges) == 4
+        last = inst.edges[-1]
+        assert (last.u, last.v, last.weight, last.perm.images) == (3, 0, 0.5, (2, 0, 1))
+        with pytest.raises(IndexError):
+            inst.edges[4]
 
     def test_create_rescales_weights(self):
         inst = UGInstance.create(2, 2, [UGEdge(0, 1, 4.0, Permutation.identity(2))])
@@ -104,7 +132,12 @@ class TestValue:
         batch = rng.integers(0, 3, size=(50, 8))
         vals = value_batch(inst, batch)
         for row, v in zip(batch, vals):
-            assert v == pytest.approx(value(inst, row), abs=1e-12)
+            assert v == value(inst, row)
+
+    def test_edgeless_instance_fully_satisfied(self):
+        inst = UGInstance.create(3, 2, [])
+        assert value(inst, [0, 1, 0]) == 1.0
+        assert value_batch(inst, np.zeros((2, 3), dtype=np.int64)).tolist() == [1.0, 1.0]
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 5))
     @settings(max_examples=25, deadline=None)

@@ -97,16 +97,16 @@ class TestNet:
 
     def test_enumerate_net_count_and_norms(self):
         spec = NetSpec(basis=orthonormal_space(6, 2, seed=1), step=0.5)
-        vecs = list(enumerate_net(spec))
-        assert len(vecs) == net_size(2, 0.5)
+        vecs = np.concatenate(list(enumerate_net(spec)))
+        assert vecs.shape == (net_size(2, 0.5), 6)
         rmax = np.sqrt(_net_radius2(2, 0.5)) * 0.5
-        assert max(np.linalg.norm(v) for v in vecs) <= rmax + 1e-12
+        assert np.linalg.norm(vecs, axis=1).max() <= rmax + 1e-12
 
     def test_covering_radius(self):
         """Every vector of norm <= 1 has a net point within step*sqrt(dim)/2."""
         dim, step = 3, 0.4
         spec = NetSpec(basis=orthonormal_space(5, dim, seed=2), step=step)
-        pts = np.array(list(enumerate_net(spec)))
+        pts = np.concatenate(list(enumerate_net(spec)))
         rng = np.random.default_rng(0)
         C = rng.standard_normal((200, dim))
         C /= np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1.0)
@@ -245,6 +245,29 @@ class TestRecover:
                 recover_solution(inst, SolveParams(epsilon=0.01, gamma=0.5, max_dim=8))
         finally:
             reset_numeric_config()
+
+    def test_edgeless_instance_solves(self):
+        """Every labeling of an edgeless instance has value 1, so the solve
+        returns a labeling and its report serialises."""
+        from ugspectral.core import UGInstance
+
+        rep = recover_solution(UGInstance.create(1, 2, []), SolveParams(0.01, 0.5))
+        d = rep.to_dict()
+        assert d["best_value"] == 1.0 and d["decision"] == "YES"
+        assert len(d["best_labeling"]) == 1
+
+    def test_bad_yes_threshold_fails_before_eigensolve(self, monkeypatch):
+        """strict=False with gamma <= 8*eps and no override raises before
+        any search space is built."""
+        import ugspectral.recover as recover_mod
+
+        def unreachable(inst, params):
+            raise AssertionError("search space built before the threshold check")
+
+        monkeypatch.setattr(recover_mod, "select_search_space", unreachable)
+        inst, _ = planted_on(6, 3, complete_skeleton(6), seed=6, family="maxlin")
+        with pytest.raises(UGError, match="yes-threshold"):
+            recover_mod.recover_solution(inst, SolveParams(0.1, 0.5), strict=False)
 
     def test_report_fields(self):
         inst, _ = planted_on(6, 3, complete_skeleton(6), seed=6, family="maxlin")
