@@ -111,7 +111,10 @@ def perturb(inst: UGInstance, planted, eps, seed=0, constraint_family="general-p
     return UGInstance.from_arrays(inst.n, inst.k, inst.u, inst.v, inst.w, perm, inst.scale)
 
 
-def random_regular_graph(n, d, seed=0, max_tries=10000):
+PAIRING_TRIES = 10000  # pairings drawn before random_regular_graph gives up
+
+
+def random_regular_graph(n, d, seed=0):
     """Simple d-regular graph by the pairing model with rejection of loops
     and multi-edges.  Returns (edge list, second adjacency eigenvalue);
     expansion is measured, never assumed.
@@ -121,31 +124,18 @@ def random_regular_graph(n, d, seed=0, max_tries=10000):
     if not 0 <= d < n:
         raise UGError("need 0 <= d < n")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(PAIRING_TRIES):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        edges = set()
-        ok = True
-        for u, v in pairs:
-            u, v = int(u), int(v)
-            if u == v:
-                ok = False
-                break
-            key = (min(u, v), max(u, v))
-            if key in edges:
-                ok = False
-                break
-            edges.add(key)
-        if ok:
-            edge_list = sorted(edges)
+        lo, hi = np.sort(stubs.reshape(-1, 2), axis=1).T
+        keys = np.unique(lo * n + hi)  # sorted, one per distinct pair
+        if np.all(lo != hi) and len(keys) == len(lo):
             A = np.zeros((n, n))
-            for u, v in edge_list:
-                A[u, v] = A[v, u] = 1.0
+            A[keys // n, keys % n] = A[keys % n, keys // n] = 1.0
             vals = np.linalg.eigvalsh(A)
             lambda2 = float(np.sort(vals)[::-1][1]) if n > 1 else 0.0
-            return edge_list, lambda2
-    raise UGError(f"pairing model failed {max_tries} times for n={n}, d={d}")
+            return [(int(key // n), int(key % n)) for key in keys], lambda2
+    raise UGError(f"pairing model failed {PAIRING_TRIES} times for n={n}, d={d}")
 
 
 def planted_regular_instance(n, d, k, seed=0, constraint_family="general-permutation"):

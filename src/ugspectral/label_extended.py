@@ -30,9 +30,6 @@ class LabelExtendedMatrix:
     def dim(self):
         return self.inst_n * self.inst_k
 
-    def matvec(self, x):
-        return self.matrix @ x
-
 
 def _accumulate_adjacency(inst: UGInstance) -> np.ndarray:
     # Edge e puts w * Pi_e in block (u, v) and its transpose in block (v, u);

@@ -2,8 +2,7 @@
 
 Backed by LAPACK's symmetric solver (numpy.linalg.eigh), which meets the
 residual/orthonormality contract below and is deterministic for a fixed
-input.  Matrices at desk scale are nk <= ~4096 so dense is fine; builders
-elsewhere expose a matvec view should an iterative solver ever be needed.
+input.  Matrices at desk scale are nk <= ~4096 so dense is fine.
 """
 
 from __future__ import annotations
@@ -43,6 +42,8 @@ class Eigenspace:
     eigenvalues: np.ndarray
     threshold: float
     mode: str
+    # Nearest eigenvalue outside the window; -inf/+inf (high/low) if none.
+    nearest_dropped: float = float("nan")
 
     @property
     def dim(self):
@@ -63,35 +64,47 @@ class ProjectionSplit:
 def eigendecompose(A):
     """All eigenpairs of a symmetric matrix, sorted descending by eigenvalue.
 
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns.
+    Returns (eigenvalues, eigenvectors) with eigenvectors in columns, as
+    reversed views of LAPACK's ascending output.  A is decomposed as given:
+    NumericError unless it is square, finite and exactly symmetric.
     """
-    A = symmetrize(A)
+    A = np.asarray(A, dtype=np.float64)
+    if not np.all(np.isfinite(A)):
+        raise NumericError("matrix has non-finite entries")
+    if A.ndim != 2 or not np.array_equal(A, A.T):  # unequal shapes if not square
+        raise NumericError(f"expected an exactly symmetric matrix, got shape {A.shape}")
     vals, vecs = np.linalg.eigh(A)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    return vals[::-1], vecs[:, ::-1]
 
 
 def select_eigenspace(A, threshold, mode) -> Eigenspace:
     """Maximal eigenspace of A on one side of a threshold.
 
     mode 'adjacency-high': eigenvalues >= threshold (the high window W of an
-    adjacency matrix); 'laplacian-low': eigenvalues <= threshold.
+    adjacency matrix); 'laplacian-low': eigenvalues <= threshold.  Values
+    within residual_tol * max(1, max|lambda|) of the threshold count as on
+    the kept side, so a cluster of numerically equal eigenvalues sitting on
+    the threshold is kept whole rather than split by rounding.
     """
     if mode not in ("adjacency-high", "laplacian-low"):
         raise ValueError(f"unknown mode {mode!r}")
     if not np.isfinite(threshold):
         raise NumericError("threshold must be finite")
     vals, vecs = eigendecompose(A)
+    tol = numeric_config().residual_tol * max(1.0, float(np.abs(vals).max(initial=0.0)))
     if mode == "adjacency-high":
-        keep = vals >= threshold
+        keep = vals >= threshold - tol
+        nearest = vals[~keep].max(initial=-np.inf)
     else:
-        keep = vals <= threshold
+        keep = vals <= threshold + tol
+        nearest = vals[~keep].min(initial=np.inf)
     return Eigenspace(
-        dim_ambient=A.shape[0] if hasattr(A, "shape") else len(A),
+        dim_ambient=vecs.shape[0],
         basis=np.ascontiguousarray(vecs[:, keep]),
         eigenvalues=vals[keep],
         threshold=float(threshold),
         mode=mode,
+        nearest_dropped=float(nearest),
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Permutation, UGEdge, UGInstance, UGError, value
 from .label_extended import build_label_extended, constraint_graph_adjacency
-from .linalg import Eigenspace, eigendecompose, project_split, select_eigenspace
+from .linalg import Eigenspace, project_split, select_eigenspace
 from .recover import SolveParams, SolveReport, default_yes_threshold, recover_solution
 
 
@@ -196,7 +196,7 @@ def uniformity_check(S: Eigenspace, C, samples=1000, seed=0) -> UniformityReport
 @dataclass
 class PerturbationReport:
     lam: float              # eigenvalue of the tested eigenvector of M
-    lambda_s: float         # largest eigenvalue of the completion below (1-gamma)d
+    lambda_s: float         # largest eigenvalue of the completion outside Y
     numerator: float        # ||(M~ - M) w||
     beta_bound: float       # numerator / (lam - lambda_s), inf if undefined
     beta_measured: float    # component of w orthogonal to Y
@@ -239,12 +239,11 @@ def sin_theta_report(
     Mt = build_label_extended(completion.base)
     d = Mt.d_avg
     lam = float(w @ (M.matrix @ w))
-    vals, _ = eigendecompose(Mt.matrix)
-    below = vals[vals < (1 - gamma) * d]
-    lambda_s = float(below[0]) if len(below) else -np.inf
+    # One decomposition gives Y and lambda_s, the largest eigenvalue it cuts.
+    Y = select_eigenspace(Mt.matrix, (1 - gamma) * d, "adjacency-high")
+    lambda_s = Y.nearest_dropped
     numerator = float(np.linalg.norm((Mt.matrix - M.matrix) @ w))
     beta_bound = numerator / (lam - lambda_s) if lam > lambda_s else np.inf
-    Y = select_eigenspace(Mt.matrix, (1 - gamma) * d, "adjacency-high")
     beta_measured = project_split(w, Y).beta
     R = perturbed_edge_matrix(ml.base, completion.base)
     wbar = block_norm_vector(w, ml.base.n, ml.k)
@@ -259,14 +258,16 @@ def sin_theta_report(
     )
 
 
+THETA_C1 = 10.0   # default theta >= THETA_C1 * eps * gamma
+THETA_C2 = 100.0  # default theta >= gamma^3 / THETA_C2
+
+
 @dataclass
 class MaxLinParams:
     epsilon: float
     gamma: float
     theta: float | None = None          # defaulted from epsilon and gamma
     uniformity_C: float = 2.0
-    theta_c1: float = 10.0              # theta >= theta_c1 * eps * gamma
-    theta_c2: float = 100.0             # theta >= gamma^3 / theta_c2
     max_dim: int = 8
     net_step_override: float | None = None
     yes_constant: float = 10.0
@@ -274,8 +275,8 @@ class MaxLinParams:
     def resolved_theta(self):
         if self.theta is not None:
             return self.theta
-        return min(self.gamma, max(self.theta_c1 * self.epsilon * self.gamma,
-                                   self.gamma**3 / self.theta_c2))
+        return min(self.gamma, max(THETA_C1 * self.epsilon * self.gamma,
+                                   self.gamma**3 / THETA_C2))
 
     def validate(self):
         if not (0 < self.epsilon < 1):

@@ -2,15 +2,18 @@
 
 The solver selects the high eigenspace W of the label-extended adjacency
 matrix (eigenvalues >= (1-gamma)d) or the low eigenspace of its Laplacian
-(eigenvalues <= gamma*d_avg), enumerates a lattice epsilon-net covering the
-unit ball of W with coefficient step sqrt(2*eps/(gamma*dim W)), reads off a
-labeling from every candidate by per-block argmax, and keeps the labeling
-of maximum satisfied weight.  The YES/NO decision compares that value to a
-threshold derived from the guarantee 1 - O(eps/(gamma-8*eps) + eps).
+(eigenvalues <= gamma*d_avg) and streams candidates: a lattice epsilon-net
+of the unit ball of W with coefficient step sqrt(2*eps/(gamma*dim W)), then
+the signed basis vectors, in chunks.  It reads a labeling off each by
+per-block argmax, scores each distinct labeling of a chunk once and keeps
+the first candidate of maximum satisfied weight.  The YES/NO decision
+compares that value to a threshold derived from the guarantee
+1 - O(eps/(gamma-8*eps) + eps).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -65,12 +68,6 @@ class SolveParams:
 
 
 @dataclass
-class NetSpec:
-    basis: Eigenspace
-    step: float
-
-
-@dataclass
 class SolveReport:
     best_labeling: np.ndarray
     best_value: float
@@ -108,10 +105,11 @@ def read_off_assignment(x, n, k) -> np.ndarray:
         raise UGError(f"vector length {x.shape} != n*k = {n * k}")
     if not np.all(np.isfinite(x)):
         raise UGError("non-finite entries in read-off vector")
-    return np.argmax(x.reshape(n, k), axis=1)
+    return read_off_batch(x[None, :], n, k)[0]
 
 
 def read_off_batch(X, n, k) -> np.ndarray:
+    """Per-block argmax labelings of the rows of a (batch, n*k) array."""
     return np.argmax(X.reshape(-1, n, k), axis=2)
 
 
@@ -177,24 +175,24 @@ def _lattice_chunks(dim, step, chunk=8192) -> Iterator[np.ndarray]:
         yield np.array(buf, dtype=np.int64)
 
 
-def enumerate_net(spec: NetSpec) -> Iterator[np.ndarray]:
+def enumerate_net(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
     """Stream every net vector sum_s alpha_s w(s), alpha_s in step*Z, with
     coefficient norm at most 1 + step*sqrt(dim)/2, exactly once in
     lexicographic coefficient order, as (chunk, dim_ambient) arrays.  The
     extra half-cell-diagonal of slack beyond the unit ball guarantees every
     vector of norm <= 1 has a net point within step*sqrt(dim)/2 of it.
     Raises NetTooLargeError before yielding if the net exceeds the cap."""
-    dim = spec.basis.dim
+    dim = basis.dim
     if dim < 1:
         raise UGError("empty basis")
-    total = net_size(dim, spec.step)
+    total = net_size(dim, step)
     cap = numeric_config().net_cap
     if total > cap:
         raise NetTooLargeError(
-            f"net would have {total} points (> cap {cap}) at dim={dim}, step={spec.step}"
+            f"net would have {total} points (> cap {cap}) at dim={dim}, step={step}"
         )
-    for Z in _lattice_chunks(dim, spec.step):
-        yield (Z * spec.step) @ spec.basis.basis.T
+    for Z in _lattice_chunks(dim, step):
+        yield (Z * step) @ basis.basis.T
 
 
 def select_search_space(inst: UGInstance, params: SolveParams):
@@ -231,8 +229,9 @@ def default_yes_threshold(params: SolveParams) -> float:
 
 
 def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> SolveReport:
-    """The main solver: enumerate the epsilon-net of W plus the signed basis
-    vectors, read off labelings, return the best."""
+    """The main solver: read off a labeling from every candidate vector (the
+    epsilon-net of W, then the signed basis vectors) and return the first
+    labeling of maximum value."""
     params.validate(strict=strict)
     threshold = default_yes_threshold(params)
     t0 = time.perf_counter()
@@ -253,28 +252,27 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
         step = float(np.sqrt(2 * params.epsilon / (params.gamma * dim)))
 
     n, k = inst.n, inst.k
+    narrow = np.min_scalar_type(k - 1)
+    row = np.dtype((np.void, n * narrow.itemsize))
     t1 = time.perf_counter()
-    best_value = -1.0
-    best_index = -1
-    best_labeling = None
-    index_base = 0
-    for X in enumerate_net(NetSpec(W, step)):
+    # Signed basis vectors follow the net as candidates so a one-dimensional
+    # W cannot be missed by lattice misalignment.
+    signed = np.concatenate([W.basis.T, -W.basis.T], axis=0)
+    best_value, best_labeling, candidates = -1.0, None, 0
+    for X in itertools.chain(enumerate_net(W, step), [signed]):
         labels = read_off_batch(X, n, k)
-        uniq, first = np.unique(labels, axis=0, return_index=True)
-        vals = value_batch(inst, uniq)
-        for v, i, lab in zip(vals, first, uniq):
-            if v > best_value or (v == best_value and index_base + i < best_index):
-                best_value, best_index, best_labeling = float(v), index_base + int(i), lab
-        index_base += len(X)
-
-    # Signed basis vectors are always candidates so a one-dimensional W
-    # cannot be missed by lattice misalignment.
-    extra = np.concatenate([W.basis.T, -W.basis.T], axis=0)
-    labels = read_off_batch(extra, n, k)
-    vals = value_batch(inst, labels)
-    for i, (v, lab) in enumerate(zip(vals, labels)):
-        if v > best_value:
-            best_value, best_index, best_labeling = float(v), index_base + i, lab
+        # Exact dedupe: each labeling, cast to the narrowest dtype holding
+        # k - 1, is viewed as one opaque row; return_index sorts stably, so
+        # it gives each distinct labeling's first occurrence.
+        rows = np.ascontiguousarray(labels, dtype=narrow).view(row).ravel()
+        first = np.sort(np.unique(rows, return_index=True)[1])
+        vals = value_batch(inst, labels[first])
+        # argmax takes the first maximum, and chunks come in stream order,
+        # so the first candidate reaching the overall maximum is kept.
+        i = int(np.argmax(vals))
+        if vals[i] > best_value:
+            best_value, best_labeling = float(vals[i]), labels[first[i]].copy()
+        candidates += len(X)
     enumeration_time = time.perf_counter() - t1
 
     return SolveReport(
@@ -283,7 +281,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
         decision="YES" if best_value >= threshold else "NO",
         yes_threshold=threshold,
         dim_W=dim,
-        net_points_evaluated=index_base,
+        net_points_evaluated=candidates - len(signed),
         eigen_time=eigen_time,
         enumeration_time=enumeration_time,
         net_step=step,

@@ -48,7 +48,6 @@ from ugspectral.maxlin import (
 )
 from ugspectral.oracle import brute_force
 from ugspectral.recover import (
-    NetSpec,
     SolveParams,
     _lattice_chunks,
     _net_radius2,
@@ -180,7 +179,7 @@ def test_criterion_04_net_covering_and_size(capsys):
     for dim, nvec in ((2, 1000), (3, 1000), (4, 1000)):
         step = float(np.sqrt(2 * eps / (gamma * dim)))
         basis = random_orthonormal(dim + 3, dim, seed=dim)
-        pts = np.concatenate(list(enumerate_net(NetSpec(basis, step))))
+        pts = np.concatenate(list(enumerate_net(basis, step)))
         rng = np.random.default_rng(100 + dim)
         C = rng.standard_normal((nvec, dim))
         C /= np.linalg.norm(C, axis=1, keepdims=True)

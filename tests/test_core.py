@@ -139,19 +139,21 @@ class TestValue:
         assert value(inst, [0, 1, 0]) == 1.0
         assert value_batch(inst, np.zeros((2, 3), dtype=np.int64)).tolist() == [1.0, 1.0]
 
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 5))
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 5), st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
-    def test_edge_reversal_invariance(self, seed, k):
-        """Storing an edge in the reverse orientation with the inverse
-        permutation never changes any labeling's value."""
+    def test_edge_reversal_invariance(self, seed, k, pick):
+        """Storing one edge, or every edge, in the reverse orientation with
+        the inverse permutation leaves every value unchanged to the last
+        bit: the same edges are satisfied and summed in the same order."""
         inst = random_instance(6, k, seed=seed)
-        flipped = UGInstance(
-            inst.n, inst.k, tuple(e.reversed() for e in inst.edges), inst.scale
-        )
-        rng = np.random.default_rng(seed)
-        for _ in range(5):
-            L = rng.integers(0, k, size=6)
-            assert value(inst, L) == pytest.approx(value(flipped, L), abs=1e-12)
+        one = list(inst.edges)
+        one[pick % len(one)] = one[pick % len(one)].reversed()
+        every = [e.reversed() for e in inst.edges]
+        L = np.random.default_rng(seed).integers(0, k, size=(5, 6))
+        for edges in (one, every):
+            flipped = UGInstance(inst.n, inst.k, edges, inst.scale)
+            assert value_batch(flipped, L).tolist() == value_batch(inst, L).tolist()
+            assert value(flipped, L[0]) == value(inst, L[0])
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)

@@ -113,6 +113,27 @@ class TestRandomRegular:
         assert np.all(deg == d)
         assert lam2 < d  # simple connected-ish sanity; exact value measured
 
+    @pytest.mark.parametrize("n,d", [(4, 3), (10, 3), (12, 4), (40, 5)])
+    def test_matches_pair_by_pair_reference(self, n, d):
+        """The vectorised rejection check accepts exactly the pairings a
+        pair-by-pair loop accepts, so every seed gives the same graph."""
+
+        def reference(seed):
+            rng = np.random.default_rng(seed)
+            while True:
+                stubs = np.repeat(np.arange(n), d)
+                rng.shuffle(stubs)
+                edges = set()
+                for u, v in stubs.reshape(-1, 2).tolist():
+                    if u == v or (min(u, v), max(u, v)) in edges:
+                        break
+                    edges.add((min(u, v), max(u, v)))
+                else:
+                    return sorted(edges)
+
+        for seed in range(4):
+            assert random_regular_graph(n, d, seed=seed)[0] == reference(seed)
+
     def test_lambda2_matches_recomputation(self):
         edges, lam2 = random_regular_graph(12, 3, seed=2)
         A = np.zeros((12, 12))

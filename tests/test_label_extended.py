@@ -47,11 +47,6 @@ class TestBlocks:
         deg = np.repeat(inst.degrees(), inst.k)
         assert np.abs(lem.matrix.sum(axis=1) - deg).max() <= 1e-12
 
-    def test_matvec_matches_matrix(self):
-        lem = build_label_extended(random_instance(5, 3, seed=2))
-        x = np.random.default_rng(0).standard_normal(15)
-        assert np.array_equal(lem.matvec(x), lem.matrix @ x)
-
 
 class TestEigenvectorIdentity:
     @given(st.integers(0, 10**6), st.integers(2, 4))

@@ -52,6 +52,14 @@ class TestEigendecompose:
         vals, vecs = eigendecompose(A)
         assert np.abs((vecs * vals) @ vecs.T - A).max() <= numeric_config().aggregate_tol
 
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.array([[0.0, np.nan], [np.nan, 0.0]]),
+                                     np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]])])
+    def test_rejects_non_square_non_finite_and_non_symmetric(self, bad):
+        """The input is decomposed as given, never re-symmetrised, so a
+        matrix that is not exactly symmetric is an error."""
+        with pytest.raises(NumericError):
+            eigendecompose(bad)
+
     def test_deterministic(self):
         A = random_symmetric(9, 3)
         v1 = eigendecompose(A)
@@ -71,6 +79,19 @@ class TestSelectEigenspace:
         W = select_eigenspace(A, 2.0, "laplacian-low")
         assert W.dim == 2
         assert set(np.round(W.eigenvalues, 12)) == {1.0, 2.0}
+
+    @pytest.mark.parametrize("mode,offset,dropped", [("adjacency-high", -1e-12, 1.0),
+                                                     ("laplacian-low", 1e-12, 3.0)])
+    def test_rounding_below_tolerance_stays_in_window(self, mode, offset, dropped):
+        """An eigenvalue a rounding error past the threshold is kept, and
+        the nearest eigenvalue outside the window is reported."""
+        W = select_eigenspace(np.diag([3.0, 2.0 + offset, 1.0]), 2.0, mode)
+        assert W.dim == 2
+        assert W.nearest_dropped == dropped
+
+    def test_nothing_dropped(self):
+        W = select_eigenspace(np.diag([3.0, 2.0]), 1.0, "adjacency-high")
+        assert W.dim == 2 and W.nearest_dropped == -np.inf
 
     def test_empty_window(self):
         W = select_eigenspace(np.diag([1.0, 0.5]), 5.0, "adjacency-high")

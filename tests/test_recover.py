@@ -4,15 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ugspectral.config import NumericConfig, reset_numeric_config, set_numeric_config
 from ugspectral.core import UGError, characteristic_vector, value
-from ugspectral.generators import perturb
+from ugspectral.generators import KVSpec, kv_eigenspace_dimension, kv_instance, perturb
 from ugspectral.linalg import Eigenspace
 from ugspectral.recover import (
     DegenerateSpectrumError,
     DimensionAbortError,
-    NetSpec,
     NetTooLargeError,
     NonRegularError,
     SolveParams,
@@ -27,7 +27,7 @@ from ugspectral.recover import (
     select_search_space,
 )
 
-from conftest import complete_skeleton, planted_on, random_instance
+from conftest import complete_skeleton, cycle_skeleton, planted_on, random_instance
 
 
 def orthonormal_space(dim_ambient, dim, seed=0):
@@ -96,8 +96,7 @@ class TestNet:
         assert len(as_tuples) == net_size(2, 0.5)
 
     def test_enumerate_net_count_and_norms(self):
-        spec = NetSpec(basis=orthonormal_space(6, 2, seed=1), step=0.5)
-        vecs = np.concatenate(list(enumerate_net(spec)))
+        vecs = np.concatenate(list(enumerate_net(orthonormal_space(6, 2, seed=1), 0.5)))
         assert vecs.shape == (net_size(2, 0.5), 6)
         rmax = np.sqrt(_net_radius2(2, 0.5)) * 0.5
         assert np.linalg.norm(vecs, axis=1).max() <= rmax + 1e-12
@@ -105,21 +104,20 @@ class TestNet:
     def test_covering_radius(self):
         """Every vector of norm <= 1 has a net point within step*sqrt(dim)/2."""
         dim, step = 3, 0.4
-        spec = NetSpec(basis=orthonormal_space(5, dim, seed=2), step=step)
-        pts = np.concatenate(list(enumerate_net(spec)))
+        basis = orthonormal_space(5, dim, seed=2)
+        pts = np.concatenate(list(enumerate_net(basis, step)))
         rng = np.random.default_rng(0)
         C = rng.standard_normal((200, dim))
         C /= np.maximum(np.linalg.norm(C, axis=1, keepdims=True), 1.0)
-        V = C @ spec.basis.basis.T
+        V = C @ basis.basis.T
         d2 = (V**2).sum(1)[:, None] - 2 * V @ pts.T + (pts**2).sum(1)[None, :]
         assert np.sqrt(np.maximum(d2.min(1), 0)).max() <= step * np.sqrt(dim) / 2 + 1e-12
 
     def test_cap_enforced(self):
         set_numeric_config(NumericConfig(net_cap=10))
         try:
-            spec = NetSpec(basis=orthonormal_space(4, 3, seed=0), step=0.2)
             with pytest.raises(NetTooLargeError):
-                list(enumerate_net(spec))
+                list(enumerate_net(orthonormal_space(4, 3, seed=0), 0.2))
         finally:
             reset_numeric_config()
 
@@ -164,6 +162,17 @@ class TestSearchSpace:
         )
         assert W.dim >= 1  # eigenvalue ~0 is always inside the low window
         assert d == pytest.approx(inst.average_degree)
+
+    def test_degenerate_cluster_on_threshold_kept_whole(self):
+        """On KV kappa=2, eps=0.25 the threshold (1-gamma)d = 2 falls on a
+        4-fold eigenvalue; a bare >= cut split it, giving dim W = 2."""
+        inst = kv_instance(KVSpec(2, 0.25))
+        params = SolveParams(epsilon=0.01, gamma=0.5, net_step_override=0.9)
+        expected = kv_eigenspace_dimension(KVSpec(2, 0.25), 0.5)
+        assert expected == 5
+        W, _ = select_search_space(inst, params)
+        assert W.dim == expected
+        assert recover_solution(inst, params).dim_W == expected
 
     def test_perfect_planted_in_high_window(self):
         inst, planted = planted_on(8, 3, complete_skeleton(8), seed=1, family="maxlin")
@@ -285,6 +294,62 @@ class TestRecover:
         r1, r2 = recover_solution(inst, p), recover_solution(inst, p)
         assert r1.best_labeling.tolist() == r2.best_labeling.tolist()
         assert r1.best_value == r2.best_value
+
+
+def reference_search(inst, params):
+    """Every candidate in stream order (the net, then the signed basis
+    vectors), each read off by per-block argmax and scored with value; the
+    first maximum wins."""
+    W, _ = select_search_space(inst, params)
+    step = params.net_step_override
+    if step is None:
+        step = float(np.sqrt(2 * params.epsilon / (params.gamma * W.dim)))
+    cands = np.concatenate(list(enumerate_net(W, step)) + [W.basis.T, -W.basis.T])
+    labelings = [np.argmax(x.reshape(inst.n, inst.k), axis=1) for x in cands]
+    vals = [value(inst, L) for L in labelings]
+    i = int(np.argmax(vals))
+    return vals[i], labelings[i]
+
+
+def assert_matches_reference(inst, params):
+    rep = recover_solution(inst, params)
+    best_value, best_labeling = reference_search(inst, params)
+    assert rep.best_value == best_value
+    assert rep.best_labeling.tolist() == best_labeling.tolist()
+    return rep
+
+
+class TestSearchMatchesReference:
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_perfect_maxlin_ties(self, seed):
+        """Every group shift of the planted labeling has value 1, so the
+        maximum is tied many times over; the first candidate must win."""
+        inst, _ = planted_on(7, 3, complete_skeleton(7), seed=seed, family="maxlin")
+        rep = assert_matches_reference(inst, SolveParams(epsilon=0.01, gamma=0.5))
+        assert rep.best_value == 1.0
+
+    @pytest.mark.parametrize("seed,frac,step", [(4, 0.03, None), (6, 0.1, 0.9), (6, 0.1, 0.3)])
+    def test_perturbed_maxlin(self, seed, frac, step):
+        inst, planted = planted_on(7, 3, complete_skeleton(7), seed=seed, family="maxlin")
+        pert = perturb(inst, planted, frac, seed=11, constraint_family="maxlin")
+        assert_matches_reference(pert, SolveParams(0.05, 0.5, net_step_override=step))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_perturbed_general_laplacian(self, seed):
+        inst, planted = planted_on(8, 3, cycle_skeleton(8), seed=seed)
+        pert = perturb(inst, planted, 0.1, seed=seed)
+        params = SolveParams(0.01, 0.2, mode="laplacian", net_step_override=0.5)
+        assert_matches_reference(pert, params)
+
+    @given(st.integers(0, 2**31 - 1), st.integers(3, 7), st.integers(2, 3),
+           st.sampled_from([0.1, 0.3, 0.6]), st.sampled_from([0.4, 0.7]))
+    @settings(max_examples=30, deadline=None)
+    def test_random_instances(self, seed, n, k, gamma, step):
+        inst = random_instance(n, k, p=0.6, seed=seed)
+        params = SolveParams(0.01, gamma, mode="laplacian", max_dim=4,
+                             net_step_override=step)
+        assume(select_search_space(inst, params)[0].dim <= params.max_dim)
+        assert_matches_reference(inst, params)
 
 
 class TestClosenessDiagnostic:
