@@ -64,11 +64,11 @@ def _file_hash(path):
     return h.hexdigest()
 
 
-def make_manifest(args, input_path=None, seed=None, t0=None):
+def make_manifest(args, input_path=None, t0=None):
     return {
         "command_line": sys.argv[1:] if sys.argv[0] else list(sys.argv),
         "input_hash": _file_hash(input_path) if input_path else None,
-        "seed": seed,
+        "seed": None,  # solve, oracle and diagnose draw no random numbers
         "numeric_config": numeric_config().to_dict(),
         "git_describe": _git_describe(),
         "wall_clock_s": time.perf_counter() - t0 if t0 is not None else None,
@@ -122,10 +122,8 @@ def cmd_solve(args, t0):
             epsilon=args.epsilon,
             gamma=args.gamma,
             theta=args.theta,
-            uniformity_C=args.uniformity_c,
             max_dim=args.max_dim,
             net_step_override=args.net_step,
-            yes_constant=args.yes_constant,
         )
         report = maxlin.solve_maxlin(ml, params)
     else:
@@ -135,11 +133,10 @@ def cmd_solve(args, t0):
             max_dim=args.max_dim,
             mode=args.mode,
             net_step_override=args.net_step,
-            yes_constant=args.yes_constant,
         )
         report = recover.recover_solution(inst, params)
     out = report.to_dict()
-    out["manifest"] = make_manifest(args, input_path=args.file, seed=args.seed, t0=t0)
+    out["manifest"] = make_manifest(args, input_path=args.file, t0=t0)
     _emit(out)
     return 0
 
@@ -198,10 +195,9 @@ def cmd_diagnose(args, t0):
 
 
 def cmd_kv_spectrum(args, t0):
-    kappa = int(np.log2(args.n))
-    if 2**kappa != args.n:
-        raise UGError("--n must be a power of two")
-    spec = generators.KVSpec(kappa, args.eps)
+    if args.n < 2 or args.n & (args.n - 1):
+        raise UGError(f"--n must be a power of two >= 2, got {args.n}")
+    spec = generators.KVSpec(args.n.bit_length() - 1, args.eps)
     for lam, mult in generators.kv_spectrum(spec):
         sys.stdout.write(f"{format(lam, '.17g')} {mult}\n")
     return 0
@@ -241,11 +237,8 @@ def build_parser():
     s.add_argument("--mode", choices=["adjacency", "laplacian"], default="adjacency")
     s.add_argument("--max-dim", type=int, default=8)
     s.add_argument("--net-step", type=float, default=None)
-    s.add_argument("--yes-constant", type=float, default=10.0)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--maxlin", action="store_true")
     s.add_argument("--theta", type=float, default=None)
-    s.add_argument("--uniformity-c", type=float, default=2.0)
     s.set_defaults(func=cmd_solve)
 
     o = sub.add_parser("oracle", help="exact brute-force optimum")

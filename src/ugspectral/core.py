@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import numeric_config
+
 
 class UGError(Exception):
     """Base class for errors raised by this package."""
@@ -188,12 +190,13 @@ class UGInstance:
     def average_degree(self):
         return float(self.degrees().mean())
 
-    def is_regular(self, rel_tol=1e-9):
+    def is_regular(self):
         deg = self.degrees()
         d = deg.mean()
         if d == 0:
             return True
-        return bool(np.max(np.abs(deg - d)) <= rel_tol * max(1.0, d))
+        tol = numeric_config().regularity_rel_tol
+        return bool(np.max(np.abs(deg - d)) <= tol * max(1.0, d))
 
 
 def accumulate_edges(out: np.ndarray, inst: UGInstance, fwd, rev) -> np.ndarray:

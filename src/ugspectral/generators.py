@@ -144,6 +144,8 @@ def planted_regular_instance(n, d, k, seed=0, constraint_family="general-permuta
     Returns (instance, planted labeling, measured second eigenvalue of the
     skeleton adjacency).
     """
+    if k < 1:
+        raise UGError(f"need k >= 1, got k={k}")
     skeleton, lambda2 = random_regular_graph(n, d, seed=seed)
     rng = np.random.default_rng(seed + 1)
     planted = rng.integers(0, k, size=n)

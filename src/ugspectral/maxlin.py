@@ -260,6 +260,7 @@ def sin_theta_report(
 
 THETA_C1 = 10.0   # default theta >= THETA_C1 * eps * gamma
 THETA_C2 = 100.0  # default theta >= gamma^3 / THETA_C2
+UNIFORMITY_C = 2.0  # uniformity bound C / sqrt(n) on the l-infinity norm of S
 
 
 @dataclass
@@ -267,10 +268,8 @@ class MaxLinParams:
     epsilon: float
     gamma: float
     theta: float | None = None          # defaulted from epsilon and gamma
-    uniformity_C: float = 2.0
     max_dim: int = 8
     net_step_override: float | None = None
-    yes_constant: float = 10.0
 
     def resolved_theta(self):
         if self.theta is not None:
@@ -306,7 +305,7 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
     A = constraint_graph_adjacency(inst)
     d = inst.average_degree
     S = select_eigenspace(A, (1 - params.gamma) * d, "adjacency-high")
-    uni = uniformity_check(S, params.uniformity_C)
+    uni = uniformity_check(S, UNIFORMITY_C)
     theta = params.resolved_theta()
 
     solve_params = SolveParams(
@@ -315,14 +314,13 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
         max_dim=params.max_dim,
         mode="adjacency",
         net_step_override=params.net_step_override,
-        yes_constant=params.yes_constant,
     )
     # The YES threshold comes from the outer gamma; the search threshold
     # (1-theta)d comes from theta, which may sit below 8*epsilon, so the
     # strict Theorem-style precondition is checked against gamma instead.
     if params.gamma > 8 * params.epsilon:
         solve_params.yes_threshold_override = default_yes_threshold(
-            SolveParams(params.epsilon, params.gamma, yes_constant=params.yes_constant)
+            SolveParams(params.epsilon, params.gamma)
         )
     report = recover_solution(inst, solve_params, strict=False)
     report.extras.update(

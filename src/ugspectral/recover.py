@@ -5,9 +5,9 @@ matrix (eigenvalues >= (1-gamma)d) or the low eigenspace of its Laplacian
 (eigenvalues <= gamma*d_avg) and streams candidates: a lattice epsilon-net
 of the unit ball of W with coefficient step sqrt(2*eps/(gamma*dim W)), then
 the signed basis vectors, in chunks.  It reads a labeling off each by
-per-block argmax, scores each distinct labeling of a chunk once and keeps
-the first candidate of maximum satisfied weight.  The YES/NO decision
-compares that value to a threshold derived from the guarantee
+per-block argmax, scores each distinct labeling of the whole stream once
+and keeps the first candidate of maximum satisfied weight.  The YES/NO
+decision compares that value to a threshold derived from the guarantee
 1 - O(eps/(gamma-8*eps) + eps).
 """
 
@@ -24,6 +24,9 @@ from .config import numeric_config
 from .core import UGInstance, UGError, characteristic_vector, validate_labeling, value_batch
 from .label_extended import build_label_extended, build_laplacian
 from .linalg import Eigenspace, project_split, select_eigenspace
+
+
+YES_CONSTANT = 10.0  # the O(.) constant of the YES threshold
 
 
 class NonRegularError(UGError):
@@ -49,7 +52,6 @@ class SolveParams:
     max_dim: int = 8
     mode: str = "adjacency"  # 'adjacency' | 'laplacian'
     net_step_override: float | None = None
-    yes_constant: float = 10.0
     yes_threshold_override: float | None = None
 
     def validate(self, strict=True):
@@ -201,9 +203,8 @@ def select_search_space(inst: UGInstance, params: SolveParams):
     Returns (eigenspace, d) where d is the degree scale: the regular degree
     in adjacency mode, the average degree in laplacian mode.
     """
-    cfg = numeric_config()
     if params.mode == "adjacency":
-        if not inst.is_regular(cfg.regularity_rel_tol):
+        if not inst.is_regular():
             raise NonRegularError(
                 "adjacency mode requires a d-regular constraint graph; "
                 "use laplacian mode for non-regular instances"
@@ -224,7 +225,7 @@ def default_yes_threshold(params: SolveParams) -> float:
     eps, gamma = params.epsilon, params.gamma
     if gamma <= 8 * eps:
         raise UGError("default yes-threshold needs gamma > 8*epsilon; pass an override")
-    t = 1.0 - params.yes_constant * (eps / (gamma - 8 * eps) + eps)
+    t = 1.0 - YES_CONSTANT * (eps / (gamma - 8 * eps) + eps)
     return float(min(max(t, 1e-12), 1.0 - 1e-12))
 
 
@@ -258,21 +259,18 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
     # Signed basis vectors follow the net as candidates so a one-dimensional
     # W cannot be missed by lattice misalignment.
     signed = np.concatenate([W.basis.T, -W.basis.T], axis=0)
-    best_value, best_labeling, candidates = -1.0, None, 0
+    distinct, candidates = {}, 0
     for X in itertools.chain(enumerate_net(W, step), [signed]):
-        labels = read_off_batch(X, n, k)
-        # Exact dedupe: each labeling, cast to the narrowest dtype holding
-        # k - 1, is viewed as one opaque row; return_index sorts stably, so
-        # it gives each distinct labeling's first occurrence.
-        rows = np.ascontiguousarray(labels, dtype=narrow).view(row).ravel()
-        first = np.sort(np.unique(rows, return_index=True)[1])
-        vals = value_batch(inst, labels[first])
-        # argmax takes the first maximum, and chunks come in stream order,
-        # so the first candidate reaching the overall maximum is kept.
-        i = int(np.argmax(vals))
-        if vals[i] > best_value:
-            best_value, best_labeling = float(vals[i]), labels[first[i]].copy()
+        # Each labeling, cast to the narrowest dtype holding k - 1, is one
+        # opaque row; the dict keeps first occurrences in stream order.
+        labels = np.ascontiguousarray(read_off_batch(X, n, k), dtype=narrow)
+        distinct.update(dict.fromkeys(labels.view(row).ravel().tolist()))
         candidates += len(X)
+    labelings = np.frombuffer(b"".join(distinct), narrow).reshape(-1, n)
+    vals = value_batch(inst, labelings)
+    # argmax takes the first maximum: the first candidate in stream order.
+    i = int(np.argmax(vals))
+    best_value, best_labeling = float(vals[i]), labelings[i].astype(np.int64)
     enumeration_time = time.perf_counter() - t1
 
     return SolveReport(
@@ -289,10 +287,10 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
     )
 
 
-def closeness_diagnostic(inst: UGInstance, planted, params: SolveParams, strict=True):
+def closeness_diagnostic(inst: UGInstance, planted, params: SolveParams):
     """(alpha, beta) split of the normalized planted characteristic vector
     against the selected eigenspace W."""
-    params.validate(strict=strict)
+    params.validate()
     L = validate_labeling(inst, planted)
     W, _ = select_search_space(inst, params)
     if W.dim == 0:

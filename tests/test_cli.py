@@ -92,6 +92,11 @@ class TestGen:
                        "--seed", 0, check=True)
         assert proc.stdout.startswith("ug 8 2")
 
+    def test_planted_k_below_one_exit_1(self):
+        proc = run_cli("gen", "planted", "--n", 6, "--d", 2, "--k", 0)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: need k >= 1")
+
     def test_kv_gen(self, tmp_path):
         out = tmp_path / "kv.ug"
         run_cli("gen", "kv", "--kappa", 2, "--eps", 0.25, "--out", out, check=True)
@@ -225,6 +230,12 @@ class TestKVSpectrum:
         proc = run_cli("kv-spectrum", "--n", 5, "--eps", 0.25)
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("n", [0, -4, 1])
+    def test_n_below_two_exit_1(self, n):
+        proc = run_cli("kv-spectrum", "--n", n, "--eps", 0.25)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: --n must be a power of two >= 2")
+
 
 def test_unknown_arguments_exit_1():
     assert run_cli("solve").returncode == 1
@@ -232,9 +243,12 @@ def test_unknown_arguments_exit_1():
 
 
 def test_removed_flags_rejected(maxlin_file, tmp_path):
-    """solve --threads and --planted-out on gen kv / gen regular are gone."""
+    """solve --threads, --yes-constant, --uniformity-c and --seed, and
+    --planted-out on gen kv / gen regular, are gone."""
     path, _, _ = maxlin_file
-    assert run_cli("solve", path, "--epsilon", 0.03, "--gamma", 0.5,
-                   "--threads", 2).returncode == 1
+    for flag in (("--threads", 2), ("--yes-constant", 10.0),
+                 ("--maxlin", "--uniformity-c", 2.0), ("--seed", 0)):
+        assert run_cli("solve", path, "--epsilon", 0.03, "--gamma", 0.5,
+                       *flag).returncode == 1
     for kind in (("kv", "--kappa", 2, "--eps", 0.25), ("regular", "--n", 6, "--d", 2)):
         assert run_cli("gen", *kind, "--planted-out", tmp_path / "p").returncode == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ugspectral.config import NumericConfig, reset_numeric_config, set_numeric_config
 from ugspectral.core import Permutation, UGEdge, UGInstance, UGError, value
 from ugspectral.generators import perturb
 from ugspectral.label_extended import build_label_extended, constraint_graph_adjacency
@@ -21,6 +22,7 @@ from ugspectral.maxlin import (
     solve_maxlin,
     uniformity_check,
 )
+from ugspectral.recover import SolveParams, recover_solution
 
 from conftest import complete_skeleton, planted_on
 
@@ -282,3 +284,20 @@ class TestParamsAndSolver:
         )
         with pytest.raises(UGError):
             solve_maxlin(ml, MaxLinParams(0.01, 0.5))
+
+    def test_regularity_tolerance_from_config(self):
+        """A configured regularity tolerance holds on the Max-Lin path as in
+        recover_solution."""
+        inst, _ = planted_on(7, 3, complete_skeleton(7), seed=3, family="maxlin")
+        w = inst.w.copy()
+        w[0] += 1e-7
+        skewed = UGInstance.from_arrays(inst.n, inst.k, inst.u, inst.v, w, inst.perm)
+        ml = MaxLinInstance.from_instance(skewed)
+        with pytest.raises(UGError, match="d-regular"):
+            solve_maxlin(ml, MaxLinParams(0.01, 0.5))
+        set_numeric_config(NumericConfig(regularity_rel_tol=1e-6))
+        try:
+            assert solve_maxlin(ml, MaxLinParams(0.01, 0.5)).best_value == 1.0
+            assert recover_solution(skewed, SolveParams(0.01, 0.5)).best_value == 1.0
+        finally:
+            reset_numeric_config()

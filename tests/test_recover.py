@@ -1,13 +1,15 @@
 """Net enumeration, read-off, and the end-to-end solver."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import ugspectral.recover as recover_mod
 from ugspectral.config import NumericConfig, reset_numeric_config, set_numeric_config
-from ugspectral.core import UGError, characteristic_vector, value
+from ugspectral.core import UGError, characteristic_vector, value, value_batch
 from ugspectral.generators import KVSpec, kv_eigenspace_dimension, kv_instance, perturb
 from ugspectral.linalg import Eigenspace
 from ugspectral.recover import (
@@ -296,16 +298,20 @@ class TestRecover:
         assert r1.best_value == r2.best_value
 
 
-def reference_search(inst, params):
+def reference_labelings(inst, params):
     """Every candidate in stream order (the net, then the signed basis
-    vectors), each read off by per-block argmax and scored with value; the
-    first maximum wins."""
+    vectors), each read off by per-block argmax."""
     W, _ = select_search_space(inst, params)
     step = params.net_step_override
     if step is None:
         step = float(np.sqrt(2 * params.epsilon / (params.gamma * W.dim)))
     cands = np.concatenate(list(enumerate_net(W, step)) + [W.basis.T, -W.basis.T])
-    labelings = [np.argmax(x.reshape(inst.n, inst.k), axis=1) for x in cands]
+    return [np.argmax(x.reshape(inst.n, inst.k), axis=1) for x in cands]
+
+
+def reference_search(inst, params):
+    """Every candidate labeling scored with value; the first maximum wins."""
+    labelings = reference_labelings(inst, params)
     vals = [value(inst, L) for L in labelings]
     i = int(np.argmax(vals))
     return vals[i], labelings[i]
@@ -319,6 +325,13 @@ def assert_matches_reference(inst, params):
     return rep
 
 
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Seven lattice points per chunk, so a small net spans many chunks."""
+    chunks = functools.partial(_lattice_chunks, chunk=7)
+    monkeypatch.setattr(recover_mod, "_lattice_chunks", chunks)
+
+
 class TestSearchMatchesReference:
     @pytest.mark.parametrize("seed", [1, 4])
     def test_perfect_maxlin_ties(self, seed):
@@ -327,6 +340,32 @@ class TestSearchMatchesReference:
         inst, _ = planted_on(7, 3, complete_skeleton(7), seed=seed, family="maxlin")
         rep = assert_matches_reference(inst, SolveParams(epsilon=0.01, gamma=0.5))
         assert rep.best_value == 1.0
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_perfect_maxlin_ties_across_chunks(self, seed, small_chunks):
+        """The first candidate wins also when the ties span many chunks."""
+        inst, _ = planted_on(7, 3, complete_skeleton(7), seed=seed, family="maxlin")
+        rep = assert_matches_reference(inst, SolveParams(epsilon=0.01, gamma=0.5))
+        assert rep.best_value == 1.0
+        assert rep.net_points_evaluated > 7
+
+    def test_each_distinct_labeling_scored_once(self, small_chunks, monkeypatch):
+        """One value_batch call per solve, on the distinct labelings of the
+        whole candidate stream, also when they repeat across chunks."""
+        inst, planted = planted_on(7, 3, complete_skeleton(7), seed=6, family="maxlin")
+        pert = perturb(inst, planted, 0.1, seed=11, constraint_family="maxlin")
+        params = SolveParams(0.05, 0.5, net_step_override=0.3)
+        rows = []
+
+        def counting(inst, labels):
+            rows.append(len(labels))
+            return value_batch(inst, labels)
+
+        monkeypatch.setattr(recover_mod, "value_batch", counting)
+        rep = recover_solution(pert, params)
+        distinct = {tuple(L) for L in reference_labelings(pert, params)}
+        assert rep.net_points_evaluated > 7
+        assert rows == [len(distinct)]
 
     @pytest.mark.parametrize("seed,frac,step", [(4, 0.03, None), (6, 0.1, 0.9), (6, 0.1, 0.3)])
     def test_perturbed_maxlin(self, seed, frac, step):
