@@ -64,7 +64,7 @@ def _file_hash(path):
     return h.hexdigest()
 
 
-def make_manifest(args, input_path=None, t0=None):
+def make_manifest(input_path=None, t0=None):
     return {
         "command_line": sys.argv[1:] if sys.argv[0] else list(sys.argv),
         "input_hash": _file_hash(input_path) if input_path else None,
@@ -136,7 +136,7 @@ def cmd_solve(args, t0):
         )
         report = recover.recover_solution(inst, params)
     out = report.to_dict()
-    out["manifest"] = make_manifest(args, input_path=args.file, t0=t0)
+    out["manifest"] = make_manifest(input_path=args.file, t0=t0)
     _emit(out)
     return 0
 
@@ -145,7 +145,7 @@ def cmd_oracle(args, t0):
     inst = load_instance(args.file)
     res = oracle.brute_force(inst, budget=args.budget)
     out = res.to_dict()
-    out["manifest"] = make_manifest(args, input_path=args.file, t0=t0)
+    out["manifest"] = make_manifest(input_path=args.file, t0=t0)
     _emit(out)
     return 0
 
@@ -189,7 +189,7 @@ def cmd_diagnose(args, t0):
             "beta_bound": float(np.sqrt(2 * args.epsilon / args.gamma)),
             "planted_value": value(inst, planted),
         }
-    out["manifest"] = make_manifest(args, input_path=args.file, t0=t0)
+    out["manifest"] = make_manifest(input_path=args.file, t0=t0)
     _emit(out)
     return 0
 

@@ -233,25 +233,55 @@ def value_batch(inst: UGInstance, labels_batch: np.ndarray) -> np.ndarray:
     """Satisfied-weight fractions for a (batch, n) array of labelings; 1.0
     for every labeling of an instance without edges.
 
-    Processed in row slices so the (rows x edges) intermediates stay within
-    a fixed memory budget even for instances with millions of edges.
+    The path depends on the instance alone.  With P distinct unordered
+    vertex pairs, an instance with P*k <= E (many parallel edges per pair)
+    is scored from one k x k table per pair (a, b), a <= b: T[p, i, j] sums
+    the weights of the pair's edges that labels i at a and j at b satisfy
+    (an edge stored as (b, a) enters with its inverse permutation), and a
+    labeling scores sum_p T[p, L[a_p], L[b_p]], P gathers in place of E
+    gathers and E compares.  Under the rule T has P*k*k <= E*k entries, no
+    more than ``inst.perm``.  Other instances are checked edge by edge: for
+    a sparse instance with a large alphabet the table would be up to k
+    times larger than the instance itself.
+
+    Each labeling's terms are summed on their own, over a C-ordered row, so
+    its value does not depend on the batch it is in (a matrix-vector product
+    rounds differently by the row's position), and rows go in slices that
+    keep the (rows x P) or (rows x E) intermediates within a fixed budget.
     """
-    u, v, w = inst.u, inst.v, inst.w
+    u, v, w, k = inst.u, inst.v, inst.w, inst.k
     E = len(w)
     if not E:
         return np.ones(len(labels_batch))
-    edge_idx = np.arange(E)[None, :]
+    pairs, pair = np.unique(np.minimum(u, v) * inst.n + np.maximum(u, v), return_inverse=True)
+    P = len(pairs)
+    if P * k <= E:
+        a, b = divmod(pairs, inst.n)
+        own = np.broadcast_to(np.arange(k), inst.perm.shape)
+        flip = (u > v)[:, None]
+        at_a, at_b = np.where(flip, inst.perm, own), np.where(flip, own, inst.perm)
+        cells = (pair[:, None] * k + at_a) * k + at_b
+        table = np.bincount(cells.ravel(), np.repeat(w, k), minlength=P * k * k)
+        table, pair_idx, width = table.reshape(P, k, k), np.arange(P), P
+
+        def satisfied(L):
+            # np.take keeps the gathered rows C-ordered (L[:, a] would not);
+            # indexing widens narrow labels to intp, so nothing overflows.
+            return table[pair_idx, np.take(L, a, axis=1), np.take(L, b, axis=1)].sum(axis=1)
+
+    else:
+        edge_idx = np.arange(E)[None, :]
+        width = E
+
+        def satisfied(L):
+            sat = np.ascontiguousarray(inst.perm[edge_idx, L[:, u]] == L[:, v])
+            return np.einsum("re,e->r", sat, w)
+
     total = w.sum()
     out = np.empty(len(labels_batch))
-    rows = max(1, 10**7 // E)
+    rows = max(1, 10**7 // width)
     for start in range(0, len(labels_batch), rows):
-        chunk = labels_batch[start : start + rows]
-        sat = inst.perm[edge_idx, chunk[:, u]] == chunk[:, v]
-        # Row by row over a C-ordered array, so a labeling's value does not
-        # depend on the batch it is in (a matrix-vector product rounds
-        # differently by the row's position in the batch).
-        sat = np.ascontiguousarray(sat)
-        out[start : start + rows] = np.einsum("re,e->r", sat, w) / total
+        out[start : start + rows] = satisfied(labels_batch[start : start + rows]) / total
     return out
 
 

@@ -49,6 +49,17 @@ class Eigenspace:
     def dim(self):
         return self.basis.shape[1]
 
+    @property
+    def cut_gap(self) -> float | None:
+        """Distance from the kept eigenvalue nearest the threshold to
+        ``nearest_dropped``, positive for a clean cut; None if nothing was
+        kept or nothing dropped."""
+        if self.dim == 0 or not np.isfinite(self.nearest_dropped):
+            return None
+        if self.mode == "adjacency-high":
+            return float(self.eigenvalues.min() - self.nearest_dropped)
+        return float(self.nearest_dropped - self.eigenvalues.max())
+
 
 @dataclass
 class ProjectionSplit:

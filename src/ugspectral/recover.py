@@ -81,6 +81,7 @@ class SolveReport:
     enumeration_time: float
     net_step: float
     mode: str
+    cut_gap: float | None = None  # Eigenspace.cut_gap of W
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -95,6 +96,7 @@ class SolveReport:
             "enumeration_time": self.enumeration_time,
             "net_step": self.net_step,
             "mode": self.mode,
+            "cut_gap": self.cut_gap,
         }
         d.update(self.extras)
         return d
@@ -284,6 +286,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
         enumeration_time=enumeration_time,
         net_step=step,
         mode=params.mode,
+        cut_gap=W.cut_gap,
     )
 
 

@@ -32,6 +32,20 @@ def random_instance(n, k, p=0.5, seed=0):
     return UGInstance.create(n, k, edges)
 
 
+def random_multigraph(n, k, copies, seed=0):
+    """Instance with ``copies`` parallel edges on every vertex pair,
+    self-loops included, each stored in a random orientation with a uniform
+    random permutation and weight.  Dense under value_batch's pair-table
+    rule (P*k <= E) exactly when copies >= k."""
+    rng = np.random.default_rng(seed)
+    u, v = np.triu_indices(n)
+    u, v = np.repeat(u, copies), np.repeat(v, copies)
+    flip = rng.random(len(u)) < 0.5
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    perm = np.array([rng.permutation(k) for _ in u])
+    return UGInstance.from_arrays(n, k, u, v, rng.uniform(0.1, 1.0, len(u)), perm)
+
+
 def planted_on(n, k, skeleton, seed=0, family="general-permutation"):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, k, size=n)

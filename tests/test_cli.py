@@ -123,6 +123,7 @@ class TestSolve:
         rep = json.loads(proc.stdout)
         validate(rep)
         assert rep["mode"] == "adjacency"
+        assert rep["cut_gap"] > 0
 
     def test_gamma_precondition_exit_1(self, maxlin_file):
         path, _, _ = maxlin_file

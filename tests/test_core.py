@@ -19,7 +19,7 @@ from ugspectral.core import (
     value_batch,
 )
 
-from conftest import random_instance
+from conftest import random_instance, random_multigraph
 
 
 class TestPermutation:
@@ -109,6 +109,30 @@ class TestInstance:
         assert inst.degree(0) == 1.0
 
 
+@st.composite
+def multigraphs(draw, dense):
+    """Instances on at most 4 vertices whose pairs, self-loops included,
+    carry parallel edges in both orientations with dyadic weights (every sum
+    of them is exact): P*k <= E when ``dense``, P*k > E otherwise."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1 if dense else 2, 4))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(ends, min_size=1, max_size=5, unique_by=lambda e: (min(e), max(e))))
+    copies = st.integers(1, 2 * k if dense else k - 1)
+    counts = draw(st.lists(copies, min_size=len(pairs), max_size=len(pairs)))
+    if dense:
+        counts[0] += max(0, len(pairs) * k - sum(counts))
+    u, v, w, perm = [], [], [], []
+    for (x, y), count in zip(pairs, counts):
+        for _ in range(count):
+            flip = draw(st.booleans())
+            u.append(y if flip else x)
+            v.append(x if flip else y)
+            w.append(draw(st.integers(1, 8)) / 8)
+            perm.append(draw(st.permutations(range(k))))
+    return UGInstance.from_arrays(n, k, u, v, w, perm)
+
+
 class TestValue:
     def test_known_value(self, small_instance):
         # labels (0,1,1,1): edge0 pi(0)=1 sat; edge1 pi(1)=2 unsat;
@@ -127,29 +151,53 @@ class TestValue:
             value(small_instance, [0, 1, 2, 3])
 
     def test_batch_matches_scalar(self):
-        inst = random_instance(8, 3, seed=3)
+        """Also on the pair-table path, and from uint8 labels with k = 17,
+        where a flat table index k*i + j would overflow uint8."""
         rng = np.random.default_rng(0)
-        batch = rng.integers(0, 3, size=(50, 8))
-        vals = value_batch(inst, batch)
-        for row, v in zip(batch, vals):
-            assert v == value(inst, row)
+        for inst in (random_instance(8, 3, seed=3), random_multigraph(4, 17, 17, seed=3)):
+            batch = rng.integers(0, inst.k, size=(50, inst.n))
+            for labels in (batch, batch.astype(np.uint8)):
+                vals = value_batch(inst, labels)
+                for row, v in zip(batch, vals):
+                    assert v == value(inst, row)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_coalesced_equals_raw_value(self, dense, data):
+        """On both sides of the pair-table rule, value_batch equals the
+        per-edge sum  sum_e w_e [perm_e(L[u_e]) == L[v_e]] / sum_e w_e  exactly."""
+        inst = data.draw(multigraphs(dense))
+        pairs = {(min(e), max(e)) for e in zip(inst.u.tolist(), inst.v.tolist())}
+        assert (len(pairs) * inst.k <= len(inst.w)) == dense
+        row = st.lists(st.integers(0, inst.k - 1), min_size=inst.n, max_size=inst.n)
+        L = np.array(data.draw(st.lists(row, min_size=1, max_size=4)), dtype=np.int64)
+        edges = list(zip(inst.u.tolist(), inst.v.tolist(), inst.w.tolist(), inst.perm.tolist()))
+        total = sum(inst.w.tolist())
+        expected = [
+            sum(w for u, v, w, p in edges if p[labels[u]] == labels[v]) / total
+            for labels in L.tolist()
+        ]
+        assert value_batch(inst, L).tolist() == expected
+        assert value_batch(inst, L.astype(np.uint8)).tolist() == expected
 
     def test_edgeless_instance_fully_satisfied(self):
         inst = UGInstance.create(3, 2, [])
         assert value(inst, [0, 1, 0]) == 1.0
         assert value_batch(inst, np.zeros((2, 3), dtype=np.int64)).tolist() == [1.0, 1.0]
 
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 5), st.integers(0, 10**6))
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 5), st.integers(0, 10**6), st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_edge_reversal_invariance(self, seed, k, pick):
+    def test_edge_reversal_invariance(self, seed, k, pick, dense):
         """Storing one edge, or every edge, in the reverse orientation with
         the inverse permutation leaves every value unchanged to the last
-        bit: the same edges are satisfied and summed in the same order."""
-        inst = random_instance(6, k, seed=seed)
+        bit: the same edges are satisfied and summed in the same order (on
+        the pair-table path, into the same table cells)."""
+        inst = random_multigraph(3, k, k + 1, seed) if dense else random_instance(6, k, seed=seed)
         one = list(inst.edges)
         one[pick % len(one)] = one[pick % len(one)].reversed()
         every = [e.reversed() for e in inst.edges]
-        L = np.random.default_rng(seed).integers(0, k, size=(5, 6))
+        L = np.random.default_rng(seed).integers(0, k, size=(5, inst.n))
         for edges in (one, every):
             flipped = UGInstance(inst.n, inst.k, edges, inst.scale)
             assert value_batch(flipped, L).tolist() == value_batch(inst, L).tolist()

@@ -84,18 +84,22 @@ class TestSelectEigenspace:
                                                      ("laplacian-low", 1e-12, 3.0)])
     def test_rounding_below_tolerance_stays_in_window(self, mode, offset, dropped):
         """An eigenvalue a rounding error past the threshold is kept, and
-        the nearest eigenvalue outside the window is reported."""
+        the nearest eigenvalue outside the window is reported, one cut gap
+        past the kept eigenvalue nearest the threshold."""
         W = select_eigenspace(np.diag([3.0, 2.0 + offset, 1.0]), 2.0, mode)
         assert W.dim == 2
         assert W.nearest_dropped == dropped
+        assert W.cut_gap == pytest.approx(1.0, abs=1e-11)
 
     def test_nothing_dropped(self):
         W = select_eigenspace(np.diag([3.0, 2.0]), 1.0, "adjacency-high")
         assert W.dim == 2 and W.nearest_dropped == -np.inf
+        assert W.cut_gap is None
 
     def test_empty_window(self):
         W = select_eigenspace(np.diag([1.0, 0.5]), 5.0, "adjacency-high")
         assert W.dim == 0
+        assert W.cut_gap is None
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

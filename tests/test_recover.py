@@ -10,7 +10,13 @@ from hypothesis import assume, given, settings, strategies as st
 import ugspectral.recover as recover_mod
 from ugspectral.config import NumericConfig, reset_numeric_config, set_numeric_config
 from ugspectral.core import UGError, characteristic_vector, value, value_batch
-from ugspectral.generators import KVSpec, kv_eigenspace_dimension, kv_instance, perturb
+from ugspectral.generators import (
+    KVSpec,
+    kv_eigenspace_dimension,
+    kv_instance,
+    kv_spectrum,
+    perturb,
+)
 from ugspectral.linalg import Eigenspace
 from ugspectral.recover import (
     DegenerateSpectrumError,
@@ -167,14 +173,20 @@ class TestSearchSpace:
 
     def test_degenerate_cluster_on_threshold_kept_whole(self):
         """On KV kappa=2, eps=0.25 the threshold (1-gamma)d = 2 falls on a
-        4-fold eigenvalue; a bare >= cut split it, giving dim W = 2."""
+        4-fold eigenvalue; a bare >= cut split it, giving dim W = 2.  The
+        reported cut gap is the closed-form distance from that eigenvalue
+        to the next one down."""
         inst = kv_instance(KVSpec(2, 0.25))
         params = SolveParams(epsilon=0.01, gamma=0.5, net_step_override=0.9)
         expected = kv_eigenspace_dimension(KVSpec(2, 0.25), 0.5)
         assert expected == 5
         W, _ = select_search_space(inst, params)
         assert W.dim == expected
-        assert recover_solution(inst, params).dim_W == expected
+        rep = recover_solution(inst, params)
+        assert rep.dim_W == expected
+        lam = [lam for lam, _ in kv_spectrum(KVSpec(2, 0.25))]  # 4, 2, 1, ...
+        assert rep.cut_gap == pytest.approx(lam[1] - lam[2], abs=1e-9)
+        assert rep.to_dict()["cut_gap"] == rep.cut_gap
 
     def test_perfect_planted_in_high_window(self):
         inst, planted = planted_on(8, 3, complete_skeleton(8), seed=1, family="maxlin")
