@@ -8,7 +8,6 @@ integrality-gap instance, plus closed-form and brute-force oracles.
 """
 
 from .core import (
-    Permutation,
     UGEdge,
     UGInstance,
     UGError,
@@ -26,7 +25,6 @@ from .maxlin import AbelianGroup, MaxLinInstance, MaxLinParams, solve_maxlin
 from .oracle import OracleResult, brute_force
 
 __all__ = [
-    "Permutation",
     "UGEdge",
     "UGInstance",
     "UGError",

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,53 +36,13 @@ class ParseError(UGError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on {0, ..., k-1}, stored as its image table."""
+class UGEdge(NamedTuple):
+    """One edge as a plain record; ``perm`` is its tuple of images."""
 
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(int(i) for i in self.images))
-        k = len(self.images)
-        if sorted(self.images) != list(range(k)):
-            raise UGError(f"not a bijection on [{k}]: {self.images}")
-
-    @property
-    def k(self):
-        return len(self.images)
-
-    def __call__(self, i):
-        return self.images[i]
-
-    def inverse(self):
-        return Permutation(np.argsort(self.images))
-
-    def matrix(self):
-        """k x k 0/1 matrix P with P[i, j] = 1 iff the permutation maps i to j."""
-        P = np.zeros((self.k, self.k))
-        P[np.arange(self.k), self.images] = 1.0
-        return P
-
-    @staticmethod
-    def identity(k):
-        return Permutation(tuple(range(k)))
-
-    @staticmethod
-    def shift(k, c):
-        """The cyclic map i -> (i - c) mod k, encoding x_u - x_v = c."""
-        return Permutation(tuple((i - c) % k for i in range(k)))
-
-
-@dataclass(frozen=True)
-class UGEdge:
     u: int
     v: int
     weight: float
-    perm: Permutation
-
-    def reversed(self):
-        return UGEdge(self.v, self.u, self.weight, self.perm.inverse())
+    perm: tuple[int, ...]
 
 
 class EdgeView(Sequence):
@@ -95,25 +57,20 @@ class EdgeView(Sequence):
 
     def __getitem__(self, i):
         i = range(len(self))[i]
-        inst = self._inst
-        return UGEdge(
-            int(inst.u[i]), int(inst.v[i]), float(inst.w[i]), Permutation(inst.perm[i].tolist())
-        )
-
-
-def _edge_arrays(edges: Iterable[UGEdge], k):
-    """(u, v, w, perm) of UGEdge objects.  Permutations of an arity other
-    than k are left out of perm, so that its shape check rejects them."""
-    edges = tuple(edges)
-    perm = np.array([e.perm.images for e in edges if e.perm.k == k], dtype=np.int64)
-    w = [e.weight for e in edges]
-    return [e.u for e in edges], [e.v for e in edges], w, perm.reshape(-1, k)
+        u, v, w, perm = self._inst.u, self._inst.v, self._inst.w, self._inst.perm
+        return UGEdge(int(u[i]), int(v[i]), float(w[i]), tuple(perm[i].tolist()))
 
 
 def _unit_scale(w):
     """Weights divided by their maximum when it exceeds 1, and that factor."""
     wmax = max(w, default=0.0)
     return (np.divide(w, wmax), wmax) if wmax > 1.0 else (w, 1.0)
+
+
+def shift_image(i, c, k):
+    """Image of label i under the shift by c on Z_k, i -> (i - c) mod k: the
+    permutation that encodes the constraint x_u - x_v = c.  Arrays broadcast."""
+    return (i - c) % k
 
 
 class UGInstance:
@@ -130,7 +87,12 @@ class UGInstance:
     """
 
     def __init__(self, n, k, edges: Iterable[UGEdge], scale=1.0):
-        self._store(n, k, *_edge_arrays(edges, k), scale)
+        """Build an instance from UGEdge records, without rescaling."""
+        edges = list(edges)
+        # A row of another arity is left out, so that the shape check rejects it.
+        perm = np.array([e.perm for e in edges if len(e.perm) == k], dtype=np.int64)
+        u, v, w = [e.u for e in edges], [e.v for e in edges], [e.weight for e in edges]
+        self._store(n, k, u, v, w, perm.reshape(-1, k), scale)
 
     @classmethod
     def from_arrays(cls, n, k, u, v, w, perm, scale=1.0):
@@ -138,13 +100,6 @@ class UGInstance:
         inst = cls.__new__(cls)
         inst._store(n, k, u, v, w, perm, scale)
         return inst
-
-    @classmethod
-    def create(cls, n, k, edges: Iterable[UGEdge]):
-        """Build an instance, rescaling weights by the maximum if it exceeds 1."""
-        u, v, w, perm = _edge_arrays(edges, k)
-        w, scale = _unit_scale(w)
-        return cls.from_arrays(n, k, u, v, w, perm, scale)
 
     def _store(self, n, k, u, v, w, perm, scale):
         """Validate and store the arrays; every constructor ends here."""
@@ -178,6 +133,23 @@ class UGInstance:
     def total_weight(self):
         # Sequential sum, in edge order.
         return float(sum(self.w.tolist()))
+
+    @cached_property
+    def _pair_table(self):
+        """value_batch's pair-table path, built on first use: (a, b, T, per-pair
+        weight totals) over the P distinct unordered vertex pairs (a, b),
+        a <= b, or None when P*k > E and edges are checked one by one."""
+        u, v, w, k = self.u, self.v, self.w, self.k
+        pairs, pair = np.unique(np.minimum(u, v) * self.n + np.maximum(u, v), return_inverse=True)
+        P = len(pairs)
+        if P * k > len(w):
+            return None
+        own = np.broadcast_to(np.arange(k), self.perm.shape)
+        flip = (u > v)[:, None]
+        at_a, at_b = np.where(flip, self.perm, own), np.where(flip, own, self.perm)
+        cells = (pair[:, None] * k + at_a) * k + at_b
+        table = np.bincount(cells.ravel(), np.repeat(w, k), minlength=P * k * k)
+        return (*divmod(pairs, self.n), table.reshape(P, k, k), np.bincount(pair, w, minlength=P))
 
     def degrees(self):
         """Constraint-graph degrees; self-loop weight counted once."""
@@ -233,51 +205,49 @@ def value_batch(inst: UGInstance, labels_batch: np.ndarray) -> np.ndarray:
     """Satisfied-weight fractions for a (batch, n) array of labelings; 1.0
     for every labeling of an instance without edges.
 
-    The path depends on the instance alone.  With P distinct unordered
-    vertex pairs, an instance with P*k <= E (many parallel edges per pair)
-    is scored from one k x k table per pair (a, b), a <= b: T[p, i, j] sums
-    the weights of the pair's edges that labels i at a and j at b satisfy
-    (an edge stored as (b, a) enters with its inverse permutation), and a
-    labeling scores sum_p T[p, L[a_p], L[b_p]], P gathers in place of E
-    gathers and E compares.  Under the rule T has P*k*k <= E*k entries, no
-    more than ``inst.perm``.  Other instances are checked edge by edge: for
-    a sparse instance with a large alphabet the table would be up to k
-    times larger than the instance itself.
+    The path depends on the instance alone and is chosen once per instance.
+    With P distinct unordered vertex pairs, an instance with P*k <= E (many
+    parallel edges per pair) is scored from one k x k table per pair (a, b),
+    a <= b: T[p, i, j] sums the weights of the pair's edges that labels i at
+    a and j at b satisfy (an edge stored as (b, a) enters with its inverse
+    permutation), and a labeling scores sum_p T[p, L[a_p], L[b_p]], P
+    gathers in place of E gathers and E compares.  Under the rule T has
+    P*k*k <= E*k entries, no more than ``inst.perm``.  Other instances are
+    checked edge by edge: for a sparse instance with a large alphabet the
+    table would be up to k times larger than the instance itself.
 
     Each labeling's terms are summed on their own, over a C-ordered row, so
     its value does not depend on the batch it is in (a matrix-vector product
     rounds differently by the row's position), and rows go in slices that
     keep the (rows x P) or (rows x E) intermediates within a fixed budget.
+    The total weight is the same reduction applied to a labeling satisfying
+    every edge (on the table path, a row of per-pair totals), so such a
+    labeling scores exactly 1.0 and no labeling scores more.
     """
-    u, v, w, k = inst.u, inst.v, inst.w, inst.k
+    u, v, w = inst.u, inst.v, inst.w
     E = len(w)
     if not E:
         return np.ones(len(labels_batch))
-    pairs, pair = np.unique(np.minimum(u, v) * inst.n + np.maximum(u, v), return_inverse=True)
-    P = len(pairs)
-    if P * k <= E:
-        a, b = divmod(pairs, inst.n)
-        own = np.broadcast_to(np.arange(k), inst.perm.shape)
-        flip = (u > v)[:, None]
-        at_a, at_b = np.where(flip, inst.perm, own), np.where(flip, own, inst.perm)
-        cells = (pair[:, None] * k + at_a) * k + at_b
-        table = np.bincount(cells.ravel(), np.repeat(w, k), minlength=P * k * k)
-        table, pair_idx, width = table.reshape(P, k, k), np.arange(P), P
+    if inst._pair_table is not None:
+        a, b, table, pair_total = inst._pair_table
+        pair_idx, width = np.arange(len(a)), len(a)
 
         def satisfied(L):
             # np.take keeps the gathered rows C-ordered (L[:, a] would not);
             # indexing widens narrow labels to intp, so nothing overflows.
             return table[pair_idx, np.take(L, a, axis=1), np.take(L, b, axis=1)].sum(axis=1)
 
+        total = pair_total[None, :].sum(axis=1)[0]
     else:
-        edge_idx = np.arange(E)[None, :]
-        width = E
+        edge_idx, width = np.arange(E)[None, :], E
+
+        def weigh(sat):
+            return np.einsum("re,e->r", np.ascontiguousarray(sat), w)
 
         def satisfied(L):
-            sat = np.ascontiguousarray(inst.perm[edge_idx, L[:, u]] == L[:, v])
-            return np.einsum("re,e->r", sat, w)
+            return weigh(inst.perm[edge_idx, L[:, u]] == L[:, v])
 
-    total = w.sum()
+        total = weigh(np.ones((1, width), dtype=bool))[0]
     out = np.empty(len(labels_batch))
     rows = max(1, 10**7 // width)
     for start in range(0, len(labels_batch), rows):
@@ -371,7 +341,7 @@ def parse_instance(text: str) -> UGInstance:
         perm.append(images)
     perm = np.array(perm, dtype=np.int64).reshape(len(w), want - 3)
     if fmt == "maxlin":
-        perm = (np.arange(k) - perm) % k  # Permutation.shift: i -> (i - c) mod k
+        perm = shift_image(np.arange(k), perm, k)
     w, scale = _unit_scale(w)
     return UGInstance.from_arrays(n, k, u, v, w, perm, scale)
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Permutation, UGEdge, UGInstance, UGError, value
+from .core import UGInstance, UGError, _unit_scale, shift_image, value
 from .linalg import symmetrize
 
 
@@ -34,23 +34,15 @@ class PlantedSpec:
 
 
 def _random_perm_with_image(rng, k, a, b):
-    """Uniform permutation of [k] conditioned on mapping a to b."""
-    rest_dom = [i for i in range(k) if i != a]
-    rest_cod = [i for i in range(k) if i != b]
-    rng.shuffle(rest_cod)
-    images = [0] * k
-    images[a] = b
-    for i, j in zip(rest_dom, rest_cod):
-        images[i] = j
-    return Permutation(tuple(images))
+    """Image row of a uniform permutation of [k] conditioned on mapping a to b."""
+    rest = np.delete(np.arange(k), b)
+    rng.shuffle(rest)
+    return np.insert(rest, a, b)
 
 
-def _random_perm_avoiding_image(rng, k, a, b):
-    """Uniform permutation of [k] conditioned on NOT mapping a to b."""
-    if k < 2:
-        raise UGError("cannot violate a constraint with k=1")
-    b2 = int(rng.choice([i for i in range(k) if i != b]))
-    return _random_perm_with_image(rng, k, a, b2)
+def _other_than(rng, k, x):
+    """Uniform element of [k] other than x."""
+    return rng.choice(np.delete(np.arange(k), x))
 
 
 def planted_instance(spec: PlantedSpec):
@@ -62,18 +54,15 @@ def planted_instance(spec: PlantedSpec):
     """
     rng = np.random.default_rng(spec.seed)
     planted = np.asarray(spec.planted, dtype=np.int64)
-    edges = []
-    for entry in spec.skeleton:
-        u, v = int(entry[0]), int(entry[1])
-        w = float(entry[2]) if len(entry) > 2 else 1.0
-        a, b = int(planted[u]), int(planted[v])
-        if spec.constraint_family == "maxlin":
-            perm = Permutation.shift(spec.k, (a - b) % spec.k)
-        else:
-            perm = _random_perm_with_image(rng, spec.k, a, b)
-        edges.append(UGEdge(u, v, w, perm))
-    inst = UGInstance.create(spec.n, spec.k, edges)
-    return inst, planted
+    u, v = (np.array([int(e[i]) for e in spec.skeleton], dtype=np.int64) for i in (0, 1))
+    w, scale = _unit_scale([float(e[2]) if len(e) > 2 else 1.0 for e in spec.skeleton])
+    a, b = planted[u], planted[v]
+    if spec.constraint_family == "maxlin":
+        perm = shift_image(np.arange(spec.k), (a - b)[:, None], spec.k)
+    else:
+        perm = [_random_perm_with_image(rng, spec.k, x, y) for x, y in zip(a, b)]
+    perm = np.reshape(perm, (len(u), spec.k))
+    return UGInstance.from_arrays(spec.n, spec.k, u, v, w, perm, scale), planted
 
 
 def perturb(inst: UGInstance, planted, eps, seed=0, constraint_family="general-permutation"):
@@ -91,7 +80,8 @@ def perturb(inst: UGInstance, planted, eps, seed=0, constraint_family="general-p
         raise UGError("perturb requires the planted labeling to satisfy everything")
     if eps == 0:
         return inst
-    if inst.k < 2:
+    k = inst.k
+    if k < 2:
         raise UGError("cannot violate constraints with k=1")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(inst.w))
@@ -101,14 +91,12 @@ def perturb(inst: UGInstance, planted, eps, seed=0, constraint_family="general-p
     count = np.searchsorted(picked, eps * inst.total_weight)
     perm = inst.perm.copy()
     for i in np.sort(order[:count]):
-        a, b = int(planted[inst.u[i]]), int(planted[inst.v[i]])
+        a, b = planted[inst.u[i]], planted[inst.v[i]]
         if constraint_family == "maxlin":
-            c = (a - b) % inst.k
-            c2 = int(rng.choice([x for x in range(inst.k) if x != c]))
-            perm[i] = Permutation.shift(inst.k, c2).images
+            perm[i] = shift_image(np.arange(k), _other_than(rng, k, (a - b) % k), k)
         else:
-            perm[i] = _random_perm_avoiding_image(rng, inst.k, a, b).images
-    return UGInstance.from_arrays(inst.n, inst.k, inst.u, inst.v, inst.w, perm, inst.scale)
+            perm[i] = _random_perm_with_image(rng, k, a, _other_than(rng, k, b))
+    return UGInstance.from_arrays(inst.n, k, inst.u, inst.v, inst.w, perm, inst.scale)
 
 
 PAIRING_TRIES = 10000  # pairings drawn before random_regular_graph gives up

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Permutation, UGEdge, UGInstance, UGError, value
+from .core import UGInstance, UGError, _unit_scale, shift_image, value
 from .label_extended import build_label_extended, constraint_graph_adjacency
 from .linalg import Eigenspace, project_split, select_eigenspace
 from .recover import SolveParams, SolveReport, default_yes_threshold, recover_solution
@@ -37,37 +37,12 @@ class AbelianGroup:
     def order(self):
         return math.prod(self.factors)
 
-    def to_tuple(self, i):
-        out = []
-        for f in self.factors:
-            out.append(i % f)
-            i //= f
-        return tuple(out)
-
-    def from_tuple(self, t):
-        i = 0
-        for f, c in zip(reversed(self.factors), reversed(t)):
-            i = i * f + c
-        return i
-
-    def add(self, a, b):
-        ta, tb = self.to_tuple(a), self.to_tuple(b)
-        return self.from_tuple(tuple((x + y) % f for x, y, f in zip(ta, tb, self.factors)))
-
-    def neg(self, a):
-        ta = self.to_tuple(a)
-        return self.from_tuple(tuple((-x) % f for x, f in zip(ta, self.factors)))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def shift_permutation(self, c) -> Permutation:
-        """The map i -> i - c, so that pi(x_u) = x_v encodes x_u - x_v = c."""
-        return Permutation(tuple(self.sub(i, c) for i in range(self.order)))
-
     def shift_table(self) -> np.ndarray:
-        """(order, order) array whose row c is the image table of the shift by c."""
-        return np.array([self.shift_permutation(c).images for c in range(self.order)])
+        """(order, order) array whose row c is the image table of the shift
+        by c, the map i -> i - c taken digit by digit (``shift_image``)."""
+        places = np.cumprod([1, *self.factors[:-1]])
+        digits = np.arange(self.order)[:, None] // places % self.factors
+        return (shift_image(digits[None, :], digits[:, None], self.factors) * places).sum(axis=-1)
 
     @staticmethod
     def cyclic(k):
@@ -100,9 +75,12 @@ class MaxLinInstance:
     def from_constraints(cls, n, group: AbelianGroup, constraints):
         """constraints: iterable of (u, v, weight, c)."""
         constraints = list(constraints)
-        edges = [UGEdge(u, v, w, group.shift_permutation(c)) for u, v, w, c in constraints]
-        shifts = tuple(int(c) for *_, c in constraints)
-        return cls(UGInstance.create(n, group.order, edges), shifts, group)
+        u, v, w, c = zip(*constraints) if constraints else ((),) * 4
+        c = np.array(c, dtype=np.int64)
+        w, scale = _unit_scale(w)
+        perm = group.shift_table()[c % group.order]
+        base = UGInstance.from_arrays(n, group.order, u, v, w, perm, scale)
+        return cls(base, tuple(c.tolist()), group)
 
     @classmethod
     def from_instance(cls, inst: UGInstance, group: AbelianGroup | None = None):
@@ -119,8 +97,9 @@ class MaxLinInstance:
 
 def shift(labels, i, group: AbelianGroup) -> np.ndarray:
     """Add a group element to every label; satisfaction is invariant."""
-    L = np.asarray(labels, dtype=np.int64)
-    return np.array([group.add(int(x), i) for x in L], dtype=np.int64)
+    table = group.shift_table()
+    # Adding i is the shift by -i, and -i is the image of 0 under the shift by i.
+    return table[table[i % group.order, 0], np.asarray(labels, dtype=np.int64)]
 
 
 def lift_eigenbasis(phi_basis: Eigenspace, ml: MaxLinInstance, planted) -> np.ndarray:

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from ugspectral.core import Permutation, UGEdge, UGInstance
+from ugspectral.core import UGInstance, _unit_scale
 from ugspectral.generators import PlantedSpec, planted_instance
+
+
+def from_rows(n, k, rows):
+    """Instance from (u, v, weight, images) rows, weights rescaled by their
+    maximum when it exceeds 1, as on ingest."""
+    u, v, w, perm = zip(*rows) if rows else ((),) * 4
+    w, scale = _unit_scale(w)
+    return UGInstance.from_arrays(n, k, u, v, w, np.reshape(perm, (len(u), k)), scale)
 
 
 def complete_skeleton(n):
@@ -19,17 +27,15 @@ def random_instance(n, k, p=0.5, seed=0):
     """Arbitrary (non-planted) instance on a G(n, p) skeleton with uniform
     random permutations and weights."""
     rng = np.random.default_rng(seed)
-    edges = []
+    rows = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
                 images = rng.permutation(k)
-                edges.append(
-                    UGEdge(u, v, float(rng.uniform(0.1, 1.0)), Permutation(tuple(images)))
-                )
-    if not edges:
-        edges.append(UGEdge(0, min(1, n - 1), 1.0, Permutation.identity(k)))
-    return UGInstance.create(n, k, edges)
+                rows.append((u, v, float(rng.uniform(0.1, 1.0)), images))
+    if not rows:
+        rows.append((0, min(1, n - 1), 1.0, range(k)))
+    return from_rows(n, k, rows)
 
 
 def random_multigraph(n, k, copies, seed=0):
@@ -55,10 +61,9 @@ def planted_on(n, k, skeleton, seed=0, family="general-permutation"):
 @pytest.fixture
 def small_instance():
     """Fixed 4-vertex, k=3 instance used across parser/value tests."""
-    edges = [
-        UGEdge(0, 1, 1.0, Permutation((1, 2, 0))),
-        UGEdge(1, 2, 0.5, Permutation((0, 2, 1))),
-        UGEdge(2, 3, 2.0, Permutation.identity(3)),
-        UGEdge(3, 0, 1.0, Permutation((2, 0, 1))),
-    ]
-    return UGInstance.create(4, 3, edges)
+    return from_rows(4, 3, [
+        (0, 1, 1.0, (1, 2, 0)),
+        (1, 2, 0.5, (0, 2, 1)),
+        (2, 3, 2.0, (0, 1, 2)),
+        (3, 0, 1.0, (2, 0, 1)),
+    ])

@@ -11,13 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ugspectral.core import (
-    Permutation,
-    UGEdge,
-    UGInstance,
-    characteristic_vector,
-    value,
-)
+from ugspectral.core import UGInstance, characteristic_vector, shift_image, value
 from ugspectral.generators import (
     KVSpec,
     cayley_matrix,
@@ -374,11 +368,9 @@ def test_criterion_10_maxlin_diagnostics(capsys):
                     np.linalg.norm(M0 @ v - phi.eigenvalues[s] * v) / d,
                 )
         S = select_eigenspace(A, (1 - gamma) * d, "adjacency-high")
-        edges = list(inst.edges)
-        c2 = (ml.shifts[0] + 1) % 3
-        edges[0] = UGEdge(edges[0].u, edges[0].v, edges[0].weight,
-                          Permutation.shift(3, c2))
-        single = UGInstance(inst.n, inst.k, tuple(edges), inst.scale)
+        perm = inst.perm.copy()
+        perm[0] = shift_image(np.arange(3), ml.shifts[0] + 1, 3)
+        single = UGInstance.from_arrays(inst.n, inst.k, inst.u, inst.v, inst.w, perm, inst.scale)
         eps02 = perturb(inst, planted, 0.02, seed=seed + 50,
                         constraint_family="maxlin")
         for pert in (single, eps02):

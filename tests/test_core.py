@@ -1,5 +1,7 @@
 """Data model, labeling evaluation, and text serialization."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,53 +9,64 @@ from hypothesis import given, settings, strategies as st
 from ugspectral.core import (
     InvalidLabelingError,
     ParseError,
-    Permutation,
     UGEdge,
     UGError,
     UGInstance,
     characteristic_vector,
     parse_instance,
     serialize_instance,
+    shift_image,
     validate_labeling,
     value,
     value_batch,
 )
+from ugspectral.generators import PlantedSpec, planted_instance
+from ugspectral.label_extended import build_label_extended
+from ugspectral.maxlin import AbelianGroup, MaxLinInstance
 
-from conftest import random_instance, random_multigraph
+from conftest import from_rows, random_instance, random_multigraph
 
 
 class TestPermutation:
+    """An edge's permutation is its row of ``perm``, the table of images."""
+
     def test_rejects_non_bijection(self):
-        with pytest.raises(UGError):
-            Permutation((0, 0, 1))
+        with pytest.raises(UGError, match="not a bijection"):
+            from_rows(2, 3, [(0, 1, 1.0, (0, 0, 1))])
+        with pytest.raises(UGError, match="not a bijection"):
+            UGInstance(2, 3, [UGEdge(0, 1, 1.0, (0, 0, 1))])
 
     def test_inverse_roundtrip(self):
-        p = Permutation((2, 0, 3, 1))
-        q = p.inverse()
-        for i in range(4):
-            assert q(p(i)) == i
-            assert p(q(i)) == i
+        """The inverse row is np.argsort of the images; an edge stored as
+        (v, u) with it is the same constraint as (u, v) with the row."""
+        p = np.array([2, 0, 3, 1])
+        q = np.argsort(p)
+        assert p[q].tolist() == q[p].tolist() == [0, 1, 2, 3]
+        fwd = build_label_extended(from_rows(2, 4, [(0, 1, 1.0, p)])).matrix
+        rev = build_label_extended(from_rows(2, 4, [(1, 0, 1.0, q)])).matrix
+        assert np.array_equal(fwd, rev)
 
     def test_matrix_maps_i_to_j(self):
-        p = Permutation((1, 2, 0))
-        P = p.matrix()
+        """Block (u, v) of the label-extended matrix is w * P, P[i, p[i]] = 1."""
+        p = (1, 2, 0)
+        P = build_label_extended(from_rows(2, 3, [(0, 1, 1.0, p)])).matrix[0:3, 3:6]
         for i in range(3):
-            assert P[i, p(i)] == 1.0
+            assert P[i, p[i]] == 1.0
         assert P.sum() == 3.0
 
     def test_shift_encodes_difference(self):
-        # pi(x_u) = x_v with pi = shift(k, c) encodes x_u - x_v = c
+        # pi(x_u) = x_v with pi the shift by c encodes x_u - x_v = c
         k, c = 5, 2
-        p = Permutation.shift(k, c)
+        row = parse_instance(f"maxlin 2 {k}\n0 1 1.0 {c}\n").perm[0]
         for xu in range(k):
-            assert p(xu) == (xu - c) % k
+            assert row[xu] == shift_image(xu, c, k) == (xu - c) % k
 
     def test_identity(self):
-        assert Permutation.identity(4).images == (0, 1, 2, 3)
+        assert shift_image(np.arange(4), 0, 4).tolist() == [0, 1, 2, 3]
 
 
 def from_edges(n, k, u, v, w, images):
-    return UGInstance(n, k, [UGEdge(u, v, w, Permutation(images))])
+    return UGInstance(n, k, [UGEdge(u, v, w, images)])
 
 
 def from_arrays(n, k, u, v, w, images):
@@ -89,31 +102,47 @@ class TestInstance:
             inst.w[0] = 0.5
         assert len(inst.edges) == 4
         last = inst.edges[-1]
-        assert (last.u, last.v, last.weight, last.perm.images) == (3, 0, 0.5, (2, 0, 1))
+        assert (last.u, last.v, last.weight, last.perm) == (3, 0, 0.5, (2, 0, 1))
+        assert last == (3, 0, 0.5, (2, 0, 1))  # a plain record
         with pytest.raises(IndexError):
             inst.edges[4]
 
-    def test_create_rescales_weights(self):
-        inst = UGInstance.create(2, 2, [UGEdge(0, 1, 4.0, Permutation.identity(2))])
-        assert inst.scale == 4.0
-        assert inst.edges[0].weight == 1.0
+    def test_ingest_rescales_weights(self):
+        """Producers that take outside weights divide them by their maximum
+        when it exceeds 1 and record the factor; constructors keep them."""
+        for inst in (
+            parse_instance("ug 2 2\n0 1 4.0 0 1\n"),
+            planted_instance(PlantedSpec(2, 2, [(0, 1, 4.0)], [0, 0]))[0],
+            MaxLinInstance.from_constraints(2, AbelianGroup.cyclic(2), [(0, 1, 4.0, 1)]).base,
+            from_rows(2, 2, [(0, 1, 4.0, (0, 1))]),
+        ):
+            assert inst.scale == 4.0
+            assert inst.edges[0].weight == 1.0
+        for inst in (
+            UGInstance.from_arrays(2, 2, [0], [1], [4.0], [(0, 1)]),
+            UGInstance(2, 2, [UGEdge(0, 1, 4.0, (0, 1))]),
+        ):
+            assert (inst.scale, inst.edges[0].weight) == (1.0, 4.0)
 
     def test_degrees_and_regularity(self, small_instance):
         deg = small_instance.degrees()
-        # weights were rescaled by 2.0 on create
+        # weights were rescaled by 2.0 on ingest
         assert np.allclose(deg * small_instance.scale, [2.0, 1.5, 2.5, 3.0])
         assert not small_instance.is_regular()
 
     def test_self_loop_degree_counted_once(self):
-        inst = UGInstance.create(1, 2, [UGEdge(0, 0, 1.0, Permutation.identity(2))])
+        inst = from_rows(1, 2, [(0, 0, 1.0, (0, 1))])
         assert inst.degree(0) == 1.0
 
 
+DYADIC = st.integers(1, 8).map(lambda x: x / 8)  # every sum of these is exact
+
+
 @st.composite
-def multigraphs(draw, dense):
+def multigraphs(draw, dense, weights=DYADIC):
     """Instances on at most 4 vertices whose pairs, self-loops included,
-    carry parallel edges in both orientations with dyadic weights (every sum
-    of them is exact): P*k <= E when ``dense``, P*k > E otherwise."""
+    carry parallel edges in both orientations with weights drawn from
+    ``weights``: P*k <= E when ``dense``, P*k > E otherwise."""
     n = draw(st.integers(1, 4))
     k = draw(st.integers(1 if dense else 2, 4))
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -128,7 +157,7 @@ def multigraphs(draw, dense):
             flip = draw(st.booleans())
             u.append(y if flip else x)
             v.append(x if flip else y)
-            w.append(draw(st.integers(1, 8)) / 8)
+            w.append(draw(weights))
             perm.append(draw(st.permutations(range(k))))
     return UGInstance.from_arrays(n, k, u, v, w, perm)
 
@@ -140,7 +169,7 @@ class TestValue:
         assert value(small_instance, [0, 1, 1, 1]) == pytest.approx(4.0 / 4.5)
 
     def test_perfect_and_zero(self):
-        inst = UGInstance.create(2, 2, [UGEdge(0, 1, 1.0, Permutation.identity(2))])
+        inst = from_rows(2, 2, [(0, 1, 1.0, (0, 1))])
         assert value(inst, [0, 0]) == 1.0
         assert value(inst, [0, 1]) == 0.0
 
@@ -181,8 +210,58 @@ class TestValue:
         assert value_batch(inst, L).tolist() == expected
         assert value_batch(inst, L.astype(np.uint8)).tolist() == expected
 
+    @pytest.mark.parametrize("dense", [True, False])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_all_satisfied_scores_exactly_one(self, dense, data):
+        """With arbitrary float weights, on both sides of the pair-table
+        rule: a labeling satisfying every edge scores exactly 1.0, wherever
+        it sits in the batch, and no labeling scores above 1."""
+        weights = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+        inst = data.draw(multigraphs(dense, weights))
+        labels = st.lists(st.integers(0, inst.k - 1), min_size=inst.n, max_size=inst.n)
+        L = np.array(data.draw(labels))
+        perm = inst.perm.copy()  # swap each row's images so that L[u] -> L[v]
+        for row, x, y in zip(perm, L[inst.u], L[inst.v]):
+            j = int(np.flatnonzero(row == y)[0])
+            row[[x, j]] = row[[j, x]]
+        inst = UGInstance.from_arrays(inst.n, inst.k, inst.u, inst.v, inst.w, perm)
+        batch = np.array(data.draw(st.lists(labels, min_size=1, max_size=6)))
+        at = data.draw(st.lists(st.integers(0, len(batch) - 1), min_size=1))
+        batch[at] = L
+        satisfies_all = (batch == L).all(axis=1)
+        vals = value_batch(inst, batch)
+        assert vals[satisfies_all].tolist() == [1.0] * int(satisfies_all.sum())
+        assert vals.max() <= 1.0
+        assert value(inst, L) == 1.0
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_pair_structure_built_once(self, dense, monkeypatch):
+        """The path choice (one np.unique of the pair keys) and, on the
+        pair-table path, the tables (np.bincount) are built on the first
+        value_batch call of an instance and reused by every later one."""
+        inst = random_multigraph(3, 2, 2) if dense else random_instance(6, 3, seed=1)
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("unique", "bincount"):
+            monkeypatch.setattr(np, name, counted(name))
+        L = np.random.default_rng(0).integers(0, inst.k, size=(4, inst.n))
+        first = value_batch(inst, L)
+        assert value_batch(inst, L).tolist() == first.tolist()
+        assert value(inst, L[0]) == first[0]
+        assert calls == Counter({"unique": 1, "bincount": 2 if dense else 0})
+
     def test_edgeless_instance_fully_satisfied(self):
-        inst = UGInstance.create(3, 2, [])
+        inst = from_rows(3, 2, [])
         assert value(inst, [0, 1, 0]) == 1.0
         assert value_batch(inst, np.zeros((2, 3), dtype=np.int64)).tolist() == [1.0, 1.0]
 
@@ -194,12 +273,15 @@ class TestValue:
         bit: the same edges are satisfied and summed in the same order (on
         the pair-table path, into the same table cells)."""
         inst = random_multigraph(3, k, k + 1, seed) if dense else random_instance(6, k, seed=seed)
-        one = list(inst.edges)
-        one[pick % len(one)] = one[pick % len(one)].reversed()
-        every = [e.reversed() for e in inst.edges]
+
+        def reversed_at(which):
+            u, v, perm = inst.u.copy(), inst.v.copy(), inst.perm.copy()
+            u[which], v[which] = inst.v[which], inst.u[which]
+            perm[which] = np.argsort(inst.perm[which], axis=-1)
+            return UGInstance.from_arrays(inst.n, inst.k, u, v, inst.w, perm, inst.scale)
+
         L = np.random.default_rng(seed).integers(0, k, size=(5, inst.n))
-        for edges in (one, every):
-            flipped = UGInstance(inst.n, inst.k, edges, inst.scale)
+        for flipped in (reversed_at(pick % len(inst.w)), reversed_at(slice(None))):
             assert value_batch(flipped, L).tolist() == value_batch(inst, L).tolist()
             assert value(flipped, L[0]) == value(inst, L[0])
 
@@ -211,14 +293,8 @@ class TestValue:
         inst = random_instance(7, k, seed=seed)
         rng = np.random.default_rng(seed + 1)
         sigma = rng.permutation(7)
-        renamed = UGInstance(
-            inst.n,
-            inst.k,
-            tuple(
-                UGEdge(int(sigma[e.u]), int(sigma[e.v]), e.weight, e.perm)
-                for e in inst.edges
-            ),
-            inst.scale,
+        renamed = UGInstance.from_arrays(
+            inst.n, inst.k, sigma[inst.u], sigma[inst.v], inst.w, inst.perm, inst.scale
         )
         L = rng.integers(0, k, size=7)
         L2 = np.empty(7, dtype=np.int64)
@@ -247,18 +323,17 @@ class TestSerialization:
         back = parse_instance(text)
         assert back.n == small_instance.n and back.k == small_instance.k
         for a, b in zip(back.edges, small_instance.edges):
-            assert (a.u, a.v, a.perm.images) == (b.u, b.v, b.perm.images)
+            assert (a.u, a.v, a.perm) == (b.u, b.v, b.perm)
             assert a.weight == b.weight  # 17 significant digits round-trip
 
     def test_maxlin_format(self):
         inst = parse_instance("maxlin 3 4\n0 1 1.0 2\n1 2 0.5 0\n")
-        assert inst.edges[0].perm.images == Permutation.shift(4, 2).images
-        assert inst.edges[1].perm.images == Permutation.identity(4).images
+        assert inst.perm.tolist() == [[2, 3, 0, 1], [0, 1, 2, 3]]  # i -> i - c
 
     def test_comments_and_blank_lines(self):
         inst = parse_instance("# header comment\n\nug 2 2\n0 1 1.0 1 0  # swap\n")
         assert len(inst.edges) == 1
-        assert inst.edges[0].perm.images == (1, 0)
+        assert inst.edges[0].perm == (1, 0)
 
     @pytest.mark.parametrize(
         "text",

@@ -1,11 +1,13 @@
 """Planted/perturbed factories, regular skeletons, Walsh-Hadamard engine,
 and the perturbed-hypercube construction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ugspectral.core import UGError, value
+from ugspectral.core import UGError, serialize_instance, value
 from ugspectral.generators import (
     KVSpec,
     cayley_matrix,
@@ -25,7 +27,7 @@ from ugspectral.generators import (
     walsh_hadamard_spectrum,
 )
 from ugspectral.label_extended import build_label_extended
-from ugspectral.maxlin import MaxLinInstance
+from ugspectral.maxlin import AbelianGroup, MaxLinInstance
 
 from conftest import complete_skeleton, cycle_skeleton
 
@@ -96,7 +98,43 @@ class TestPerturb:
         )
         p1 = perturb(inst, planted, 0.15, seed=5)
         p2 = perturb(inst, planted, 0.15, seed=5)
-        assert all(a.perm.images == b.perm.images for a, b in zip(p1.edges, p2.edges))
+        assert np.array_equal(p1.perm, p2.perm)
+
+
+def text_digest(inst):
+    """Leading 16 hex digits of the sha256 of the instance's text."""
+    return hashlib.sha256(serialize_instance(inst).encode()).hexdigest()[:16]
+
+
+class TestPinnedOutput:
+    """Generator output, pinned bit for bit: the seeded RNG draws, their
+    order and the weight rescaling must not change without a new pin."""
+
+    @pytest.mark.parametrize(
+        "family, planted_digest, perturbed_digest",
+        [
+            ("general-permutation", "1880db1a211bef65", "cf776852d0bd82e7"),
+            ("maxlin", "3c15eb57fe3326b5", "fe6432d1abdc47d8"),
+        ],
+    )
+    def test_planted_regular_and_perturb(self, family, planted_digest, perturbed_digest):
+        inst, planted, _ = planted_regular_instance(60, 4, 6, seed=3, constraint_family=family)
+        assert text_digest(inst) == planted_digest
+        pert = perturb(inst, planted, 0.1, seed=4, constraint_family=family)
+        assert text_digest(pert) == perturbed_digest
+
+    def test_kv_instance(self):
+        assert text_digest(kv_instance(KVSpec(2, 0.25))) == "3b266342e3ad1a5e"
+
+    def test_weighted_planted_instance(self):
+        inst, _ = planted_instance(PlantedSpec(3, 2, [(0, 1, 2.0), (1, 2, 0.5)], [0, 1, 0]))
+        assert (text_digest(inst), inst.scale) == ("c36e528a3802b079", 2.0)
+
+    def test_from_constraints(self):
+        constraints = [(0, 1, 1.0, 5), (1, 2, 3.0, 2), (2, 3, 0.5, 4), (3, 0, 1.0, 1)]
+        ml = MaxLinInstance.from_constraints(4, AbelianGroup((2, 3)), constraints)
+        assert (text_digest(ml.base), ml.base.scale) == ("3bc6ab0734c18d88", 3.0)
+        assert ml.shifts == (5, 2, 4, 1)
 
 
 class TestRandomRegular:

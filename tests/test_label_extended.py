@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ugspectral.core import Permutation, UGEdge, UGInstance, characteristic_vector, value
+from ugspectral.core import characteristic_vector, value
 from ugspectral.label_extended import (
     build_label_extended,
     build_laplacian,
@@ -12,17 +12,17 @@ from ugspectral.label_extended import (
 )
 from ugspectral.linalg import eigendecompose
 
-from conftest import complete_skeleton, planted_on, random_instance
+from conftest import complete_skeleton, from_rows, planted_on, random_instance
 
 
 class TestBlocks:
     def test_single_edge_block(self):
-        p = Permutation((1, 2, 0))
-        inst = UGInstance.create(2, 3, [UGEdge(0, 1, 0.5, p)])
+        P = np.eye(3)[[1, 2, 0]]  # P[i, j] = 1 iff i maps to j under (1, 2, 0)
+        inst = from_rows(2, 3, [(0, 1, 0.5, (1, 2, 0))])
         M = build_label_extended(inst).matrix
         expect = np.zeros((6, 6))
-        expect[0:3, 3:6] = 0.5 * p.matrix()
-        expect[3:6, 0:3] = 0.5 * p.matrix().T
+        expect[0:3, 3:6] = 0.5 * P
+        expect[3:6, 0:3] = 0.5 * P.T
         assert np.array_equal(M, expect)
 
     def test_symmetric(self):
@@ -30,13 +30,13 @@ class TestBlocks:
         assert np.array_equal(M, M.T)
 
     def test_parallel_edges_accumulate(self):
-        e = UGEdge(0, 1, 0.3, Permutation.identity(2))
-        inst = UGInstance.create(2, 2, [e, e])
+        e = (0, 1, 0.3, (0, 1))
+        inst = from_rows(2, 2, [e, e])
         M = build_label_extended(inst).matrix
         assert M[0, 2] == pytest.approx(0.6)
 
     def test_self_loop_counted_once(self):
-        inst = UGInstance.create(1, 2, [UGEdge(0, 0, 1.0, Permutation((1, 0)))])
+        inst = from_rows(1, 2, [(0, 0, 1.0, (1, 0))])
         M = build_label_extended(inst).matrix
         # w * Pi symmetrized once: row sums equal the degree (= 1)
         assert np.allclose(M.sum(axis=1), 1.0)
@@ -97,7 +97,6 @@ class TestConstraintGraph:
         assert A.sum(axis=1) == pytest.approx(inst.degrees(), abs=1e-12)
 
     def test_self_loop_on_diagonal(self):
-        inst = UGInstance.create(2, 2, [UGEdge(0, 0, 0.5, Permutation.identity(2)),
-                                        UGEdge(0, 1, 1.0, Permutation.identity(2))])
+        inst = from_rows(2, 2, [(0, 0, 0.5, (0, 1)), (0, 1, 1.0, (0, 1))])
         A = constraint_graph_adjacency(inst)
         assert A[0, 0] == 0.5 and A[0, 1] == 1.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ugspectral.config import NumericConfig, reset_numeric_config, set_numeric_config
-from ugspectral.core import Permutation, UGEdge, UGInstance, UGError, value
+from ugspectral.core import UGInstance, UGError, shift_image, value
 from ugspectral.generators import perturb
 from ugspectral.label_extended import build_label_extended, constraint_graph_adjacency
 from ugspectral.linalg import Eigenspace, eigendecompose, select_eigenspace
@@ -24,37 +24,48 @@ from ugspectral.maxlin import (
 )
 from ugspectral.recover import SolveParams, recover_solution
 
-from conftest import complete_skeleton, planted_on
+from conftest import complete_skeleton, from_rows, planted_on
 
 
 class TestAbelianGroup:
+    """Group arithmetic as array lookups: a - b is shift_table()[b, a], and
+    shift(L, i) adds i to every label."""
+
     def test_cyclic_arithmetic(self):
         g = AbelianGroup.cyclic(5)
-        assert g.add(3, 4) == 2
-        assert g.neg(2) == 3
-        assert g.sub(1, 3) == 3
+        table = g.shift_table()
+        assert shift([3], 4, g).tolist() == [2]  # 3 + 4
+        assert table[2, 0] == 3  # -2 = 0 - 2
+        assert table[3, 1] == 3  # 1 - 3
 
     def test_product_is_componentwise(self):
-        g = AbelianGroup((2, 2))  # indices are 2-bit vectors, add = XOR
+        g = AbelianGroup((2, 2))  # indices are 2-bit vectors, add = sub = XOR
+        table = g.shift_table()
         for a in range(4):
-            for b in range(4):
-                assert g.add(a, b) == a ^ b
+            assert shift(range(4), a, g).tolist() == [a ^ b for b in range(4)]
+            assert table[a].tolist() == [a ^ b for b in range(4)]
 
     def test_mixed_radix_roundtrip(self):
+        """Factors are little-endian: in Z_2 x Z_3, 1 is (1, 0) and 2 is
+        (0, 1); subtracting an element undoes adding it."""
         g = AbelianGroup((2, 3))
+        assert shift(range(6), 1, g).tolist() == [1, 0, 3, 2, 5, 4]
+        assert shift(range(6), 2, g).tolist() == [2, 3, 4, 5, 0, 1]
+        table = g.shift_table()
         for i in range(6):
-            assert g.from_tuple(g.to_tuple(i)) == i
+            assert table[i, shift(range(6), i, g)].tolist() == list(range(6))
 
-    def test_shift_permutation_encodes_difference(self):
+    def test_shift_table_encodes_difference(self):
         g = AbelianGroup.cyclic(4)
-        p = g.shift_permutation(1)
-        # pi(x_u) = x_v encodes x_u - x_v = 1
+        table = g.shift_table()
+        # pi(x_u) = x_v with pi = table[1] encodes x_u - x_v = 1
         for xu in range(4):
-            assert g.sub(xu, p(xu)) == 1
+            assert table[table[1, xu], xu] == 1
+        assert table.tolist() == [shift_image(np.arange(4), c, 4).tolist() for c in range(4)]
 
-    def test_xor_shift_permutation(self):
+    def test_xor_shift_table(self):
         g = AbelianGroup((2, 2))
-        assert g.shift_permutation(3).images == tuple(i ^ 3 for i in range(4))
+        assert g.shift_table()[3].tolist() == [i ^ 3 for i in range(4)]
 
     def test_rejects_bad_factors(self):
         with pytest.raises(UGError):
@@ -69,18 +80,16 @@ class TestMaxLinInstance:
         assert value(ml.base, [2, 0, 0]) == 1.0  # x0 - x1 = 2, x1 - x2 = 0
 
     def test_from_instance_detects_shifts(self):
-        inst = UGInstance.create(
-            2, 4, [UGEdge(0, 1, 1.0, Permutation.shift(4, 3))]
-        )
+        inst = from_rows(2, 4, [(0, 1, 1.0, shift_image(np.arange(4), 3, 4))])
         assert MaxLinInstance.from_instance(inst).shifts == (3,)
 
     def test_from_instance_rejects_non_shift(self):
-        inst = UGInstance.create(2, 3, [UGEdge(0, 1, 1.0, Permutation((0, 2, 1)))])
+        inst = from_rows(2, 3, [(0, 1, 1.0, (0, 2, 1))])
         with pytest.raises(UGError):
             MaxLinInstance.from_instance(inst)
 
     def test_group_order_must_match(self):
-        inst = UGInstance.create(2, 3, [UGEdge(0, 1, 1.0, Permutation.shift(3, 1))])
+        inst = from_rows(2, 3, [(0, 1, 1.0, shift_image(np.arange(3), 1, 3))])
         with pytest.raises(UGError):
             MaxLinInstance.from_instance(inst, AbelianGroup.cyclic(4))
 
@@ -213,12 +222,11 @@ class TestSinTheta:
 
     def test_single_flipped_edge_bound(self):
         ml, planted = self._planted(seed=5)
-        edges = list(ml.base.edges)
-        c2 = (ml.shifts[0] + 1) % 2
-        edges[0] = UGEdge(edges[0].u, edges[0].v, edges[0].weight,
-                          Permutation.shift(2, c2))
+        base = ml.base
+        perm = base.perm.copy()
+        perm[0] = shift_image(np.arange(2), ml.shifts[0] + 1, 2)
         pert = MaxLinInstance.from_instance(
-            UGInstance(ml.base.n, ml.base.k, tuple(edges), ml.base.scale)
+            UGInstance.from_arrays(base.n, base.k, base.u, base.v, base.w, perm, base.scale)
         )
         M = build_label_extended(pert.base)
         vals, vecs = eigendecompose(M.matrix)
@@ -233,17 +241,13 @@ class TestSinTheta:
         pert_inst = perturb(ml.base, planted, 0.1, seed=9, constraint_family="maxlin")
         R = perturbed_edge_matrix(pert_inst, ml.base)
         changed = sum(
-            e.weight
-            for e, ec in zip(pert_inst.edges, ml.base.edges)
-            if e.perm.images != ec.perm.images
+            e.weight for e, ec in zip(pert_inst.edges, ml.base.edges) if e.perm != ec.perm
         )
         assert R[np.triu_indices(8)].sum() == pytest.approx(changed)
 
     def test_skeleton_mismatch_rejected(self):
         ml, _ = self._planted()
-        other = UGInstance.create(
-            ml.base.n, 2, [UGEdge(0, 1, 1.0, Permutation.identity(2))]
-        )
+        other = from_rows(ml.base.n, 2, [(0, 1, 1.0, (0, 1))])
         with pytest.raises(UGError):
             perturbed_edge_matrix(ml.base, other)
 

@@ -5,12 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from ugspectral.core import Permutation, UGEdge, UGInstance, value
+from ugspectral.core import value
 from ugspectral.generators import PlantedSpec, planted_instance, perturb
 from ugspectral.maxlin import AbelianGroup
 from ugspectral.oracle import BudgetExceededError, brute_force
 
-from conftest import complete_skeleton, random_instance
+from conftest import complete_skeleton, from_rows, random_instance
 
 
 def exhaustive_best(inst):
@@ -36,8 +36,7 @@ class TestExactness:
     def test_lexicographic_tie_break(self):
         # two disconnected vertices, no constraints between labels 0/1:
         # a single always-satisfied identity edge makes every labeling optimal
-        inst = UGInstance.create(2, 2, [UGEdge(0, 1, 1.0, Permutation((0, 1))),
-                                        UGEdge(0, 1, 1.0, Permutation((1, 0)))])
+        inst = from_rows(2, 2, [(0, 1, 1.0, (0, 1)), (0, 1, 1.0, (1, 0))])
         res = brute_force(inst, group=None)
         # value 0.5 for all labelings; smallest in enumeration order wins
         assert res.best_labeling.tolist() == [0, 0]
@@ -70,9 +69,8 @@ class TestShiftReduction:
 
     def test_explicit_product_group(self):
         g = AbelianGroup((2, 2))
-        edges = [UGEdge(0, 1, 1.0, g.shift_permutation(3)),
-                 UGEdge(1, 2, 1.0, g.shift_permutation(1))]
-        inst = UGInstance.create(3, 4, edges)
+        table = g.shift_table()
+        inst = from_rows(3, 4, [(0, 1, 1.0, table[3]), (1, 2, 1.0, table[1])])
         res = brute_force(inst, group=g)
         assert res.shift_reduced
         assert res.best_value == 1.0
@@ -87,10 +85,7 @@ class TestShiftReduction:
 class TestComponents:
     def test_disconnected_solved_independently(self):
         # two components; optimum is the weight-average of per-component optima
-        edges = [UGEdge(0, 1, 1.0, Permutation((1, 0))),
-                 UGEdge(2, 3, 1.0, Permutation((0, 1))),
-                 UGEdge(2, 3, 1.0, Permutation((1, 0)))]
-        inst = UGInstance.create(4, 2, edges)
+        inst = from_rows(4, 2, [(0, 1, 1.0, (1, 0)), (2, 3, 1.0, (0, 1)), (2, 3, 1.0, (1, 0))])
         res = brute_force(inst, group=None)
         # component {0,1} fully satisfiable (weight 1); component {2,3} can
         # satisfy one of its two contradictory edges (weight 1 of 2)
@@ -99,7 +94,7 @@ class TestComponents:
         assert res.best_value == best
 
     def test_isolated_vertices_kept(self):
-        inst = UGInstance.create(3, 2, [UGEdge(0, 1, 1.0, Permutation((0, 1)))])
+        inst = from_rows(3, 2, [(0, 1, 1.0, (0, 1))])
         res = brute_force(inst)
         assert res.best_value == 1.0
         assert len(res.best_labeling) == 3

@@ -35,7 +35,7 @@ from ugspectral.recover import (
     select_search_space,
 )
 
-from conftest import complete_skeleton, cycle_skeleton, planted_on, random_instance
+from conftest import complete_skeleton, cycle_skeleton, from_rows, planted_on, random_instance
 
 
 def orthonormal_space(dim_ambient, dim, seed=0):
@@ -232,14 +232,8 @@ class TestRecover:
         """The label-extended graph is degree-regular row-wise, so its top
         eigenvalue is exactly d and the high window always holds at least
         the all-ones vector, whatever the constraints are."""
-        from ugspectral.core import Permutation, UGEdge, UGInstance
-
         rng = np.random.default_rng(7)
-        edges = [
-            UGEdge(u, v, 1.0, Permutation(tuple(rng.permutation(3))))
-            for u, v in complete_skeleton(6)
-        ]
-        inst = UGInstance.create(6, 3, edges)
+        inst = from_rows(6, 3, [(u, v, 1.0, rng.permutation(3)) for u, v in complete_skeleton(6)])
         W, d = select_search_space(inst, SolveParams(epsilon=0.0001, gamma=0.01))
         assert W.dim >= 1
         assert W.eigenvalues.max() == pytest.approx(d)
@@ -272,9 +266,7 @@ class TestRecover:
     def test_edgeless_instance_solves(self):
         """Every labeling of an edgeless instance has value 1, so the solve
         returns a labeling and its report serialises."""
-        from ugspectral.core import UGInstance
-
-        rep = recover_solution(UGInstance.create(1, 2, []), SolveParams(0.01, 0.5))
+        rep = recover_solution(from_rows(1, 2, []), SolveParams(0.01, 0.5))
         d = rep.to_dict()
         assert d["best_value"] == 1.0 and d["decision"] == "YES"
         assert len(d["best_labeling"]) == 1
