@@ -19,6 +19,10 @@ import numpy as np
 
 from .config import numeric_config
 
+# Byte budget of one batch: a chunk of net vectors, or one slice of
+# value_batch's per-row intermediates.
+BATCH_BYTES = 2**24
+
 
 class UGError(Exception):
     """Base class for errors raised by this package."""
@@ -218,8 +222,8 @@ def value_batch(inst: UGInstance, labels_batch: np.ndarray) -> np.ndarray:
 
     Each labeling's terms are summed on their own, over a C-ordered row, so
     its value does not depend on the batch it is in (a matrix-vector product
-    rounds differently by the row's position), and rows go in slices that
-    keep the (rows x P) or (rows x E) intermediates within a fixed budget.
+    rounds differently by the row's position), and rows go in slices whose
+    (rows x P) or (rows x E) float64 intermediates fit in BATCH_BYTES.
     The total weight is the same reduction applied to a labeling satisfying
     every edge (on the table path, a row of per-pair totals), so such a
     labeling scores exactly 1.0 and no labeling scores more.
@@ -249,7 +253,7 @@ def value_batch(inst: UGInstance, labels_batch: np.ndarray) -> np.ndarray:
 
         total = weigh(np.ones((1, width), dtype=bool))[0]
     out = np.empty(len(labels_batch))
-    rows = max(1, 10**7 // width)
+    rows = max(1, BATCH_BYTES // (8 * width))
     for start in range(0, len(labels_batch), rows):
         out[start : start + rows] = satisfied(labels_batch[start : start + rows]) / total
     return out

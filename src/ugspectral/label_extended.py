@@ -19,16 +19,12 @@ from .linalg import symmetrize
 
 @dataclass
 class LabelExtendedMatrix:
-    inst_n: int
-    inst_k: int
     matrix: np.ndarray
-    kind: str  # 'adjacency' | 'laplacian'
-    degree_profile: np.ndarray
     d_avg: float
 
     @property
     def dim(self):
-        return self.inst_n * self.inst_k
+        return self.matrix.shape[0]
 
 
 def _accumulate_adjacency(inst: UGInstance) -> np.ndarray:
@@ -45,15 +41,7 @@ def _accumulate_adjacency(inst: UGInstance) -> np.ndarray:
 def build_label_extended(inst: UGInstance) -> LabelExtendedMatrix:
     """Adjacency matrix M of the label-extended graph; parallel edges
     accumulate additively into the block."""
-    deg = inst.degrees()
-    return LabelExtendedMatrix(
-        inst_n=inst.n,
-        inst_k=inst.k,
-        matrix=_accumulate_adjacency(inst),
-        kind="adjacency",
-        degree_profile=deg,
-        d_avg=float(deg.mean()),
-    )
+    return LabelExtendedMatrix(_accumulate_adjacency(inst), float(inst.degrees().mean()))
 
 
 def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
@@ -63,15 +51,8 @@ def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
     # M is exactly symmetric already, so no second symmetrize; 0.0 - M (not
     # -M) keeps zero entries +0.0.
     L = 0.0 - adj.matrix
-    L[np.diag_indices_from(L)] += np.repeat(adj.degree_profile, inst.k)
-    return LabelExtendedMatrix(
-        inst_n=inst.n,
-        inst_k=inst.k,
-        matrix=L,
-        kind="laplacian",
-        degree_profile=adj.degree_profile,
-        d_avg=adj.d_avg,
-    )
+    L[np.diag_indices_from(L)] += np.repeat(inst.degrees(), inst.k)
+    return LabelExtendedMatrix(L, adj.d_avg)
 
 
 def constraint_graph_adjacency(inst: UGInstance) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import numeric_config
-from .core import UGInstance, UGError, value_batch
+from .core import UGInstance, UGError, value, value_batch
 from .maxlin import AbelianGroup, MaxLinInstance
 
 
@@ -97,7 +97,6 @@ def brute_force(inst: UGInstance, budget=None, group: AbelianGroup | None = None
 
     best_labeling = np.zeros(inst.n, dtype=np.int64)
     examined = 0
-    best_weight = 0.0
     for comp in comps:
         inside = np.isin(inst.u, comp)
         if not inside.any():
@@ -106,7 +105,6 @@ def brute_force(inst: UGInstance, budget=None, group: AbelianGroup | None = None
             len(comp), inst.k, np.searchsorted(comp, inst.u[inside]),
             np.searchsorted(comp, inst.v[inside]), inst.w[inside], inst.perm[inside],
         )
-        comp_weight = sub.total_weight
         m = len(comp) - 1 if reduce_by_one else len(comp)
         comp_best = -1.0
         comp_best_lab = None
@@ -121,12 +119,13 @@ def brute_force(inst: UGInstance, budget=None, group: AbelianGroup | None = None
                 comp_best_lab = chunk[i]
             if comp_best == 1.0:
                 break
-        best_weight += comp_best * comp_weight
         best_labeling[comp] = comp_best_lab
 
-    total = inst.total_weight
     return OracleResult(
-        best_value=best_weight / total if total > 0 else 1.0,
+        # One scoring of the assembled labeling, so a labeling satisfying
+        # every edge scores exactly 1.0 (per-component values, reweighted,
+        # would round differently).
+        best_value=value(inst, best_labeling),
         best_labeling=best_labeling,
         labelings_examined=examined,
         shift_reduced=reduce_by_one,

@@ -4,11 +4,11 @@ The solver selects the high eigenspace W of the label-extended adjacency
 matrix (eigenvalues >= (1-gamma)d) or the low eigenspace of its Laplacian
 (eigenvalues <= gamma*d_avg) and streams candidates: a lattice epsilon-net
 of the unit ball of W with coefficient step sqrt(2*eps/(gamma*dim W)), then
-the signed basis vectors, in chunks.  It reads a labeling off each by
-per-block argmax, scores each distinct labeling of the whole stream once
-and keeps the first candidate of maximum satisfied weight.  The YES/NO
-decision compares that value to a threshold derived from the guarantee
-1 - O(eps/(gamma-8*eps) + eps).
+the signed basis vectors, in chunks of at most core.BATCH_BYTES bytes.  It
+reads a labeling off each by per-block argmax, scores each distinct
+labeling of the whole stream once and keeps the first candidate of maximum
+satisfied weight.  The YES/NO decision compares that value to a threshold
+derived from the guarantee 1 - O(eps/(gamma-8*eps) + eps).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import core
 from .config import numeric_config
 from .core import UGInstance, UGError, characteristic_vector, validate_labeling, value_batch
 from .label_extended import build_label_extended, build_laplacian
@@ -144,47 +145,49 @@ def net_size(dim, step) -> int:
     return int(counts.sum())
 
 
-def _lattice_chunks(dim, step, chunk=8192) -> Iterator[np.ndarray]:
-    """Integer lattice points z with ||z||^2 <= _net_radius2(dim, step), in
-    lexicographic order over coordinate tuples, yielded as (batch, dim)
-    arrays."""
-    limit2 = _net_radius2(dim, step)
-    buf = []
-    point = [0] * dim
+def _lattice_chunks(dim, step, rows) -> Iterator[np.ndarray]:
+    """Integer lattice points z with ||z||^2 <= r2, the integer radius that
+    net_size counts, in lexicographic order over coordinate tuples, yielded
+    as (rows, dim) arrays (the last may be shorter).
 
-    def rec(i, remaining2):
-        m = int(np.floor(np.sqrt(remaining2))) if remaining2 > 0 else 0
-        if i == dim - 1:
-            for z in range(-m, m + 1):
-                point[i] = z
-                buf.append(tuple(point))
-            return
-        for z in range(-m, m + 1):
-            point[i] = z
-            rec(i + 1, remaining2 - z * z)
-
-    # Chunked driver: enumerate the first coordinate outermost so memory
-    # stays bounded for large nets.
-    m0 = int(np.floor(np.sqrt(limit2)))
-    for z0 in range(-m0, m0 + 1):
-        point[0] = z0
-        if dim == 1:
-            buf.append((z0,))
-        else:
-            rec(1, limit2 - z0 * z0)
-        while len(buf) >= chunk:
-            yield np.array(buf[:chunk], dtype=np.int64)
-            del buf[:chunk]
-    if buf:
-        yield np.array(buf, dtype=np.int64)
+    A depth-first walk over blocks of coordinate prefixes: each step takes
+    the next at most ``rows`` children of the block on top of the stack, so
+    the stack holds at most one block of at most ``rows`` prefixes per
+    coordinate, whatever the size of the net."""
+    r2 = int(np.floor(_net_radius2(dim, step)))
+    stack = [(np.zeros((1, 0), dtype=np.int64), 0)]  # (prefix block, first child)
+    out = np.zeros((0, dim), dtype=np.int64)
+    while stack:
+        prefixes, lo = stack.pop()
+        if prefixes.shape[1] == dim:
+            out = np.concatenate([out, prefixes])
+            while len(out) >= rows:
+                yield out[:rows]
+                out = out[rows:]
+            continue
+        # Prefix p has 2m+1 children p + (z,), -m <= z <= m, m = isqrt(r2 - |p|^2);
+        # the float square root truncates to isqrt exactly below 2**52.
+        rest = r2 - np.einsum("ij,ij->i", prefixes, prefixes)
+        m = np.sqrt(rest).astype(np.int64)
+        end = np.cumsum(2 * m + 1)
+        hi = min(lo + rows, int(end[-1]))
+        if hi < end[-1]:
+            stack.append((prefixes, hi))
+        child = np.arange(lo, hi)
+        parent = np.searchsorted(end, child, side="right")
+        z = child - (end - m - 1)[parent]
+        stack.append((np.column_stack([prefixes[parent], z]), 0))
+    if len(out):
+        yield out
 
 
 def enumerate_net(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
     """Stream every net vector sum_s alpha_s w(s), alpha_s in step*Z, with
     coefficient norm at most 1 + step*sqrt(dim)/2, exactly once in
-    lexicographic coefficient order, as (chunk, dim_ambient) arrays.  The
-    extra half-cell-diagonal of slack beyond the unit ball guarantees every
-    vector of norm <= 1 has a net point within step*sqrt(dim)/2 of it.
+    lexicographic coefficient order, as (rows, dim_ambient) float64 arrays
+    of at most core.BATCH_BYTES bytes (or one row).  The extra
+    half-cell-diagonal of slack beyond the unit ball guarantees every vector
+    of norm <= 1 has a net point within step*sqrt(dim)/2 of it.
     Raises NetTooLargeError before yielding if the net exceeds the cap."""
     dim = basis.dim
     if dim < 1:
@@ -195,7 +198,8 @@ def enumerate_net(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
         raise NetTooLargeError(
             f"net would have {total} points (> cap {cap}) at dim={dim}, step={step}"
         )
-    for Z in _lattice_chunks(dim, step):
+    rows = max(1, core.BATCH_BYTES // (8 * basis.dim_ambient))
+    for Z in _lattice_chunks(dim, step, rows):
         yield (Z * step) @ basis.basis.T
 
 
@@ -268,6 +272,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
         labels = np.ascontiguousarray(read_off_batch(X, n, k), dtype=narrow)
         distinct.update(dict.fromkeys(labels.view(row).ravel().tolist()))
         candidates += len(X)
+        del X, labels  # before the generator builds the next chunk
     labelings = np.frombuffer(b"".join(distinct), narrow).reshape(-1, n)
     vals = value_batch(inst, labelings)
     # argmax takes the first maximum: the first candidate in stream order.

@@ -191,7 +191,7 @@ def test_criterion_04_net_covering_and_size(capsys):
             for z in itertools.product(range(-m, m + 1), repeat=dim)
             if sum(c * c for c in z) <= r2
         )
-        enumerated = sum(len(Z) for Z in _lattice_chunks(dim, step))
+        enumerated = sum(len(Z) for Z in _lattice_chunks(dim, step, 8192))
         count_ok &= brute == net_size(dim, step) == enumerated
     ok = cover_ok and count_ok
     announce(capsys, 4, ok,

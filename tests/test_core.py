@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ugspectral.core as core_mod
 from ugspectral.core import (
     InvalidLabelingError,
     ParseError,
@@ -189,6 +190,17 @@ class TestValue:
                 vals = value_batch(inst, labels)
                 for row, v in zip(batch, vals):
                     assert v == value(inst, row)
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_values_independent_of_byte_budget(self, dense, monkeypatch):
+        """A budget of one byte scores one row per slice, with the same
+        values to the last bit, on both sides of the pair-table rule."""
+        inst = random_multigraph(4, 3, 3, seed=2) if dense else random_instance(8, 3, seed=2)
+        assert (inst._pair_table is not None) == dense
+        L = np.random.default_rng(1).integers(0, inst.k, size=(40, inst.n))
+        whole = value_batch(inst, L)
+        monkeypatch.setattr(core_mod, "BATCH_BYTES", 1)
+        assert value_batch(inst, L).tolist() == whole.tolist()
 
     @pytest.mark.parametrize("dense", [True, False])
     @given(data=st.data())

@@ -93,6 +93,17 @@ class TestComponents:
         best, _ = exhaustive_best(inst)
         assert res.best_value == best
 
+    def test_satisfiable_components_score_exactly_one(self):
+        """Three components of two parallel identity edges each, k = 2,
+        arbitrary weights: the all-zero labeling satisfies every edge, so
+        the optimum is exactly 1.0, never a reweighted sum above it."""
+        rng = np.random.default_rng(0)
+        identity = (0, 1)
+        for _ in range(300):
+            w = rng.uniform(0.1, 1.0, 6)
+            rows = [(u, u + 1, wi, identity) for u, wi in zip((0, 0, 2, 2, 4, 4), w)]
+            assert brute_force(from_rows(6, 2, rows)).best_value == 1.0
+
     def test_isolated_vertices_kept(self):
         inst = from_rows(3, 2, [(0, 1, 1.0, (0, 1))])
         res = brute_force(inst)

@@ -3,9 +3,8 @@
 ``perfbench/tracing.py`` skips a wrapped attribute that no longer exists
 and only prints its name, so a rename under ``src/`` would silently drop a
 layer from traced benchmark runs; the workloads build their instances
-through the package's public API.  ``python -m pytest perfbench`` is not
-part of the default test run, so these tests turn such breakage into a
-failure here.
+through the package's public API.  These tests turn such breakage into a
+failure.
 """
 
 from pathlib import Path

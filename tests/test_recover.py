@@ -1,12 +1,12 @@
 """Net enumeration, read-off, and the end-to-end solver."""
 
-import functools
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import ugspectral.core as core_mod
 import ugspectral.recover as recover_mod
 from ugspectral.config import NumericConfig, reset_numeric_config, set_numeric_config
 from ugspectral.core import UGError, characteristic_vector, value, value_batch
@@ -97,11 +97,41 @@ class TestNet:
         assert net_size(dim, step) == brute
 
     def test_lattice_lexicographic_and_unique(self):
-        pts = np.concatenate(list(_lattice_chunks(2, 0.5)))
+        pts = np.concatenate(list(_lattice_chunks(2, 0.5, 8192)))
         as_tuples = [tuple(p) for p in pts]
         assert as_tuples == sorted(as_tuples)
         assert len(set(as_tuples)) == len(as_tuples)
         assert len(as_tuples) == net_size(2, 0.5)
+
+    @given(st.integers(1, 5), st.floats(0.0, 1.0), st.integers(1, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_walk_matches_product(self, dim, t, rows):
+        """The walk yields the points of [-m, m]^dim with |z|^2 <= r2, in
+        itertools.product's lexicographic order, in chunks of exactly
+        ``rows`` points but the last, net_size of them in all."""
+        step = 0.1 * dim + 1.9 * t  # nets of at most 7^5 candidate points
+        r2 = int(np.floor(_net_radius2(dim, step)))
+        m = int(np.floor(np.sqrt(r2)))
+        reference = [z for z in itertools.product(range(-m, m + 1), repeat=dim)
+                     if sum(c * c for c in z) <= r2]
+        chunks = list(_lattice_chunks(dim, step, rows))
+        assert [len(Z) for Z in chunks[:-1]] == [rows] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= rows
+        assert np.concatenate(chunks).tolist() == [list(z) for z in reference]
+        assert len(reference) == net_size(dim, step)
+
+    @pytest.mark.parametrize("budget", [1, 8 * 6 * 5 + 7, 8 * 6 * 64, core_mod.BATCH_BYTES])
+    def test_net_chunks_within_byte_budget(self, budget, monkeypatch):
+        """Every chunk holds at most BATCH_BYTES of float64, or is one row,
+        and the stream is the same whatever the budget (up to rounding: the
+        projection's matrix product may round by batch size)."""
+        basis = orthonormal_space(6, 3, seed=3)
+        whole = np.concatenate(list(enumerate_net(basis, 0.4)))
+        monkeypatch.setattr(core_mod, "BATCH_BYTES", budget)
+        chunks = list(enumerate_net(basis, 0.4))
+        assert all(X.dtype == np.float64 for X in chunks)
+        assert all(X.nbytes <= budget or len(X) == 1 for X in chunks)
+        np.testing.assert_allclose(np.concatenate(chunks), whole, rtol=0, atol=1e-14)
 
     def test_enumerate_net_count_and_norms(self):
         vecs = np.concatenate(list(enumerate_net(orthonormal_space(6, 2, seed=1), 0.5)))
@@ -331,9 +361,9 @@ def assert_matches_reference(inst, params):
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Seven lattice points per chunk, so a small net spans many chunks."""
-    chunks = functools.partial(_lattice_chunks, chunk=7)
-    monkeypatch.setattr(recover_mod, "_lattice_chunks", chunks)
+    """A byte budget of seven net vectors of the 7-vertex, k = 3 instances
+    below (nk = 21), so a small net spans many chunks."""
+    monkeypatch.setattr(core_mod, "BATCH_BYTES", 7 * 8 * 21)
 
 
 class TestSearchMatchesReference:
