@@ -174,9 +174,7 @@ def cmd_diagnose(args, t0):
             raise UGError("--maxlin diagnosis needs --completion <file>")
         ml = maxlin.MaxLinInstance.from_instance(inst)
         comp = maxlin.MaxLinInstance.from_instance(load_instance(args.completion))
-        M = build_label_extended(inst)
-        vals, vecs = eigendecompose(M.matrix)
-        rep = maxlin.sin_theta_report(ml, comp, vecs[:, 0], args.gamma)
+        rep = maxlin.sin_theta_report(ml, comp, None, args.gamma)
         out = rep.to_dict()
     else:
         params = SolveParams(

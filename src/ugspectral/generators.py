@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import UGInstance, UGError, _unit_scale, shift_image, value
-from .linalg import symmetrize
+from .label_extended import constraint_graph_adjacency
+from .linalg import select_eigenspace, symmetrize
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +119,14 @@ def random_regular_graph(n, d, seed=0):
         lo, hi = np.sort(stubs.reshape(-1, 2), axis=1).T
         keys = np.unique(lo * n + hi)  # sorted, one per distinct pair
         if np.all(lo != hi) and len(keys) == len(lo):
-            A = np.zeros((n, n))
-            A[keys // n, keys % n] = A[keys % n, keys // n] = 1.0
-            vals = np.linalg.eigvalsh(A)
-            lambda2 = float(np.sort(vals)[::-1][1]) if n > 1 else 0.0
-            return [(int(key // n), int(key % n)) for key in keys], lambda2
+            graph = UGInstance.from_arrays(
+                n, 1, keys // n, keys % n, np.ones(len(keys)), np.zeros((len(keys), 1))
+            )
+            # The top eigenvalue of a d-regular graph is d, so lambda_2 is the
+            # second eigenvalue of the window at d, or the first one below it.
+            W = select_eigenspace(constraint_graph_adjacency(graph), d, "adjacency-high")
+            lambda2 = float(W.eigenvalues[1] if W.dim > 1 else W.nearest_dropped)
+            return [(int(key // n), int(key % n)) for key in keys], lambda2 if n > 1 else 0.0
     raise UGError(f"pairing model failed {PAIRING_TRIES} times for n={n}, d={d}")
 
 

@@ -212,10 +212,15 @@ def sin_theta_report(
     ml: MaxLinInstance, completion: MaxLinInstance, w, gamma
 ) -> PerturbationReport:
     """Davis-Kahan style diagnostics for one unit eigenvector w of the
-    perturbed label-extended matrix against the completion's high space Y."""
-    w = np.asarray(w, dtype=np.float64)
+    perturbed label-extended matrix against the completion's high space Y.
+    With w None, the top eigenvector: the first of the window at
+    (1-gamma)*d_avg, never empty since the top eigenvalue is at least the
+    Rayleigh quotient d_avg of the all-ones vector."""
     M = build_label_extended(ml.base)
     Mt = build_label_extended(completion.base)
+    if w is None:
+        w = select_eigenspace(M.matrix, (1 - gamma) * M.d_avg, "adjacency-high").basis[:, 0]
+    w = np.asarray(w, dtype=np.float64)
     d = Mt.d_avg
     lam = float(w @ (M.matrix @ w))
     # One decomposition gives Y and lambda_s, the largest eigenvalue it cuts.

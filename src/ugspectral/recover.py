@@ -14,6 +14,7 @@ derived from the guarantee 1 - O(eps/(gamma-8*eps) + eps).
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -83,6 +84,7 @@ class SolveReport:
     net_step: float
     mode: str
     cut_gap: float | None = None  # Eigenspace.cut_gap of W
+    max_residual: float = float("nan")  # Eigenspace.max_residual of W
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -98,6 +100,7 @@ class SolveReport:
             "net_step": self.net_step,
             "mode": self.mode,
             "cut_gap": self.cut_gap,
+            "max_residual": self.max_residual,
         }
         d.update(self.extras)
         return d
@@ -126,23 +129,54 @@ def _net_radius2(dim, step):
     return (1.0 / step + np.sqrt(dim) / 2.0) ** 2 * (1 + 1e-12)
 
 
-def net_size(dim, step) -> int:
-    """Exact number of lattice points in the net, by dynamic programming
-    over the integer sum of squares."""
+def net_size(dim, step, cap=None) -> int:
+    """Exact number of lattice points in the net, counted in int64.  With
+    ``cap`` a count above cap may come back as cap + 1, which is returned as
+    soon as the count is known to exceed cap.
+
+    C_j(R), the number of points of Z^j with ||z||^2 <= R, is 2*isqrt(R)+1
+    for j = 1 and sum_{|z| <= isqrt(R)} C_(j-1)(R - z^2) above.  The last
+    coordinate sums over the 2m+1 values of z, m = isqrt(r2); each one
+    before it past the first costs O(m * r2) over a table of C_(j-1) on
+    0..r2, whose entries are clipped where a sum of 2m+1 of them would
+    overflow.
+    """
     if dim < 1 or step <= 0:
         raise UGError("net requires dim >= 1 and step > 0")
     r2 = int(np.floor(_net_radius2(dim, step)))
-    m = int(np.floor(np.sqrt(r2)))
-    counts = np.zeros(r2 + 1, dtype=object)
-    counts[0] = 1
-    for _ in range(dim):
-        nxt = np.zeros(r2 + 1, dtype=object)
-        for z in range(-m, m + 1):
-            z2 = z * z
-            if z2 <= r2:
-                nxt[z2:] += counts[: r2 + 1 - z2]
-        counts = nxt
-    return int(counts.sum())
+    m = math.isqrt(r2)
+    if dim == 1:
+        return 2 * m + 1
+    if cap is not None:
+        # The unit cubes around the net's points are disjoint and cover the
+        # ball of radius sqrt(r2) - sqrt(dim)/2, so its volume bounds the count.
+        radius = max(0.0, math.sqrt(r2) - math.sqrt(dim) / 2)
+        if math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius**dim * (1 - 1e-9) > cap:
+            return cap + 1
+    if r2 >= 2**52:
+        raise NetTooLargeError(f"net at dim={dim}, step={step} is beyond exact counting")
+
+    def c1(R):  # the float square root truncates to isqrt below 2**52
+        return 2 * np.sqrt(R).astype(np.int64) + 1
+
+    z = np.arange(-m, m + 1)
+    if dim == 2:
+        return int(c1(r2 - z * z).sum())
+    limit = np.iinfo(np.int64).max // (2 * m + 1)
+    if cap is not None:
+        limit = min(limit, cap + 1)
+    table = c1(np.arange(r2 + 1))
+    for _ in range(dim - 2):
+        nxt = table.copy()
+        for y in range(1, m + 1):
+            nxt[y * y :] += 2 * table[: r2 + 1 - y * y]
+        table = np.minimum(nxt, limit)
+    count = int(table[r2 - z * z].sum())
+    if count < limit:
+        return count
+    if cap is not None and limit == cap + 1:
+        return cap + 1
+    raise NetTooLargeError(f"net at dim={dim}, step={step} has more points than int64 counts")
 
 
 def _lattice_chunks(dim, step, rows) -> Iterator[np.ndarray]:
@@ -192,11 +226,10 @@ def enumerate_net(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
     dim = basis.dim
     if dim < 1:
         raise UGError("empty basis")
-    total = net_size(dim, step)
     cap = numeric_config().net_cap
-    if total > cap:
+    if net_size(dim, step, cap) > cap:
         raise NetTooLargeError(
-            f"net would have {total} points (> cap {cap}) at dim={dim}, step={step}"
+            f"net would have more than cap {cap} points at dim={dim}, step={step}"
         )
     rows = max(1, core.BATCH_BYTES // (8 * basis.dim_ambient))
     for Z in _lattice_chunks(dim, step, rows):
@@ -292,6 +325,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
         net_step=step,
         mode=params.mode,
         cut_gap=W.cut_gap,
+        max_residual=W.max_residual,
     )
 
 

@@ -253,3 +253,23 @@ def test_removed_flags_rejected(maxlin_file, tmp_path):
                        *flag).returncode == 1
     for kind in (("kv", "--kappa", 2, "--eps", 0.25), ("regular", "--n", 6, "--d", 2)):
         assert run_cli("gen", *kind, "--planted-out", tmp_path / "p").returncode == 1
+
+
+def test_dense_path_never_imports_scipy_sparse():
+    """The package and a dense-path solve (KV kappa=2, nk = 16) in a fresh
+    interpreter leave scipy.sparse unimported: the sparse branch imports it
+    on first use; importing scipy.sparse.linalg raises a bare numpy
+    interpreter's peak RSS from 27 to 59 MiB."""
+    code = (
+        "import sys, ugspectral\n"
+        "from ugspectral.generators import KVSpec, kv_instance\n"
+        "from ugspectral.recover import SolveParams, recover_solution\n"
+        "rep = recover_solution(kv_instance(KVSpec(2, 0.25)),\n"
+        "                       SolveParams(0.01, 1.0, max_dim=16, net_step_override=2.5))\n"
+        "print(rep.dim_W, 'scipy.sparse' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CLI_ENV)
+    assert proc.returncode == 0, proc.stderr
+    dim_W, imported = proc.stdout.split()
+    assert int(dim_W) >= 1 and imported == "False"

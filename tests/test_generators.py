@@ -179,6 +179,16 @@ class TestRandomRegular:
             A[u, v] = A[v, u] = 1.0
         assert lam2 == pytest.approx(np.sort(np.linalg.eigvalsh(A))[-2])
 
+    def test_lambda2_on_sparse_path(self):
+        """At n = 600 the graph is stored sparse and lambda_2 comes from the
+        windowed eigsh solve; it matches the dense spectrum."""
+        edges, lam2 = random_regular_graph(600, 4, seed=2)
+        A = np.zeros((600, 600))
+        for u, v in edges:
+            A[u, v] = A[v, u] = 1.0
+        assert lam2 == pytest.approx(np.sort(np.linalg.eigvalsh(A))[-2], abs=1e-9)
+        assert random_regular_graph(600, 0)[1] == 0.0  # the zero matrix
+
     def test_odd_total_degree_rejected(self):
         with pytest.raises(UGError):
             random_regular_graph(5, 3)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+from ugspectral import label_extended
 from ugspectral.core import characteristic_vector, value
+from ugspectral.generators import KVSpec, kv_instance, planted_regular_instance
 from ugspectral.label_extended import (
     build_label_extended,
     build_laplacian,
@@ -12,7 +15,7 @@ from ugspectral.label_extended import (
 )
 from ugspectral.linalg import eigendecompose
 
-from conftest import complete_skeleton, from_rows, planted_on, random_instance
+from conftest import complete_skeleton, from_rows, planted_on, random_instance, random_multigraph
 
 
 class TestBlocks:
@@ -100,3 +103,41 @@ class TestConstraintGraph:
         inst = from_rows(2, 2, [(0, 0, 0.5, (0, 1)), (0, 1, 1.0, (0, 1))])
         A = constraint_graph_adjacency(inst)
         assert A[0, 0] == 0.5 and A[0, 1] == 1.0
+
+
+class TestStorageRule:
+    def test_small_or_full_operators_stay_dense(self):
+        """Below SPARSE_MIN_DIM rows, or with more stored entries than
+        SPARSE_MAX_FILL of the matrix (the KV gap instance fills it), the
+        build is the dense array."""
+        assert isinstance(build_label_extended(random_instance(8, 4, seed=1)).matrix, np.ndarray)
+        kv = kv_instance(KVSpec(3, 0.25))
+        assert kv.n * kv.k < label_extended.SPARSE_MIN_DIM
+        assert len(kv.u) * kv.k > label_extended.SPARSE_MAX_FILL * (kv.n * kv.k) ** 2
+
+    def test_sparse_build_is_csr_of_E_k_nonzeros(self):
+        inst, _, _ = planted_regular_instance(128, 4, 4, seed=2, constraint_family="maxlin")
+        M = build_label_extended(inst).matrix
+        assert scipy.sparse.issparse(M) and M.format == "csr"
+        assert M.nnz == 2 * len(inst.u) * inst.k
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_instance(9, 3, seed=4),
+        lambda: random_multigraph(4, 3, 2, seed=5),  # parallel edges and self-loops
+        lambda: from_rows(2, 2, [(0, 0, 0.5, (1, 0)), (0, 1, 1.0, (0, 1))]),
+    ])
+    def test_sparse_equals_dense(self, make, monkeypatch):
+        """Every operator built sparse (the rule patched to always choose
+        CSR) densifies to the dense build, up to the order in which parallel
+        edges are summed, and is exactly symmetric."""
+        inst = make()
+        dense = (build_label_extended(inst).matrix, build_laplacian(inst).matrix,
+                 constraint_graph_adjacency(inst))
+        monkeypatch.setattr(label_extended, "SPARSE_MIN_DIM", 0)
+        monkeypatch.setattr(label_extended, "SPARSE_MAX_FILL", np.inf)
+        sparse = (build_label_extended(inst).matrix, build_laplacian(inst).matrix,
+                  constraint_graph_adjacency(inst))
+        for D, S in zip(dense, sparse):
+            assert scipy.sparse.issparse(S)
+            assert (S != S.T).nnz == 0
+            np.testing.assert_allclose(S.toarray(), D, rtol=0, atol=1e-15)

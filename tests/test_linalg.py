@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import eigsh
 
 from ugspectral.config import numeric_config
+from ugspectral.core import UGInstance
+from ugspectral.generators import perturb, planted_regular_instance
+from ugspectral.label_extended import build_label_extended, build_laplacian
 from ugspectral.linalg import (
     NumericError,
+    _sparse_window,
     eigendecompose,
     project_split,
     select_eigenspace,
@@ -166,3 +173,117 @@ class TestProjectSplit:
         s1, s2 = project_split(x, W), project_split(x, W2)
         assert s1.alpha == pytest.approx(s2.alpha, abs=1e-10)
         assert s1.beta == pytest.approx(s2.beta, abs=1e-10)
+
+
+def _maxlin_operator(n, k, frac, seed):
+    """Label-extended matrix of a planted Z_k Max-Lin instance on a random
+    4-regular graph: its characters chi_j and chi_(k-j) give exactly
+    degenerate eigenvalue pairs."""
+    inst, planted, _ = planted_regular_instance(n, 4, k, seed=seed, constraint_family="maxlin")
+    inst = perturb(inst, planted, frac, seed=seed + 1, constraint_family="maxlin")
+    return build_label_extended(inst).matrix, "adjacency-high"
+
+
+def _components_operator(n, k, frac, seed):
+    """Laplacian of three disjoint planted instances on random 3-regular
+    graphs with random permutations: one zero eigenvalue per component of
+    the label-extended graph, k of them per unperturbed component."""
+    parts = []
+    for c in range(3):
+        inst, planted, _ = planted_regular_instance(n // 6 * 2, 3, k, seed=seed + c)
+        if c:
+            inst = perturb(inst, planted, frac, seed=seed + 10 + c)
+        parts.append(inst)
+    offs = np.cumsum([0] + [p.n for p in parts])
+    inst = UGInstance.from_arrays(
+        int(offs[-1]), k,
+        np.concatenate([p.u + o for p, o in zip(parts, offs)]),
+        np.concatenate([p.v + o for p, o in zip(parts, offs)]),
+        np.concatenate([p.w for p in parts]),
+        np.concatenate([p.perm for p in parts]),
+    )
+    return build_laplacian(inst).matrix, "laplacian-low"
+
+
+class TestSparseWindow:
+    """The ARPACK window against the dense LAPACK one on the same matrix,
+    passed to the sparse routine as CSR."""
+
+    @given(st.sampled_from([_maxlin_operator, _components_operator]),
+           st.sampled_from([(64, 4), (48, 6), (40, 8)]), st.sampled_from([0.0, 0.04]),
+           st.integers(0, 10**4), st.integers(0, 11), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense(self, family, size, frac, seed, j, on_cluster):
+        """Same dim W, eigenvalues and nearest dropped eigenvalue within
+        residual_tol, same cut_gap sign and the same projector, with the
+        threshold either on the j-th eigenvalue (its cluster sits on the
+        threshold) or midway to the next distinct one."""
+        A, mode = family(*size, frac, seed)
+        vals = np.sort(np.linalg.eigvalsh(A))
+        if mode == "adjacency-high":
+            vals = vals[::-1]
+        tol = numeric_config().residual_tol * max(1.0, np.abs(vals).max())
+        t = vals[j]
+        if not on_cluster:
+            t = (t + vals[j:][np.abs(vals[j:] - t) > 1e-6][0]) / 2
+        dense = select_eigenspace(A, t, mode)
+        sparse = _sparse_window(scipy.sparse.csr_array(A), t, mode)
+        assert sparse is not None
+        assert sparse.dim == dense.dim >= j + 1
+        assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= tol
+        assert abs(sparse.nearest_dropped - dense.nearest_dropped) <= tol
+        assert np.sign(sparse.cut_gap) == np.sign(dense.cut_gap) == 1
+        P = sparse.basis @ sparse.basis.T - dense.basis @ dense.basis.T
+        assert np.abs(P).max() <= 1e-8
+        assert np.abs(sparse.basis.T @ sparse.basis - np.eye(sparse.dim)).max() <= tol
+        for W in (dense, sparse):
+            assert W.max_residual <= tol
+
+    def test_missed_copy_found_by_certificate(self, monkeypatch):
+        """On this matrix the first eigsh call, for 16 pairs, returns 14
+        inside the window at 3.3, which holds 16: Lanczos skipped copies of
+        repeated eigenvalues.  The calls on the deflated operator find
+        them."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            out = eigsh(*args, **kwargs)
+            calls.append(out[0] - 4.0)  # op = A + cI with c = d = 4
+            return out
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+        A, _ = _maxlin_operator(64, 8, 0.0, 3)
+        sparse = _sparse_window(scipy.sparse.csr_array(A), 3.3, "adjacency-high")
+        dense = select_eigenspace(A, 3.3, "adjacency-high")
+        assert (calls[0] >= 3.3).sum() < dense.dim == sparse.dim
+        assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-9
+
+    def test_large_window_falls_back_to_dense(self):
+        A = scipy.sparse.csr_array(random_symmetric(40, 1))
+        assert _sparse_window(A, 0.0, "adjacency-high") is None
+        W = select_eigenspace(A, 0.0, "adjacency-high")
+        dense = select_eigenspace(A.toarray(), 0.0, "adjacency-high")
+        assert np.array_equal(W.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(W.basis, dense.basis)
+
+    @pytest.mark.parametrize("threshold,dim", [(0.0, 600), (1.0, 0)])
+    def test_zero_matrix_falls_back_to_dense(self, threshold, dim):
+        """ARPACK stops on the zero operator (its Krylov space is empty); the
+        dense path answers."""
+        A = scipy.sparse.csr_array((600, 600))
+        assert _sparse_window(A, threshold, "adjacency-high") is None
+        assert select_eigenspace(A, threshold, "adjacency-high").dim == dim
+
+    def test_rejects_non_symmetric_and_non_finite(self):
+        A = scipy.sparse.csr_array(np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]))
+        with pytest.raises(NumericError):
+            select_eigenspace(A, 0.0, "adjacency-high")
+        A = scipy.sparse.csr_array(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        with pytest.raises(NumericError):
+            select_eigenspace(A, 0.0, "adjacency-high")
+
+    def test_deterministic(self):
+        A = scipy.sparse.csr_array(_maxlin_operator(64, 4, 0.04, 7)[0])
+        W1, W2 = (_sparse_window(A, 3.0, "adjacency-high") for _ in range(2))
+        assert np.array_equal(W1.eigenvalues, W2.eigenvalues)
+        assert np.array_equal(W1.basis, W2.basis)

@@ -236,6 +236,18 @@ class TestSinTheta:
                 assert rep.beta_measured <= rep.beta_bound + 1e-8
             assert rep.numerator <= rep.r_matrix_bound + 1e-8
 
+    def test_default_vector_is_top_eigenvector(self):
+        """With w None the report is the one for the first eigenvector of a
+        full decomposition (the top eigenvalue d is simple here)."""
+        ml, planted = self._planted(seed=5)
+        pert = MaxLinInstance.from_instance(
+            perturb(ml.base, planted, 0.1, seed=1, constraint_family="maxlin")
+        )
+        w = eigendecompose(build_label_extended(pert.base).matrix)[1][:, 0]
+        want = sin_theta_report(pert, ml, w, gamma=0.5).to_dict()
+        got = sin_theta_report(pert, ml, None, gamma=0.5).to_dict()
+        assert got == pytest.approx(want, rel=0, abs=1e-9)
+
     def test_r_matrix_budget(self):
         ml, planted = self._planted(seed=2)
         pert_inst = perturb(ml.base, planted, 0.1, seed=9, constraint_family="maxlin")

@@ -1,14 +1,23 @@
 """Net enumeration, read-off, and the end-to-end solver."""
 
 import itertools
+import json
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, given, settings, strategies as st
 
 import ugspectral.core as core_mod
+import ugspectral.label_extended as label_extended_mod
 import ugspectral.recover as recover_mod
-from ugspectral.config import NumericConfig, reset_numeric_config, set_numeric_config
+from ugspectral.config import (
+    NumericConfig,
+    numeric_config,
+    reset_numeric_config,
+    set_numeric_config,
+)
 from ugspectral.core import UGError, characteristic_vector, value, value_batch
 from ugspectral.generators import (
     KVSpec,
@@ -16,7 +25,9 @@ from ugspectral.generators import (
     kv_instance,
     kv_spectrum,
     perturb,
+    planted_regular_instance,
 )
+from ugspectral.label_extended import build_label_extended
 from ugspectral.linalg import Eigenspace
 from ugspectral.recover import (
     DegenerateSpectrumError,
@@ -164,6 +175,53 @@ class TestNet:
             net_size(0, 0.5)
         with pytest.raises(UGError):
             net_size(2, 0.0)
+
+
+def python_int_net_size(dim, step):
+    """The exact count by the object-dtype (Python int) dynamic programme
+    over the integer sum of squares."""
+    r2 = int(np.floor(_net_radius2(dim, step)))
+    m = int(np.floor(np.sqrt(r2)))
+    counts = np.zeros(r2 + 1, dtype=object)
+    counts[0] = 1
+    for _ in range(dim):
+        nxt = np.zeros(r2 + 1, dtype=object)
+        for z in range(-m, m + 1):
+            nxt[z * z:] += counts[: r2 + 1 - z * z]
+        counts = nxt
+    return int(counts.sum())
+
+
+class TestNetSize:
+    @given(st.integers(1, 16), st.floats(0.0, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_python_int_count(self, dim, t):
+        """The int64 count equals the Python-int one on a grid reaching
+        counts above 2**31 (dim 12 at step 0.25 has 1.57e9 points, dim 16 at
+        step 0.3 has 1.0e11), and a cap only replaces counts above it by
+        cap + 1."""
+        step = [0.05, 0.15, 0.25, 0.3][min(dim // 4, 3)] + 0.5 * t
+        exact = python_int_net_size(dim, step)
+        assert net_size(dim, step) == exact
+        for cap in (1000, 2**31 - 1):
+            assert net_size(dim, step, cap) == (exact if exact <= cap else cap + 1)
+
+    def test_above_int32(self):
+        assert net_size(12, 0.25) == python_int_net_size(12, 0.25) == 1566324569
+        assert net_size(16, 0.3) == python_int_net_size(16, 0.3) > 2**36
+
+    def test_fast_at_large_radius(self):
+        """A 1,001-point net at r2 = 250,000, and nets far over the cap,
+        are counted or rejected without an O(m * r2) table."""
+        t0 = time.perf_counter()
+        assert net_size(1, 0.002) == 1001
+        assert net_size(2, 1e-5, cap=10**8) == 10**8 + 1
+        assert net_size(5, 1e-4, cap=10**8) == 10**8 + 1
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_count_beyond_int64_rejected(self):
+        with pytest.raises(NetTooLargeError):
+            net_size(40, 0.2)
 
 
 class TestThreshold:
@@ -320,8 +378,9 @@ class TestRecover:
         d = rep.to_dict()
         for key in ("best_labeling", "best_value", "decision", "yes_threshold",
                     "dim_W", "net_points_evaluated", "eigen_time",
-                    "enumeration_time", "net_step", "mode"):
+                    "enumeration_time", "net_step", "mode", "cut_gap", "max_residual"):
             assert key in d
+        assert 0 <= d["max_residual"] <= numeric_config().residual_tol * 5  # d = 5
         assert d["net_step"] == pytest.approx(np.sqrt(2 * 0.01 / (0.5 * rep.dim_W)))
 
     def test_deterministic_reports(self):
@@ -330,6 +389,26 @@ class TestRecover:
         r1, r2 = recover_solution(inst, p), recover_solution(inst, p)
         assert r1.best_labeling.tolist() == r2.best_labeling.tolist()
         assert r1.best_value == r2.best_value
+
+    def test_sparse_solves_bitwise_equal(self, monkeypatch):
+        """Two solves on the sparse path in one process return equal
+        reports, bit for bit but the timers, with the answer, dim W and
+        cut_gap sign of the dense path."""
+        inst, planted, _ = planted_regular_instance(128, 4, 4, seed=1, constraint_family="maxlin")
+        inst = perturb(inst, planted, 0.02, seed=1, constraint_family="maxlin")
+        assert scipy.sparse.issparse(build_label_extended(inst).matrix)
+        p = SolveParams(0.005, 0.05, max_dim=8, net_step_override=1.0)
+        timers = ("eigen_time", "enumeration_time")
+        r1, r2 = (recover_solution(inst, p).to_dict() for _ in range(2))
+        for r in (r1, r2):
+            for key in timers:
+                del r[key]
+        assert json.dumps(r1) == json.dumps(r2)
+        assert r1["max_residual"] <= numeric_config().residual_tol * 4
+        monkeypatch.setattr(label_extended_mod, "SPARSE_MIN_DIM", 10**9)
+        dense = recover_solution(inst, p)
+        assert (dense.dim_W, dense.best_value) == (r1["dim_W"], r1["best_value"])
+        assert r1["cut_gap"] == pytest.approx(dense.cut_gap, abs=1e-9) and dense.cut_gap > 0
 
 
 def reference_labelings(inst, params):
