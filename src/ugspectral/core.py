@@ -10,6 +10,7 @@ permutation.  Multi-edges and self-loops are allowed.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,8 +68,9 @@ class EdgeView(Sequence):
 
 def _unit_scale(w):
     """Weights divided by their maximum when it exceeds 1, and that factor."""
-    wmax = max(w, default=0.0)
-    return (np.divide(w, wmax), wmax) if wmax > 1.0 else (w, 1.0)
+    w = np.asarray(w, dtype=np.float64)
+    wmax = float(w.max(initial=0.0))
+    return (w / wmax, wmax) if wmax > 1.0 else (w, 1.0)
 
 
 def shift_image(i, c, k):
@@ -154,6 +156,12 @@ class UGInstance:
         cells = (pair[:, None] * k + at_a) * k + at_b
         table = np.bincount(cells.ravel(), np.repeat(w, k), minlength=P * k * k)
         return (*divmod(pairs, self.n), table.reshape(P, k, k), np.bincount(pair, w, minlength=P))
+
+    @property
+    def value_path(self):
+        """How value_batch scores this instance when it has edges:
+        "pair-table" or "edge"."""
+        return "edge" if self._pair_table is None else "pair-table"
 
     def degrees(self):
         """Constraint-graph degrees; self-loop weight counted once."""
@@ -293,7 +301,25 @@ def _fmt_weight(w):
 
 
 def parse_instance(text: str) -> UGInstance:
+    """Instance from its text form.  ASCII text has its edge lines parsed
+    as arrays in one ``np.loadtxt`` call; on other text, and on any input
+    that path rejects, the line loop runs and raises the error it names,
+    with its line number.  Both give bitwise-equal instances."""
     lines = text.splitlines()
+    header = _read_header(lines)
+    # Non-ASCII text goes to the loop alone: loadtxt can crash the
+    # interpreter on a non-ASCII character inside an integer field (numpy
+    # 2.4.6 segfaults now and then on the token "1\U0002c6d41").
+    if text.isascii():
+        try:
+            return _parse_arrays(lines, *header)
+        except (ValueError, UGError, Warning):
+            pass  # the loop also takes tokens loadtxt rejects, such as 1_0
+    return _parse_lines(lines, *header)
+
+
+def _read_header(lines):
+    """(format, n, k, line number of the header) of an instance's lines."""
     header = None
     header_line = 0
     for i, raw in enumerate(lines, start=1):
@@ -307,14 +333,40 @@ def parse_instance(text: str) -> UGInstance:
         raise ParseError("empty input, expected 'ug <n> <k>' or 'maxlin <n> <k>' header")
     if len(header) != 3 or header[0] not in ("ug", "maxlin"):
         raise ParseError("expected 'ug <n> <k>' or 'maxlin <n> <k>'", header_line)
-    fmt = header[0]
     try:
         n, k = int(header[1]), int(header[2])
     except ValueError:
         raise ParseError("non-integer n or k in header", header_line)
     if n < 1 or k < 1:
         raise ParseError("n and k must be positive", header_line)
+    return header[0], n, k, header_line
 
+
+def _parse_arrays(lines, fmt, n, k, header_line) -> UGInstance:
+    """The edge lines after the header in one ``np.loadtxt`` call, checked
+    by ``UGInstance._store``.  Raises ValueError, UGError or a Warning, with
+    no message meant for the user, on every input the line loop rejects."""
+    row = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64),
+                    ("images", np.int64, (1 if fmt == "maxlin" else k,))])
+    with warnings.catch_warnings():
+        # Every warning rejects: an empty body ("input contained no data"),
+        # and numpy 1.23-1.x reading an int64 field from a token such as 1.0.
+        warnings.simplefilter("error")
+        rows = np.loadtxt(lines[header_line:], dtype=row, comments="#", ndmin=1)
+    w, images = rows["w"], rows["images"]
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError
+    if fmt == "maxlin":
+        if np.any((images < 0) | (images >= k)):
+            raise ValueError
+        images = shift_image(np.arange(k), images, k)
+    w, scale = _unit_scale(w)
+    return UGInstance.from_arrays(n, k, rows["u"], rows["v"], w, images, scale)
+
+
+def _parse_lines(lines, fmt, n, k, header_line) -> UGInstance:
+    """The edge lines after the header, one at a time: the reference for
+    the array path, and the path that names a bad line."""
     want = 4 if fmt == "maxlin" else 3 + k
     identity = list(range(k))
     u, v, w, perm = [], [], [], []

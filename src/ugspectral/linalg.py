@@ -167,8 +167,11 @@ def _sparse_window(A, threshold, mode) -> Eigenspace | None:
     call that finds nothing left inside the window: the largest eigenvalue
     of the deflated operator then lies outside it, and it is
     ``nearest_dropped``.  The block doubles after a call that kept all it
-    found, and is one pair after a call that kept some.  The start vector is
-    a fixed seeded draw, so a solve is deterministic.
+    found, and is one pair after a call that kept some.  Each call starts
+    from a new draw of one seeded generator, so a solve is deterministic:
+    the copies one Lanczos run misses are, in exact arithmetic, orthogonal
+    to its start vector, so a rerun from it would see them only through
+    rounding.
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import ArpackError, eigsh
@@ -183,14 +186,15 @@ def _sparse_window(A, threshold, mode) -> Eigenspace | None:
     c = float(abs(A).sum(axis=1).max(initial=0.0))
     op = (sign * A + c * sp.eye_array(dim, format="csr")).tocsr()
     cut = sign * threshold + c - numeric_config().residual_tol * max(1.0, c)
-    v0 = np.random.default_rng(0).standard_normal(dim)
+    rng = np.random.default_rng(0)
     basis, mu = np.zeros((dim, 0)), np.zeros(0)
     block = SPARSE_BLOCK
     while True:
         if basis.shape[1] + block > SPARSE_MAX_SHARE * dim:
             return None
         try:
-            found, X = eigsh(_deflated(op, basis), k=block, which="LA", v0=v0)
+            found, X = eigsh(_deflated(op, basis), k=block, which="LA",
+                             v0=rng.standard_normal(dim))
         except ArpackError:  # no convergence, or a zero operator's Krylov space
             return None
         keep = found >= cut

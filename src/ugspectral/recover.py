@@ -85,6 +85,8 @@ class SolveReport:
     mode: str
     cut_gap: float | None = None  # Eigenspace.cut_gap of W
     max_residual: float = float("nan")  # Eigenspace.max_residual of W
+    distinct_labelings: int = 0  # distinct candidate labelings scored
+    value_path: str | None = None  # UGInstance.value_path: 'pair-table' | 'edge'
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -101,6 +103,8 @@ class SolveReport:
             "mode": self.mode,
             "cut_gap": self.cut_gap,
             "max_residual": self.max_residual,
+            "distinct_labelings": self.distinct_labelings,
+            "value_path": self.value_path,
         }
         d.update(self.extras)
         return d
@@ -326,6 +330,8 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
         mode=params.mode,
         cut_gap=W.cut_gap,
         max_residual=W.max_residual,
+        distinct_labelings=len(labelings),
+        value_path=inst.value_path,
     )
 
 

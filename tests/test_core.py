@@ -1,5 +1,7 @@
 """Data model, labeling evaluation, and text serialization."""
 
+import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -21,11 +23,69 @@ from ugspectral.core import (
     value,
     value_batch,
 )
-from ugspectral.generators import PlantedSpec, planted_instance
+from ugspectral.generators import (
+    KVSpec,
+    PlantedSpec,
+    kv_instance,
+    planted_instance,
+    planted_regular_instance,
+)
 from ugspectral.label_extended import build_label_extended
 from ugspectral.maxlin import AbelianGroup, MaxLinInstance
 
 from conftest import from_rows, random_instance, random_multigraph
+
+
+# Tokens that int() and float() read differently from np.loadtxt, or reject,
+# and the characters other than \n at which str.splitlines breaks a line.
+ODD_TOKENS = ["1.0", "1e0", "1.", "inf", "nan", "-1.0", "1e400", "0x1", "99999999999999999999",
+              "+3", "-0", "1_0", ".5", "5.", "007", "\u0663", "-1", "9", "bad"]
+LINE_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def parse_by_lines(text):
+    """parse_instance by the line loop alone, the reference for the array path."""
+    lines = text.splitlines()
+    return core_mod._parse_lines(lines, *core_mod._read_header(lines))
+
+
+def parse_outcome(parse, text):
+    """n, k, scale and the raw edge arrays of a parse, or its error type and text."""
+    try:
+        inst = parse(text)
+    except UGError as e:
+        return type(e), str(e)
+    arrays = [(a.dtype.str, a.shape, a.tobytes()) for a in (inst.u, inst.v, inst.w, inst.perm)]
+    return inst.n, inst.k, inst.scale, arrays
+
+
+@st.composite
+def instance_texts(draw):
+    """ug or maxlin text with lines ended by any str.splitlines break,
+    inline comments and blank lines; an edge line is valid unless it draws
+    one mutation: an odd token, a dropped or doubled field, or a line break
+    or tab between fields."""
+    fmt = draw(st.sampled_from(["ug", "maxlin"]))
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    weights = st.sampled_from(["1", "0.5", "0", "2.5"]) | st.floats(0, 8).map(lambda x: format(x, ".17g"))
+    lines = [f"{fmt} {n} {k}"]
+    for _ in range(draw(st.integers(0, 6))):
+        images = [draw(st.integers(0, k - 1))] if fmt == "maxlin" else draw(st.permutations(range(k)))
+        tokens = [str(draw(st.integers(0, n - 1))), str(draw(st.integers(0, n - 1))), draw(weights)]
+        tokens += map(str, images)
+        seps = [" "] * len(tokens)
+        mutation = draw(st.integers(0, 8))
+        i = draw(st.integers(0, len(tokens) - 1))
+        if mutation == 6:
+            tokens[i] = draw(st.sampled_from(ODD_TOKENS))
+        elif mutation == 7:
+            tokens[i : i + 1] = draw(st.sampled_from([[], [tokens[i]] * 2]))
+        elif mutation == 8:
+            seps[i] = draw(st.sampled_from(["\t", *LINE_BREAKS]))
+        line = "".join(t + sep for t, sep in zip(tokens, seps)).rstrip(" ")
+        lines.append(line + draw(st.sampled_from(["", "", "  # note", "#"])))
+        lines += draw(st.sampled_from([[], [], [""], ["# comment"], ["   "]]))
+    return "".join(line + draw(st.sampled_from(["\n", *LINE_BREAKS])) for line in lines)
 
 
 class TestPermutation:
@@ -347,26 +407,123 @@ class TestSerialization:
         assert len(inst.edges) == 1
         assert inst.edges[0].perm == (1, 0)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "nope 2 2\n",
-            "ug x 2\n",
-            "ug 2 2\n0 1 1.0\n",            # missing images
-            "ug 2 2\n0 1 1.0 0 0\n",        # not a bijection
-            "ug 2 2\n0 5 1.0 0 1\n",        # vertex out of range
-            "ug 2 2\n0 1 -1.0 0 1\n",       # negative weight
-            "maxlin 2 3\n0 1 1.0 7\n",      # shift out of range
-        ],
-    )
-    def test_parse_errors(self, text):
-        with pytest.raises(ParseError):
+    @pytest.mark.parametrize("text, error, message", [
+        pytest.param(text, ParseError, message, id=text) for text, message in [
+            ("", "empty input, expected 'ug <n> <k>' or 'maxlin <n> <k>' header"),
+            ("nope 2 2\n", "line 1: expected 'ug <n> <k>' or 'maxlin <n> <k>'"),
+            ("ug x 2\n", "line 1: non-integer n or k in header"),
+            ("ug 2 2\n0 1 1.0\n", "line 2: expected 5 fields, got 3"),
+            ("ug 2 2\n0 1 1.0 0 0\n", "line 2: not a bijection on [2]: (0, 0)"),
+            ("ug 2 2\n0 5 1.0 0 1\n", "line 2: vertex index out of range [0, 2)"),
+            ("ug 2 2\n0 1 -1.0 0 1\n", "line 2: bad weight -1.0"),
+            ("maxlin 2 3\n0 1 1.0 7\n", "line 2: shift constant out of range [0, 3)"),
+        ]
+    ] + [
+        # Each failure class after comment and blank lines: a bad header on
+        # line 3, or a bad edge on line 6 after a good one on line 4.
+        pytest.param(f"# c\n\n{header}\n", ParseError, message, id=name)
+        for name, header, message in [
+            ("comment-only", "# no header", "empty input, expected 'ug <n> <k>' or 'maxlin <n> <k>' header"),
+            ("keyword", "graph 2 2", "line 3: expected 'ug <n> <k>' or 'maxlin <n> <k>'"),
+            ("header-fields", "ug 2 2 2", "line 3: expected 'ug <n> <k>' or 'maxlin <n> <k>'"),
+            ("header-int", "ug 2 2.0", "line 3: non-integer n or k in header"),
+            ("header-n", "ug 0 2", "line 3: n and k must be positive"),
+            ("header-k", "maxlin 2 -1", "line 3: n and k must be positive"),
+        ]
+    ] + [
+        pytest.param(f"# c\n\n{header}\n{good}  # ok\n\n{edge}\n", error, message, id=name)
+        for name, header, good, edge, error, message in [
+            ("few-fields", "ug 2 2", "0 1 1.0 0 1", "0 1 1.0 0", ParseError,
+             "line 6: expected 5 fields, got 4"),
+            ("many-fields", "ug 2 2", "0 1 1.0 0 1", "0 1 1.0 0 1 1", ParseError,
+             "line 6: expected 5 fields, got 6"),
+            ("maxlin-fields", "maxlin 2 3", "0 1 1.0 1", "0 1 1.0 1 2", ParseError,
+             "line 6: expected 4 fields, got 5"),
+            ("int-1.0", "ug 2 2", "0 1 1.0 0 1", "0 1.0 1.0 0 1", ParseError,
+             "line 6: malformed edge fields"),
+            ("int-1e0", "ug 2 2", "0 1 1.0 0 1", "1e0 1 1.0 0 1", ParseError,
+             "line 6: malformed edge fields"),
+            ("int-inf", "ug 2 2", "0 1 1.0 0 1", "0 1 1.0 inf 1", ParseError,
+             "line 6: malformed edge fields"),
+            ("shift-1.0", "maxlin 2 3", "0 1 1.0 1", "0 1 1.0 1.0", ParseError,
+             "line 6: malformed edge fields"),
+            ("weight-token", "ug 2 2", "0 1 1.0 0 1", "0 1 bad 0 1", ParseError,
+             "line 6: malformed edge fields"),
+            ("weight-negative", "ug 2 2", "0 1 1.0 0 1", "0 1 -1.0 0 1", ParseError,
+             "line 6: bad weight -1.0"),
+            ("weight-nan", "ug 2 2", "0 1 1.0 0 1", "0 1 nan 0 1", ParseError,
+             "line 6: bad weight nan"),
+            ("weight-inf", "ug 2 2", "0 1 1.0 0 1", "0 1 inf 0 1", ParseError,
+             "line 6: bad weight inf"),
+            ("weight-1e400", "maxlin 2 3", "0 1 1.0 1", "0 1 1e400 1", ParseError,
+             "line 6: bad weight 1e400"),
+            ("vertex-high", "ug 2 2", "0 1 1.0 0 1", "0 2 1.0 0 1", ParseError,
+             "line 6: vertex index out of range [0, 2)"),
+            ("vertex-negative", "maxlin 2 3", "0 1 1.0 1", "-1 0 1.0 1", ParseError,
+             "line 6: vertex index out of range [0, 2)"),
+            ("bijection", "ug 2 3", "0 1 1.0 0 1 2", "0 1 1.0 0 1 3", ParseError,
+             "line 6: not a bijection on [3]: (0, 1, 3)"),
+            ("shift-high", "maxlin 2 3", "0 1 1.0 1", "0 1 1.0 3", ParseError,
+             "line 6: shift constant out of range [0, 3)"),
+            ("shift-negative", "maxlin 2 3", "0 1 1.0 1", "0 1 1.0 -1", ParseError,
+             "line 6: shift constant out of range [0, 3)"),
+            ("zero-weight", "ug 2 2", "0 1 0.0 0 1", "1 0 0 1 0", UGError,
+             "total edge weight must be positive"),
+        ]
+    ])
+    def test_parse_errors(self, text, error, message):
+        with pytest.raises(error, match=re.escape(message)) as raised:
             parse_instance(text)
+        assert type(raised.value) is error
 
     def test_parse_error_names_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_instance("# c\nug 2 2\n0 1 bad 0 1\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance_texts())
+    def test_parse_matches_line_loop(self, text):
+        """The array path accepts exactly what the line loop accepts, with
+        bitwise-equal arrays, errors name the loop's line, and no loadtxt
+        warning (such as "input contained no data") escapes."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = parse_outcome(parse_instance, text)
+        assert not caught
+        assert outcome == parse_outcome(parse_by_lines, text)
+
+    def test_non_ascii_text_skips_loadtxt(self, monkeypatch):
+        """numpy's loadtxt can crash the interpreter on a non-ASCII
+        character in an integer field, so such text goes to the loop alone."""
+        def array_path(*args):
+            raise AssertionError("non-ASCII text reached np.loadtxt")
+
+        monkeypatch.setattr(core_mod, "_parse_arrays", array_path)
+        inst = parse_instance("# d\u00e9j\u00e0 vu\nug 2 2\n\u0660 1 1.0 1 0\n")
+        assert inst.edges[0] == (0, 1, 1.0, (1, 0))
+        with pytest.raises(ParseError, match=re.escape("line 3: malformed edge fields")):
+            parse_instance("ug 2 2\n\n1\U0002c6d41 1 1.0 0 1\n")
+
+    @pytest.mark.parametrize("make_text", [
+        pytest.param(lambda: serialize_instance(kv_instance(KVSpec(2, 0.25))), id="kv2"),
+        pytest.param(lambda: serialize_instance(kv_instance(KVSpec(3, 0.25))), id="kv3"),
+        pytest.param(lambda: serialize_instance(planted_regular_instance(
+            60, 4, 8, seed=1, constraint_family="maxlin")[0]), id="planted-maxlin"),
+        pytest.param(lambda: serialize_instance(planted_instance(PlantedSpec(
+            5, 4, [(0, 1, 3.0), (1, 2, 0.7), (2, 2), (3, 4, 1 / 3), (4, 0, 2.5)],
+            [0, 1, 2, 3, 0], seed=2))[0]), id="planted-general"),
+        pytest.param(lambda: "# c\nmaxlin 3 4\n0 1 1.0 2  # x_0 - x_1 = 2\n\n1 2 0.5 0\n", id="maxlin-text"),
+    ])
+    def test_generated_text_takes_array_path(self, make_text, monkeypatch):
+        """Generator output parses without the line loop, which is ten times
+        slower on the KV instances."""
+        def line_loop(*args):
+            raise AssertionError("parse_instance fell back to the line loop")
+
+        text = make_text()
+        expected = parse_outcome(parse_by_lines, text)
+        monkeypatch.setattr(core_mod, "_parse_lines", line_loop)
+        assert parse_outcome(parse_instance, text) == expected
 
 
 def test_validate_labeling_returns_array(small_instance):

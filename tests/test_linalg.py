@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import eigsh
 
 from ugspectral.config import numeric_config
@@ -213,6 +213,9 @@ class TestSparseWindow:
            st.sampled_from([(64, 4), (48, 6), (40, 8)]), st.sampled_from([0.0, 0.04]),
            st.integers(0, 10**4), st.integers(0, 11), st.booleans())
     @settings(max_examples=30, deadline=None)
+    # The first call returns 6 of the 8 copies of 3.02875; when every call
+    # restarted from one vector, the certificate call missed the other 2.
+    @example(family=_maxlin_operator, size=(40, 8), frac=0.0, seed=544, j=8, on_cluster=False)
     def test_matches_dense(self, family, size, frac, seed, j, on_cluster):
         """Same dim W, eigenvalues and nearest dropped eigenvalue within
         residual_tol, same cut_gap sign and the same projector, with the

@@ -275,6 +275,7 @@ class TestSearchSpace:
         lam = [lam for lam, _ in kv_spectrum(KVSpec(2, 0.25))]  # 4, 2, 1, ...
         assert rep.cut_gap == pytest.approx(lam[1] - lam[2], abs=1e-9)
         assert rep.to_dict()["cut_gap"] == rep.cut_gap
+        assert rep.to_dict()["value_path"] == "pair-table"  # 10 pairs, 160 edges, k = 4
 
     def test_perfect_planted_in_high_window(self):
         inst, planted = planted_on(8, 3, complete_skeleton(8), seed=1, family="maxlin")
@@ -378,8 +379,11 @@ class TestRecover:
         d = rep.to_dict()
         for key in ("best_labeling", "best_value", "decision", "yes_threshold",
                     "dim_W", "net_points_evaluated", "eigen_time",
-                    "enumeration_time", "net_step", "mode", "cut_gap", "max_residual"):
+                    "enumeration_time", "net_step", "mode", "cut_gap", "max_residual",
+                    "distinct_labelings", "value_path"):
             assert key in d
+        assert d["value_path"] == "edge"  # 15 pairs, one edge each
+        assert 1 <= d["distinct_labelings"] <= d["net_points_evaluated"] + 2 * d["dim_W"]
         assert 0 <= d["max_residual"] <= numeric_config().residual_tol * 5  # d = 5
         assert d["net_step"] == pytest.approx(np.sqrt(2 * 0.01 / (0.5 * rep.dim_W)))
 
@@ -478,7 +482,7 @@ class TestSearchMatchesReference:
         rep = recover_solution(pert, params)
         distinct = {tuple(L) for L in reference_labelings(pert, params)}
         assert rep.net_points_evaluated > 7
-        assert rows == [len(distinct)]
+        assert rows == [len(distinct)] == [rep.distinct_labelings]
 
     @pytest.mark.parametrize("seed,frac,step", [(4, 0.03, None), (6, 0.1, 0.9), (6, 0.1, 0.3)])
     def test_perturbed_maxlin(self, seed, frac, step):
