@@ -116,25 +116,13 @@ def cmd_gen(args, t0):
 
 def cmd_solve(args, t0):
     inst = load_instance(args.file)
+    common = dict(epsilon=args.epsilon, gamma=args.gamma, theta=args.theta,
+                  max_dim=args.max_dim, net_step_override=args.net_step)
     if args.maxlin:
         ml = maxlin.MaxLinInstance.from_instance(inst)
-        params = maxlin.MaxLinParams(
-            epsilon=args.epsilon,
-            gamma=args.gamma,
-            theta=args.theta,
-            max_dim=args.max_dim,
-            net_step_override=args.net_step,
-        )
-        report = maxlin.solve_maxlin(ml, params)
+        report = maxlin.solve_maxlin(ml, maxlin.MaxLinParams(**common))
     else:
-        params = SolveParams(
-            epsilon=args.epsilon,
-            gamma=args.gamma,
-            max_dim=args.max_dim,
-            mode=args.mode,
-            net_step_override=args.net_step,
-        )
-        report = recover.recover_solution(inst, params)
+        report = recover.recover_solution(inst, SolveParams(mode=args.mode, **common))
     out = report.to_dict()
     out["manifest"] = make_manifest(input_path=args.file, t0=t0)
     _emit(out)
@@ -236,7 +224,10 @@ def build_parser():
     s.add_argument("--max-dim", type=int, default=8)
     s.add_argument("--net-step", type=float, default=None)
     s.add_argument("--maxlin", action="store_true")
-    s.add_argument("--theta", type=float, default=None)
+    s.add_argument("--theta", type=float, default=None,
+                   help="search window, 0 < theta <= gamma: W is cut at (1-theta)d "
+                        "(theta*d in laplacian mode); default gamma, or the Max-Lin "
+                        "default with --maxlin")
     s.set_defaults(func=cmd_solve)
 
     o = sub.add_parser("oracle", help="exact brute-force optimum")

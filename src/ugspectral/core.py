@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -280,6 +280,15 @@ def characteristic_vector(labels: Sequence[int], k: int, normalized=False) -> np
     y = np.zeros(n * k)
     y[np.arange(n) * k + L] = 1.0 / np.sqrt(n) if normalized else 1.0
     return y
+
+
+def report_dict(report) -> dict:
+    """A solver or oracle report dataclass as a JSON-ready dict: its fields
+    in declaration order, the labeling as ints, then its ``extras``, if any."""
+    d = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "extras"}
+    d["best_labeling"] = [int(x) for x in report.best_labeling]
+    d.update(getattr(report, "extras", {}))
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,12 @@ class KVSpec:
         return self.N // self.n
 
 
-def _parity(x):
-    return bin(x).count("1") & 1
+def _popcount_table(bits) -> np.ndarray:
+    """Number of set bits of every integer in [0, 2^bits)."""
+    table = np.zeros(1, dtype=np.int64)
+    for _ in range(bits):
+        table = np.concatenate([table, table + 1])
+    return table
 
 
 def hadamard_code(kappa) -> np.ndarray:
@@ -232,15 +236,9 @@ def hadamard_code(kappa) -> np.ndarray:
     the constraint orientation; the label-extended equivalence test is
     sensitive to it.
     """
-    n = 2**kappa
-    code = np.zeros(n, dtype=np.int64)
-    for y in range(n):
-        h = 0
-        for x in range(n):
-            if _parity(x & y):
-                h |= 1 << x
-        code[y] = h
-    return code
+    x = np.arange(2**kappa)
+    bits = _popcount_table(kappa)[x[:, None] & x[None, :]] & 1  # row y, column x
+    return (bits << x).sum(axis=1)
 
 
 def _kv_weight_table(spec: KVSpec) -> np.ndarray:
@@ -254,20 +252,12 @@ def kv_cosets(spec: KVSpec):
     """(representatives, coset index of every hypercube vertex).
 
     Representative of a coset of the Hadamard code is its lexicographically
-    smallest member.
+    smallest member; cosets are indexed in the order of their smallest
+    members.
     """
-    H = hadamard_code(spec.kappa)
-    N = spec.N
-    coset_of = np.full(N, -1, dtype=np.int64)
-    reps = []
-    for x in range(N):
-        if coset_of[x] >= 0:
-            continue
-        members = x ^ H
-        rep_index = len(reps)
-        reps.append(int(members.min()))
-        coset_of[members] = rep_index
-    return np.array(reps, dtype=np.int64), coset_of
+    # The code is linear, so x ^ H is the whole coset of x.
+    smallest = (np.arange(spec.N)[:, None] ^ hadamard_code(spec.kappa)).min(axis=1)
+    return np.unique(smallest, return_inverse=True)
 
 
 def kv_constraint_graph(spec: KVSpec):
@@ -277,16 +267,10 @@ def kv_constraint_graph(spec: KVSpec):
         raise UGError("kv_constraint_graph materializes only up to kappa=3")
     reps, _ = kv_cosets(spec)
     H = hadamard_code(spec.kappa)
-    wt = _kv_weight_table(spec)
-    m, n = spec.m, spec.n
-    A = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            # sum over h1, h2 collapses to n * sum over h of the coset diff
-            diffs = reps[i] ^ reps[j] ^ H
-            hw = np.array([bin(int(z)).count("1") for z in diffs])
-            A[i, j] = n * wt[hw].sum()
-    return reps, A
+    # The sum over h1, h2 collapses to n * the sum over h of the coset difference.
+    diffs = (reps[:, None] ^ reps[None, :])[:, :, None] ^ H
+    wt = _kv_weight_table(spec)[_popcount_table(spec.n)[diffs]]
+    return reps, spec.n * wt.sum(axis=2)
 
 
 def kv_instance(spec: KVSpec) -> UGInstance:
@@ -307,7 +291,7 @@ def kv_instance(spec: KVSpec) -> UGInstance:
     i, j = np.triu_indices(m)           # coset pairs i <= j, row-major
     s, t = np.divmod(np.arange(n * n), n)  # codeword pairs, s outermost
     z = (reps[i] ^ reps[j])[:, None] ^ (H[s] ^ H[t])[None, :]
-    popcount = np.array([bin(x).count("1") for x in range(2**n)])
+    popcount = _popcount_table(n)
     perm = np.arange(n)[None, :] ^ (s ^ t)[:, None]  # x -> x XOR (s XOR t)
     return UGInstance.from_arrays(
         m, n, np.repeat(i, n * n), np.repeat(j, n * n), wt[popcount[z.ravel()]],
@@ -323,7 +307,7 @@ def kv_label_extended(spec: KVSpec) -> np.ndarray:
     wt = _kv_weight_table(spec)
     N = spec.N
     idx = np.arange(N)
-    hw = np.array([bin(int(z)).count("1") for z in range(N)])
+    hw = _popcount_table(spec.n)
     return symmetrize(spec.n * wt[hw[idx[:, None] ^ idx[None, :]]])
 
 
@@ -331,12 +315,7 @@ def kv_vertex_bijection(spec: KVSpec) -> np.ndarray:
     """Map (coset i, label y) -> hypercube vertex p_i XOR h_y, as a length
     m*n index array into the closed-form matrix."""
     reps, _ = kv_cosets(spec)
-    H = hadamard_code(spec.kappa)
-    m, n = spec.m, spec.n
-    out = np.empty(m * n, dtype=np.int64)
-    for i in range(m):
-        out[i * n : (i + 1) * n] = reps[i] ^ H
-    return out
+    return (reps[:, None] ^ hadamard_code(spec.kappa)).ravel()
 
 
 def kv_spectrum(spec: KVSpec):

@@ -6,7 +6,8 @@ Supported groups: cyclic Z_k and direct products of cyclic factors (powers
 of Z_2 cover the Khot-Vishnoi XOR constraints).  Includes the lifted
 eigenbasis of a perfectly satisfiable completion, the sin-theta
 perturbation diagnostics, the l-infinity uniformity proxy check, and the
-solver specialization with its expander fast path.
+Max-Lin solve: the generic solve searching the narrower window (1-theta)d,
+plus dim(S), the uniformity check and an expander-regime flag.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .core import UGInstance, UGError, _unit_scale, shift_image, value
 from .label_extended import build_label_extended, constraint_graph_adjacency
 from .linalg import Eigenspace, project_split, select_eigenspace
-from .recover import SolveParams, SolveReport, default_yes_threshold, recover_solution
+from .recover import SolveParams, SolveReport, recover_solution
 
 
 @dataclass(frozen=True)
@@ -115,21 +116,23 @@ def lift_eigenbasis(phi_basis: Eigenspace, ml: MaxLinInstance, planted) -> np.nd
     if value(ml.base, planted) != 1.0:
         raise UGError("lift requires the planted labeling to satisfy everything")
     n, k = ml.base.n, ml.k
-    out = np.zeros((k * phi_basis.dim, n * k))
-    row = 0
-    for s in range(phi_basis.dim):
-        phi = phi_basis.basis[:, s]
-        for i in range(k):
-            Li = shift(planted, i, ml.group)
-            out[row, np.arange(n) * k + Li] = phi
-            row += 1
-    return out
+    table = ml.group.shift_table()
+    # Row i is the planted labeling shifted by i, as in shift(planted, i).
+    cols = np.arange(n) * k + table[table[:, 0]][:, planted]
+    out = np.zeros((phi_basis.dim, k, n * k))
+    out[:, np.arange(k)[:, None], cols] = phi_basis.basis.T[:, None, :]
+    return out.reshape(k * phi_basis.dim, n * k)
 
 
 def block_norm_vector(w, n, k) -> np.ndarray:
     """Per-vertex Euclidean block norms; preserves the total norm."""
     w = np.asarray(w, dtype=np.float64)
     return np.linalg.norm(w.reshape(n, k), axis=1)
+
+
+UNIFORMITY_C = 2.0  # uniformity bound C / sqrt(n) on the l-infinity norm of S
+UNIFORMITY_SAMPLES = 1000  # random unit combinations uniformity_check samples
+UNIFORMITY_SEED = 0  # seed of those samples
 
 
 @dataclass
@@ -142,12 +145,13 @@ class UniformityReport:
     samples: int
 
 
-def uniformity_check(S: Eigenspace, C, samples=1000, seed=0) -> UniformityReport:
+def uniformity_check(S: Eigenspace, C) -> UniformityReport:
     """Check the l-infinity uniformity hypothesis on an eigenspace.
 
     Basis vectors are checked exactly; since the hypothesis quantifies over
-    every unit vector of the span, seeded random unit combinations are also
-    sampled and the maximum recorded (a necessary proxy, not a proof).
+    every unit vector of the span, UNIFORMITY_SAMPLES seeded random unit
+    combinations are also sampled and the maximum recorded (a necessary
+    proxy, not a proof).
     """
     if S.dim == 0:
         raise UGError("uniformity check needs a nonempty eigenspace")
@@ -156,9 +160,9 @@ def uniformity_check(S: Eigenspace, C, samples=1000, seed=0) -> UniformityReport
     linfs = np.max(np.abs(S.basis), axis=0)
     worst = int(np.argmax(linfs))
     sampled = 0.0
-    if S.dim > 1 and samples > 0:
-        rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal((samples, S.dim))
+    if S.dim > 1:
+        rng = np.random.default_rng(UNIFORMITY_SEED)
+        coeffs = rng.standard_normal((UNIFORMITY_SAMPLES, S.dim))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
         sampled = float(np.max(np.abs(coeffs @ S.basis.T)))
     worst_linf = float(max(linfs[worst], sampled))
@@ -168,7 +172,7 @@ def uniformity_check(S: Eigenspace, C, samples=1000, seed=0) -> UniformityReport
         worst_basis_linf=float(linfs[worst]),
         worst_basis_index=worst,
         sampled_max_linf=sampled,
-        samples=samples if S.dim > 1 else 0,
+        samples=UNIFORMITY_SAMPLES if S.dim > 1 else 0,
     )
 
 
@@ -244,7 +248,6 @@ def sin_theta_report(
 
 THETA_C1 = 10.0   # default theta >= THETA_C1 * eps * gamma
 THETA_C2 = 100.0  # default theta >= gamma^3 / THETA_C2
-UNIFORMITY_C = 2.0  # uniformity bound C / sqrt(n) on the l-infinity norm of S
 
 
 @dataclass
@@ -261,28 +264,27 @@ class MaxLinParams:
         return min(self.gamma, max(THETA_C1 * self.epsilon * self.gamma,
                                    self.gamma**3 / THETA_C2))
 
-    def validate(self):
-        if not (0 < self.epsilon < 1):
-            raise UGError("epsilon must be in (0,1)")
-        if not (0 < self.gamma <= 1):
+    def validate(self) -> SolveParams:
+        """The generic solver's record, validated: search at (1-theta)d,
+        decide at gamma."""
+        if not self.gamma <= 1:
             raise UGError("gamma must be in (0,1]")
-        theta = self.resolved_theta()
-        if not (theta <= self.gamma):
-            raise UGError(f"need theta <= gamma, got theta={theta}, gamma={self.gamma}")
-        if theta <= 0:
-            raise UGError("theta must be positive")
+        params = SolveParams(self.epsilon, self.gamma, self.max_dim, "adjacency",
+                             self.net_step_override, theta=self.resolved_theta())
+        params.validate()
+        return params
 
 
 def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
     """Gamma-Max-Lin solver: select the constraint graph's high space
     S_(1-gamma), run the uniformity proxy, then search the label-extended
-    high space at (1-theta)d via the generic solver.
+    high space at (1-theta)d via the generic solver, deciding at gamma.
 
     The report records dim(S), the dimension check dim(W) <= k * dim(S)
-    (a warning, not fatal, when violated) and the expander fast path flag
-    (dim(S) = 1 puts the search in the polynomial-time regime).
+    (a warning, not fatal, when violated) and the expander regime flag
+    (dim(S) = 1, the polynomial-time regime; the search is still the net).
     """
-    params.validate()
+    solve_params = params.validate()
     inst = ml.base
     if not inst.is_regular():
         raise UGError("solve_maxlin requires a d-regular constraint graph")
@@ -290,29 +292,13 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
     d = inst.average_degree
     S = select_eigenspace(A, (1 - params.gamma) * d, "adjacency-high")
     uni = uniformity_check(S, UNIFORMITY_C)
-    theta = params.resolved_theta()
-
-    solve_params = SolveParams(
-        epsilon=params.epsilon,
-        gamma=theta,
-        max_dim=params.max_dim,
-        mode="adjacency",
-        net_step_override=params.net_step_override,
-    )
-    # The YES threshold comes from the outer gamma; the search threshold
-    # (1-theta)d comes from theta, which may sit below 8*epsilon, so the
-    # strict Theorem-style precondition is checked against gamma instead.
-    if params.gamma > 8 * params.epsilon:
-        solve_params.yes_threshold_override = default_yes_threshold(
-            SolveParams(params.epsilon, params.gamma)
-        )
-    report = recover_solution(inst, solve_params, strict=False)
+    report = recover_solution(inst, solve_params)
     report.extras.update(
         {
             "dim_S": S.dim,
             "k_times_dim_S": ml.k * S.dim,
             "dim_check_ok": bool(report.dim_W <= ml.k * S.dim),
-            "theta": theta,
+            "theta": solve_params.theta,
             "uniformity_passes": uni.passes,
             "uniformity_worst_linf": max(uni.worst_basis_linf, uni.sampled_max_linf),
             "expander_fast_path": bool(S.dim == 1),

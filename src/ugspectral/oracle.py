@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import numeric_config
-from .core import UGInstance, UGError, value, value_batch
+from .core import UGInstance, UGError, report_dict, value, value_batch
 from .maxlin import AbelianGroup, MaxLinInstance
 
 
@@ -28,12 +28,7 @@ class OracleResult:
     shift_reduced: bool
 
     def to_dict(self):
-        return {
-            "best_value": self.best_value,
-            "best_labeling": [int(x) for x in self.best_labeling],
-            "labelings_examined": self.labelings_examined,
-            "shift_reduced": self.shift_reduced,
-        }
+        return report_dict(self)
 
 
 def _components(inst: UGInstance):

@@ -1,14 +1,15 @@
 """Eigenspace enumeration and assignment recovery.
 
 The solver selects the high eigenspace W of the label-extended adjacency
-matrix (eigenvalues >= (1-gamma)d) or the low eigenspace of its Laplacian
-(eigenvalues <= gamma*d_avg) and streams candidates: a lattice epsilon-net
-of the unit ball of W with coefficient step sqrt(2*eps/(gamma*dim W)), then
-the signed basis vectors, in chunks of at most core.BATCH_BYTES bytes.  It
-reads a labeling off each by per-block argmax, scores each distinct
-labeling of the whole stream once and keeps the first candidate of maximum
-satisfied weight.  The YES/NO decision compares that value to a threshold
-derived from the guarantee 1 - O(eps/(gamma-8*eps) + eps).
+matrix (eigenvalues >= (1-theta)d) or the low eigenspace of its Laplacian
+(eigenvalues <= theta*d_avg), where the window theta defaults to gamma, and
+streams candidates: a lattice epsilon-net of the unit ball of W with
+coefficient step sqrt(2*eps/(theta*dim W)), then the signed basis vectors,
+in chunks of at most core.BATCH_BYTES bytes.  It reads a labeling off each
+by per-block argmax, scores each distinct labeling of the whole stream once
+and keeps the first candidate of maximum satisfied weight.  The YES/NO
+decision compares that value to a threshold derived from the guarantee
+1 - O(eps/(gamma-8*eps) + eps), whatever theta.
 """
 
 from __future__ import annotations
@@ -54,15 +55,23 @@ class SolveParams:
     max_dim: int = 8
     mode: str = "adjacency"  # 'adjacency' | 'laplacian'
     net_step_override: float | None = None
-    yes_threshold_override: float | None = None
+    theta: float | None = None  # the search window; None searches at gamma
 
-    def validate(self, strict=True):
+    @property
+    def window(self):
+        """The search window: W is cut at (1-window)d (adjacency) or
+        window*d (laplacian); the YES threshold always comes from gamma."""
+        return self.gamma if self.theta is None else self.theta
+
+    def validate(self):
         if not (0 < self.epsilon < 1):
             raise UGError(f"epsilon must be in (0,1), got {self.epsilon}")
-        if strict and not (self.gamma > 8 * self.epsilon):
+        if not (self.gamma > 8 * self.epsilon):
             raise UGError(
                 f"gamma must exceed 8*epsilon (gamma={self.gamma}, 8*eps={8 * self.epsilon})"
             )
+        if not (0 < self.window <= self.gamma):
+            raise UGError(f"need 0 < theta <= gamma, got theta={self.theta}, gamma={self.gamma}")
         if self.max_dim < 1:
             raise UGError("max_dim must be >= 1")
         if self.mode not in ("adjacency", "laplacian"):
@@ -90,24 +99,7 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
-        d = {
-            "best_labeling": [int(x) for x in self.best_labeling],
-            "best_value": self.best_value,
-            "decision": self.decision,
-            "yes_threshold": self.yes_threshold,
-            "dim_W": self.dim_W,
-            "net_points_evaluated": self.net_points_evaluated,
-            "eigen_time": self.eigen_time,
-            "enumeration_time": self.enumeration_time,
-            "net_step": self.net_step,
-            "mode": self.mode,
-            "cut_gap": self.cut_gap,
-            "max_residual": self.max_residual,
-            "distinct_labelings": self.distinct_labelings,
-            "value_path": self.value_path,
-        }
-        d.update(self.extras)
-        return d
+        return core.report_dict(self)
 
 
 def read_off_assignment(x, n, k) -> np.ndarray:
@@ -135,8 +127,8 @@ def _net_radius2(dim, step):
 
 def net_size(dim, step, cap=None) -> int:
     """Exact number of lattice points in the net, counted in int64.  With
-    ``cap`` a count above cap may come back as cap + 1, which is returned as
-    soon as the count is known to exceed cap.
+    ``cap`` a count above cap is returned as cap + 1, as soon as the count
+    is known to exceed cap.
 
     C_j(R), the number of points of Z^j with ||z||^2 <= R, is 2*isqrt(R)+1
     for j = 1 and sum_{|z| <= isqrt(R)} C_(j-1)(R - z^2) above.  The last
@@ -149,38 +141,41 @@ def net_size(dim, step, cap=None) -> int:
         raise UGError("net requires dim >= 1 and step > 0")
     r2 = int(np.floor(_net_radius2(dim, step)))
     m = math.isqrt(r2)
+    # The unit cubes around the net's points are disjoint and cover the
+    # ball of radius sqrt(r2) - sqrt(dim)/2, so its volume bounds the count.
+    radius = max(0.0, math.sqrt(r2) - math.sqrt(dim) / 2)
     if dim == 1:
-        return 2 * m + 1
-    if cap is not None:
-        # The unit cubes around the net's points are disjoint and cover the
-        # ball of radius sqrt(r2) - sqrt(dim)/2, so its volume bounds the count.
-        radius = max(0.0, math.sqrt(r2) - math.sqrt(dim) / 2)
-        if math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius**dim * (1 - 1e-9) > cap:
-            return cap + 1
-    if r2 >= 2**52:
+        count = 2 * m + 1
+    elif cap is not None and (
+        math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius**dim * (1 - 1e-9) > cap
+    ):
+        count = cap + 1
+    elif r2 >= 2**52:
         raise NetTooLargeError(f"net at dim={dim}, step={step} is beyond exact counting")
+    else:
 
-    def c1(R):  # the float square root truncates to isqrt below 2**52
-        return 2 * np.sqrt(R).astype(np.int64) + 1
+        def c1(R):  # the float square root truncates to isqrt below 2**52
+            return 2 * np.sqrt(R).astype(np.int64) + 1
 
-    z = np.arange(-m, m + 1)
-    if dim == 2:
-        return int(c1(r2 - z * z).sum())
-    limit = np.iinfo(np.int64).max // (2 * m + 1)
-    if cap is not None:
-        limit = min(limit, cap + 1)
-    table = c1(np.arange(r2 + 1))
-    for _ in range(dim - 2):
-        nxt = table.copy()
-        for y in range(1, m + 1):
-            nxt[y * y :] += 2 * table[: r2 + 1 - y * y]
-        table = np.minimum(nxt, limit)
-    count = int(table[r2 - z * z].sum())
-    if count < limit:
-        return count
-    if cap is not None and limit == cap + 1:
-        return cap + 1
-    raise NetTooLargeError(f"net at dim={dim}, step={step} has more points than int64 counts")
+        z = np.arange(-m, m + 1)
+        if dim == 2:
+            count = int(c1(r2 - z * z).sum())
+        else:
+            limit = np.iinfo(np.int64).max // (2 * m + 1)
+            if cap is not None:
+                limit = min(limit, cap + 1)
+            table = c1(np.arange(r2 + 1))
+            for _ in range(dim - 2):
+                nxt = table.copy()
+                for y in range(1, m + 1):
+                    nxt[y * y :] += 2 * table[: r2 + 1 - y * y]
+                table = np.minimum(nxt, limit)
+            count = int(table[r2 - z * z].sum())
+            if count >= limit and (cap is None or limit <= cap):  # clipped at the int64 bound
+                raise NetTooLargeError(
+                    f"net at dim={dim}, step={step} has more points than int64 counts"
+                )
+    return count if cap is None or count <= cap else cap + 1
 
 
 def _lattice_chunks(dim, step, rows) -> Iterator[np.ndarray]:
@@ -254,29 +249,27 @@ def select_search_space(inst: UGInstance, params: SolveParams):
             )
         lem = build_label_extended(inst)
         d = lem.d_avg
-        W = select_eigenspace(lem.matrix, (1 - params.gamma) * d, "adjacency-high")
+        W = select_eigenspace(lem.matrix, (1 - params.window) * d, "adjacency-high")
     else:
         lem = build_laplacian(inst)
         d = lem.d_avg
-        W = select_eigenspace(lem.matrix, params.gamma * d, "laplacian-low")
+        W = select_eigenspace(lem.matrix, params.window * d, "laplacian-low")
     return W, d
 
 
 def default_yes_threshold(params: SolveParams) -> float:
-    if params.yes_threshold_override is not None:
-        return params.yes_threshold_override
+    """1 - YES_CONSTANT * (eps/(gamma - 8*eps) + eps), clamped into (0, 1);
+    validate() guarantees gamma > 8*eps."""
     eps, gamma = params.epsilon, params.gamma
-    if gamma <= 8 * eps:
-        raise UGError("default yes-threshold needs gamma > 8*epsilon; pass an override")
     t = 1.0 - YES_CONSTANT * (eps / (gamma - 8 * eps) + eps)
     return float(min(max(t, 1e-12), 1.0 - 1e-12))
 
 
-def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> SolveReport:
+def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
     """The main solver: read off a labeling from every candidate vector (the
     epsilon-net of W, then the signed basis vectors) and return the first
     labeling of maximum value."""
-    params.validate(strict=strict)
+    params.validate()
     threshold = default_yes_threshold(params)
     t0 = time.perf_counter()
     W, d = select_search_space(inst, params)
@@ -284,7 +277,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
     dim = W.dim
     if dim == 0:
         raise DegenerateSpectrumError(
-            f"no eigenvalues in the selected window (mode={params.mode}, gamma={params.gamma})"
+            f"no eigenvalues in the selected window (mode={params.mode}, window={params.window})"
         )
     if dim > params.max_dim:
         raise DimensionAbortError(
@@ -293,7 +286,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, strict=True) -> Solv
         )
     step = params.net_step_override
     if step is None:
-        step = float(np.sqrt(2 * params.epsilon / (params.gamma * dim)))
+        step = float(np.sqrt(2 * params.epsilon / (params.window * dim)))
 
     n, k = inst.n, inst.k
     narrow = np.min_scalar_type(k - 1)

@@ -125,6 +125,21 @@ class TestSolve:
         assert rep["mode"] == "adjacency"
         assert rep["cut_gap"] > 0
 
+    def test_theta_without_maxlin(self, maxlin_file):
+        """--theta sets the generic solve's window as it does the Max-Lin
+        one: the default net step is sqrt(2*eps/(theta*dim W)), and the YES
+        threshold stays the one of gamma."""
+        path, _, _ = maxlin_file
+        base, narrow = (
+            json.loads(run_cli("solve", path, "--epsilon", 0.03, "--gamma", 0.5,
+                               *extra, check=True).stdout)
+            for extra in ([], ["--theta", 0.3])
+        )
+        validate(narrow)
+        assert narrow["net_step"] != base["net_step"]
+        assert narrow["net_step"] == pytest.approx((2 * 0.03 / (0.3 * narrow["dim_W"])) ** 0.5)
+        assert narrow["yes_threshold"] == base["yes_threshold"]
+
     def test_gamma_precondition_exit_1(self, maxlin_file):
         path, _, _ = maxlin_file
         proc = run_cli("solve", path, "--gamma", 0.05, "--epsilon", 0.01)

@@ -274,6 +274,30 @@ class TestKV:
         for i, r in enumerate(reps):
             assert r == min(int(r) ^ int(h) for h in H)
 
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    def test_helpers_match_loop_references(self, kappa):
+        """Codewords, cosets, the constraint graph and the bijection equal,
+        bit for bit, their definitions written as Python loops."""
+        spec = KVSpec(kappa, 0.1)
+        n, N, m = spec.n, spec.N, spec.m
+        code = [sum(1 << x for x in range(n) if bin(x & y).count("1") % 2) for y in range(n)]
+        assert hadamard_code(kappa).tolist() == code
+        reps, coset_of = [], [-1] * N
+        for x in range(N):  # scan: each new coset is named by its first member
+            if coset_of[x] < 0:
+                reps.append(min(x ^ h for h in code))
+                for h in code:
+                    coset_of[x ^ h] = len(reps) - 1
+        got_reps, got_coset = kv_cosets(spec)
+        assert (got_reps.tolist(), got_coset.tolist()) == (reps, coset_of)
+        wt = 0.1 ** np.arange(n + 1) * 0.9 ** (n - np.arange(n + 1))
+        A = [[n * wt[[bin(a ^ b ^ h).count("1") for h in code]].sum() for b in reps]
+             for a in reps]
+        assert np.array_equal(kv_constraint_graph(spec)[1], A)
+        bijection = [r ^ h for r in reps for h in code]
+        assert kv_vertex_bijection(spec).tolist() == bijection
+        assert len(bijection) == m * n
+
     def test_instance_is_regular_degree_n(self):
         spec = KVSpec(2, 0.1)
         inst = kv_instance(spec)

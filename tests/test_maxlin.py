@@ -10,7 +10,9 @@ from ugspectral.core import UGInstance, UGError, shift_image, value
 from ugspectral.generators import perturb
 from ugspectral.label_extended import build_label_extended, constraint_graph_adjacency
 from ugspectral.linalg import Eigenspace, eigendecompose, select_eigenspace
+import ugspectral.maxlin as maxlin_mod
 from ugspectral.maxlin import (
+    UNIFORMITY_SAMPLES,
     AbelianGroup,
     MaxLinInstance,
     MaxLinParams,
@@ -143,6 +145,12 @@ class TestLiftEigenbasis:
         assert lifted.shape == (3 * phi.dim, 18)
         G = lifted @ lifted.T
         assert np.abs(G - np.eye(len(G))).max() <= 1e-9
+        # Row s*k + i is phi_s on the i-shifted planted labeling's entries.
+        ref = np.zeros_like(lifted)
+        for s in range(phi.dim):
+            for i in range(3):
+                ref[3 * s + i, np.arange(6) * 3 + shift(planted, i, ml.group)] = phi.basis[:, s]
+        assert np.array_equal(lifted, ref)
 
     def test_requires_perfect_labeling(self):
         inst, planted = planted_on(6, 3, complete_skeleton(6), seed=1, family="maxlin")
@@ -200,8 +208,8 @@ class TestUniformity:
         n = 16
         H = np.array([[(-1) ** bin(x & y).count("1") for x in range(n)]
                       for y in range(n)]) / np.sqrt(n)
-        rep = uniformity_check(self._space([H[0], H[1]]), C=1.0, samples=500, seed=3)
-        assert rep.samples == 500
+        rep = uniformity_check(self._space([H[0], H[1]]), C=1.0)
+        assert rep.samples == UNIFORMITY_SAMPLES
         # random unit combinations of two characters exceed 1/sqrt(n)
         assert rep.sampled_max_linf > 1 / np.sqrt(n)
         assert not rep.passes
@@ -275,6 +283,20 @@ class TestParamsAndSolver:
     def test_explicit_theta_validated(self):
         with pytest.raises(UGError):
             MaxLinParams(0.01, 0.3, theta=0.4).validate()
+        p = MaxLinParams(0.01, 0.3, theta=0.2, max_dim=5, net_step_override=0.7).validate()
+        assert p == SolveParams(0.01, 0.3, 5, "adjacency", 0.7, theta=0.2)
+
+    def test_gamma_over_8eps_checked_before_eigensolve(self, monkeypatch):
+        """gamma <= 8*epsilon, where the YES threshold is undefined, raises
+        before the constraint graph's eigenspace is computed."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("eigensolve before the parameter check")
+
+        monkeypatch.setattr(maxlin_mod, "select_eigenspace", unreachable)
+        inst, _ = planted_on(7, 3, complete_skeleton(7), seed=3, family="maxlin")
+        with pytest.raises(UGError, match=r"gamma must exceed 8\*epsilon"):
+            solve_maxlin(MaxLinInstance.from_instance(inst), MaxLinParams(0.1, 0.5))
 
     def test_perfect_instance_solves_to_one(self):
         inst, planted = planted_on(7, 4, complete_skeleton(7), seed=3, family="maxlin")

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ugspectral.core as core_mod
 import ugspectral.label_extended as label_extended_mod
@@ -63,17 +63,22 @@ def orthonormal_space(dim_ambient, dim, seed=0):
 
 class TestParams:
     def test_strict_requires_gamma_over_8eps(self):
-        with pytest.raises(UGError):
-            SolveParams(epsilon=0.01, gamma=0.05).validate()
-        SolveParams(epsilon=0.01, gamma=0.05).validate(strict=False)
+        """gamma > 8*epsilon is required strictly, whatever the window."""
+        for theta in (None, 0.05, 0.09):
+            with pytest.raises(UGError, match=r"gamma must exceed 8\*epsilon"):
+                SolveParams(epsilon=0.01, gamma=0.08, theta=theta).validate()
+        SolveParams(epsilon=0.01, gamma=0.09, theta=0.05).validate()
 
     @pytest.mark.parametrize("bad", [dict(epsilon=0.0, gamma=0.5),
                                      dict(epsilon=0.01, gamma=0.5, max_dim=0),
                                      dict(epsilon=0.01, gamma=0.5, mode="diag"),
-                                     dict(epsilon=0.01, gamma=0.5, net_step_override=0.0)])
+                                     dict(epsilon=0.01, gamma=0.5, net_step_override=0.0),
+                                     dict(epsilon=0.01, gamma=0.5, theta=0.0),
+                                     dict(epsilon=0.01, gamma=0.5, theta=0.6),
+                                     dict(epsilon=0.01, gamma=0.5, theta=float("nan"))])
     def test_invalid(self, bad):
         with pytest.raises(UGError):
-            SolveParams(**bad).validate(strict=False)
+            SolveParams(**bad).validate()
 
 
 class TestReadOff:
@@ -194,6 +199,7 @@ def python_int_net_size(dim, step):
 
 class TestNetSize:
     @given(st.integers(1, 16), st.floats(0.0, 1.0))
+    @example(dim=2, t=0.015625)  # 1,009 points: a cap of 1,000 gives 1,001
     @settings(max_examples=80, deadline=None)
     def test_matches_python_int_count(self, dim, t):
         """The int64 count equals the Python-int one on a grid reaching
@@ -215,6 +221,7 @@ class TestNetSize:
         are counted or rejected without an O(m * r2) table."""
         t0 = time.perf_counter()
         assert net_size(1, 0.002) == 1001
+        assert net_size(1, 0.001, cap=1000) == 1001  # 2,001 points
         assert net_size(2, 1e-5, cap=10**8) == 10**8 + 1
         assert net_size(5, 1e-4, cap=10**8) == 10**8 + 1
         assert time.perf_counter() - t0 < 0.1
@@ -235,13 +242,26 @@ class TestThreshold:
         p = SolveParams(epsilon=0.09, gamma=0.73)
         assert 0.0 < default_yes_threshold(p) < 1.0
 
-    def test_override_wins(self):
-        p = SolveParams(epsilon=0.3, gamma=0.9, yes_threshold_override=0.42)
-        assert default_yes_threshold(p) == 0.42
+    def test_theta_searches_window_decides_at_gamma(self):
+        """theta < gamma cuts W at (1-theta)d and takes the default net step
+        from theta; the YES threshold stays the one of gamma."""
+        spec = KVSpec(2, 0.25)  # spectrum 4, 2, 1, ... with d = 4
+        inst = kv_instance(spec)
+        rep = recover_solution(inst, SolveParams(0.01, 0.5, theta=0.25))
+        at_theta = recover_solution(inst, SolveParams(0.01, 0.25))
+        assert rep.dim_W == kv_eigenspace_dimension(spec, 0.25) == 1
+        assert kv_eigenspace_dimension(spec, 0.5) == 5
+        assert rep.net_step == at_theta.net_step == np.sqrt(2 * 0.01 / 0.25)
+        assert rep.best_value == at_theta.best_value
+        assert rep.yes_threshold == default_yes_threshold(SolveParams(0.01, 0.5))
+        assert rep.yes_threshold > at_theta.yes_threshold
 
     def test_needs_gamma_over_8eps(self):
-        with pytest.raises(UGError):
-            default_yes_threshold(SolveParams(epsilon=0.2, gamma=0.9))
+        """The threshold's formula needs gamma > 8*epsilon; a solve checks
+        that before anything else, and a narrower window does not lift it."""
+        for theta in (None, 0.1):
+            with pytest.raises(UGError, match=r"gamma must exceed 8\*epsilon"):
+                recover_solution(from_rows(1, 2, []), SolveParams(0.2, 0.9, theta=theta))
 
 
 class TestSearchSpace:
@@ -361,8 +381,8 @@ class TestRecover:
         assert len(d["best_labeling"]) == 1
 
     def test_bad_yes_threshold_fails_before_eigensolve(self, monkeypatch):
-        """strict=False with gamma <= 8*eps and no override raises before
-        any search space is built."""
+        """gamma <= 8*eps, where the YES threshold is undefined, raises
+        before any search space is built."""
         import ugspectral.recover as recover_mod
 
         def unreachable(inst, params):
@@ -370,18 +390,18 @@ class TestRecover:
 
         monkeypatch.setattr(recover_mod, "select_search_space", unreachable)
         inst, _ = planted_on(6, 3, complete_skeleton(6), seed=6, family="maxlin")
-        with pytest.raises(UGError, match="yes-threshold"):
-            recover_mod.recover_solution(inst, SolveParams(0.1, 0.5), strict=False)
+        with pytest.raises(UGError, match=r"gamma must exceed 8\*epsilon"):
+            recover_mod.recover_solution(inst, SolveParams(0.1, 0.5))
 
     def test_report_fields(self):
         inst, _ = planted_on(6, 3, complete_skeleton(6), seed=6, family="maxlin")
         rep = recover_solution(inst, SolveParams(epsilon=0.01, gamma=0.5, max_dim=8))
         d = rep.to_dict()
-        for key in ("best_labeling", "best_value", "decision", "yes_threshold",
-                    "dim_W", "net_points_evaluated", "eigen_time",
-                    "enumeration_time", "net_step", "mode", "cut_gap", "max_residual",
-                    "distinct_labelings", "value_path"):
-            assert key in d
+        assert list(d) == ["best_labeling", "best_value", "decision", "yes_threshold",
+                           "dim_W", "net_points_evaluated", "eigen_time",
+                           "enumeration_time", "net_step", "mode", "cut_gap",
+                           "max_residual", "distinct_labelings", "value_path"]
+        assert all(type(x) is int for x in d["best_labeling"])
         assert d["value_path"] == "edge"  # 15 pairs, one edge each
         assert 1 <= d["distinct_labelings"] <= d["net_points_evaluated"] + 2 * d["dim_W"]
         assert 0 <= d["max_residual"] <= numeric_config().residual_tol * 5  # d = 5
