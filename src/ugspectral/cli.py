@@ -114,7 +114,13 @@ def cmd_gen(args, t0):
     return 0
 
 
+def _check_maxlin_mode(args):
+    if args.maxlin and args.mode != "adjacency":
+        raise UGError(f"--maxlin searches the adjacency window, not --mode {args.mode}")
+
+
 def cmd_solve(args, t0):
+    _check_maxlin_mode(args)
     inst = load_instance(args.file)
     common = dict(epsilon=args.epsilon, gamma=args.gamma, theta=args.theta,
                   max_dim=args.max_dim, net_step_override=args.net_step)
@@ -148,15 +154,8 @@ def cmd_spectrum(args, t0):
 
 
 def cmd_diagnose(args, t0):
+    _check_maxlin_mode(args)
     inst = load_instance(args.file)
-    if args.planted_file:
-        with open(args.planted_file, "r", encoding="utf-8") as fh:
-            planted = _parse_labels(fh.read())
-    elif args.planted:
-        planted = _parse_labels(args.planted)
-    else:
-        raise UGError("diagnose needs --planted or --planted-file")
-
     if args.maxlin:
         if not args.completion:
             raise UGError("--maxlin diagnosis needs --completion <file>")
@@ -165,9 +164,14 @@ def cmd_diagnose(args, t0):
         rep = maxlin.sin_theta_report(ml, comp, None, args.gamma)
         out = rep.to_dict()
     else:
-        params = SolveParams(
-            epsilon=args.epsilon, gamma=args.gamma, mode=args.mode, max_dim=10**9
-        )
+        if args.planted_file:
+            with open(args.planted_file, "r", encoding="utf-8") as fh:
+                planted = _parse_labels(fh.read())
+        elif args.planted:
+            planted = _parse_labels(args.planted)
+        else:
+            raise UGError("diagnose needs --planted or --planted-file")
+        params = SolveParams(epsilon=args.epsilon, gamma=args.gamma, mode=args.mode)
         alpha, beta = recover.closeness_diagnostic(inst, planted, params)
         out = {
             "alpha": alpha,

@@ -164,8 +164,13 @@ class UGInstance:
         return "edge" if self._pair_table is None else "pair-table"
 
     def degrees(self):
-        """Constraint-graph degrees; self-loop weight counted once."""
-        return accumulate_edges(np.zeros(self.n), self, self.u[:, None], self.v[:, None])
+        """Constraint-graph degrees: edge by edge, the weight at u, then at v
+        unless the edge is a self-loop (whose weight counts once)."""
+        loop = self.u == self.v
+        keep = np.stack([np.ones_like(loop), ~loop], axis=1)
+        ends = np.stack([self.u, self.v], axis=1)[keep]
+        deg = np.bincount(ends, np.repeat(self.w, 2 - loop), minlength=self.n)
+        return deg.astype(np.float64, copy=False)  # int zeros when edgeless
 
     def degree(self, u):
         return float(self.degrees()[u])
@@ -181,22 +186,6 @@ class UGInstance:
             return True
         tol = numeric_config().regularity_rel_tol
         return bool(np.max(np.abs(deg - d)) <= tol * max(1.0, d))
-
-
-def accumulate_edges(out: np.ndarray, inst: UGInstance, fwd, rev) -> np.ndarray:
-    """Add every edge's weight into ``out`` (flat indexing) at its forward
-    positions ``fwd[e]`` and then, unless the edge is a self-loop, at its
-    reverse positions ``rev[e]``; ``fwd`` and ``rev`` are (E, m) arrays.
-
-    Contributions land edge by edge in edge order, forward before reverse,
-    so every float sum is the one an edge-by-edge loop would compute.
-    """
-    idx = np.stack([fwd, rev], axis=1)
-    keep = np.ones(idx.shape, dtype=bool)
-    keep[:, 1] = (inst.u != inst.v)[:, None]
-    weights = np.broadcast_to(inst.w[:, None, None], idx.shape)
-    np.add.at(out.reshape(-1), idx[keep], weights[keep])
-    return out
 
 
 def validate_labeling(inst: UGInstance, labels: Sequence[int]) -> np.ndarray:

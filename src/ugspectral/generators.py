@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import UGInstance, UGError, _unit_scale, shift_image, value
 from .label_extended import constraint_graph_adjacency
-from .linalg import select_eigenspace, symmetrize
+from .linalg import select_eigenspace
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def kv_label_extended(spec: KVSpec) -> np.ndarray:
     N = spec.N
     idx = np.arange(N)
     hw = _popcount_table(spec.n)
-    return symmetrize(spec.n * wt[hw[idx[:, None] ^ idx[None, :]]])
+    return spec.n * wt[hw[idx[:, None] ^ idx[None, :]]]
 
 
 def kv_vertex_bijection(spec: KVSpec) -> np.ndarray:

@@ -6,10 +6,10 @@ with D block-diagonal holding deg(u) * I_k.  Characteristic vectors of
 perfectly satisfying labelings are eigenvectors of M with eigenvalue d
 (d-regular graphs) and of L_M with eigenvalue 0.
 
-One storage rule serves every operator built here: a dense array below
-SPARSE_MIN_DIM rows or above SPARSE_MAX_FILL stored entries per matrix
-entry, scipy.sparse CSR (E * k nonzeros for M) otherwise.  scipy is
-imported only on the sparse branch.
+Every operator built here is one list of stored entries, put in a
+container by one storage rule: a dense array (the list summed in order by
+``np.bincount``) below SPARSE_MIN_DIM rows or above SPARSE_MAX_FILL stored
+entries per matrix entry, and scipy.sparse CSR, imported only then, otherwise.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UGInstance, accumulate_edges
-from .linalg import symmetrize
+from .core import UGInstance
 
 # Crossover of a windowed eigsh solve against dense LAPACK eigh, measured on
 # label-extended Max-Lin and random-multigraph Laplacians (2 vCPU, OpenBLAS):
@@ -41,31 +40,22 @@ class LabelExtendedMatrix:
 
 
 def _edge_operator(inst: UGInstance, dim, rows, cols):
-    """Symmetric dim x dim operator holding each edge's weight at the (E, m)
-    positions (rows[e], cols[e]) and, unless the edge is a self-loop, at the
-    transposed positions, averaged with its transpose; parallel edges
-    accumulate.  Dense (edge by edge in edge order, ``accumulate_edges``) or
-    CSR, by the storage rule.  The average makes a self-loop's block
-    symmetric, and the CSR exactly symmetric whatever order scipy sums
-    duplicates in."""
+    """Symmetric dim x dim operator from one entry list: edge by edge, its
+    weight at the (E, m) positions (rows[e], cols[e]), then at the
+    transposed ones unless it is a self-loop; then averaged with its
+    transpose, which makes a self-loop's block symmetric, and the CSR
+    exactly symmetric whatever order scipy sums duplicates in."""
     loop = inst.u == inst.v
-    entries = rows.size + rows[~loop].size
-    if dim < SPARSE_MIN_DIM or entries > SPARSE_MAX_FILL * dim * dim:
-        return symmetrize(
-            accumulate_edges(np.zeros((dim, dim)), inst, rows * dim + cols, cols * dim + rows)
-        )
-    import scipy.sparse as sp
+    keep = np.stack([np.ones_like(loop), ~loop], axis=1)
+    at = np.stack([rows * dim + cols, cols * dim + rows], axis=1)[keep].ravel()
+    w = np.repeat(inst.w, (2 - loop) * rows.shape[1])
+    if dim < SPARSE_MIN_DIM or at.size > SPARSE_MAX_FILL * dim * dim:
+        M = np.bincount(at, w, minlength=dim * dim).reshape(dim, dim)
+    else:
+        import scipy.sparse as sp
 
-    w = np.broadcast_to(inst.w[:, None], rows.shape)
-    M = sp.csr_array(
-        (
-            np.concatenate([w.ravel(), w[~loop].ravel()]),
-            (np.concatenate([rows.ravel(), cols[~loop].ravel()]),
-             np.concatenate([cols.ravel(), rows[~loop].ravel()])),
-        ),
-        shape=(dim, dim),
-    )
-    return ((M + M.T) / 2).tocsr()
+        M = sp.csr_array((w, divmod(at, dim)), shape=(dim, dim))
+    return (M + M.T) / 2
 
 
 def build_label_extended(inst: UGInstance) -> LabelExtendedMatrix:
@@ -85,15 +75,13 @@ def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
     vector of every perfectly satisfying labeling."""
     adj = build_label_extended(inst)
     D = np.repeat(inst.degrees(), inst.k)
-    if not isinstance(adj.matrix, np.ndarray):
+    if isinstance(adj.matrix, np.ndarray):
+        diag = np.diag(D)
+    else:
         import scipy.sparse as sp
 
-        return LabelExtendedMatrix((sp.diags_array(D) - adj.matrix).tocsr(), adj.d_avg)
-    # M is exactly symmetric already, so no second symmetrize; 0.0 - M (not
-    # -M) keeps zero entries +0.0.
-    L = 0.0 - adj.matrix
-    L[np.diag_indices_from(L)] += D
-    return LabelExtendedMatrix(L, adj.d_avg)
+        diag = sp.diags_array(D)
+    return LabelExtendedMatrix(diag - adj.matrix, adj.d_avg)
 
 
 def constraint_graph_adjacency(inst: UGInstance):

@@ -25,16 +25,6 @@ class NumericError(UGError):
     pass
 
 
-def symmetrize(A) -> np.ndarray:
-    """Return (A + A^T)/2 after validating shape and finiteness."""
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NumericError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise NumericError("matrix has non-finite entries")
-    return (A + A.T) / 2.0
-
-
 @dataclass
 class Eigenspace:
     """Orthonormal basis of a spectral window of a symmetric matrix.

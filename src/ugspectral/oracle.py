@@ -16,6 +16,10 @@ from .core import UGInstance, UGError, report_dict, value, value_batch
 from .maxlin import AbelianGroup, MaxLinInstance
 
 
+# Labelings enumerated and scored per value_batch call.
+ENUM_CHUNK = 4096
+
+
 class BudgetExceededError(UGError):
     pass
 
@@ -59,12 +63,12 @@ def _is_shiftable(inst: UGInstance, group: AbelianGroup | None):
     return group
 
 
-def _enumerate_chunks(m, k, chunk=4096):
-    """All label tuples of length m in lexicographic order, chunked."""
+def _enumerate_chunks(m, k):
+    """All label tuples of length m in lexicographic order, ENUM_CHUNK at a time."""
     total = k**m
     shape = (k,) * m
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, ENUM_CHUNK):
+        idx = np.arange(start, min(start + ENUM_CHUNK, total))
         yield np.column_stack(np.unravel_index(idx, shape))
 
 

@@ -31,12 +31,12 @@ CLI_ENV = {
 }
 
 
-def run_cli(*args, check=False):
+def run_cli(*args, check=False, env=CLI_ENV):
     proc = subprocess.run(
         [sys.executable, "-m", "ugspectral.cli", *map(str, args)],
         capture_output=True,
         text=True,
-        env=CLI_ENV,
+        env=env,
     )
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -158,6 +158,16 @@ class TestSolve:
                        "--gamma", 0.5)
         assert proc.returncode == 1
 
+    def test_maxlin_rejects_laplacian_mode(self, maxlin_file):
+        """solve_maxlin searches the adjacency window only, so asking it for
+        the Laplacian one is an error, not a report saying "adjacency"."""
+        path, _, _ = maxlin_file
+        proc = run_cli("solve", path, "--epsilon", 0.03, "--gamma", 0.5,
+                       "--maxlin", "--mode", "laplacian")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("error: --maxlin searches the adjacency window, "
+                               "not --mode laplacian\n")
+
     def test_deterministic_up_to_timings(self, maxlin_file):
         path, _, _ = maxlin_file
         outs = []
@@ -228,6 +238,24 @@ class TestDiagnose:
         validate(rep)
         assert rep["beta_measured"] <= rep["beta_bound"] + 1e-8
 
+    def test_maxlin_needs_no_labeling(self, maxlin_file, tmp_path):
+        """The sin-theta diagnosis reads the instance and its completion
+        only."""
+        path, completion, _ = maxlin_file
+        comp_path = tmp_path / "completion.ug"
+        save_instance(completion, comp_path)
+        proc = run_cli("diagnose", "--maxlin", "--completion", comp_path, path, check=True)
+        validate(json.loads(proc.stdout))
+
+    def test_maxlin_rejects_laplacian_mode(self, maxlin_file, tmp_path):
+        path, completion, _ = maxlin_file
+        comp_path = tmp_path / "completion.ug"
+        save_instance(completion, comp_path)
+        proc = run_cli("diagnose", path, "--maxlin", "--completion", comp_path,
+                       "--mode", "laplacian")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: --maxlin searches the adjacency window")
+
     def test_requires_planted(self, maxlin_file):
         path, _, _ = maxlin_file
         proc = run_cli("diagnose", path)
@@ -251,6 +279,40 @@ class TestKVSpectrum:
         proc = run_cli("kv-spectrum", "--n", n, "--eps", 0.25)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: --n must be a power of two >= 2")
+
+
+class TestNumericConfigFile:
+    def run_with(self, tmp_path, path, text):
+        cfg = tmp_path / "numeric.json"
+        cfg.write_text(text)
+        return run_cli("oracle", path, env={**CLI_ENV, "UGSPEC_NUMERIC_CONFIG": str(cfg)}), cfg
+
+    def test_overrides_a_field(self, maxlin_file, tmp_path):
+        path, _, _ = maxlin_file
+        proc, _ = self.run_with(tmp_path, path, '{"net_cap": 1000000}')
+        assert proc.returncode == 0, proc.stderr
+        rep = json.loads(proc.stdout)
+        validate(rep)
+        assert rep["manifest"]["numeric_config"]["net_cap"] == 1000000
+
+    @pytest.mark.parametrize("text, names", [
+        ('{"aggregate_tol": 1e-8}', "unknown field 'aggregate_tol'"),
+        ("net_cap = 10", "not JSON"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"residual_tol": "abc"}', "residual_tol must be a finite number"),
+        ('{"residual_tol": NaN}', "residual_tol must be a finite number"),
+        ('{"residual_tol": true}', "residual_tol must be a finite number"),
+        ('{"net_cap": "abc"}', "net_cap must be a positive integer"),
+        ('{"net_cap": 0}', "net_cap must be a positive integer"),
+        ('{"brute_budget": 2.5}', "brute_budget must be a positive integer"),
+    ])
+    def test_bad_file_exit_1(self, maxlin_file, tmp_path, text, names):
+        """A bad override is a usage error naming the file and the field,
+        not a traceback."""
+        path, _, _ = maxlin_file
+        proc, cfg = self.run_with(tmp_path, path, text)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {cfg}: {names}")
 
 
 def test_unknown_arguments_exit_1():

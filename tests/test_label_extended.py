@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ugspectral import label_extended
-from ugspectral.core import characteristic_vector, value
+from ugspectral.core import UGInstance, characteristic_vector, value
 from ugspectral.generators import KVSpec, kv_instance, planted_regular_instance
 from ugspectral.label_extended import (
     build_label_extended,
     build_laplacian,
     constraint_graph_adjacency,
 )
-from ugspectral.linalg import eigendecompose
+from ugspectral.linalg import NumericError, eigendecompose
+from ugspectral.recover import SolveParams, recover_solution
 
 from conftest import complete_skeleton, from_rows, planted_on, random_instance, random_multigraph
 
@@ -49,6 +50,59 @@ class TestBlocks:
         lem = build_label_extended(inst)
         deg = np.repeat(inst.degrees(), inst.k)
         assert np.abs(lem.matrix.sum(axis=1) - deg).max() <= 1e-12
+
+
+@st.composite
+def multigraphs(draw):
+    """Small instances with parallel edges stored in both orientations,
+    self-loops and (mostly) non-dyadic weights."""
+    n, k, E = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 10))
+    ends = st.lists(st.integers(0, n - 1), min_size=E, max_size=E)
+    w = draw(st.lists(st.floats(0.01, 1.0), min_size=E, max_size=E))
+    perm = [draw(st.permutations(range(k))) for _ in range(E)]
+    return UGInstance.from_arrays(n, k, draw(ends), draw(ends), w, np.reshape(perm, (E, k)))
+
+
+def loop_operators(inst):
+    """(M, L, constraint-graph adjacency, degrees) summed edge by edge in
+    edge order: each edge's forward entries, then its reverse entries (none
+    for a self-loop); M is (A + A^T)/2 and L is diag(D) - M."""
+    n, k = inst.n, inst.k
+    A, G, deg = np.zeros((n * k, n * k)), np.zeros((n, n)), np.zeros(n)
+    for u, v, w, perm in inst.edges:
+        for i in range(k):
+            A[u * k + i, v * k + perm[i]] += w
+        G[u, v] += w
+        deg[u] += w
+        if u != v:
+            for i in range(k):
+                A[v * k + perm[i], u * k + i] += w
+            G[v, u] += w
+            deg[v] += w
+    M = (A + A.T) / 2
+    return M, np.diag(np.repeat(deg, k)) - M, (G + G.T) / 2, deg
+
+
+class TestSummationContract:
+    @given(multigraphs())
+    @example(UGInstance.from_arrays(2, 2, [0, 1, 0, 1, 0], [1, 0, 1, 1, 0],
+                                    [0.1, 0.2, 0.3, 0.7, 0.9], [[1, 0]] * 5))
+    @settings(max_examples=60, deadline=None)
+    def test_dense_builds_equal_edge_loop(self, inst):
+        """Every dense operator and the degrees are bitwise the sums of the
+        edge loop, so no summation order changes with the build."""
+        built = (build_label_extended(inst).matrix, build_laplacian(inst).matrix,
+                 constraint_graph_adjacency(inst), inst.degrees())
+        for got, want in zip(built, loop_operators(inst)):
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_overflowing_parallel_edges_rejected(self):
+        """Two parallel edges of weight 1e308 sum to inf: the solve stops
+        with NumericError, not with a spectrum of a non-finite operator."""
+        inst = UGInstance.from_arrays(2, 2, [0, 0], [1, 1], [1e308, 1e308], [[0, 1], [0, 1]])
+        with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+            recover_solution(inst, SolveParams(0.01, 0.5, mode="laplacian"))
 
 
 class TestEigenvectorIdentity:
