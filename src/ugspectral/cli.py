@@ -2,8 +2,9 @@
 
 Subcommands: gen, solve, oracle, spectrum, diagnose, kv-spectrum.  Reports
 are single JSON objects on stdout with an embedded run manifest; logs go to
-stderr.  Exit codes: 0 success, 1 usage/contract error, 2 numeric or
-budget error.
+stderr.  Exit codes: 0 success, 1 usage/contract error, 2 a valid input
+the solve gave up on (``AbortError``: a budget, dimension cap or numeric
+failure).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from . import generators, maxlin, oracle, recover
 from .config import numeric_config
 from .core import (
+    AbortError,
     UGError,
     UGInstance,
     load_instance,
@@ -28,22 +30,8 @@ from .core import (
     value,
 )
 from .label_extended import build_label_extended, build_laplacian
-from .linalg import NumericError, eigendecompose
-from .oracle import BudgetExceededError
-from .recover import (
-    DegenerateSpectrumError,
-    DimensionAbortError,
-    NetTooLargeError,
-    SolveParams,
-)
-
-NUMERIC_ERRORS = (
-    NetTooLargeError,
-    BudgetExceededError,
-    DimensionAbortError,
-    DegenerateSpectrumError,
-    NumericError,
-)
+from .linalg import eigendecompose
+from .recover import SolveParams
 
 
 def _git_describe():
@@ -81,7 +69,10 @@ def _emit(report: dict):
 
 
 def _parse_labels(text):
-    return np.array([int(x) for x in text.replace(",", " ").split()], dtype=np.int64)
+    try:
+        return np.array([int(x) for x in text.replace(",", " ").split()], dtype=np.int64)
+    except ValueError as exc:
+        raise UGError(f"bad labeling: {exc}") from None
 
 
 def cmd_gen(args, t0):
@@ -99,11 +90,9 @@ def cmd_gen(args, t0):
             args.n, args.d, args.k, seed=args.seed, constraint_family=args.family
         )
         print(f"second adjacency eigenvalue: {lam2:.6f}", file=sys.stderr)
-        if args.perturb > 0:
-            family = "maxlin" if args.family == "maxlin" else "general-permutation"
-            inst = generators.perturb(
-                inst, planted, args.perturb, seed=args.seed + 17, constraint_family=family
-            )
+        inst = generators.perturb(
+            inst, planted, args.perturb, seed=args.seed + 17, constraint_family=args.family
+        )
         if args.planted_out:
             with open(args.planted_out, "w", encoding="utf-8") as fh:
                 fh.write(",".join(str(int(x)) for x in planted) + "\n")
@@ -114,21 +103,20 @@ def cmd_gen(args, t0):
     return 0
 
 
-def _check_maxlin_mode(args):
-    if args.maxlin and args.mode != "adjacency":
-        raise UGError(f"--maxlin searches the adjacency window, not --mode {args.mode}")
+def _params(args, **kwargs):
+    """The solve record of the command line: Max-Lin's with --maxlin."""
+    cls = maxlin.MaxLinParams if args.maxlin else SolveParams
+    return cls(args.epsilon, args.gamma, mode=args.mode, **kwargs)
 
 
 def cmd_solve(args, t0):
-    _check_maxlin_mode(args)
+    params = _params(args, theta=args.theta, max_dim=args.max_dim,
+                     net_step_override=args.net_step)
     inst = load_instance(args.file)
-    common = dict(epsilon=args.epsilon, gamma=args.gamma, theta=args.theta,
-                  max_dim=args.max_dim, net_step_override=args.net_step)
     if args.maxlin:
-        ml = maxlin.MaxLinInstance.from_instance(inst)
-        report = maxlin.solve_maxlin(ml, maxlin.MaxLinParams(**common))
+        report = maxlin.solve_maxlin(maxlin.MaxLinInstance.from_instance(inst), params)
     else:
-        report = recover.recover_solution(inst, SolveParams(mode=args.mode, **common))
+        report = recover.recover_solution(inst, params)
     out = report.to_dict()
     out["manifest"] = make_manifest(input_path=args.file, t0=t0)
     _emit(out)
@@ -154,14 +142,15 @@ def cmd_spectrum(args, t0):
 
 
 def cmd_diagnose(args, t0):
-    _check_maxlin_mode(args)
+    params = _params(args)
+    params.validate()
     inst = load_instance(args.file)
     if args.maxlin:
         if not args.completion:
             raise UGError("--maxlin diagnosis needs --completion <file>")
         ml = maxlin.MaxLinInstance.from_instance(inst)
         comp = maxlin.MaxLinInstance.from_instance(load_instance(args.completion))
-        rep = maxlin.sin_theta_report(ml, comp, None, args.gamma)
+        rep = maxlin.sin_theta_report(ml, comp, None, params.gamma)
         out = rep.to_dict()
     else:
         if args.planted_file:
@@ -171,7 +160,6 @@ def cmd_diagnose(args, t0):
             planted = _parse_labels(args.planted)
         else:
             raise UGError("diagnose needs --planted or --planted-file")
-        params = SolveParams(epsilon=args.epsilon, gamma=args.gamma, mode=args.mode)
         alpha, beta = recover.closeness_diagnostic(inst, planted, params)
         out = {
             "alpha": alpha,
@@ -272,7 +260,7 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         return args.func(args, t0)
-    except NUMERIC_ERRORS as exc:
+    except AbortError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UGError as exc:

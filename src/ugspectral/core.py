@@ -29,6 +29,11 @@ class UGError(Exception):
     """Base class for errors raised by this package."""
 
 
+class AbortError(UGError):
+    """A valid input the solve gave up on: a budget, a dimension cap or a
+    numeric failure (exit code 2 on the command line)."""
+
+
 class InvalidLabelingError(UGError):
     pass
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import numeric_config
-from .core import UGError
+from .core import AbortError
 
 
-class NumericError(UGError):
+class NumericError(AbortError):
     pass
 
 

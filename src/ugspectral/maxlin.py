@@ -250,55 +250,44 @@ THETA_C1 = 10.0   # default theta >= THETA_C1 * eps * gamma
 THETA_C2 = 100.0  # default theta >= gamma^3 / THETA_C2
 
 
-@dataclass
-class MaxLinParams:
-    epsilon: float
-    gamma: float
-    theta: float | None = None          # defaulted from epsilon and gamma
-    max_dim: int = 8
-    net_step_override: float | None = None
+class MaxLinParams(SolveParams):
+    """The generic solver's record searching the adjacency window
+    (1-theta)d; theta defaults from epsilon and gamma."""
 
-    def resolved_theta(self):
+    @property
+    def window(self):
         if self.theta is not None:
             return self.theta
         return min(self.gamma, max(THETA_C1 * self.epsilon * self.gamma,
                                    self.gamma**3 / THETA_C2))
 
-    def validate(self) -> SolveParams:
-        """The generic solver's record, validated: search at (1-theta)d,
-        decide at gamma."""
+    def validate(self):
         if not self.gamma <= 1:
             raise UGError("gamma must be in (0,1]")
-        params = SolveParams(self.epsilon, self.gamma, self.max_dim, "adjacency",
-                             self.net_step_override, theta=self.resolved_theta())
-        params.validate()
-        return params
+        if self.mode != "adjacency":
+            raise UGError(f"Max-Lin searches the adjacency window, not mode {self.mode!r}")
+        super().validate()
 
 
 def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
-    """Gamma-Max-Lin solver: select the constraint graph's high space
-    S_(1-gamma), run the uniformity proxy, then search the label-extended
-    high space at (1-theta)d via the generic solver, deciding at gamma.
+    """Gamma-Max-Lin solver: the generic solver searching the label-extended
+    high space at (1-theta)d and deciding at gamma, then the constraint
+    graph's high space S_(1-gamma) and the uniformity proxy on it.
 
     The report records dim(S), the dimension check dim(W) <= k * dim(S)
     (a warning, not fatal, when violated) and the expander regime flag
     (dim(S) = 1, the polynomial-time regime; the search is still the net).
     """
-    solve_params = params.validate()
-    inst = ml.base
-    if not inst.is_regular():
-        raise UGError("solve_maxlin requires a d-regular constraint graph")
-    A = constraint_graph_adjacency(inst)
-    d = inst.average_degree
-    S = select_eigenspace(A, (1 - params.gamma) * d, "adjacency-high")
+    report = recover_solution(ml.base, params)
+    A = constraint_graph_adjacency(ml.base)
+    S = select_eigenspace(A, (1 - params.gamma) * ml.base.average_degree, "adjacency-high")
     uni = uniformity_check(S, UNIFORMITY_C)
-    report = recover_solution(inst, solve_params)
     report.extras.update(
         {
             "dim_S": S.dim,
             "k_times_dim_S": ml.k * S.dim,
             "dim_check_ok": bool(report.dim_W <= ml.k * S.dim),
-            "theta": solve_params.theta,
+            "theta": params.window,
             "uniformity_passes": uni.passes,
             "uniformity_worst_linf": max(uni.worst_basis_linf, uni.sampled_max_linf),
             "expander_fast_path": bool(S.dim == 1),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import numeric_config
-from .core import UGInstance, UGError, report_dict, value, value_batch
+from .core import AbortError, UGInstance, UGError, report_dict, value, value_batch
 from .maxlin import AbelianGroup, MaxLinInstance
 
 
@@ -20,7 +20,7 @@ from .maxlin import AbelianGroup, MaxLinInstance
 ENUM_CHUNK = 4096
 
 
-class BudgetExceededError(UGError):
+class BudgetExceededError(AbortError):
     pass
 
 

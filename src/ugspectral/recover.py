@@ -24,9 +24,16 @@ import numpy as np
 
 from . import core
 from .config import numeric_config
-from .core import UGInstance, UGError, characteristic_vector, validate_labeling, value_batch
+from .core import (
+    AbortError,
+    UGError,
+    UGInstance,
+    characteristic_vector,
+    validate_labeling,
+    value_batch,
+)
 from .label_extended import build_label_extended, build_laplacian
-from .linalg import Eigenspace, project_split, select_eigenspace
+from .linalg import Eigenspace, NumericError, project_split, select_eigenspace
 
 
 YES_CONSTANT = 10.0  # the O(.) constant of the YES threshold
@@ -36,15 +43,15 @@ class NonRegularError(UGError):
     pass
 
 
-class DegenerateSpectrumError(UGError):
+class DegenerateSpectrumError(AbortError):
     pass
 
 
-class DimensionAbortError(UGError):
+class DimensionAbortError(AbortError):
     pass
 
 
-class NetTooLargeError(UGError):
+class NetTooLargeError(AbortError):
     pass
 
 
@@ -70,14 +77,17 @@ class SolveParams:
             raise UGError(
                 f"gamma must exceed 8*epsilon (gamma={self.gamma}, 8*eps={8 * self.epsilon})"
             )
+        if not math.isfinite(self.gamma):
+            raise UGError(f"gamma must be finite, got {self.gamma}")
         if not (0 < self.window <= self.gamma):
             raise UGError(f"need 0 < theta <= gamma, got theta={self.theta}, gamma={self.gamma}")
         if self.max_dim < 1:
             raise UGError("max_dim must be >= 1")
         if self.mode not in ("adjacency", "laplacian"):
             raise UGError(f"unknown mode {self.mode!r}")
-        if self.net_step_override is not None and self.net_step_override <= 0:
-            raise UGError("net step override must be positive")
+        step = self.net_step_override
+        if step is not None and not 0 < step < math.inf:
+            raise UGError(f"net step override must be positive and finite, got {step}")
 
 
 @dataclass
@@ -241,6 +251,9 @@ def select_search_space(inst: UGInstance, params: SolveParams):
     Returns (eigenspace, d) where d is the degree scale: the regular degree
     in adjacency mode, the average degree in laplacian mode.
     """
+    d = inst.average_degree
+    if not math.isfinite(d):
+        raise NumericError(f"average degree {d}: the edge weights overflow float64")
     if params.mode == "adjacency":
         if not inst.is_regular():
             raise NonRegularError(
@@ -248,11 +261,9 @@ def select_search_space(inst: UGInstance, params: SolveParams):
                 "use laplacian mode for non-regular instances"
             )
         lem = build_label_extended(inst)
-        d = lem.d_avg
         W = select_eigenspace(lem.matrix, (1 - params.window) * d, "adjacency-high")
     else:
         lem = build_laplacian(inst)
-        d = lem.d_avg
         W = select_eigenspace(lem.matrix, params.window * d, "laplacian-low")
     return W, d
 

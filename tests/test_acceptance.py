@@ -347,7 +347,7 @@ def test_criterion_10_maxlin_diagnostics(capsys):
     perturbations."""
     t0 = time.perf_counter()
     gamma = 0.5
-    theta = MaxLinParams(0.02, gamma).resolved_theta()
+    theta = MaxLinParams(0.02, gamma).window
     worst_res = 0.0
     fails = {"sin_theta": 0, "r_matrix": 0, "block_norm": 0, "dim": 0}
     for seed in range(10):

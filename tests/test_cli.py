@@ -97,6 +97,12 @@ class TestGen:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: need k >= 1")
 
+    def test_negative_perturb_exit_1(self):
+        proc = run_cli("gen", "planted", "--n", 10, "--d", 3, "--k", 3,
+                       "--perturb", -0.1)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.endswith("error: eps must be in [0,1), got -0.1\n")
+
     def test_kv_gen(self, tmp_path):
         out = tmp_path / "kv.ug"
         run_cli("gen", "kv", "--kappa", 2, "--eps", 0.25, "--out", out, check=True)
@@ -158,6 +164,18 @@ class TestSolve:
                        "--gamma", 0.5)
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--net-step", "nan", "--max-dim", 12), "got nan"),
+        (("--net-step", "inf"), "got inf"),
+        (("--gamma", "inf", "--theta", 0.5), "gamma must be finite, got inf"),
+    ])
+    def test_non_finite_parameter_exit_1(self, maxlin_file, flags, named):
+        path, _, _ = maxlin_file
+        proc = run_cli("solve", path, "--epsilon", 0.01, "--gamma", 0.5, *flags)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and named in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_maxlin_rejects_laplacian_mode(self, maxlin_file):
         """solve_maxlin searches the adjacency window only, so asking it for
         the Laplacian one is an error, not a report saying "adjacency"."""
@@ -165,8 +183,8 @@ class TestSolve:
         proc = run_cli("solve", path, "--epsilon", 0.03, "--gamma", 0.5,
                        "--maxlin", "--mode", "laplacian")
         assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr == ("error: --maxlin searches the adjacency window, "
-                               "not --mode laplacian\n")
+        assert proc.stderr == ("error: Max-Lin searches the adjacency window, "
+                               "not mode 'laplacian'\n")
 
     def test_deterministic_up_to_timings(self, maxlin_file):
         path, _, _ = maxlin_file
@@ -254,7 +272,26 @@ class TestDiagnose:
         proc = run_cli("diagnose", path, "--maxlin", "--completion", comp_path,
                        "--mode", "laplacian")
         assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.startswith("error: --maxlin searches the adjacency window")
+        assert proc.stderr.startswith("error: Max-Lin searches the adjacency window")
+
+    @pytest.mark.parametrize("gamma", [-0.5, 2])
+    def test_maxlin_gamma_validated(self, maxlin_file, tmp_path, gamma):
+        """--maxlin diagnosis checks gamma as solve --maxlin does."""
+        path, completion, _ = maxlin_file
+        comp_path = tmp_path / "completion.ug"
+        save_instance(completion, comp_path)
+        proc = run_cli("diagnose", "--maxlin", "--completion", comp_path,
+                       "--gamma", gamma, path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "gamma" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_bad_label_token_exit_1(self, maxlin_file):
+        path, _, _ = maxlin_file
+        proc = run_cli("diagnose", path, "--planted", "0,x,1")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: bad labeling") and "'x'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_requires_planted(self, maxlin_file):
         path, _, _ = maxlin_file

@@ -1,5 +1,7 @@
 """Label-extended matrix and Laplacian construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -97,12 +99,15 @@ class TestSummationContract:
             assert isinstance(got, np.ndarray) and got.dtype == np.float64
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    def test_overflowing_parallel_edges_rejected(self):
+    @pytest.mark.parametrize("mode", ["adjacency", "laplacian"])
+    def test_overflowing_parallel_edges_rejected(self, mode):
         """Two parallel edges of weight 1e308 sum to inf: the solve stops
-        with NumericError, not with a spectrum of a non-finite operator."""
+        with NumericError, without a warning, before the regularity test or
+        a spectrum of a non-finite operator."""
         inst = UGInstance.from_arrays(2, 2, [0, 0], [1, 1], [1e308, 1e308], [[0, 1], [0, 1]])
-        with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
-            recover_solution(inst, SolveParams(0.01, 0.5, mode="laplacian"))
+        with pytest.raises(NumericError, match="overflow"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recover_solution(inst, SolveParams(0.01, 0.5, mode=mode))
 
 
 class TestEigenvectorIdentity:

@@ -24,7 +24,7 @@ from ugspectral.maxlin import (
     solve_maxlin,
     uniformity_check,
 )
-from ugspectral.recover import SolveParams, recover_solution
+from ugspectral.recover import NonRegularError, SolveParams, recover_solution
 
 from conftest import complete_skeleton, from_rows, planted_on
 
@@ -274,17 +274,37 @@ class TestSinTheta:
 
 class TestParamsAndSolver:
     def test_theta_default(self):
-        assert MaxLinParams(0.02, 0.5).resolved_theta() == pytest.approx(0.1)
+        assert MaxLinParams(0.02, 0.5).window == pytest.approx(0.1)
         # gamma^3 branch dominates for tiny epsilon
-        assert MaxLinParams(1e-6, 0.5).resolved_theta() == pytest.approx(0.5**3 / 100)
+        assert MaxLinParams(1e-6, 0.5).window == pytest.approx(0.5**3 / 100)
         # never above gamma
-        assert MaxLinParams(0.2, 0.3).resolved_theta() == 0.3
+        assert MaxLinParams(0.2, 0.3).window == 0.3
 
     def test_explicit_theta_validated(self):
         with pytest.raises(UGError):
             MaxLinParams(0.01, 0.3, theta=0.4).validate()
-        p = MaxLinParams(0.01, 0.3, theta=0.2, max_dim=5, net_step_override=0.7).validate()
-        assert p == SolveParams(0.01, 0.3, 5, "adjacency", 0.7, theta=0.2)
+        p = MaxLinParams(0.01, 0.3, theta=0.2, max_dim=5, net_step_override=0.7)
+        p.validate()
+        assert p.window == 0.2
+
+    def test_laplacian_mode_rejected(self):
+        with pytest.raises(UGError, match="adjacency window"):
+            MaxLinParams(0.01, 0.5, mode="laplacian").validate()
+
+    @pytest.mark.parametrize("theta", [None, 0.3])
+    def test_solve_is_the_generic_solve(self, theta):
+        """solve_maxlin answers exactly as recover_solution on the same
+        record, which searches at the Max-Lin window."""
+        inst, planted = planted_on(7, 3, complete_skeleton(7), seed=3, family="maxlin")
+        ml = MaxLinInstance.from_instance(
+            perturb(inst, planted, 0.1, seed=2, constraint_family="maxlin"))
+        p = MaxLinParams(0.01, 0.5, theta=theta)
+        got, want = solve_maxlin(ml, p), recover_solution(ml.base, p)
+        assert got.best_value == want.best_value
+        assert np.array_equal(got.best_labeling, want.best_labeling)
+        assert (got.dim_W, got.decision, got.net_points_evaluated) == (
+            want.dim_W, want.decision, want.net_points_evaluated)
+        assert got.extras["theta"] == p.window
 
     def test_gamma_over_8eps_checked_before_eigensolve(self, monkeypatch):
         """gamma <= 8*epsilon, where the YES threshold is undefined, raises
@@ -320,7 +340,7 @@ class TestParamsAndSolver:
         ml = MaxLinInstance.from_constraints(
             3, g, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 0.5, 0)]
         )
-        with pytest.raises(UGError):
+        with pytest.raises(NonRegularError):
             solve_maxlin(ml, MaxLinParams(0.01, 0.5))
 
     def test_regularity_tolerance_from_config(self):
