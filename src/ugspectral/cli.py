@@ -18,8 +18,7 @@ import time
 
 import numpy as np
 
-from . import generators, maxlin, oracle, recover
-from .config import numeric_config
+from . import core, generators, linalg, maxlin, oracle, recover
 from .core import (
     AbortError,
     UGError,
@@ -57,7 +56,12 @@ def make_manifest(input_path=None, t0=None):
         "command_line": sys.argv[1:] if sys.argv[0] else list(sys.argv),
         "input_hash": _file_hash(input_path) if input_path else None,
         "seed": None,  # solve, oracle and diagnose draw no random numbers
-        "numeric_config": numeric_config().to_dict(),
+        "numeric_config": {  # the tolerances and budgets fixed by the code
+            "residual_tol": linalg.RESIDUAL_TOL,
+            "regularity_rel_tol": core.REGULARITY_REL_TOL,
+            "net_cap": recover.NET_CAP,
+            "brute_budget": oracle.BRUTE_BUDGET,
+        },
         "git_describe": _git_describe(),
         "wall_clock_s": time.perf_counter() - t0 if t0 is not None else None,
     }

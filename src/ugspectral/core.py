@@ -18,11 +18,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import numeric_config
-
 # Byte budget of one batch: a chunk of net vectors, or one slice of
 # value_batch's per-row intermediates.
 BATCH_BYTES = 2**24
+
+# Relative spread of the degrees below which is_regular accepts a graph.
+REGULARITY_REL_TOL = 1e-9
 
 
 class UGError(Exception):
@@ -189,8 +190,7 @@ class UGInstance:
         d = deg.mean()
         if d == 0:
             return True
-        tol = numeric_config().regularity_rel_tol
-        return bool(np.max(np.abs(deg - d)) <= tol * max(1.0, d))
+        return bool(np.max(np.abs(deg - d)) <= REGULARITY_REL_TOL * max(1.0, d))
 
 
 def validate_labeling(inst: UGInstance, labels: Sequence[int]) -> np.ndarray:

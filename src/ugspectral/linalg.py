@@ -17,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import numeric_config
 from .core import AbortError
+
+# Relative tolerance of the eigenpair contract (residual, orthonormality)
+# and of the window cut; project_split scales it by the vector's norm.
+RESIDUAL_TOL = 1e-9
 
 
 class NumericError(AbortError):
@@ -92,7 +95,7 @@ def select_eigenspace(A, threshold, mode) -> Eigenspace:
 
     mode 'adjacency-high': eigenvalues >= threshold (the high window W of an
     adjacency matrix); 'laplacian-low': eigenvalues <= threshold.  Values
-    within residual_tol * max(1, max|lambda|) of the threshold count as on
+    within RESIDUAL_TOL * max(1, max|lambda|) of the threshold count as on
     the kept side, so a cluster of numerically equal eigenvalues sitting on
     the threshold is kept whole rather than split by rounding.  A sparse A
     takes the windowed ARPACK path (``_sparse_window``) unless the window is
@@ -109,7 +112,7 @@ def select_eigenspace(A, threshold, mode) -> Eigenspace:
     else:
         A = np.asarray(A, dtype=np.float64)
     vals, vecs = eigendecompose(A)
-    tol = numeric_config().residual_tol * max(1.0, float(np.abs(vals).max(initial=0.0)))
+    tol = RESIDUAL_TOL * max(1.0, float(np.abs(vals).max(initial=0.0)))
     if mode == "adjacency-high":
         keep = vals >= threshold - tol
         nearest = vals[~keep].max(initial=-np.inf)
@@ -175,7 +178,7 @@ def _sparse_window(A, threshold, mode) -> Eigenspace | None:
     sign = 1.0 if mode == "adjacency-high" else -1.0
     c = float(abs(A).sum(axis=1).max(initial=0.0))
     op = (sign * A + c * sp.eye_array(dim, format="csr")).tocsr()
-    cut = sign * threshold + c - numeric_config().residual_tol * max(1.0, c)
+    cut = sign * threshold + c - RESIDUAL_TOL * max(1.0, c)
     rng = np.random.default_rng(0)
     basis, mu = np.zeros((dim, 0)), np.zeros(0)
     block = SPARSE_BLOCK
@@ -227,7 +230,7 @@ def project_split(x, S: Eigenspace) -> ProjectionSplit:
     residual = x - parallel
     alpha = float(np.linalg.norm(parallel))
     beta = float(np.linalg.norm(residual))
-    tol = numeric_config().residual_tol * norm
+    tol = RESIDUAL_TOL * norm
     return ProjectionSplit(
         alpha=alpha,
         beta=beta,

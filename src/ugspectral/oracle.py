@@ -11,13 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import numeric_config
 from .core import AbortError, UGInstance, UGError, report_dict, value, value_batch
 from .maxlin import AbelianGroup, MaxLinInstance
 
 
 # Labelings enumerated and scored per value_batch call.
 ENUM_CHUNK = 4096
+# Default of brute_force's budget: the most labelings it enumerates.
+BRUTE_BUDGET = 10**8
 
 
 class BudgetExceededError(AbortError):
@@ -79,10 +80,14 @@ def brute_force(inst: UGInstance, budget=None, group: AbelianGroup | None = None
     vertex of each component is pinned to label 0.  Pass ``group`` to force
     a specific group; cyclic Z_k is auto-detected otherwise.  Ties break to
     the lexicographically smallest labeling; enumeration stops early when a
-    component is perfectly satisfied.
+    component is perfectly satisfied.  ``budget`` (default BRUTE_BUDGET), a
+    positive int, bounds the labelings enumerated: BudgetExceededError
+    before any work if the enumeration would exceed it.
     """
     if budget is None:
-        budget = numeric_config().brute_budget
+        budget = BRUTE_BUDGET
+    if type(budget) is not int or budget < 1:  # type(), as True is an int
+        raise UGError(f"budget must be a positive integer, got {budget!r}")
     shift_group = _is_shiftable(inst, group)
     comps = _components(inst)
     reduce_by_one = shift_group is not None

@@ -23,7 +23,6 @@ from typing import Iterator
 import numpy as np
 
 from . import core
-from .config import numeric_config
 from .core import (
     AbortError,
     UGError,
@@ -37,6 +36,7 @@ from .linalg import Eigenspace, NumericError, project_split, select_eigenspace
 
 
 YES_CONSTANT = 10.0  # the O(.) constant of the YES threshold
+NET_CAP = 10**8  # most net points enumerate_net streams before NetTooLargeError
 
 
 class NonRegularError(UGError):
@@ -131,8 +131,10 @@ def _net_radius2(dim, step):
     """Squared coefficient-space radius of the net: 1/step plus half the
     lattice cell diagonal, so that rounding the coefficients of any vector
     of norm <= 1 lands inside the net.  This is what makes the covering
-    radius exactly step*sqrt(dim)/2 over the whole closed unit ball."""
-    return (1.0 / step + np.sqrt(dim) / 2.0) ** 2 * (1 + 1e-12)
+    radius exactly step*sqrt(dim)/2 over the whole closed unit ball.  It
+    overflows to inf for a step below about 1e-154."""
+    with np.errstate(over="ignore"):
+        return (1.0 / step + np.sqrt(dim) / 2.0) ** 2 * (1 + 1e-12)
 
 
 def net_size(dim, step, cap=None) -> int:
@@ -149,15 +151,22 @@ def net_size(dim, step, cap=None) -> int:
     """
     if dim < 1 or step <= 0:
         raise UGError("net requires dim >= 1 and step > 0")
-    r2 = int(np.floor(_net_radius2(dim, step)))
+    r2 = _net_radius2(dim, step)
+    if not math.isfinite(r2):
+        if cap is None:
+            raise NetTooLargeError(f"net at dim={dim}, step={step} has an infinite radius")
+        return cap + 1
+    r2 = int(np.floor(r2))
     m = math.isqrt(r2)
     # The unit cubes around the net's points are disjoint and cover the
-    # ball of radius sqrt(r2) - sqrt(dim)/2, so its volume bounds the count.
+    # ball of radius sqrt(r2) - sqrt(dim)/2, so its volume bounds the count;
+    # the volume is compared in logs, where no term overflows.
     radius = max(0.0, math.sqrt(r2) - math.sqrt(dim) / 2)
     if dim == 1:
         count = 2 * m + 1
-    elif cap is not None and (
-        math.pi ** (dim / 2) / math.gamma(dim / 2 + 1) * radius**dim * (1 - 1e-9) > cap
+    elif cap is not None and radius > 0 and (
+        dim / 2 * math.log(math.pi) - math.lgamma(dim / 2 + 1) + dim * math.log(radius)
+        + math.log1p(-1e-9) > math.log(cap)
     ):
         count = cap + 1
     elif r2 >= 2**52:
@@ -235,10 +244,9 @@ def enumerate_net(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
     dim = basis.dim
     if dim < 1:
         raise UGError("empty basis")
-    cap = numeric_config().net_cap
-    if net_size(dim, step, cap) > cap:
+    if net_size(dim, step, NET_CAP) > NET_CAP:
         raise NetTooLargeError(
-            f"net would have more than cap {cap} points at dim={dim}, step={step}"
+            f"net would have more than cap {NET_CAP} points at dim={dim}, step={step}"
         )
     rows = max(1, core.BATCH_BYTES // (8 * basis.dim_ambient))
     for Z in _lattice_chunks(dim, step, rows):

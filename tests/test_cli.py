@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 
 import ugspectral
+from ugspectral import core, linalg, oracle, recover
 from ugspectral.core import load_instance, save_instance, value
 from ugspectral.generators import PlantedSpec, planted_instance, perturb
 
@@ -31,12 +32,12 @@ CLI_ENV = {
 }
 
 
-def run_cli(*args, check=False, env=CLI_ENV):
+def run_cli(*args, check=False):
     proc = subprocess.run(
         [sys.executable, "-m", "ugspectral.cli", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
+        env=CLI_ENV,
     )
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -176,6 +177,15 @@ class TestSolve:
         assert proc.stderr.startswith("error: ") and named in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_net_step_overflowing_radius_exit_2(self, maxlin_file):
+        """A step so small that the net's radius overflows is a net over
+        the cap, not a traceback."""
+        path, _, _ = maxlin_file
+        proc = run_cli("solve", path, "--epsilon", 0.01, "--gamma", 0.5,
+                       "--max-dim", 20, "--net-step", 1e-300)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: net would have more than cap")
+
     def test_maxlin_rejects_laplacian_mode(self, maxlin_file):
         """solve_maxlin searches the adjacency window only, so asking it for
         the Laplacian one is an error, not a report saying "adjacency"."""
@@ -212,6 +222,26 @@ class TestOracle:
         path, _, _ = maxlin_file
         proc = run_cli("oracle", path, "--budget", 2)
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("budget", [-1, 0])
+    def test_non_positive_budget_exit_1(self, maxlin_file, budget):
+        path, _, _ = maxlin_file
+        proc = run_cli("oracle", path, "--budget", budget)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: budget must be a positive integer, got {budget}\n"
+
+    def test_manifest_reports_constants(self, maxlin_file):
+        """The manifest's numeric_config block reports the tolerances and
+        budgets the code fixes."""
+        path, _, _ = maxlin_file
+        rep = json.loads(run_cli("oracle", path, check=True).stdout)
+        validate(rep)
+        assert rep["manifest"]["numeric_config"] == {
+            "residual_tol": linalg.RESIDUAL_TOL,
+            "regularity_rel_tol": core.REGULARITY_REL_TOL,
+            "net_cap": recover.NET_CAP,
+            "brute_budget": oracle.BRUTE_BUDGET,
+        }
 
 
 class TestSpectrum:
@@ -316,40 +346,6 @@ class TestKVSpectrum:
         proc = run_cli("kv-spectrum", "--n", n, "--eps", 0.25)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: --n must be a power of two >= 2")
-
-
-class TestNumericConfigFile:
-    def run_with(self, tmp_path, path, text):
-        cfg = tmp_path / "numeric.json"
-        cfg.write_text(text)
-        return run_cli("oracle", path, env={**CLI_ENV, "UGSPEC_NUMERIC_CONFIG": str(cfg)}), cfg
-
-    def test_overrides_a_field(self, maxlin_file, tmp_path):
-        path, _, _ = maxlin_file
-        proc, _ = self.run_with(tmp_path, path, '{"net_cap": 1000000}')
-        assert proc.returncode == 0, proc.stderr
-        rep = json.loads(proc.stdout)
-        validate(rep)
-        assert rep["manifest"]["numeric_config"]["net_cap"] == 1000000
-
-    @pytest.mark.parametrize("text, names", [
-        ('{"aggregate_tol": 1e-8}', "unknown field 'aggregate_tol'"),
-        ("net_cap = 10", "not JSON"),
-        ("[1, 2]", "expected a JSON object"),
-        ('{"residual_tol": "abc"}', "residual_tol must be a finite number"),
-        ('{"residual_tol": NaN}', "residual_tol must be a finite number"),
-        ('{"residual_tol": true}', "residual_tol must be a finite number"),
-        ('{"net_cap": "abc"}', "net_cap must be a positive integer"),
-        ('{"net_cap": 0}', "net_cap must be a positive integer"),
-        ('{"brute_budget": 2.5}', "brute_budget must be a positive integer"),
-    ])
-    def test_bad_file_exit_1(self, maxlin_file, tmp_path, text, names):
-        """A bad override is a usage error naming the file and the field,
-        not a traceback."""
-        path, _, _ = maxlin_file
-        proc, cfg = self.run_with(tmp_path, path, text)
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.startswith(f"error: {cfg}: {names}")
 
 
 def test_unknown_arguments_exit_1():

@@ -7,11 +7,11 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import eigsh
 
-from ugspectral.config import numeric_config
 from ugspectral.core import UGInstance
 from ugspectral.generators import perturb, planted_regular_instance
 from ugspectral.label_extended import build_label_extended, build_laplacian
 from ugspectral.linalg import (
+    RESIDUAL_TOL,
     NumericError,
     _sparse_window,
     eigendecompose,
@@ -36,7 +36,7 @@ class TestEigendecompose:
     def test_residual_and_orthonormality(self, seed, n):
         A = random_symmetric(n, seed)
         vals, vecs = eigendecompose(A)
-        tol = numeric_config().residual_tol
+        tol = RESIDUAL_TOL
         scale = max(1.0, np.abs(vals).max())
         assert np.linalg.norm(A @ vecs - vecs * vals, axis=0).max() <= tol * scale
         assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= tol
@@ -213,7 +213,7 @@ class TestSparseWindow:
         vals = np.sort(np.linalg.eigvalsh(A))
         if mode == "adjacency-high":
             vals = vals[::-1]
-        tol = numeric_config().residual_tol * max(1.0, np.abs(vals).max())
+        tol = RESIDUAL_TOL * max(1.0, np.abs(vals).max())
         t = vals[j]
         if not on_cluster:
             t = (t + vals[j:][np.abs(vals[j:] - t) > 1e-6][0]) / 2

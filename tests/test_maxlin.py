@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ugspectral.config import NumericConfig, reset_numeric_config, set_numeric_config
+import ugspectral.core as core_mod
 from ugspectral.core import UGInstance, UGError, shift_image, value
 from ugspectral.generators import perturb
 from ugspectral.label_extended import build_label_extended, constraint_graph_adjacency
@@ -343,8 +343,8 @@ class TestParamsAndSolver:
         with pytest.raises(NonRegularError):
             solve_maxlin(ml, MaxLinParams(0.01, 0.5))
 
-    def test_regularity_tolerance_from_config(self):
-        """A configured regularity tolerance holds on the Max-Lin path as in
+    def test_regularity_tolerance_from_config(self, monkeypatch):
+        """core.REGULARITY_REL_TOL holds on the Max-Lin path as in
         recover_solution."""
         inst, _ = planted_on(7, 3, complete_skeleton(7), seed=3, family="maxlin")
         w = inst.w.copy()
@@ -353,9 +353,6 @@ class TestParamsAndSolver:
         ml = MaxLinInstance.from_instance(skewed)
         with pytest.raises(UGError, match="d-regular"):
             solve_maxlin(ml, MaxLinParams(0.01, 0.5))
-        set_numeric_config(NumericConfig(regularity_rel_tol=1e-6))
-        try:
-            assert solve_maxlin(ml, MaxLinParams(0.01, 0.5)).best_value == 1.0
-            assert recover_solution(skewed, SolveParams(0.01, 0.5)).best_value == 1.0
-        finally:
-            reset_numeric_config()
+        monkeypatch.setattr(core_mod, "REGULARITY_REL_TOL", 1e-6)
+        assert solve_maxlin(ml, MaxLinParams(0.01, 0.5)).best_value == 1.0
+        assert recover_solution(skewed, SolveParams(0.01, 0.5)).best_value == 1.0

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ugspectral.core import value
+from ugspectral.core import AbortError, UGError, value
 from ugspectral.generators import PlantedSpec, planted_instance, perturb
 from ugspectral.maxlin import AbelianGroup
 from ugspectral.oracle import BudgetExceededError, brute_force
@@ -125,6 +125,15 @@ class TestBudget:
         # 3^5 = 243 reduced labelings fit a budget the full 3^6 would not
         res = brute_force(inst, budget=300)
         assert res.best_value == 1.0
+
+    @pytest.mark.parametrize("budget", [-1, 0, 2.5])
+    def test_budget_must_be_positive_int(self, budget):
+        """A budget no enumeration can meet is a usage error, not an
+        exceeded budget."""
+        inst = random_instance(3, 2, p=1.0, seed=0)
+        with pytest.raises(UGError, match="budget must be a positive integer") as exc:
+            brute_force(inst, budget=budget)
+        assert not isinstance(exc.value, AbortError)
 
 
 def test_report_dict():

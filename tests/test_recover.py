@@ -11,13 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import ugspectral.core as core_mod
 import ugspectral.label_extended as label_extended_mod
+import ugspectral.linalg as linalg_mod
 import ugspectral.recover as recover_mod
-from ugspectral.config import (
-    NumericConfig,
-    numeric_config,
-    reset_numeric_config,
-    set_numeric_config,
-)
 from ugspectral.core import UGError, characteristic_vector, value, value_batch
 from ugspectral.generators import (
     KVSpec,
@@ -167,13 +162,10 @@ class TestNet:
         d2 = (V**2).sum(1)[:, None] - 2 * V @ pts.T + (pts**2).sum(1)[None, :]
         assert np.sqrt(np.maximum(d2.min(1), 0)).max() <= step * np.sqrt(dim) / 2 + 1e-12
 
-    def test_cap_enforced(self):
-        set_numeric_config(NumericConfig(net_cap=10))
-        try:
-            with pytest.raises(NetTooLargeError):
-                list(enumerate_net(orthonormal_space(4, 3, seed=0), 0.2))
-        finally:
-            reset_numeric_config()
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(recover_mod, "NET_CAP", 10)
+        with pytest.raises(NetTooLargeError):
+            list(enumerate_net(orthonormal_space(4, 3, seed=0), 0.2))
 
     def test_invalid_args(self):
         with pytest.raises(UGError):
@@ -229,6 +221,16 @@ class TestNetSize:
     def test_count_beyond_int64_rejected(self):
         with pytest.raises(NetTooLargeError):
             net_size(40, 0.2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dim, step", [(1, 1e-200), (20, 1e-300), (20, 1e-100), (400, 0.5)])
+    def test_overflowing_sizes_exceed_cap(self, dim, step):
+        """A net whose radius (steps below ~1e-154) or ball volume (a huge
+        radius, or gamma(dim/2 + 1) at dim 400) overflows a float is over
+        any cap, and too large to count without one."""
+        assert net_size(dim, step, cap=10**8) == 10**8 + 1
+        with pytest.raises(NetTooLargeError):
+            net_size(dim, step)
 
 
 class TestThreshold:
@@ -363,14 +365,11 @@ class TestRecover:
                 inst, SolveParams(epsilon=0.01, gamma=0.5, max_dim=8)
             )
 
-    def test_net_too_large(self):
-        set_numeric_config(NumericConfig(net_cap=5))
-        try:
-            inst, _ = planted_on(6, 3, complete_skeleton(6), seed=6, family="maxlin")
-            with pytest.raises(NetTooLargeError):
-                recover_solution(inst, SolveParams(epsilon=0.01, gamma=0.5, max_dim=8))
-        finally:
-            reset_numeric_config()
+    def test_net_too_large(self, monkeypatch):
+        monkeypatch.setattr(recover_mod, "NET_CAP", 5)
+        inst, _ = planted_on(6, 3, complete_skeleton(6), seed=6, family="maxlin")
+        with pytest.raises(NetTooLargeError):
+            recover_solution(inst, SolveParams(epsilon=0.01, gamma=0.5, max_dim=8))
 
     def test_edgeless_instance_solves(self):
         """Every labeling of an edgeless instance has value 1, so the solve
@@ -404,7 +403,7 @@ class TestRecover:
         assert all(type(x) is int for x in d["best_labeling"])
         assert d["value_path"] == "edge"  # 15 pairs, one edge each
         assert 1 <= d["distinct_labelings"] <= d["net_points_evaluated"] + 2 * d["dim_W"]
-        assert 0 <= d["max_residual"] <= numeric_config().residual_tol * 5  # d = 5
+        assert 0 <= d["max_residual"] <= linalg_mod.RESIDUAL_TOL * 5  # d = 5
         assert d["net_step"] == pytest.approx(np.sqrt(2 * 0.01 / (0.5 * rep.dim_W)))
 
     def test_deterministic_reports(self):
@@ -428,7 +427,7 @@ class TestRecover:
             for key in timers:
                 del r[key]
         assert json.dumps(r1) == json.dumps(r2)
-        assert r1["max_residual"] <= numeric_config().residual_tol * 4
+        assert r1["max_residual"] <= linalg_mod.RESIDUAL_TOL * 4
         monkeypatch.setattr(label_extended_mod, "SPARSE_MIN_DIM", 10**9)
         dense = recover_solution(inst, p)
         assert (dense.dim_W, dense.best_value) == (r1["dim_W"], r1["best_value"])
