@@ -19,8 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 # Byte budget of one batch: a chunk of net vectors, or one slice of
-# value_batch's per-row intermediates.
-BATCH_BYTES = 2**24
+# value_batch's per-row intermediates.  The read-off of a chunk works on 1/k
+# of it per label; at 2 MiB those buffers stay in cache, and the
+# laplacian-clustered benchmark solved in half the time it took at 4 or 16 MiB.
+BATCH_BYTES = 2**21
 
 # Relative spread of the degrees below which is_regular accepts a graph.
 REGULARITY_REL_TOL = 1e-9
@@ -304,18 +306,25 @@ def _fmt_weight(w):
 
 
 def parse_instance(text: str) -> UGInstance:
-    """Instance from its text form.  ASCII text has its edge lines parsed
-    as arrays in one ``np.loadtxt`` call; on other text, and on any input
-    that path rejects, the line loop runs and raises the error it names,
-    with its line number.  Both give bitwise-equal instances."""
+    """Instance from its text form.  Edge lines that are ASCII once their
+    comments are cut are parsed as arrays in one ``np.loadtxt`` call; on
+    other text, and on any input that path rejects, the line loop runs and
+    raises the error it names, with its line number.  Both give
+    bitwise-equal instances."""
     lines = text.splitlines()
-    header = _read_header(lines)
-    # Non-ASCII text goes to the loop alone: loadtxt can crash the
+    fmt, n, k, header_line = header = _read_header(lines)
+    body = lines[header_line:]
+    # Non-ASCII fields go to the loop alone: loadtxt can crash the
     # interpreter on a non-ASCII character inside an integer field (numpy
-    # 2.4.6 segfaults now and then on the token "1\U0002c6d41").
-    if text.isascii():
+    # 2.4.6 segfaults now and then on the token "1\U0002c6d41").  Comments
+    # may hold any text; they are cut first, as the loop cuts them.
+    ascii_fields = text.isascii()
+    if not ascii_fields:
+        body = [line.split("#", 1)[0] for line in body]
+        ascii_fields = all(line.isascii() for line in body)
+    if ascii_fields:
         try:
-            return _parse_arrays(lines, *header)
+            return _parse_arrays(body, fmt, n, k)
         except (ValueError, UGError, Warning):
             pass  # the loop also takes tokens loadtxt rejects, such as 1_0
     return _parse_lines(lines, *header)
@@ -345,7 +354,7 @@ def _read_header(lines):
     return header[0], n, k, header_line
 
 
-def _parse_arrays(lines, fmt, n, k, header_line) -> UGInstance:
+def _parse_arrays(body, fmt, n, k) -> UGInstance:
     """The edge lines after the header in one ``np.loadtxt`` call, checked
     by ``UGInstance._store``.  Raises ValueError, UGError or a Warning, with
     no message meant for the user, on every input the line loop rejects."""
@@ -355,7 +364,7 @@ def _parse_arrays(lines, fmt, n, k, header_line) -> UGInstance:
         # Every warning rejects: an empty body ("input contained no data"),
         # and numpy 1.23-1.x reading an int64 field from a token such as 1.0.
         warnings.simplefilter("error")
-        rows = np.loadtxt(lines[header_line:], dtype=row, comments="#", ndmin=1)
+        rows = np.loadtxt(body, dtype=row, comments="#", ndmin=1)
     w, images = rows["w"], rows["images"]
     if not np.all(np.isfinite(w) & (w >= 0)):
         raise ValueError

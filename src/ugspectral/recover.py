@@ -3,13 +3,21 @@
 The solver selects the high eigenspace W of the label-extended adjacency
 matrix (eigenvalues >= (1-theta)d) or the low eigenspace of its Laplacian
 (eigenvalues <= theta*d_avg), where the window theta defaults to gamma, and
-streams candidates: a lattice epsilon-net of the unit ball of W with
-coefficient step sqrt(2*eps/(theta*dim W)), then the signed basis vectors,
-in chunks of at most core.BATCH_BYTES bytes.  It reads a labeling off each
-by per-block argmax, scores each distinct labeling of the whole stream once
-and keeps the first candidate of maximum satisfied weight.  The YES/NO
-decision compares that value to a threshold derived from the guarantee
-1 - O(eps/(gamma-8*eps) + eps), whatever theta.
+streams candidates as coefficient rows over the basis of W: the lattice
+epsilon-net of the unit ball of W (step*Z^dim points of coefficient step
+sqrt(2*eps/(theta*dim W))), then the +-identity rows, the signed basis
+vectors.  One coefficient stream owns the net cap and the chunking, at most
+core.BATCH_BYTES bytes of ambient vectors per chunk.
+
+A labeling is read off each candidate by per-vertex-block argmax without
+forming the candidate: read_off_batch multiplies a chunk of coefficient rows
+by one label's rows of the basis at a time (a label-major copy of the basis,
+label_blocks) and keeps a running maximum per vertex, so the working set is
+a (rows, n) buffer, 1/k of the ambient chunk.  The solver scores each
+distinct labeling of the whole stream once and keeps the first candidate of
+maximum satisfied weight.  The YES/NO decision compares that value to a
+threshold derived from the guarantee 1 - O(eps/(gamma-8*eps) + eps),
+whatever theta.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from .linalg import Eigenspace, NumericError, project_split, select_eigenspace
 
 
 YES_CONSTANT = 10.0  # the O(.) constant of the YES threshold
-NET_CAP = 10**8  # most net points enumerate_net streams before NetTooLargeError
+NET_CAP = 10**8  # most net points net_coefficients streams before NetTooLargeError
 
 
 class NonRegularError(UGError):
@@ -106,6 +114,11 @@ class SolveReport:
     max_residual: float = float("nan")  # Eigenspace.max_residual of W
     distinct_labelings: int = 0  # distinct candidate labelings scored
     value_path: str | None = None  # UGInstance.value_path: 'pair-table' | 'edge'
+    signed_candidates: int = 0  # signed basis vectors read off after the net
+    # Seconds per stage: search_space (eigen_time), then readoff (the net's
+    # coefficient stream with its read-off), dedupe and scoring, whose sum
+    # is enumeration_time.
+    stages: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -119,12 +132,38 @@ def read_off_assignment(x, n, k) -> np.ndarray:
         raise UGError(f"vector length {x.shape} != n*k = {n * k}")
     if not np.all(np.isfinite(x)):
         raise UGError("non-finite entries in read-off vector")
-    return read_off_batch(x[None, :], n, k)[0]
+    return read_off_batch(np.ones((1, 1)), x.reshape(n, k).T[:, :, None])[0].astype(np.int64)
 
 
-def read_off_batch(X, n, k) -> np.ndarray:
-    """Per-block argmax labelings of the rows of a (batch, n*k) array."""
-    return np.argmax(X.reshape(-1, n, k), axis=2)
+def label_blocks(basis, k) -> np.ndarray:
+    """Label-major copy of an (n*k, dim) basis: blocks[j, v] is row v*k + j,
+    the coordinate of label j at vertex v, as a (k, n, dim) C-ordered array."""
+    nk, dim = basis.shape
+    return np.ascontiguousarray(basis.reshape(nk // k, k, dim).transpose(1, 0, 2))
+
+
+def read_off_batch(C, blocks) -> np.ndarray:
+    """Per-block argmax labelings of the vectors C @ B.T, B the basis that
+    ``blocks = label_blocks(B, k)`` lays out by label, as a (rows, n) array
+    of the narrowest dtype holding k - 1.
+
+    Label j's coordinates C @ blocks[j].T land in one reused (rows, n)
+    buffer; a strictly greater value takes the vertex, so ties go to the
+    smallest label, as with np.argmax."""
+    k, n, _ = blocks.shape
+    narrow = np.min_scalar_type(k - 1)
+    best = C @ blocks[0].T
+    x, gt = np.empty_like(best), np.empty(best.shape, dtype=bool)
+    labels, jgt = np.zeros(best.shape, dtype=narrow), np.empty(best.shape, dtype=narrow)
+    for j in range(1, k):
+        np.matmul(C, blocks[j].T, out=x)
+        np.greater(x, best, out=gt)
+        np.maximum(best, x, out=best)
+        # labels = max(labels, j * gt): the masked copy np.copyto(where=)
+        # costs over 20 times these two passes.
+        np.multiply(gt, j, out=jgt, dtype=narrow)
+        np.maximum(labels, jgt, out=labels)
+    return labels
 
 
 def _net_radius2(dim, step):
@@ -233,13 +272,13 @@ def _lattice_chunks(dim, step, rows) -> Iterator[np.ndarray]:
         yield out
 
 
-def enumerate_net(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
-    """Stream every net vector sum_s alpha_s w(s), alpha_s in step*Z, with
-    coefficient norm at most 1 + step*sqrt(dim)/2, exactly once in
-    lexicographic coefficient order, as (rows, dim_ambient) float64 arrays
-    of at most core.BATCH_BYTES bytes (or one row).  The extra
-    half-cell-diagonal of slack beyond the unit ball guarantees every vector
-    of norm <= 1 has a net point within step*sqrt(dim)/2 of it.
+def net_coefficients(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
+    """The coefficients alpha in step*Z^dim of every net vector
+    sum_s alpha_s w(s): coefficient norm at most 1 + step*sqrt(dim)/2, each
+    point once, in lexicographic order, as (rows, dim) float64 arrays whose
+    ambient vectors take at most core.BATCH_BYTES bytes (or one row).  The
+    extra half-cell-diagonal of slack beyond the unit ball guarantees every
+    vector of norm <= 1 has a net point within step*sqrt(dim)/2 of it.
     Raises NetTooLargeError before yielding if the net exceeds the cap."""
     dim = basis.dim
     if dim < 1:
@@ -250,7 +289,13 @@ def enumerate_net(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
         )
     rows = max(1, core.BATCH_BYTES // (8 * basis.dim_ambient))
     for Z in _lattice_chunks(dim, step, rows):
-        yield (Z * step) @ basis.basis.T
+        yield Z * step
+
+
+def enumerate_net(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
+    """The net vectors of net_coefficients, as (rows, dim_ambient) arrays."""
+    for C in net_coefficients(basis, step):
+        yield C @ basis.basis.T
 
 
 def select_search_space(inst: UGInstance, params: SolveParams):
@@ -290,9 +335,16 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
     labeling of maximum value."""
     params.validate()
     threshold = default_yes_threshold(params)
-    t0 = time.perf_counter()
+    stages = dict.fromkeys(("search_space", "readoff", "dedupe", "scoring"), 0.0)
+    t = time.perf_counter()
+
+    def lap(stage):  # the seconds since the last lap go to stage
+        nonlocal t
+        t, t0 = time.perf_counter(), t
+        stages[stage] += t - t0
+
     W, d = select_search_space(inst, params)
-    eigen_time = time.perf_counter() - t0
+    lap("search_space")
     dim = W.dim
     if dim == 0:
         raise DegenerateSpectrumError(
@@ -308,26 +360,29 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
         step = float(np.sqrt(2 * params.epsilon / (params.window * dim)))
 
     n, k = inst.n, inst.k
+    blocks = label_blocks(W.basis, k)
+    # The signed basis vectors follow the net as candidates so a
+    # one-dimensional W cannot be missed by lattice misalignment; as the
+    # +-identity coefficient rows they are read off exactly.
+    signed = np.concatenate([np.eye(dim), -np.eye(dim)])
     narrow = np.min_scalar_type(k - 1)
     row = np.dtype((np.void, n * narrow.itemsize))
-    t1 = time.perf_counter()
-    # Signed basis vectors follow the net as candidates so a one-dimensional
-    # W cannot be missed by lattice misalignment.
-    signed = np.concatenate([W.basis.T, -W.basis.T], axis=0)
     distinct, candidates = {}, 0
-    for X in itertools.chain(enumerate_net(W, step), [signed]):
-        # Each labeling, cast to the narrowest dtype holding k - 1, is one
-        # opaque row; the dict keeps first occurrences in stream order.
-        labels = np.ascontiguousarray(read_off_batch(X, n, k), dtype=narrow)
+    for C in itertools.chain(net_coefficients(W, step), [signed]):
+        labels = read_off_batch(C, blocks)
+        lap("readoff")
+        # Each labeling is one opaque row; the dict keeps first occurrences
+        # in stream order.
         distinct.update(dict.fromkeys(labels.view(row).ravel().tolist()))
-        candidates += len(X)
-        del X, labels  # before the generator builds the next chunk
+        candidates += len(C)
+        lap("dedupe")
     labelings = np.frombuffer(b"".join(distinct), narrow).reshape(-1, n)
+    lap("dedupe")
     vals = value_batch(inst, labelings)
     # argmax takes the first maximum: the first candidate in stream order.
     i = int(np.argmax(vals))
     best_value, best_labeling = float(vals[i]), labelings[i].astype(np.int64)
-    enumeration_time = time.perf_counter() - t1
+    lap("scoring")
 
     return SolveReport(
         best_labeling=best_labeling,
@@ -336,14 +391,16 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
         yes_threshold=threshold,
         dim_W=dim,
         net_points_evaluated=candidates - len(signed),
-        eigen_time=eigen_time,
-        enumeration_time=enumeration_time,
+        eigen_time=stages["search_space"],
+        enumeration_time=stages["readoff"] + stages["dedupe"] + stages["scoring"],
         net_step=step,
         mode=params.mode,
         cut_gap=W.cut_gap,
         max_residual=W.max_residual,
         distinct_labelings=len(labelings),
         value_path=inst.value_path,
+        signed_candidates=len(signed),
+        stages=stages,
     )
 
 

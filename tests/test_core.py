@@ -504,6 +504,23 @@ class TestSerialization:
         with pytest.raises(ParseError, match=re.escape("line 3: malformed edge fields")):
             parse_instance("ug 2 2\n\n1\U0002c6d41 1 1.0 0 1\n")
 
+    @pytest.mark.parametrize("text", [
+        "# d\u00e9j\u00e0 vu\nug 3 2\n0 1 1.0 1 0  # \u00e9t\u00e9\n# \u2603\n1 2 0.25 0 1\n",
+        "maxlin 3 4\n# \u00fc\n0 1 1.0 2 #\u00e0\n\n1 2 0.5 0\n",
+        "ug 2 2\n0 1 1.0 0 1 # \u0660 \U0002c6d4\n",
+    ])
+    def test_non_ascii_comments_take_array_path(self, text, monkeypatch):
+        """Text whose non-ASCII characters all sit in comments is parsed by
+        loadtxt after the comments are cut, bitwise equal to the loop."""
+        def line_loop(*args):
+            raise AssertionError("parse_instance fell back to the line loop")
+
+        assert not text.isascii()
+        expected = parse_outcome(parse_by_lines, text)
+        assert expected[0] in (2, 3)  # the loop accepts the text
+        monkeypatch.setattr(core_mod, "_parse_lines", line_loop)
+        assert parse_outcome(parse_instance, text) == expected
+
     @pytest.mark.parametrize("make_text", [
         pytest.param(lambda: serialize_instance(kv_instance(KVSpec(2, 0.25))), id="kv2"),
         pytest.param(lambda: serialize_instance(kv_instance(KVSpec(3, 0.25))), id="kv3"),

@@ -55,3 +55,31 @@ def test_traced_solve_of_every_workload(monkeypatch):
         assert runner.failed == 0 and len(plain) == len(layers) == 1, name
         assert names <= layers[0].keys(), name
         assert layers[0]["trace.coverage"] >= 1 - run.COVERAGE_TOL, name
+
+
+def test_readoff_called_once_per_chunk(monkeypatch):
+    """perfbench's ``recover.readoff_s`` times the wrapper on
+    ``recover.read_off_batch``, so a solve must call it, looked up on the
+    module, once per coefficient chunk of the net and once for the signed
+    basis, on every candidate row."""
+    import ugspectral.core as core_mod
+    import ugspectral.recover as recover_mod
+    from ugspectral.generators import KVSpec, kv_instance
+
+    inst = kv_instance(KVSpec(2, 0.25))
+    params = recover_mod.SolveParams(0.01, 0.5, net_step_override=0.9)
+    read_off_batch, calls = recover_mod.read_off_batch, []
+
+    def counting(C, blocks):
+        calls.append(len(C))
+        return read_off_batch(C, blocks)
+
+    rows = 50
+    monkeypatch.setattr(core_mod, "BATCH_BYTES", rows * 8 * inst.n * inst.k)
+    monkeypatch.setattr(recover_mod, "read_off_batch", counting)
+    rep = recover_mod.recover_solution(inst, params)
+    net = rep.net_points_evaluated
+    assert net == recover_mod.net_size(rep.dim_W, rep.net_step) > rows
+    assert len(calls) == -(-net // rows) + 1
+    assert calls[-1] == rep.signed_candidates == 2 * rep.dim_W
+    assert sum(calls) == net + 2 * rep.dim_W

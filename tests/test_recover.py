@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ugspectral.core as core_mod
 import ugspectral.label_extended as label_extended_mod
@@ -35,8 +36,10 @@ from ugspectral.recover import (
     closeness_diagnostic,
     default_yes_threshold,
     enumerate_net,
+    label_blocks,
     net_size,
     read_off_assignment,
+    read_off_batch,
     recover_solution,
     select_search_space,
 )
@@ -93,6 +96,26 @@ class TestReadOff:
     def test_inverts_characteristic_vector(self):
         L = np.array([2, 0, 1])
         assert read_off_assignment(characteristic_vector(L, 3), 3, 3).tolist() == L.tolist()
+
+    @given(st.integers(2, 8), st.integers(1, 5), st.integers(1, 4), st.integers(0, 9), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_argmax(self, k, n, dim, rows, data):
+        """The label-major kernel equals np.argmax on the ambient vectors,
+        bit for bit: small integers make every product exact and ties
+        common, so the first-maximum tie-break is pinned, on drawn rows and
+        the +-identity rows of the signed basis alike, and reading off any
+        split of the rows gives the same labelings."""
+        ints = st.integers(-2, 2).map(float)
+        B = data.draw(hnp.arrays(np.float64, (n * k, dim), elements=ints))
+        drawn = data.draw(hnp.arrays(np.float64, (rows, dim), elements=ints))
+        C = np.concatenate([drawn, np.eye(dim), -np.eye(dim)])
+        expected = np.argmax((C @ B.T).reshape(-1, n, k), axis=2)
+        got = read_off_batch(C, label_blocks(B, k))
+        assert got.dtype == np.min_scalar_type(k - 1)
+        assert np.array_equal(got, expected)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(C)), max_size=3)))
+        parts = [read_off_batch(part, label_blocks(B, k)) for part in np.split(C, cuts)]
+        assert np.array_equal(np.concatenate(parts), got)
 
 
 class TestNet:
@@ -399,8 +422,15 @@ class TestRecover:
         assert list(d) == ["best_labeling", "best_value", "decision", "yes_threshold",
                            "dim_W", "net_points_evaluated", "eigen_time",
                            "enumeration_time", "net_step", "mode", "cut_gap",
-                           "max_residual", "distinct_labelings", "value_path"]
+                           "max_residual", "distinct_labelings", "value_path",
+                           "signed_candidates", "stages"]
         assert all(type(x) is int for x in d["best_labeling"])
+        stages = d["stages"]
+        assert list(stages) == ["search_space", "readoff", "dedupe", "scoring"]
+        assert all(type(s) is float and s >= 0 for s in stages.values())
+        assert d["eigen_time"] == stages["search_space"]
+        assert d["enumeration_time"] == stages["readoff"] + stages["dedupe"] + stages["scoring"]
+        assert d["signed_candidates"] == 2 * d["dim_W"]
         assert d["value_path"] == "edge"  # 15 pairs, one edge each
         assert 1 <= d["distinct_labelings"] <= d["net_points_evaluated"] + 2 * d["dim_W"]
         assert 0 <= d["max_residual"] <= linalg_mod.RESIDUAL_TOL * 5  # d = 5
@@ -421,7 +451,7 @@ class TestRecover:
         inst = perturb(inst, planted, 0.02, seed=1, constraint_family="maxlin")
         assert scipy.sparse.issparse(build_label_extended(inst).matrix)
         p = SolveParams(0.005, 0.05, max_dim=8, net_step_override=1.0)
-        timers = ("eigen_time", "enumeration_time")
+        timers = ("eigen_time", "enumeration_time", "stages")
         r1, r2 = (recover_solution(inst, p).to_dict() for _ in range(2))
         for r in (r1, r2):
             for key in timers:
@@ -525,6 +555,41 @@ class TestSearchMatchesReference:
                              net_step_override=step)
         assume(select_search_space(inst, params)[0].dim <= params.max_dim)
         assert_matches_reference(inst, params)
+
+
+# The seeded instances and parameters of TestSearchMatchesReference.
+SEARCH_CASES = [
+    pytest.param(lambda seed=seed: planted_on(7, 3, complete_skeleton(7), seed=seed,
+                                              family="maxlin")[0],
+                 SolveParams(0.01, 0.5), id=f"perfect-{seed}")
+    for seed in (1, 4)
+] + [
+    pytest.param(lambda seed=seed, frac=frac: perturb(
+                     *planted_on(7, 3, complete_skeleton(7), seed=seed, family="maxlin"),
+                     frac, seed=11, constraint_family="maxlin"),
+                 SolveParams(0.05, 0.5, net_step_override=step), id=f"perturbed-{seed}-{step}")
+    for seed, frac, step in [(4, 0.03, None), (6, 0.1, 0.9), (6, 0.1, 0.3)]
+] + [
+    pytest.param(lambda seed=seed: perturb(*planted_on(8, 3, cycle_skeleton(8), seed=seed),
+                                           0.1, seed=seed),
+                 SolveParams(0.01, 0.2, mode="laplacian", net_step_override=0.5),
+                 id=f"laplacian-{seed}")
+    for seed in (0, 1, 2)
+]
+
+
+@pytest.mark.parametrize("make, params", SEARCH_CASES)
+def test_answer_independent_of_chunk_size(make, params, monkeypatch):
+    """A solve at a byte budget of one row, of seven rows and the default
+    returns the same answer.  This pins, on these instances, that the BLAS
+    products' rounding by row count does not reach the read-off."""
+    inst = make()
+    answers = []
+    for budget in (1, 7 * 8 * inst.n * inst.k, core_mod.BATCH_BYTES):
+        monkeypatch.setattr(core_mod, "BATCH_BYTES", budget)
+        rep = recover_solution(inst, params)
+        answers.append((rep.best_value, rep.best_labeling.tolist(), rep.distinct_labelings))
+    assert answers[0] == answers[1] == answers[2]
 
 
 class TestClosenessDiagnostic:
