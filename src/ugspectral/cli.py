@@ -68,7 +68,7 @@ def make_manifest(input_path=None, t0=None):
 
 
 def _emit(report: dict):
-    json.dump(report, sys.stdout, indent=2)
+    json.dump(report, sys.stdout, indent=2, allow_nan=False)
     sys.stdout.write("\n")
 
 

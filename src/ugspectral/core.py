@@ -180,9 +180,6 @@ class UGInstance:
         deg = np.bincount(ends, np.repeat(self.w, 2 - loop), minlength=self.n)
         return deg.astype(np.float64, copy=False)  # int zeros when edgeless
 
-    def degree(self, u):
-        return float(self.degrees()[u])
-
     @property
     def average_degree(self):
         return float(self.degrees().mean())

@@ -1,9 +1,9 @@
 """Instance factories.
 
 Covers planted satisfiable instances and their adversarial perturbations,
-random regular graph skeletons (pairing model), the Khot-Vishnoi constraint
-graph / instance / label-extended closed form, and the fast Walsh-Hadamard
-engine for spectra of Cayley graphs over F_2^n.
+random regular graph skeletons (pairing model), the Khot-Vishnoi instance
+and its label-extended closed form, and the fast Walsh-Hadamard engine for
+spectra of Cayley graphs over F_2^n.
 """
 
 from __future__ import annotations
@@ -258,19 +258,6 @@ def kv_cosets(spec: KVSpec):
     # The code is linear, so x ^ H is the whole coset of x.
     smallest = (np.arange(spec.N)[:, None] ^ hadamard_code(spec.kappa)).min(axis=1)
     return np.unique(smallest, return_inverse=True)
-
-
-def kv_constraint_graph(spec: KVSpec):
-    """(coset representatives, m x m weight matrix A) of the KV constraint
-    graph; A[i, j] sums eps^|..| (1-eps)^(n-|..|) over all H x H pairs."""
-    if spec.kappa > 3:
-        raise UGError("kv_constraint_graph materializes only up to kappa=3")
-    reps, _ = kv_cosets(spec)
-    H = hadamard_code(spec.kappa)
-    # The sum over h1, h2 collapses to n * the sum over h of the coset difference.
-    diffs = (reps[:, None] ^ reps[None, :])[:, :, None] ^ H
-    wt = _kv_weight_table(spec)[_popcount_table(spec.n)[diffs]]
-    return reps, spec.n * wt.sum(axis=2)
 
 
 def kv_instance(spec: KVSpec) -> UGInstance:

@@ -20,7 +20,7 @@ import numpy as np
 from .core import AbortError
 
 # Relative tolerance of the eigenpair contract (residual, orthonormality)
-# and of the window cut; project_split scales it by the vector's norm.
+# and of the window cut.
 RESIDUAL_TOL = 1e-9
 
 
@@ -64,13 +64,11 @@ class Eigenspace:
 
 @dataclass
 class ProjectionSplit:
-    """Decomposition x = alpha * parallel + beta * orthogonal with both
-    components unit length (orthogonal is None when beta == 0)."""
+    """Norms of the components of x inside (alpha) and orthogonal to
+    (beta) a subspace; alpha^2 + beta^2 = ||x||^2."""
 
     alpha: float
     beta: float
-    parallel: np.ndarray | None
-    orthogonal: np.ndarray | None
 
 
 def eigendecompose(A):
@@ -95,11 +93,12 @@ def select_eigenspace(A, threshold, mode) -> Eigenspace:
 
     mode 'adjacency-high': eigenvalues >= threshold (the high window W of an
     adjacency matrix); 'laplacian-low': eigenvalues <= threshold.  Values
-    within RESIDUAL_TOL * max(1, max|lambda|) of the threshold count as on
-    the kept side, so a cluster of numerically equal eigenvalues sitting on
-    the threshold is kept whole rather than split by rounding.  A sparse A
-    takes the windowed ARPACK path (``_sparse_window``) unless the window is
-    too large a share of the spectrum.
+    within RESIDUAL_TOL * max(1, c) of the threshold, c the Gershgorin bound
+    of A (``_window_cut``), count as on the kept side, so a cluster of
+    numerically equal eigenvalues sitting on the threshold is kept whole
+    rather than split by rounding, and a dense and a sparse A get the same
+    window.  A sparse A takes the windowed ARPACK path (``_sparse_window``)
+    unless the window is too large a share of the spectrum.
     """
     if mode not in ("adjacency-high", "laplacian-low"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -112,14 +111,19 @@ def select_eigenspace(A, threshold, mode) -> Eigenspace:
     else:
         A = np.asarray(A, dtype=np.float64)
     vals, vecs = eigendecompose(A)
-    tol = RESIDUAL_TOL * max(1.0, float(np.abs(vals).max(initial=0.0)))
-    if mode == "adjacency-high":
-        keep = vals >= threshold - tol
-        nearest = vals[~keep].max(initial=-np.inf)
-    else:
-        keep = vals <= threshold + tol
-        nearest = vals[~keep].min(initial=np.inf)
+    sign, c, cut = _window_cut(A, threshold, mode)
+    keep = sign * vals + c >= cut
+    nearest = sign * (sign * vals[~keep]).max(initial=-np.inf)
     return _eigenspace(A, vals[keep], np.ascontiguousarray(vecs[:, keep]), threshold, mode, nearest)
+
+
+def _window_cut(A, threshold, mode):
+    """(sign, c, cut): the window is the top of the operator sign*A + cI,
+    c = max_i sum_j |A_ij| >= max|lambda| the Gershgorin bound, and keeps
+    the eigenvalues mu of that operator with mu >= cut."""
+    sign = 1.0 if mode == "adjacency-high" else -1.0
+    c = float(abs(A).sum(axis=1).max(initial=0.0))
+    return sign, c, sign * threshold + c - RESIDUAL_TOL * max(1.0, c)
 
 
 def _eigenspace(A, vals, basis, threshold, mode, nearest) -> Eigenspace:
@@ -151,15 +155,14 @@ def _sparse_window(A, threshold, mode) -> Eigenspace | None:
     path should take over.
 
     Both modes search the top of one positive semidefinite operator,
-    op = A + cI (adjacency-high) or cI - A (laplacian-low), with c the
-    Gershgorin bound max_i sum_j |A_ij| >= max|lambda|, which also scales
-    the tolerance.  Each eigsh call asks the operator deflated by the pairs
-    kept so far (op restricted to their orthogonal complement) for a block
-    of eigenpairs and keeps those inside the window.  Lanczos can return one
-    copy too few of a repeated eigenvalue, so the cut is certified only by a
-    call that finds nothing left inside the window: the largest eigenvalue
-    of the deflated operator then lies outside it, and it is
-    ``nearest_dropped``.  The block doubles after a call that kept all it
+    op = A + cI (adjacency-high) or cI - A (laplacian-low), with the c and
+    cut of ``_window_cut``.  Each eigsh call asks the operator deflated by
+    the pairs kept so far (op restricted to their orthogonal complement)
+    for a block of eigenpairs and keeps those inside the window.  Lanczos
+    can return one copy too few of a repeated eigenvalue, so the cut is
+    certified only by a call that finds nothing left inside the window: the
+    largest eigenvalue of the deflated operator then lies outside it, and it
+    is ``nearest_dropped``.  The block doubles after a call that kept all it
     found, and is one pair after a call that kept some.  Each call starts
     from a new draw of one seeded generator, so a solve is deterministic:
     the copies one Lanczos run misses are, in exact arithmetic, orthogonal
@@ -175,10 +178,8 @@ def _sparse_window(A, threshold, mode) -> Eigenspace | None:
         raise NumericError(f"expected an exactly symmetric matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.data)):
         raise NumericError("matrix has non-finite entries")
-    sign = 1.0 if mode == "adjacency-high" else -1.0
-    c = float(abs(A).sum(axis=1).max(initial=0.0))
+    sign, c, cut = _window_cut(A, threshold, mode)
     op = (sign * A + c * sp.eye_array(dim, format="csr")).tocsr()
-    cut = sign * threshold + c - RESIDUAL_TOL * max(1.0, c)
     rng = np.random.default_rng(0)
     basis, mu = np.zeros((dim, 0)), np.zeros(0)
     block = SPARSE_BLOCK
@@ -222,18 +223,8 @@ def project_split(x, S: Eigenspace) -> ProjectionSplit:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (S.dim_ambient,):
         raise NumericError(f"vector shape {x.shape} != ambient dim {S.dim_ambient}")
-    norm = np.linalg.norm(x)
-    if norm == 0:
+    if np.linalg.norm(x) == 0:
         raise NumericError("cannot split the zero vector")
-    coeffs = S.basis.T @ x
-    parallel = S.basis @ coeffs
-    residual = x - parallel
-    alpha = float(np.linalg.norm(parallel))
-    beta = float(np.linalg.norm(residual))
-    tol = RESIDUAL_TOL * norm
-    return ProjectionSplit(
-        alpha=alpha,
-        beta=beta,
-        parallel=parallel / alpha if alpha > tol else None,
-        orthogonal=residual / beta if beta > tol else None,
-    )
+    parallel = S.basis @ (S.basis.T @ x)
+    return ProjectionSplit(alpha=float(np.linalg.norm(parallel)),
+                           beta=float(np.linalg.norm(x - parallel)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import UGInstance, UGError, _unit_scale, shift_image, value
+from .core import UGInstance, UGError, shift_image, value
 from .label_extended import build_label_extended, constraint_graph_adjacency
 from .linalg import Eigenspace, project_split, select_eigenspace
 from .recover import SolveParams, SolveReport, recover_solution
@@ -52,17 +52,21 @@ class AbelianGroup:
 
 @dataclass
 class MaxLinInstance:
+    """A group-difference instance: every edge of ``base`` is a shift of
+    ``group``.  ``shifts`` (read-only int64, one per edge) names them."""
+
     base: UGInstance
-    shifts: tuple[int, ...]
     group: AbelianGroup
 
     def __post_init__(self):
         if self.group.order != self.base.k:
             raise UGError("group order must equal the alphabet size")
-        shifts = np.asarray(self.shifts, dtype=np.int64)
-        if shifts.shape != self.base.u.shape:
-            raise UGError("need exactly one shift per edge")
-        wrong = np.any(self.base.perm != self.group.shift_table()[shifts % self.k], axis=1)
+        table = self.group.shift_table()
+        # The shift by c maps 0 to -c, so the image of 0 names the only
+        # candidate shift of an edge; any other image rejects the edge.
+        self.shifts = np.argsort(table[:, 0])[self.base.perm[:, 0]]
+        self.shifts.flags.writeable = False
+        wrong = np.any(self.base.perm != table[self.shifts], axis=1)
         if wrong.any():
             e = int(np.argmax(wrong))
             u, v = self.base.u[e], self.base.v[e]
@@ -73,31 +77,15 @@ class MaxLinInstance:
         return self.base.k
 
     @classmethod
-    def from_constraints(cls, n, group: AbelianGroup, constraints):
-        """constraints: iterable of (u, v, weight, c)."""
-        constraints = list(constraints)
-        u, v, w, c = zip(*constraints) if constraints else ((),) * 4
-        c = np.array(c, dtype=np.int64)
-        w, scale = _unit_scale(w)
-        perm = group.shift_table()[c % group.order]
-        base = UGInstance.from_arrays(n, group.order, u, v, w, perm, scale)
-        return cls(base, tuple(c.tolist()), group)
-
-    @classmethod
     def from_instance(cls, inst: UGInstance, group: AbelianGroup | None = None):
-        """Detect the shift of every edge; error if any edge is not a group
-        difference constraint for the given group (cyclic Z_k by default)."""
-        group = group or AbelianGroup.cyclic(inst.k)
-        if group.order != inst.k:
-            raise UGError("group order must equal the alphabet size")
-        # The shift by c maps 0 to -c, so the image of 0 names the only
-        # candidate shift; __post_init__ rejects edges that are not it.
-        shifts = np.argsort(group.shift_table()[:, 0])[inst.perm[:, 0]]
-        return cls(inst, tuple(shifts.tolist()), group)
+        """The instance as a difference game over the group (cyclic Z_k by
+        default); error if any edge is not one of its shifts."""
+        return cls(inst, group or AbelianGroup.cyclic(inst.k))
 
 
 def shift(labels, i, group: AbelianGroup) -> np.ndarray:
-    """Add a group element to every label; satisfaction is invariant."""
+    """Add a group element to every label; satisfaction is invariant.
+    Arrays of elements broadcast against the labels."""
     table = group.shift_table()
     # Adding i is the shift by -i, and -i is the image of 0 under the shift by i.
     return table[table[i % group.order, 0], np.asarray(labels, dtype=np.int64)]
@@ -116,9 +104,8 @@ def lift_eigenbasis(phi_basis: Eigenspace, ml: MaxLinInstance, planted) -> np.nd
     if value(ml.base, planted) != 1.0:
         raise UGError("lift requires the planted labeling to satisfy everything")
     n, k = ml.base.n, ml.k
-    table = ml.group.shift_table()
-    # Row i is the planted labeling shifted by i, as in shift(planted, i).
-    cols = np.arange(n) * k + table[table[:, 0]][:, planted]
+    # Row i is the planted labeling shifted by i.
+    cols = np.arange(n) * k + shift(planted, np.arange(k)[:, None], ml.group)
     out = np.zeros((phi_basis.dim, k, n * k))
     out[:, np.arange(k)[:, None], cols] = phi_basis.basis.T[:, None, :]
     return out.reshape(k * phi_basis.dim, n * k)
@@ -140,7 +127,6 @@ class UniformityReport:
     passes: bool
     bound: float            # C / sqrt(n)
     worst_basis_linf: float
-    worst_basis_index: int
     sampled_max_linf: float
     samples: int
 
@@ -157,20 +143,17 @@ def uniformity_check(S: Eigenspace, C) -> UniformityReport:
         raise UGError("uniformity check needs a nonempty eigenspace")
     n = S.dim_ambient
     bound = C / np.sqrt(n)
-    linfs = np.max(np.abs(S.basis), axis=0)
-    worst = int(np.argmax(linfs))
+    worst_basis = float(np.max(np.abs(S.basis)))
     sampled = 0.0
     if S.dim > 1:
         rng = np.random.default_rng(UNIFORMITY_SEED)
         coeffs = rng.standard_normal((UNIFORMITY_SAMPLES, S.dim))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
         sampled = float(np.max(np.abs(coeffs @ S.basis.T)))
-    worst_linf = float(max(linfs[worst], sampled))
     return UniformityReport(
-        passes=bool(worst_linf <= bound),
+        passes=bool(max(worst_basis, sampled) <= bound),
         bound=float(bound),
-        worst_basis_linf=float(linfs[worst]),
-        worst_basis_index=worst,
+        worst_basis_linf=worst_basis,
         sampled_max_linf=sampled,
         samples=UNIFORMITY_SAMPLES if S.dim > 1 else 0,
     )
@@ -179,7 +162,7 @@ def uniformity_check(S: Eigenspace, C) -> UniformityReport:
 @dataclass
 class PerturbationReport:
     lam: float              # eigenvalue of the tested eigenvector of M
-    lambda_s: float         # largest eigenvalue of the completion outside Y
+    lambda_s: float         # largest eigenvalue of the completion outside Y, -inf if none
     numerator: float        # ||(M~ - M) w||
     beta_bound: float       # numerator / (lam - lambda_s), inf if undefined
     beta_measured: float    # component of w orthogonal to Y
@@ -187,7 +170,9 @@ class PerturbationReport:
     R_row_budget: float     # total weight of perturbed edges
 
     def to_dict(self):
-        return {
+        """The fields as JSON numbers, null where one is not finite (JSON
+        has no infinity)."""
+        d = {
             "lambda": self.lam,
             "lambda_s": self.lambda_s,
             "numerator": self.numerator,
@@ -196,6 +181,7 @@ class PerturbationReport:
             "r_matrix_bound": self.r_matrix_bound,
             "R_row_budget": self.R_row_budget,
         }
+        return {key: x if math.isfinite(x) else None for key, x in d.items()}
 
 
 def perturbed_edge_matrix(inst: UGInstance, completion: UGInstance) -> np.ndarray:

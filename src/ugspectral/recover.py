@@ -242,10 +242,13 @@ def _lattice_chunks(dim, step, rows) -> Iterator[np.ndarray]:
     as (rows, dim) arrays (the last may be shorter).
 
     A depth-first walk over blocks of coordinate prefixes: each step takes
-    the next at most ``rows`` children of the block on top of the stack, so
-    the stack holds at most one block of at most ``rows`` prefixes per
-    coordinate, whatever the size of the net."""
+    the next at most ``width`` children of the block on top of the stack, so
+    the stack holds at most one block of at most ``width`` prefixes per
+    coordinate, whatever the size of the net.  Its numpy work is paid per
+    block, so the walk takes the widest blocks whose stack of int64
+    prefixes fits core.BATCH_BYTES, and no fewer than ``rows``."""
     r2 = int(np.floor(_net_radius2(dim, step)))
+    width = max(rows, core.BATCH_BYTES // (8 * dim * dim))
     stack = [(np.zeros((1, 0), dtype=np.int64), 0)]  # (prefix block, first child)
     out = np.zeros((0, dim), dtype=np.int64)
     while stack:
@@ -261,7 +264,7 @@ def _lattice_chunks(dim, step, rows) -> Iterator[np.ndarray]:
         rest = r2 - np.einsum("ij,ij->i", prefixes, prefixes)
         m = np.sqrt(rest).astype(np.int64)
         end = np.cumsum(2 * m + 1)
-        hi = min(lo + rows, int(end[-1]))
+        hi = min(lo + width, int(end[-1]))
         if hi < end[-1]:
             stack.append((prefixes, hi))
         child = np.arange(lo, hi)

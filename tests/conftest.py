@@ -5,6 +5,7 @@ import pytest
 
 from ugspectral.core import UGInstance, _unit_scale
 from ugspectral.generators import PlantedSpec, planted_instance
+from ugspectral.maxlin import MaxLinInstance
 
 
 def from_rows(n, k, rows):
@@ -13,6 +14,15 @@ def from_rows(n, k, rows):
     u, v, w, perm = zip(*rows) if rows else ((),) * 4
     w, scale = _unit_scale(w)
     return UGInstance.from_arrays(n, k, u, v, w, np.reshape(perm, (len(u), k)), scale)
+
+
+def maxlin_on(n, group, constraints):
+    """MaxLinInstance from (u, v, weight, c) constraints x_u - x_v = c over
+    the group, each edge the permutation row shift_table()[c], weights
+    rescaled as by from_rows."""
+    table = group.shift_table()
+    rows = [(u, v, w, table[c % group.order]) for u, v, w, c in constraints]
+    return MaxLinInstance(from_rows(n, group.order, rows), group)
 
 
 def complete_skeleton(n):

@@ -295,6 +295,21 @@ class TestDiagnose:
         proc = run_cli("diagnose", "--maxlin", "--completion", comp_path, path, check=True)
         validate(json.loads(proc.stdout))
 
+    def test_maxlin_infinite_bound_is_null(self, tmp_path):
+        """Nothing of the completion's spectrum lies below Y here, so
+        lambda_s is -inf: the report writes null and stays strict JSON."""
+        path = tmp_path / "loops.ug"
+        path.write_text("maxlin 2 2\n0 0 1.0 0\n1 1 1.0 0\n0 1 1.0 0\n")
+        proc = run_cli("diagnose", path, "--maxlin", "--completion", path,
+                       "--epsilon", 0.01, "--gamma", 1.0, check=True)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        rep = json.loads(proc.stdout, parse_constant=reject)
+        validate(rep)
+        assert rep["lambda_s"] is None and rep["beta_bound"] == 0.0
+
     def test_maxlin_rejects_laplacian_mode(self, maxlin_file, tmp_path):
         path, completion, _ = maxlin_file
         comp_path = tmp_path / "completion.ug"

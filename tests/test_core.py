@@ -31,7 +31,6 @@ from ugspectral.generators import (
     planted_regular_instance,
 )
 from ugspectral.label_extended import build_label_extended
-from ugspectral.maxlin import AbelianGroup, MaxLinInstance
 
 from conftest import from_rows, random_instance, random_multigraph
 
@@ -94,8 +93,6 @@ class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(UGError, match="not a bijection"):
             from_rows(2, 3, [(0, 1, 1.0, (0, 0, 1))])
-        with pytest.raises(UGError, match="not a bijection"):
-            UGInstance(2, 3, [UGEdge(0, 1, 1.0, (0, 0, 1))])
 
     def test_inverse_roundtrip(self):
         """The inverse row is np.argsort of the images; an edge stored as
@@ -153,6 +150,16 @@ class TestInstance:
         with pytest.raises(UGError):
             build(2, 2, 0, 1, -1.0, (0, 1))
 
+    @both_constructors
+    def test_rejects_non_bijection(self, build):
+        with pytest.raises(UGError, match="not a bijection"):
+            build(2, 3, 0, 1, 1.0, (0, 0, 1))
+
+    @both_constructors
+    def test_keeps_weights(self, build):
+        inst = build(2, 2, 0, 1, 4.0, (0, 1))
+        assert (inst.scale, inst.w.tolist()) == (1.0, [4.0])
+
     def test_arrays_are_the_stored_form(self, small_instance):
         """from_arrays round-trips the arrays, they are read-only, and edges
         is a view rebuilding each UGEdge from them."""
@@ -170,20 +177,14 @@ class TestInstance:
 
     def test_ingest_rescales_weights(self):
         """Producers that take outside weights divide them by their maximum
-        when it exceeds 1 and record the factor; constructors keep them."""
+        when it exceeds 1 and record the factor; constructors keep them
+        (``test_keeps_weights``)."""
         for inst in (
             parse_instance("ug 2 2\n0 1 4.0 0 1\n"),
             planted_instance(PlantedSpec(2, 2, [(0, 1, 4.0)], [0, 0]))[0],
-            MaxLinInstance.from_constraints(2, AbelianGroup.cyclic(2), [(0, 1, 4.0, 1)]).base,
             from_rows(2, 2, [(0, 1, 4.0, (0, 1))]),
         ):
-            assert inst.scale == 4.0
-            assert inst.edges[0].weight == 1.0
-        for inst in (
-            UGInstance.from_arrays(2, 2, [0], [1], [4.0], [(0, 1)]),
-            UGInstance(2, 2, [UGEdge(0, 1, 4.0, (0, 1))]),
-        ):
-            assert (inst.scale, inst.edges[0].weight) == (1.0, 4.0)
+            assert (inst.scale, inst.w.tolist()) == (4.0, [1.0])
 
     def test_degrees_and_regularity(self, small_instance):
         deg = small_instance.degrees()
@@ -193,7 +194,7 @@ class TestInstance:
 
     def test_self_loop_degree_counted_once(self):
         inst = from_rows(1, 2, [(0, 0, 1.0, (0, 1))])
-        assert inst.degree(0) == 1.0
+        assert inst.degrees().tolist() == [1.0]
 
 
 DYADIC = st.integers(1, 8).map(lambda x: x / 8)  # every sum of these is exact
@@ -394,9 +395,9 @@ class TestSerialization:
         text = serialize_instance(small_instance)
         back = parse_instance(text)
         assert back.n == small_instance.n and back.k == small_instance.k
-        for a, b in zip(back.edges, small_instance.edges):
-            assert (a.u, a.v, a.perm) == (b.u, b.v, b.perm)
-            assert a.weight == b.weight  # 17 significant digits round-trip
+        for name in ("u", "v", "perm"):
+            assert np.array_equal(getattr(back, name), getattr(small_instance, name))
+        assert back.w.tolist() == small_instance.w.tolist()  # 17 significant digits round-trip
 
     def test_maxlin_format(self):
         inst = parse_instance("maxlin 3 4\n0 1 1.0 2\n1 2 0.5 0\n")
@@ -404,8 +405,7 @@ class TestSerialization:
 
     def test_comments_and_blank_lines(self):
         inst = parse_instance("# header comment\n\nug 2 2\n0 1 1.0 1 0  # swap\n")
-        assert len(inst.edges) == 1
-        assert inst.edges[0].perm == (1, 0)
+        assert inst.perm.tolist() == [[1, 0]]
 
     @pytest.mark.parametrize("text, error, message", [
         pytest.param(text, ParseError, message, id=text) for text, message in [
@@ -500,7 +500,8 @@ class TestSerialization:
 
         monkeypatch.setattr(core_mod, "_parse_arrays", array_path)
         inst = parse_instance("# d\u00e9j\u00e0 vu\nug 2 2\n\u0660 1 1.0 1 0\n")
-        assert inst.edges[0] == (0, 1, 1.0, (1, 0))
+        assert (inst.u.tolist(), inst.v.tolist(), inst.w.tolist(), inst.perm.tolist()) == (
+            [0], [1], [1.0], [[1, 0]])
         with pytest.raises(ParseError, match=re.escape("line 3: malformed edge fields")):
             parse_instance("ug 2 2\n\n1\U0002c6d41 1 1.0 0 1\n")
 

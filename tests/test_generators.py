@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from ugspectral.core import UGError, serialize_instance, value
 from ugspectral.generators import (
     KVSpec,
+    _kv_weight_table,
+    _popcount_table,
     cayley_matrix,
     hadamard_code,
-    kv_constraint_graph,
     kv_cosets,
     kv_eigenspace_dimension,
     kv_instance,
@@ -29,7 +30,18 @@ from ugspectral.generators import (
 from ugspectral.label_extended import build_label_extended
 from ugspectral.maxlin import AbelianGroup, MaxLinInstance
 
-from conftest import complete_skeleton, cycle_skeleton
+from conftest import complete_skeleton, cycle_skeleton, maxlin_on
+
+
+def kv_constraint_graph(spec: KVSpec):
+    """(coset representatives, m x m weight matrix A) of the KV constraint
+    graph; A[i, j] sums eps^|..| (1-eps)^(n-|..|) over all H x H pairs."""
+    reps, _ = kv_cosets(spec)
+    H = hadamard_code(spec.kappa)
+    # The sum over h1, h2 collapses to n * the sum over h of the coset difference.
+    diffs = (reps[:, None] ^ reps[None, :])[:, :, None] ^ H
+    wt = _kv_weight_table(spec)[_popcount_table(spec.n)[diffs]]
+    return reps, spec.n * wt.sum(axis=2)
 
 
 class TestPlanted:
@@ -53,7 +65,7 @@ class TestPlanted:
         inst, planted = planted_instance(
             PlantedSpec(3, 2, [(0, 1, 0.25), (1, 2, 0.75)], [0, 1, 0], seed=0)
         )
-        assert [e.weight for e in inst.edges] == [0.25, 0.75]
+        assert inst.w.tolist() == [0.25, 0.75]
         assert value(inst, planted) == 1.0
 
 
@@ -66,7 +78,7 @@ class TestPerturb:
         realized = 1 - value(pert, planted)
         # picks edges until cumulative weight first reaches eps * total:
         # overshoot is at most one edge's weight
-        wmax = max(e.weight for e in inst.edges) / inst.total_weight
+        wmax = inst.w.max() / inst.total_weight
         assert 0.1 <= realized <= 0.1 + wmax + 1e-12
 
     def test_eps_zero_is_identity(self):
@@ -132,9 +144,9 @@ class TestPinnedOutput:
 
     def test_from_constraints(self):
         constraints = [(0, 1, 1.0, 5), (1, 2, 3.0, 2), (2, 3, 0.5, 4), (3, 0, 1.0, 1)]
-        ml = MaxLinInstance.from_constraints(4, AbelianGroup((2, 3)), constraints)
+        ml = maxlin_on(4, AbelianGroup((2, 3)), constraints)
         assert (text_digest(ml.base), ml.base.scale) == ("3bc6ab0734c18d88", 3.0)
-        assert ml.shifts == (5, 2, 4, 1)
+        assert ml.shifts.tolist() == [5, 2, 4, 1]
 
 
 class TestRandomRegular:

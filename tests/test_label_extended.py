@@ -71,7 +71,7 @@ def loop_operators(inst):
     for a self-loop); M is (A + A^T)/2 and L is diag(D) - M."""
     n, k = inst.n, inst.k
     A, G, deg = np.zeros((n * k, n * k)), np.zeros((n, n)), np.zeros(n)
-    for u, v, w, perm in inst.edges:
+    for u, v, w, perm in zip(inst.u, inst.v, inst.w, inst.perm):
         for i in range(k):
             A[u * k + i, v * k + perm[i]] += w
         G[u, v] += w

@@ -118,10 +118,8 @@ class TestProjectSplit:
         x = rng.standard_normal(14)
         s = project_split(x, W)
         assert s.alpha**2 + s.beta**2 == pytest.approx(np.dot(x, x), rel=1e-12)
-        if s.parallel is not None and s.orthogonal is not None:
-            assert np.dot(s.parallel, s.orthogonal) == pytest.approx(0.0, abs=1e-9)
-            recon = s.alpha * s.parallel + s.beta * s.orthogonal
-            assert np.abs(recon - x).max() <= 1e-9
+        # alpha is the norm of the coefficients in the orthonormal basis.
+        assert s.alpha == pytest.approx(np.linalg.norm(W.basis.T @ x), rel=1e-12)
 
     def test_vector_inside_space(self):
         A = random_symmetric(8, 2)
@@ -130,7 +128,6 @@ class TestProjectSplit:
         s = project_split(x, W)
         assert s.alpha == pytest.approx(1.0)
         assert s.beta == pytest.approx(0.0, abs=1e-12)
-        assert s.orthogonal is None
 
     def test_zero_vector_rejected(self):
         A = random_symmetric(4, 0)
@@ -272,6 +269,23 @@ class TestSparseWindow:
         A = scipy.sparse.csr_array(np.array([[np.nan, 0.0], [0.0, 0.0]]))
         with pytest.raises(NumericError):
             select_eigenspace(A, 0.0, "adjacency-high")
+
+    def test_dense_and_sparse_storage_share_the_window(self):
+        """Both paths widen the cut by RESIDUAL_TOL * max(1, c), c the
+        Gershgorin bound.  A 3-leaf star Laplacian of weight 100 (lambda_max
+        400, c 600) beside diag(1..300), cut 5e-7 below the eigenvalue 10,
+        keeps it whichever way it is stored; widened by max|lambda|, the
+        dense path dropped it."""
+        A = np.diag(np.r_[np.zeros(4), np.arange(1.0, 301.0)])
+        A[:4, :4] = 100.0 * np.array([[3, -1, -1, -1], [-1, 1, 0, 0],
+                                      [-1, 0, 1, 0], [-1, 0, 0, 1]])
+        assert np.abs(A).sum(axis=1).max() == 600.0
+        t = 10 - 5e-7
+        dense = select_eigenspace(A, t, "laplacian-low")
+        sparse = select_eigenspace(scipy.sparse.csr_array(A), t, "laplacian-low")
+        assert dense.dim == sparse.dim == 11
+        assert dense.nearest_dropped == 11.0
+        assert sparse.nearest_dropped == pytest.approx(11.0, abs=1e-9)
 
     def test_deterministic(self):
         A = scipy.sparse.csr_array(_maxlin_operator(64, 4, 0.04, 7)[0])

@@ -1,13 +1,16 @@
 """Group-difference instances: groups, lifts, perturbation diagnostics,
 and the specialized solver."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ugspectral.core as core_mod
 from ugspectral.core import UGInstance, UGError, shift_image, value
-from ugspectral.generators import perturb
+from ugspectral.generators import perturb, planted_regular_instance
 from ugspectral.label_extended import build_label_extended, constraint_graph_adjacency
 from ugspectral.linalg import Eigenspace, eigendecompose, select_eigenspace
 import ugspectral.maxlin as maxlin_mod
@@ -16,6 +19,7 @@ from ugspectral.maxlin import (
     AbelianGroup,
     MaxLinInstance,
     MaxLinParams,
+    PerturbationReport,
     block_norm_vector,
     lift_eigenbasis,
     perturbed_edge_matrix,
@@ -26,7 +30,7 @@ from ugspectral.maxlin import (
 )
 from ugspectral.recover import NonRegularError, SolveParams, recover_solution
 
-from conftest import complete_skeleton, from_rows, planted_on
+from conftest import complete_skeleton, from_rows, maxlin_on, planted_on
 
 
 class TestAbelianGroup:
@@ -75,20 +79,48 @@ class TestAbelianGroup:
 
 
 class TestMaxLinInstance:
+    """The record is (base, group); the shifts are derived from the base's
+    permutation rows."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(MaxLinInstance)] == ["base", "group"]
+
     def test_from_constraints(self):
         g = AbelianGroup.cyclic(3)
-        ml = MaxLinInstance.from_constraints(3, g, [(0, 1, 1.0, 2), (1, 2, 1.0, 0)])
-        assert ml.shifts == (2, 0)
+        ml = maxlin_on(3, g, [(0, 1, 1.0, 2), (1, 2, 1.0, 0)])
+        assert ml.shifts.tolist() == [2, 0]
         assert value(ml.base, [2, 0, 0]) == 1.0  # x0 - x1 = 2, x1 - x2 = 0
+
+    @pytest.mark.parametrize("factors", [(7,), (2, 3), (2, 2, 2)])
+    def test_shifts_are_the_constants(self, factors):
+        """shifts is a read-only int64 array equal to the constants the
+        base was built from, on cyclic, mixed-radix and XOR groups."""
+        g = AbelianGroup(factors)
+        c = np.random.default_rng(len(factors)).integers(0, g.order, 20)
+        ml = maxlin_on(5, g, [(e % 5, (e * 3 + 1) % 5, 1.0, x) for e, x in enumerate(c)])
+        assert ml.shifts.dtype == np.int64
+        assert np.array_equal(ml.shifts, c)
+        assert np.array_equal(ml.base.perm, g.shift_table()[ml.shifts])
+        with pytest.raises(ValueError):
+            ml.shifts[0] = 0
 
     def test_from_instance_detects_shifts(self):
         inst = from_rows(2, 4, [(0, 1, 1.0, shift_image(np.arange(4), 3, 4))])
-        assert MaxLinInstance.from_instance(inst).shifts == (3,)
+        assert MaxLinInstance.from_instance(inst).shifts.tolist() == [3]
 
     def test_from_instance_rejects_non_shift(self):
         inst = from_rows(2, 3, [(0, 1, 1.0, (0, 2, 1))])
         with pytest.raises(UGError):
             MaxLinInstance.from_instance(inst)
+
+    def test_non_shift_edge_named(self):
+        """The first edge whose row is not the shift its image of 0 names
+        is rejected, by its endpoints and that shift."""
+        g = AbelianGroup((2, 2))
+        table = g.shift_table()
+        rows = [(0, 1, 1.0, table[1]), (2, 1, 1.0, (3, 2, 0, 1)), (0, 2, 1.0, (1, 0, 2, 3))]
+        with pytest.raises(UGError, match=re.escape("edge (2,1) is not the shift by 3")):
+            MaxLinInstance(from_rows(3, 4, rows), g)
 
     def test_group_order_must_match(self):
         inst = from_rows(2, 3, [(0, 1, 1.0, shift_image(np.arange(3), 1, 3))])
@@ -124,7 +156,7 @@ class TestLiftEigenbasis:
         graph eigenvector lifts to the two disjoint-support eigenvectors of
         the label-extended matrix with eigenvalue d."""
         g = AbelianGroup.cyclic(2)
-        ml = MaxLinInstance.from_constraints(2, g, [(0, 1, 1.0, 0)])
+        ml = maxlin_on(2, g, [(0, 1, 1.0, 0)])
         phi = Eigenspace(2, np.full((2, 1), 1 / np.sqrt(2)), np.array([1.0]),
                          0.0, "adjacency-high")
         lifted = lift_eigenbasis(phi, ml, [0, 0])
@@ -151,6 +183,23 @@ class TestLiftEigenbasis:
             for i in range(3):
                 ref[3 * s + i, np.arange(6) * 3 + shift(planted, i, ml.group)] = phi.basis[:, s]
         assert np.array_equal(lifted, ref)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_criterion_10_lifts(self, seed):
+        """On criterion 10's instances, entry (s*k + i, u*k + L_i[u]) of the
+        lift is phi_s[u] and every other entry is zero, L_i the planted
+        labeling plus i looked up in the shift table."""
+        inst, planted, _ = planted_regular_instance(18, 4, 3, seed=seed,
+                                                    constraint_family="maxlin")
+        ml = MaxLinInstance.from_instance(inst)
+        phi = select_eigenspace(constraint_graph_adjacency(inst), -1e18, "adjacency-high")
+        table = ml.group.shift_table()
+        ref = np.zeros((3 * phi.dim, 18 * 3))
+        for s in range(phi.dim):
+            for i in range(3):
+                for u in range(18):
+                    ref[3 * s + i, 3 * u + table[table[i, 0], planted[u]]] = phi.basis[u, s]
+        assert np.array_equal(lift_eigenbasis(phi, ml, planted), ref)
 
     def test_requires_perfect_labeling(self):
         inst, planted = planted_on(6, 3, complete_skeleton(6), seed=1, family="maxlin")
@@ -260,10 +309,17 @@ class TestSinTheta:
         ml, planted = self._planted(seed=2)
         pert_inst = perturb(ml.base, planted, 0.1, seed=9, constraint_family="maxlin")
         R = perturbed_edge_matrix(pert_inst, ml.base)
-        changed = sum(
-            e.weight for e, ec in zip(pert_inst.edges, ml.base.edges) if e.perm != ec.perm
-        )
+        changed = pert_inst.w[np.any(pert_inst.perm != ml.base.perm, axis=1)].sum()
         assert R[np.triu_indices(8)].sum() == pytest.approx(changed)
+
+    def test_non_finite_values_written_as_null(self):
+        """lam <= lambda_s leaves beta_bound undefined (inf); to_dict writes
+        null for it, as for lambda_s = -inf, and keeps the finite values."""
+        rep = PerturbationReport(1.0, -np.inf, 0.5, np.inf, 0.1, 1.0, 2.0)
+        assert rep.to_dict() == {
+            "lambda": 1.0, "lambda_s": None, "numerator": 0.5, "beta_bound": None,
+            "beta_measured": 0.1, "r_matrix_bound": 1.0, "R_row_budget": 2.0,
+        }
 
     def test_skeleton_mismatch_rejected(self):
         ml, _ = self._planted()
@@ -337,9 +393,7 @@ class TestParamsAndSolver:
 
     def test_requires_regular(self):
         g = AbelianGroup.cyclic(2)
-        ml = MaxLinInstance.from_constraints(
-            3, g, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 0.5, 0)]
-        )
+        ml = maxlin_on(3, g, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 0.5, 0)])
         with pytest.raises(NonRegularError):
             solve_maxlin(ml, MaxLinParams(0.01, 0.5))
 
