@@ -20,12 +20,13 @@ import numpy as np
 
 from .core import UGInstance
 
-# Crossover of a windowed eigsh solve against dense LAPACK eigh, measured on
-# label-extended Max-Lin and random-multigraph Laplacians (2 vCPU, OpenBLAS):
-# at dim 256 dense took 19 ms and sparse 53 ms, at dim 512 and fill 0.008
-# dense 41 ms and sparse 25 ms; at dim 512 and fill 0.12 both took 33 ms, at
-# fill 0.5 dense won (49 against 76 ms at dim 512, 174 against 250 ms at 1024).
-SPARSE_MIN_DIM = 512
+# Crossover of the filtered sparse window against dense eigh, best of 5-7 runs,
+# window of 8-9 (2 vCPU, OpenBLAS).  On planted Max-Lin matrices and 3-regular
+# Laplacians they tie at dim 256 (7-8 ms); at 384-400 filtered takes 10-17 ms
+# against 15-17 on label-extended matrices and 6-11 against 17-20 on the rest,
+# at 512 10-17 against 36-39 ms.  At fill 0.11 dense wins (random multigraph
+# Laplacians: 34 against 66 ms at dim 512, 225 against 242 at 1024).
+SPARSE_MIN_DIM = 384
 SPARSE_MAX_FILL = 1 / 8
 
 

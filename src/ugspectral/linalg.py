@@ -2,12 +2,14 @@
 
 A dense matrix is decomposed whole by LAPACK's symmetric solver
 (numpy.linalg.eigh), the small-size path and the reference.  For a
-scipy.sparse matrix select_eigenspace finds the window with ARPACK
-(scipy.sparse.linalg.eigsh) instead, asking only for the eigenpairs inside
-it and one certificate past its edge, and falls back to eigh on the
-densified matrix when the window is a large share of the spectrum.  Both
-paths meet the residual/orthonormality contract below and are
-deterministic for a fixed input.
+scipy.sparse matrix select_eigenspace finds the window by Chebyshev-filtered
+block subspace iteration instead (Zhou, Saad, Tiago and Chelikowsky, J.
+Comput. Phys. 2006), which needs only sparse-times-block products and
+numpy.linalg, and certifies the cut by the nearest eigenpair past its edge.
+It falls back to eigh on the densified matrix when the window is a large
+share of the spectrum or the iteration does not converge.  Both paths meet
+the residual/orthonormality contract below and are deterministic for a
+fixed input.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class Eigenspace:
     nearest_dropped: float = float("nan")
     # Largest eigenpair residual ||A x - lambda x|| over the basis.
     max_residual: float = float("nan")
+    passes: int = 0  # filter passes of the sparse solve; 0 on the dense path
+    block: int = 0  # its final block width; 0 on the dense path
 
     @property
     def dim(self):
@@ -97,8 +101,8 @@ def select_eigenspace(A, threshold, mode) -> Eigenspace:
     of A (``_window_cut``), count as on the kept side, so a cluster of
     numerically equal eigenvalues sitting on the threshold is kept whole
     rather than split by rounding, and a dense and a sparse A get the same
-    window.  A sparse A takes the windowed ARPACK path (``_sparse_window``)
-    unless the window is too large a share of the spectrum.
+    window.  A sparse A takes the filtered path (``_sparse_window``) unless
+    it falls back to the dense one.
     """
     if mode not in ("adjacency-high", "laplacian-low"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -146,31 +150,30 @@ def _is_sparse(A) -> bool:
     return sparse is not None and sparse.issparse(A)
 
 
-SPARSE_BLOCK = 16        # eigenpairs asked of the first eigsh call
-SPARSE_MAX_SHARE = 0.25  # densify once the pairs asked for exceed this share of dim
+SPARSE_BLOCK = 16        # columns of the first filtered block
+SPARSE_MAX_SHARE = 0.25  # densify once the block would exceed this share of dim
+SPARSE_MAX_PASSES = 50   # densify after this many filter passes
 
 
 def _sparse_window(A, threshold, mode) -> Eigenspace | None:
-    """select_eigenspace for a sparse A by ARPACK, or None where the dense
-    path should take over.
+    """select_eigenspace for a sparse A by Chebyshev-filtered subspace
+    iteration, or None where the dense path should take over.
 
-    Both modes search the top of one positive semidefinite operator,
-    op = A + cI (adjacency-high) or cI - A (laplacian-low), with the c and
-    cut of ``_window_cut``.  Each eigsh call asks the operator deflated by
-    the pairs kept so far (op restricted to their orthogonal complement)
-    for a block of eigenpairs and keeps those inside the window.  Lanczos
-    can return one copy too few of a repeated eigenvalue, so the cut is
-    certified only by a call that finds nothing left inside the window: the
-    largest eigenvalue of the deflated operator then lies outside it, and it
-    is ``nearest_dropped``.  The block doubles after a call that kept all it
-    found, and is one pair after a call that kept some.  Each call starts
-    from a new draw of one seeded generator, so a solve is deterministic:
-    the copies one Lanczos run misses are, in exact arithmetic, orthogonal
-    to its start vector, so a rerun from it would see them only through
-    rounding.
+    Both modes search the top of op = A + cI (adjacency-high) or cI - A
+    (laplacian-low), c and cut from ``_window_cut``, whose spectrum lies in
+    [0, 2c].  Each pass filters a seeded random block, damping [0, b] for b
+    its smallest Ritz value, and runs Rayleigh-Ritz.  It stops once every
+    Ritz pair inside the window and the largest below it (``nearest_dropped``)
+    has residual at most RESIDUAL_TOL * max(1, r), r the largest |Ritz value|
+    as an eigenvalue of A, so r <= max|lambda| as in the dense contract.
+    The block doubles while every Ritz value is kept or the nearest dropped
+    one lies within 1% of the Ritz spread above b, where the filter cannot
+    part its cluster from those below.  None if c = 0, if the block would
+    pass SPARSE_MAX_SHARE of dim or after SPARSE_MAX_PASSES passes.  Like a
+    Krylov start vector, the seeded block misses an eigenvector inside the
+    window only if it is orthogonal to it.
     """
     import scipy.sparse as sp
-    from scipy.sparse.linalg import ArpackError, eigsh
 
     A = sp.csr_array(A)
     dim = A.shape[0]
@@ -181,41 +184,51 @@ def _sparse_window(A, threshold, mode) -> Eigenspace | None:
     sign, c, cut = _window_cut(A, threshold, mode)
     op = (sign * A + c * sp.eye_array(dim, format="csr")).tocsr()
     rng = np.random.default_rng(0)
-    basis, mu = np.zeros((dim, 0)), np.zeros(0)
-    block = SPARSE_BLOCK
-    while True:
-        if basis.shape[1] + block > SPARSE_MAX_SHARE * dim:
-            return None
-        try:
-            found, X = eigsh(_deflated(op, basis), k=block, which="LA",
-                             v0=rng.standard_normal(dim))
-        except ArpackError:  # no convergence, or a zero operator's Krylov space
-            return None
-        keep = found >= cut
-        if not keep.any():
+    X, passes = rng.standard_normal((dim, SPARSE_BLOCK)), 0
+    while c and X.shape[1] <= SPARSE_MAX_SHARE * dim and passes <= SPARSE_MAX_PASSES:
+        try:  # Cholesky QR, twice, on unit-norm columns
+            for _ in range(2):
+                X = X / np.linalg.norm(X, axis=0)
+                X = X @ np.linalg.inv(np.linalg.cholesky(X.T @ X)).T
+        except np.linalg.LinAlgError:  # a numerically singular Gram matrix
+            X = np.linalg.qr(X)[0]
+        AX = op @ X
+        mu, Y = np.linalg.eigh(X.T @ AX)  # ascending Ritz values
+        X, AX = X @ Y, AX @ Y
+        edge = np.searchsorted(mu, cut) - 1  # the nearest dropped; -1 if none
+        res = np.linalg.norm(AX - X * mu, axis=0)
+        if edge >= 0 and res[edge:].max() <= RESIDUAL_TOL * max(1.0, np.abs(mu - c).max()):
             break
-        basis, mu = np.hstack([basis, X[:, keep]]), np.concatenate([mu, found[keep]])
-        block = 2 * block if keep.all() else 1
-    order = np.argsort(-sign * mu, kind="stable")  # descending eigenvalue
-    vals = sign * (mu[order] - c)
-    nearest = sign * (found.max() - c)
-    return _eigenspace(A, vals, np.ascontiguousarray(basis[:, order]), threshold, mode, nearest)
+        if edge < 0 or mu[edge] - mu[0] <= 0.01 * (mu[-1] - mu[0]):
+            X = np.hstack([X, rng.standard_normal(X.shape)])
+        else:
+            X, passes = _chebyshev(op, X, mu[0], mu[-1]), passes + 1
+    else:
+        return None
+    keep = np.arange(edge + 1, len(mu))[::-int(sign)]  # descending eigenvalue
+    W = _eigenspace(A, sign * (mu[keep] - c), np.ascontiguousarray(X[:, keep]), threshold, mode,
+                    sign * (mu[edge] - c))
+    W.passes, W.block = passes, X.shape[1]
+    return W
 
 
-def _deflated(op, V):
-    """op restricted to the orthogonal complement of V's columns (zero on
-    span V); op itself when V is empty."""
-    from scipy.sparse.linalg import LinearOperator
+def _chebyshev(op, X, b, top):
+    """T_m(t(op)) X / T_m(t(top)) for t mapping [0, b] onto [-1, 1], by
+    Zhou and Saad's scaled three-term recurrence: it damps the components
+    in [0, b], and its degree amplifies top, the largest Ritz value, ~1e8."""
+    import scipy.sparse as sp
 
-    if not V.shape[1]:
-        return op
-
-    def matvec(x):
-        x = x.ravel()
-        y = op @ (x - V @ (V.T @ x))
-        return y - V @ (V.T @ y)
-
-    return LinearOperator(op.shape, matvec=matvec, dtype=np.float64)
+    e = max(b, 1e-3 * top) / 2  # a b rounded to 0 or below damps [0, top/1000]
+    sigma = rho = e / (top - e)  # 1 / t(top)
+    S = (op - e * sp.eye_array(op.shape[0], format="csr")) * (1 / (top - e))  # t(op) / t(top)
+    m = int(min(np.ceil(np.arccosh(1e8) / np.arccosh(1 / sigma)), 100))  # the degree
+    Z0, Z = X, S @ X
+    for _ in range(m - 1):  # (2 S Z - sigma rho Z0) / (2 - sigma rho), in place
+        T = S @ Z
+        T *= 2 / (2 - sigma * rho)
+        T -= sigma * rho / (2 - sigma * rho) * Z0
+        Z0, Z, rho = Z, T, sigma / (2 - sigma * rho)
+    return Z
 
 
 def project_split(x, S: Eigenspace) -> ProjectionSplit:

@@ -115,10 +115,11 @@ class SolveReport:
     distinct_labelings: int = 0  # distinct candidate labelings scored
     value_path: str | None = None  # UGInstance.value_path: 'pair-table' | 'edge'
     signed_candidates: int = 0  # signed basis vectors read off after the net
-    # Seconds per stage: search_space (eigen_time), then readoff (the net's
-    # coefficient stream with its read-off), dedupe and scoring, whose sum
-    # is enumeration_time.
+    # Seconds per stage: operator (its build) and eigensolve, whose sum is
+    # eigen_time, then readoff (the net's coefficient stream with its
+    # read-off), dedupe and scoring, whose sum is enumeration_time.
     stages: dict = field(default_factory=dict)
+    eigensolver: dict = field(default_factory=dict)  # W's solve: path, passes, block
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -301,27 +302,27 @@ def enumerate_net(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
         yield C @ basis.basis.T
 
 
-def select_search_space(inst: UGInstance, params: SolveParams):
-    """Build the matrix for the requested mode and select W.
-
-    Returns (eigenspace, d) where d is the degree scale: the regular degree
-    in adjacency mode, the average degree in laplacian mode.
-    """
+def search_operator(inst: UGInstance, params: SolveParams):
+    """(matrix, threshold, side, d): W is select_eigenspace(matrix, threshold,
+    side) for the requested mode, and d the degree scale, the regular degree
+    in adjacency mode and the average degree in laplacian mode."""
     d = inst.average_degree
     if not math.isfinite(d):
         raise NumericError(f"average degree {d}: the edge weights overflow float64")
-    if params.mode == "adjacency":
-        if not inst.is_regular():
-            raise NonRegularError(
-                "adjacency mode requires a d-regular constraint graph; "
-                "use laplacian mode for non-regular instances"
-            )
-        lem = build_label_extended(inst)
-        W = select_eigenspace(lem.matrix, (1 - params.window) * d, "adjacency-high")
-    else:
-        lem = build_laplacian(inst)
-        W = select_eigenspace(lem.matrix, params.window * d, "laplacian-low")
-    return W, d
+    if params.mode == "laplacian":
+        return build_laplacian(inst).matrix, params.window * d, "laplacian-low", d
+    if not inst.is_regular():
+        raise NonRegularError(
+            "adjacency mode requires a d-regular constraint graph; "
+            "use laplacian mode for non-regular instances"
+        )
+    return build_label_extended(inst).matrix, (1 - params.window) * d, "adjacency-high", d
+
+
+def select_search_space(inst: UGInstance, params: SolveParams):
+    """(W, d): the selected eigenspace of search_operator's matrix, and d."""
+    A, threshold, side, d = search_operator(inst, params)
+    return select_eigenspace(A, threshold, side), d
 
 
 def default_yes_threshold(params: SolveParams) -> float:
@@ -338,7 +339,7 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
     labeling of maximum value."""
     params.validate()
     threshold = default_yes_threshold(params)
-    stages = dict.fromkeys(("search_space", "readoff", "dedupe", "scoring"), 0.0)
+    stages = dict.fromkeys(("operator", "eigensolve", "readoff", "dedupe", "scoring"), 0.0)
     t = time.perf_counter()
 
     def lap(stage):  # the seconds since the last lap go to stage
@@ -346,8 +347,10 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
         t, t0 = time.perf_counter(), t
         stages[stage] += t - t0
 
-    W, d = select_search_space(inst, params)
-    lap("search_space")
+    A, level, side, d = search_operator(inst, params)
+    lap("operator")
+    W = select_eigenspace(A, level, side)
+    lap("eigensolve")
     dim = W.dim
     if dim == 0:
         raise DegenerateSpectrumError(
@@ -394,7 +397,7 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
         yes_threshold=threshold,
         dim_W=dim,
         net_points_evaluated=candidates - len(signed),
-        eigen_time=stages["search_space"],
+        eigen_time=stages["operator"] + stages["eigensolve"],
         enumeration_time=stages["readoff"] + stages["dedupe"] + stages["scoring"],
         net_step=step,
         mode=params.mode,
@@ -404,6 +407,7 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
         value_path=inst.value_path,
         signed_candidates=len(signed),
         stages=stages,
+        eigensolver=dict(path="filtered" if W.block else "dense", passes=W.passes, block=W.block),
     )
 
 

@@ -193,7 +193,7 @@ class TestRandomRegular:
 
     def test_lambda2_on_sparse_path(self):
         """At n = 600 the graph is stored sparse and lambda_2 comes from the
-        windowed eigsh solve; it matches the dense spectrum."""
+        filtered subspace iteration; it matches the dense spectrum."""
         edges, lam2 = random_regular_graph(600, 4, seed=2)
         A = np.zeros((600, 600))
         for u, v in edges:

@@ -1,17 +1,23 @@
 """Eigendecomposition contract, eigenspace selection, projections."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
-import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
-from scipy.sparse.linalg import eigsh
 
+import ugspectral.linalg as linalg_mod
 from ugspectral.core import UGInstance
 from ugspectral.generators import perturb, planted_regular_instance
 from ugspectral.label_extended import build_label_extended, build_laplacian
 from ugspectral.linalg import (
     RESIDUAL_TOL,
+    SPARSE_BLOCK,
     NumericError,
     _sparse_window,
     eigendecompose,
@@ -191,16 +197,20 @@ def _components_operator(n, k, frac, seed):
 
 
 class TestSparseWindow:
-    """The ARPACK window against the dense LAPACK one on the same matrix,
+    """The filtered window against the dense LAPACK one on the same matrix,
     passed to the sparse routine as CSR."""
 
     @given(st.sampled_from([_maxlin_operator, _components_operator]),
            st.sampled_from([(64, 4), (48, 6), (40, 8)]), st.sampled_from([0.0, 0.04]),
            st.integers(0, 10**4), st.integers(0, 11), st.booleans())
     @settings(max_examples=30, deadline=None)
-    # The first call returns 6 of the 8 copies of 3.02875; when every call
-    # restarted from one vector, the certificate call missed the other 2.
+    # Eight copies of 3.02875 at the window's edge, of which a Lanczos run
+    # from one start vector returned only 6.
     @example(family=_maxlin_operator, size=(40, 8), frac=0.0, seed=544, j=8, on_cluster=False)
+    # Six copies of 3.0344, the nearest dropped eigenvalue, straddle column
+    # 16.  The filter damps up to the block's smallest Ritz value, one of
+    # them, so unless the block grows the cluster never converges.
+    @example(family=_maxlin_operator, size=(48, 6), frac=0.0, seed=0, j=6, on_cluster=False)
     def test_matches_dense(self, family, size, frac, seed, j, on_cluster):
         """Same dim W, eigenvalues and nearest dropped eigenvalue within
         residual_tol, same cut_gap sign and the same projector, with the
@@ -227,24 +237,50 @@ class TestSparseWindow:
         for W in (dense, sparse):
             assert W.max_residual <= tol
 
-    def test_missed_copy_found_by_certificate(self, monkeypatch):
-        """On this matrix the first eigsh call, for 16 pairs, returns 14
-        inside the window at 3.3, which holds 16: Lanczos skipped copies of
-        repeated eigenvalues.  The calls on the deflated operator find
-        them."""
-        calls = []
-
-        def spy(*args, **kwargs):
-            out = eigsh(*args, **kwargs)
-            calls.append(out[0] - 4.0)  # op = A + cI with c = d = 4
-            return out
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    def test_missed_copy_found_by_certificate(self):
+        """The window at 3.3 holds 16 eigenvalues, the width of the first
+        block, so every Ritz value is kept and nothing certifies the cut:
+        the block grows, and every copy is found with the dense eigenvalues."""
         A, _ = _maxlin_operator(64, 8, 0.0, 3)
-        sparse = _sparse_window(scipy.sparse.csr_array(A), 3.3, "adjacency-high")
-        dense = select_eigenspace(A, 3.3, "adjacency-high")
-        assert (calls[0] >= 3.3).sum() < dense.dim == sparse.dim
+        sparse = _sparse_window(A, 3.3, "adjacency-high")
+        dense = select_eigenspace(A.toarray(), 3.3, "adjacency-high")
+        assert sparse.dim == dense.dim == SPARSE_BLOCK
+        assert sparse.block > SPARSE_BLOCK and sparse.passes > 0
+        assert (dense.passes, dense.block) == (0, 0)
         assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-9
+        assert np.abs(sparse.basis.T @ dense.basis @ dense.basis.T @ sparse.basis
+                      - np.eye(dense.dim)).max() <= 1e-8
+
+    def test_pass_cap_falls_back_to_dense(self, monkeypatch):
+        """One filter pass does not converge this window, so the capped solve
+        gives up and select_eigenspace answers as the dense path does."""
+        A = _maxlin_operator(64, 8, 0.04, 7)[0]
+        monkeypatch.setattr(linalg_mod, "SPARSE_MAX_PASSES", 1)
+        assert _sparse_window(A, 3.0, "adjacency-high") is None
+        W = select_eigenspace(A, 3.0, "adjacency-high")
+        dense = select_eigenspace(A.toarray(), 3.0, "adjacency-high")
+        assert np.array_equal(W.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(W.basis, dense.basis)
+
+    def test_sparse_solve_leaves_scipy_sparse_linalg_unloaded(self):
+        """A solve on the filtered path imports scipy.sparse only; loading
+        scipy.sparse.linalg as well costs about 10 MiB of memory."""
+        code = textwrap.dedent("""
+            import sys
+            from ugspectral.generators import planted_regular_instance
+            from ugspectral.label_extended import build_label_extended
+            from ugspectral.linalg import select_eigenspace
+            inst, _, _ = planted_regular_instance(64, 4, 8, seed=3, constraint_family="maxlin")
+            W = select_eigenspace(build_label_extended(inst).matrix, 3.3, "adjacency-high")
+            assert W.block > 0, "expected the filtered path"
+            print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
+        """)
+        src = str(Path(linalg_mod.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.split() == ["True", "False"]
 
     def test_large_window_falls_back_to_dense(self):
         A = scipy.sparse.csr_array(random_symmetric(40, 1))
@@ -256,8 +292,8 @@ class TestSparseWindow:
 
     @pytest.mark.parametrize("threshold,dim", [(0.0, 600), (1.0, 0)])
     def test_zero_matrix_falls_back_to_dense(self, threshold, dim):
-        """ARPACK stops on the zero operator (its Krylov space is empty); the
-        dense path answers."""
+        """The zero matrix has Gershgorin bound c = 0, so op = A + cI carries
+        no spectrum to filter; the dense path answers."""
         A = scipy.sparse.csr_array((600, 600))
         assert _sparse_window(A, threshold, "adjacency-high") is None
         assert select_eigenspace(A, threshold, "adjacency-high").dim == dim

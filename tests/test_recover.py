@@ -380,9 +380,7 @@ class TestRecover:
 
         inst, _ = planted_on(6, 3, complete_skeleton(6), seed=6, family="maxlin")
         empty = Eigenspace(18, np.zeros((18, 0)), np.zeros(0), 0.0, "adjacency-high")
-        monkeypatch.setattr(
-            recover_mod, "select_search_space", lambda i, p: (empty, 5.0)
-        )
+        monkeypatch.setattr(recover_mod, "select_eigenspace", lambda A, t, side: empty)
         with pytest.raises(DegenerateSpectrumError):
             recover_mod.recover_solution(
                 inst, SolveParams(epsilon=0.01, gamma=0.5, max_dim=8)
@@ -423,12 +421,13 @@ class TestRecover:
                            "dim_W", "net_points_evaluated", "eigen_time",
                            "enumeration_time", "net_step", "mode", "cut_gap",
                            "max_residual", "distinct_labelings", "value_path",
-                           "signed_candidates", "stages"]
+                           "signed_candidates", "stages", "eigensolver"]
         assert all(type(x) is int for x in d["best_labeling"])
         stages = d["stages"]
-        assert list(stages) == ["search_space", "readoff", "dedupe", "scoring"]
+        assert list(stages) == ["operator", "eigensolve", "readoff", "dedupe", "scoring"]
         assert all(type(s) is float and s >= 0 for s in stages.values())
-        assert d["eigen_time"] == stages["search_space"]
+        assert d["eigen_time"] == stages["operator"] + stages["eigensolve"]
+        assert d["eigensolver"] == {"path": "dense", "passes": 0, "block": 0}
         assert d["enumeration_time"] == stages["readoff"] + stages["dedupe"] + stages["scoring"]
         assert d["signed_candidates"] == 2 * d["dim_W"]
         assert d["value_path"] == "edge"  # 15 pairs, one edge each
@@ -458,8 +457,10 @@ class TestRecover:
                 del r[key]
         assert json.dumps(r1) == json.dumps(r2)
         assert r1["max_residual"] <= linalg_mod.RESIDUAL_TOL * 4
+        assert r1["eigensolver"]["path"] == "filtered" and r1["eigensolver"]["passes"] > 0
         monkeypatch.setattr(label_extended_mod, "SPARSE_MIN_DIM", 10**9)
         dense = recover_solution(inst, p)
+        assert dense.eigensolver == {"path": "dense", "passes": 0, "block": 0}
         assert (dense.dim_W, dense.best_value) == (r1["dim_W"], r1["best_value"])
         assert r1["cut_gap"] == pytest.approx(dense.cut_gap, abs=1e-9) and dense.cut_gap > 0
 
