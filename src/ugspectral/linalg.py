@@ -185,7 +185,7 @@ def _sparse_window(A, threshold, mode) -> Eigenspace | None:
     op = (sign * A + c * sp.eye_array(dim, format="csr")).tocsr()
     rng = np.random.default_rng(0)
     X, passes = rng.standard_normal((dim, SPARSE_BLOCK)), 0
-    while c and X.shape[1] <= SPARSE_MAX_SHARE * dim and passes <= SPARSE_MAX_PASSES:
+    while c and X.shape[1] <= SPARSE_MAX_SHARE * dim:
         try:  # Cholesky QR, twice, on unit-norm columns
             for _ in range(2):
                 X = X / np.linalg.norm(X, axis=0)
@@ -201,8 +201,10 @@ def _sparse_window(A, threshold, mode) -> Eigenspace | None:
             break
         if edge < 0 or mu[edge] - mu[0] <= 0.01 * (mu[-1] - mu[0]):
             X = np.hstack([X, rng.standard_normal(X.shape)])
-        else:
+        elif passes < SPARSE_MAX_PASSES:
             X, passes = _chebyshev(op, X, mu[0], mu[-1]), passes + 1
+        else:  # the Ritz pairs of the last allowed pass did not converge
+            return None
     else:
         return None
     keep = np.arange(edge + 1, len(mu))[::-int(sign)]  # descending eigenvalue

@@ -253,14 +253,45 @@ class TestSparseWindow:
 
     def test_pass_cap_falls_back_to_dense(self, monkeypatch):
         """One filter pass does not converge this window, so the capped solve
-        gives up and select_eigenspace answers as the dense path does."""
+        gives up after exactly that pass and select_eigenspace answers as the
+        dense path does."""
         A = _maxlin_operator(64, 8, 0.04, 7)[0]
         monkeypatch.setattr(linalg_mod, "SPARSE_MAX_PASSES", 1)
+        filters = []
+        chebyshev = linalg_mod._chebyshev
+        monkeypatch.setattr(linalg_mod, "_chebyshev",
+                            lambda *args: filters.append(1) or chebyshev(*args))
         assert _sparse_window(A, 3.0, "adjacency-high") is None
+        assert len(filters) == 1
         W = select_eigenspace(A, 3.0, "adjacency-high")
         dense = select_eigenspace(A.toarray(), 3.0, "adjacency-high")
         assert np.array_equal(W.eigenvalues, dense.eigenvalues)
         assert np.array_equal(W.basis, dense.basis)
+
+    def test_singular_gram_falls_back_to_householder_qr(self, monkeypatch):
+        """Where Cholesky QR fails on a numerically singular Gram matrix, the
+        block is orthonormalised by np.linalg.qr and the window still matches
+        the dense one."""
+        A, _ = _maxlin_operator(64, 4, 0.04, 7)
+        failed = []
+        cholesky = np.linalg.cholesky
+
+        def fail_once(G):
+            if not failed:
+                failed.append(1)
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(G)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail_once)
+        sparse = _sparse_window(scipy.sparse.csr_array(A), 3.0, "adjacency-high")
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        dense = select_eigenspace(A, 3.0, "adjacency-high")
+        assert failed and sparse is not None
+        assert sparse.dim == dense.dim > 0
+        assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-9
+        P = sparse.basis @ sparse.basis.T - dense.basis @ dense.basis.T
+        assert np.abs(P).max() <= 1e-8
+        assert np.abs(sparse.basis.T @ sparse.basis - np.eye(sparse.dim)).max() <= 1e-9
 
     def test_sparse_solve_leaves_scipy_sparse_linalg_unloaded(self):
         """A solve on the filtered path imports scipy.sparse only; loading

@@ -408,7 +408,7 @@ class TestRecover:
         def unreachable(inst, params):
             raise AssertionError("search space built before the threshold check")
 
-        monkeypatch.setattr(recover_mod, "select_search_space", unreachable)
+        monkeypatch.setattr(recover_mod, "search_operator", unreachable)
         inst, _ = planted_on(6, 3, complete_skeleton(6), seed=6, family="maxlin")
         with pytest.raises(UGError, match=r"gamma must exceed 8\*epsilon"):
             recover_mod.recover_solution(inst, SolveParams(0.1, 0.5))
