@@ -29,7 +29,7 @@ from .core import (
     value,
 )
 from .label_extended import build_label_extended, build_laplacian
-from .linalg import eigendecompose
+from .linalg import dense_symmetric
 from .recover import SolveParams
 
 
@@ -139,7 +139,8 @@ def cmd_oracle(args, t0):
 def cmd_spectrum(args, t0):
     inst = load_instance(args.file)
     lem = build_laplacian(inst) if args.laplacian else build_label_extended(inst)
-    vals, _ = eigendecompose(lem.matrix)
+    # Eigenvalues only, descending: eigvalsh skips the eigenvectors' cost.
+    vals = np.linalg.eigvalsh(dense_symmetric(lem.matrix))[::-1]
     for i, lam in enumerate(vals):
         sys.stdout.write(f"{i} {format(lam, '.17g')}\n")
     return 0

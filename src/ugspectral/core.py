@@ -97,7 +97,8 @@ class UGInstance:
     view over them.
 
     ``scale`` records the factor weights were divided by on ingest (1.0 when
-    no rescaling happened), so reports can recover original totals.
+    no rescaling happened), so callers can recover original totals; no
+    report carries it.
     """
 
     def __init__(self, n, k, edges: Iterable[UGEdge], scale=1.0):

@@ -291,11 +291,7 @@ def kv_label_extended(spec: KVSpec) -> np.ndarray:
     2^n vertices, entry (u, v) = n * eps^|u^v| (1-eps)^(n-|u^v|)."""
     if spec.n > 12:
         raise UGError("kv_label_extended materializes only up to n=12")
-    wt = _kv_weight_table(spec)
-    N = spec.N
-    idx = np.arange(N)
-    hw = _popcount_table(spec.n)
-    return spec.n * wt[hw[idx[:, None] ^ idx[None, :]]]
+    return cayley_matrix(spec.n * _kv_weight_table(spec)[_popcount_table(spec.n)])
 
 
 def kv_vertex_bijection(spec: KVSpec) -> np.ndarray:
@@ -316,6 +312,4 @@ def kv_eigenspace_dimension(spec: KVSpec, gamma) -> int:
     """Number of closed-form eigenvalues >= (1-gamma) * n."""
     if not (0 < gamma <= 1):
         raise UGError("gamma must be in (0, 1]")
-    n = spec.n
-    cut = 1 - gamma
-    return sum(comb(n, r) for r in range(n + 1) if (1 - 2 * spec.eps) ** r >= cut)
+    return sum(mult for lam, mult in kv_spectrum(spec) if lam >= (1 - gamma) * spec.n)

@@ -75,20 +75,22 @@ class ProjectionSplit:
     beta: float
 
 
-def eigendecompose(A):
-    """All eigenpairs of a symmetric matrix, sorted descending by eigenvalue.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns, as
-    reversed views of LAPACK's ascending output.  A is decomposed as given
-    (a sparse matrix densified): NumericError unless it is square, finite
-    and exactly symmetric.
-    """
+def dense_symmetric(A) -> np.ndarray:
+    """A as a float64 array (a sparse matrix densified): NumericError unless
+    it is square, finite and exactly symmetric."""
     A = np.asarray(A.toarray() if _is_sparse(A) else A, dtype=np.float64)
     if not np.all(np.isfinite(A)):
         raise NumericError("matrix has non-finite entries")
     if A.ndim != 2 or not np.array_equal(A, A.T):  # unequal shapes if not square
         raise NumericError(f"expected an exactly symmetric matrix, got shape {A.shape}")
-    vals, vecs = np.linalg.eigh(A)
+    return A
+
+
+def eigendecompose(A):
+    """All eigenpairs of A, checked by ``dense_symmetric``, sorted descending
+    by eigenvalue: (eigenvalues, eigenvectors in columns), as reversed views
+    of LAPACK's ascending output."""
+    vals, vecs = np.linalg.eigh(dense_symmetric(A))
     return vals[::-1], vecs[:, ::-1]
 
 

@@ -186,8 +186,9 @@ class PerturbationReport:
 
 def perturbed_edge_matrix(inst: UGInstance, completion: UGInstance) -> np.ndarray:
     """n x n matrix R carrying the weight of every edge whose constraint
-    differs between the instance and its completion."""
-    if inst.k != completion.k or not (
+    differs between the instance and its completion; UGError unless the two
+    share n, k and the edge endpoints."""
+    if (inst.n, inst.k) != (completion.n, completion.k) or not (
         np.array_equal(inst.u, completion.u) and np.array_equal(inst.v, completion.v)
     ):
         raise UGError("instance and completion must share the edge skeleton")
@@ -206,6 +207,7 @@ def sin_theta_report(
     With w None, the top eigenvector: the first of the window at
     (1-gamma)*d_avg, never empty since the top eigenvalue is at least the
     Rayleigh quotient d_avg of the all-ones vector."""
+    R = perturbed_edge_matrix(ml.base, completion.base)  # checks the skeletons first
     M = build_label_extended(ml.base)
     Mt = build_label_extended(completion.base)
     if w is None:
@@ -219,7 +221,6 @@ def sin_theta_report(
     numerator = float(np.linalg.norm((Mt.matrix - M.matrix) @ w))
     beta_bound = numerator / (lam - lambda_s) if lam > lambda_s else np.inf
     beta_measured = project_split(w, Y).beta
-    R = perturbed_edge_matrix(ml.base, completion.base)
     wbar = block_norm_vector(w, ml.base.n, ml.k)
     return PerturbationReport(
         lam=lam,

@@ -1,8 +1,8 @@
 """Exact brute-force optimum for small instances.
 
 Deliberately naive ground truth: connected-component decomposition, then
-exhaustive enumeration per component (shift-reduced for group-difference
-instances, where fixing one vertex's label to 0 loses nothing).
+exhaustive enumeration per component (shift-reduced for cyclic shift
+games, where fixing one vertex's label to 0 loses nothing).
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AbortError, UGInstance, UGError, report_dict, value, value_batch
-from .maxlin import AbelianGroup, MaxLinInstance
+from .core import AbortError, UGInstance, UGError, report_dict, shift_image, value, value_batch
 
 
 # Labelings enumerated and scored per value_batch call.
@@ -52,18 +51,6 @@ def _components(inst: UGInstance):
         root = new
 
 
-def _is_shiftable(inst: UGInstance, group: AbelianGroup | None):
-    if group is None:
-        group = AbelianGroup.cyclic(inst.k) if inst.k >= 2 else None
-    if group is None:
-        return None
-    try:
-        MaxLinInstance.from_instance(inst, group)
-    except UGError:
-        return None
-    return group
-
-
 def _enumerate_chunks(m, k):
     """All label tuples of length m in lexicographic order, ENUM_CHUNK at a time."""
     total = k**m
@@ -73,24 +60,24 @@ def _enumerate_chunks(m, k):
         yield np.column_stack(np.unravel_index(idx, shape))
 
 
-def brute_force(inst: UGInstance, budget=None, group: AbelianGroup | None = None) -> OracleResult:
+def brute_force(inst: UGInstance, budget=None) -> OracleResult:
     """Exact optimum over all labelings (per connected component).
 
-    Group-difference instances are enumerated shift-reduced: the first
-    vertex of each component is pinned to label 0.  Pass ``group`` to force
-    a specific group; cyclic Z_k is auto-detected otherwise.  Ties break to
-    the lexicographically smallest labeling; enumeration stops early when a
-    component is perfectly satisfied.  ``budget`` (default BRUTE_BUDGET), a
-    positive int, bounds the labelings enumerated: BudgetExceededError
-    before any work if the enumeration would exceed it.
+    Cyclic shift games, k >= 2 and every edge a shift of Z_k, are enumerated
+    shift-reduced: the first vertex of each component is pinned to label 0.
+    Ties break to the lexicographically smallest labeling; enumeration stops
+    early when a component is perfectly satisfied.  ``budget`` (default
+    BRUTE_BUDGET), a positive int, bounds the labelings enumerated:
+    BudgetExceededError before any work if the enumeration would exceed it.
     """
     if budget is None:
         budget = BRUTE_BUDGET
     if type(budget) is not int or budget < 1:  # type(), as True is an int
         raise UGError(f"budget must be a positive integer, got {budget!r}")
-    shift_group = _is_shiftable(inst, group)
+    # The shift by c maps 0 to -c, so an edge's image of 0 names its only candidate shift.
+    k, image0 = inst.k, inst.perm[:, :1]
+    reduce_by_one = k >= 2 and np.array_equal(inst.perm, shift_image(np.arange(k), -image0, k))
     comps = _components(inst)
-    reduce_by_one = shift_group is not None
     total_enum = sum(
         inst.k ** (len(c) - 1 if reduce_by_one else len(c)) for c in comps
     )

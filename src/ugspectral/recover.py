@@ -333,6 +333,14 @@ def default_yes_threshold(params: SolveParams) -> float:
     return float(min(max(t, 1e-12), 1.0 - 1e-12))
 
 
+def _check_dimension(dim, params: SolveParams, d):
+    if dim > params.max_dim:
+        raise DimensionAbortError(
+            f"dim(W)={dim} exceeds max_dim={params.max_dim} "
+            f"(mode={params.mode}, threshold scale d={d})"
+        )
+
+
 def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
     """The main solver: read off a labeling from every candidate vector (the
     epsilon-net of W, then the signed basis vectors) and return the first
@@ -347,6 +355,10 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
         t, t0 = time.perf_counter(), t
         stages[stage] += t - t0
 
+    if not len(inst.w):
+        # Without edges every eigenvalue is 0, so W is the whole space: its
+        # dimension is checked before the n*k x n*k operator is built.
+        _check_dimension(inst.n * inst.k, params, 0.0)
     A, level, side, d = search_operator(inst, params)
     lap("operator")
     W = select_eigenspace(A, level, side)
@@ -356,11 +368,7 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
         raise DegenerateSpectrumError(
             f"no eigenvalues in the selected window (mode={params.mode}, window={params.window})"
         )
-    if dim > params.max_dim:
-        raise DimensionAbortError(
-            f"dim(W)={dim} exceeds max_dim={params.max_dim} "
-            f"(mode={params.mode}, threshold scale d={d})"
-        )
+    _check_dimension(dim, params, d)
     step = params.net_step_override
     if step is None:
         step = float(np.sqrt(2 * params.epsilon / (params.window * dim)))

@@ -160,6 +160,29 @@ class TestSolve:
         assert proc.returncode == 2
         assert "max_dim" in proc.stderr
 
+    def test_edgeless_dimension_abort_before_eigensolve(self, tmp_path, monkeypatch, capsys):
+        """Without edges W is the whole n*k space, so a solve past max_dim
+        exits 2 before any operator is built or decomposed."""
+        from ugspectral import cli
+
+        def unreachable(*args):
+            raise AssertionError("edgeless solve reached the eigensolve")
+
+        monkeypatch.setattr(recover, "search_operator", unreachable)
+        monkeypatch.setattr(recover, "select_eigenspace", unreachable)
+        path = tmp_path / "edgeless.ug"
+        path.write_text("ug 100000 8\n")
+        assert cli.main(["solve", str(path), "--epsilon", "0.01", "--gamma", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: dim(W)=800000 exceeds max_dim=8")
+
+    def test_edgeless_within_max_dim_solves(self, tmp_path):
+        path = tmp_path / "edgeless.ug"
+        path.write_text("ug 3 2\n")
+        proc = run_cli("solve", path, "--epsilon", 0.01, "--gamma", 0.5, "--net-step", 1,
+                       check=True)
+        rep = json.loads(proc.stdout)
+        assert rep["dim_W"] == 6 and rep["best_value"] == 1.0
+
     def test_missing_file_exit_1(self):
         proc = run_cli("solve", "/nonexistent.ug", "--epsilon", 0.01,
                        "--gamma", 0.5)
@@ -309,6 +332,18 @@ class TestDiagnose:
         rep = json.loads(proc.stdout, parse_constant=reject)
         validate(rep)
         assert rep["lambda_s"] is None and rep["beta_bound"] == 0.0
+
+    @pytest.mark.parametrize("header", ["maxlin 3 2", "maxlin 2 4"], ids=["n", "k"])
+    def test_maxlin_completion_of_other_shape_exit_1(self, tmp_path, header):
+        """A completion with another n or k is a usage error, caught before
+        either label-extended matrix is built."""
+        path, comp_path = tmp_path / "a.ug", tmp_path / "b.ug"
+        path.write_text("maxlin 2 2\n0 1 1.0 0\n")
+        comp_path.write_text(f"{header}\n0 1 1.0 1\n")
+        proc = run_cli("diagnose", "--maxlin", "--completion", comp_path, path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: instance and completion must share")
+        assert "Traceback" not in proc.stderr
 
     def test_maxlin_rejects_laplacian_mode(self, maxlin_file, tmp_path):
         path, completion, _ = maxlin_file

@@ -4,10 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ugspectral.core import AbortError, UGError, value
+from ugspectral.core import AbortError, UGError, shift_image, value
 from ugspectral.generators import PlantedSpec, planted_instance, perturb
-from ugspectral.maxlin import AbelianGroup
+from ugspectral.maxlin import MaxLinInstance
 from ugspectral.oracle import BudgetExceededError, brute_force
 
 from conftest import complete_skeleton, from_rows, random_instance
@@ -37,7 +38,7 @@ class TestExactness:
         # two disconnected vertices, no constraints between labels 0/1:
         # a single always-satisfied identity edge makes every labeling optimal
         inst = from_rows(2, 2, [(0, 1, 1.0, (0, 1)), (0, 1, 1.0, (1, 0))])
-        res = brute_force(inst, group=None)
+        res = brute_force(inst)
         # value 0.5 for all labelings; smallest in enumeration order wins
         assert res.best_labeling.tolist() == [0, 0]
 
@@ -60,20 +61,36 @@ class TestShiftReduction:
             PlantedSpec(6, 3, complete_skeleton(6), rng.integers(0, 3, 6), "maxlin", 5)
         )
         pert = perturb(inst, planted, 0.3, seed=6, constraint_family="maxlin")
-        reduced = brute_force(pert)  # cyclic group auto-detected
+        reduced = brute_force(pert)  # a cyclic shift game
         assert reduced.shift_reduced
         assert reduced.best_labeling[0] == 0
         full, _ = exhaustive_best(pert)
         assert reduced.best_value == full
         assert reduced.labelings_examined <= 3**5
 
-    def test_explicit_product_group(self):
-        g = AbelianGroup((2, 2))
-        table = g.shift_table()
-        inst = from_rows(3, 4, [(0, 1, 1.0, table[3]), (1, 2, 1.0, table[1])])
-        res = brute_force(inst, group=g)
-        assert res.shift_reduced
-        assert res.best_value == 1.0
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reduced_exactly_on_shift_games(self, data):
+        """brute_force reduces an instance exactly when maxlin reads it as a
+        difference game over Z_k, and on such games the reduced optimum is
+        the full one.  Dyadic weights keep every satisfied-weight sum exact,
+        so labelings of equal true value score equal."""
+        n, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+        cyclic = data.draw(st.booleans())
+        image = (st.integers(0, k - 1).map(lambda c: shift_image(np.arange(k), c, k)) if cyclic
+                 else st.permutations(range(k)))
+        edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                         st.sampled_from([0.25, 0.5, 1.0]), image)
+        inst = from_rows(n, k, data.draw(st.lists(edge, max_size=8)))
+        try:
+            MaxLinInstance.from_instance(inst)
+            shift_game = True
+        except UGError:
+            shift_game = False
+        res = brute_force(inst)
+        assert res.shift_reduced == shift_game
+        if shift_game:
+            assert res.best_value == exhaustive_best(inst)[0]
 
     def test_non_shift_instance_not_reduced(self):
         inst = random_instance(4, 3, p=1.0, seed=2)
@@ -86,7 +103,7 @@ class TestComponents:
     def test_disconnected_solved_independently(self):
         # two components; optimum is the weight-average of per-component optima
         inst = from_rows(4, 2, [(0, 1, 1.0, (1, 0)), (2, 3, 1.0, (0, 1)), (2, 3, 1.0, (1, 0))])
-        res = brute_force(inst, group=None)
+        res = brute_force(inst)
         # component {0,1} fully satisfiable (weight 1); component {2,3} can
         # satisfy one of its two contradictory edges (weight 1 of 2)
         assert res.best_value == pytest.approx(2.0 / 3.0)

@@ -1,0 +1,60 @@
+"""Answer-parity check of the benchmark workloads.
+
+    python3 tools/parity.py [--seeds 0 1 ...]
+
+Solves the given seeds (default 0-9) of every workload in
+``perfbench/workloads.py`` with the solver in this checkout's ``src/`` and
+prints one JSON line per case: the answer and how it was found, with no
+timings, so that the output of two checkouts compares with ``diff``.  To
+check a change against its parent, copy this file into a checkout of the
+parent (``git archive``) and run both.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def case_line(name, seed, workload, core) -> dict:
+    """The parity record of one seeded case of a workload."""
+    case = workload.make(seed)
+    inst = core.parse_instance(case.text)
+    report = workload.solve(inst)
+    labeling = [int(x) for x in report.best_labeling]
+    return {
+        "workload": name,
+        "seed": seed,
+        "best_value": report.best_value.hex(),
+        "best_labeling_sha256": hashlib.sha256(json.dumps(labeling).encode()).hexdigest(),
+        "dim_W": report.dim_W,
+        "decision": report.decision,
+        "distinct_labelings": report.distinct_labelings,
+        "net_points_evaluated": report.net_points_evaluated,
+        "eigensolver": report.eigensolver,
+        "cut_gap": None if report.cut_gap is None else report.cut_gap.hex(),
+        "failures": workload.check(case, inst, report),
+    }
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--seeds", type=int, nargs="+", default=list(range(10)))
+    args = p.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from ugspectral import core
+    from workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        for seed in args.seeds:
+            print(json.dumps(case_line(name, seed, workload, core)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
