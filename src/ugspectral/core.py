@@ -4,7 +4,8 @@ A Unique Game lives on a weighted constraint graph: each edge carries a
 permutation of the alphabet [k], and a labeling satisfies the edge (u, v)
 when the permutation maps u's label to v's label.  Edges are stored once in
 one orientation; traversal in the reverse direction applies the inverse
-permutation.  Multi-edges and self-loops are allowed.
+permutation.  Multi-edges and self-loops are allowed.  An instance
+computes its degrees, and its pair table (see value_batch), once.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ class UGInstance:
         bad = ~np.isfinite(self.w) | (self.w < 0)
         if bad.any():
             raise UGError(f"bad edge weight {self.w[np.argmax(bad)]}")
-        if E and self.total_weight <= 0:
+        if E and not np.any(self.w > 0):
             raise UGError("total edge weight must be positive")
 
     @property
@@ -150,10 +151,10 @@ class UGInstance:
         return float(sum(self.w.tolist()))
 
     @cached_property
-    def _pair_table(self):
-        """value_batch's pair-table path, built on first use: (a, b, T, per-pair
-        weight totals) over the P distinct unordered vertex pairs (a, b),
-        a <= b, or None when P*k > E and edges are checked one by one."""
+    def pair_table(self):
+        """The per-solve form of a multigraph instance, built on first use:
+        (a, b, T, per-pair weight totals) as value_batch defines them, or None
+        when P*k > E and value_batch and the label-extended build go by edge."""
         u, v, w, k = self.u, self.v, self.w, self.k
         pairs, pair = np.unique(np.minimum(u, v) * self.n + np.maximum(u, v), return_inverse=True)
         P = len(pairs)
@@ -170,16 +171,23 @@ class UGInstance:
     def value_path(self):
         """How value_batch scores this instance when it has edges:
         "pair-table" or "edge"."""
-        return "edge" if self._pair_table is None else "pair-table"
+        return "edge" if self.pair_table is None else "pair-table"
 
     def degrees(self):
         """Constraint-graph degrees: edge by edge, the weight at u, then at v
-        unless the edge is a self-loop (whose weight counts once)."""
+        unless the edge is a self-loop (whose weight counts once).  Computed
+        once per instance, as a read-only array."""
+        return self._degrees
+
+    @cached_property
+    def _degrees(self):
         loop = self.u == self.v
         keep = np.stack([np.ones_like(loop), ~loop], axis=1)
         ends = np.stack([self.u, self.v], axis=1)[keep]
         deg = np.bincount(ends, np.repeat(self.w, 2 - loop), minlength=self.n)
-        return deg.astype(np.float64, copy=False)  # int zeros when edgeless
+        deg = deg.astype(np.float64, copy=False)  # int zeros when edgeless
+        deg.flags.writeable = False
+        return deg
 
     @property
     def average_degree(self):
@@ -214,13 +222,14 @@ def value_batch(inst: UGInstance, labels_batch: np.ndarray) -> np.ndarray:
     The path depends on the instance alone and is chosen once per instance.
     With P distinct unordered vertex pairs, an instance with P*k <= E (many
     parallel edges per pair) is scored from one k x k table per pair (a, b),
-    a <= b: T[p, i, j] sums the weights of the pair's edges that labels i at
-    a and j at b satisfy (an edge stored as (b, a) enters with its inverse
-    permutation), and a labeling scores sum_p T[p, L[a_p], L[b_p]], P
-    gathers in place of E gathers and E compares.  Under the rule T has
-    P*k*k <= E*k entries, no more than ``inst.perm``.  Other instances are
-    checked edge by edge: for a sparse instance with a large alphabet the
-    table would be up to k times larger than the instance itself.
+    a <= b, ``inst.pair_table``: T[p, i, j] sums, in edge order, the weights
+    of the pair's edges that labels i at a and j at b satisfy (an edge stored
+    as (b, a) enters with its inverse permutation), and a labeling scores
+    sum_p T[p, L[a_p], L[b_p]], P gathers in place of E gathers and E
+    compares.  Under the rule T has P*k*k <= E*k entries, no more than
+    ``inst.perm``.  Other instances are checked edge by edge: for a sparse
+    instance with a large alphabet the table would be up to k times larger
+    than the instance itself.
 
     Each labeling's terms are summed on their own, over a C-ordered row, so
     its value does not depend on the batch it is in (a matrix-vector product
@@ -234,14 +243,20 @@ def value_batch(inst: UGInstance, labels_batch: np.ndarray) -> np.ndarray:
     E = len(w)
     if not E:
         return np.ones(len(labels_batch))
-    if inst._pair_table is not None:
-        a, b, table, pair_total = inst._pair_table
-        pair_idx, width = np.arange(len(a)), len(a)
+    if inst.pair_table is not None:
+        a, b, table, pair_total = inst.pair_table
+        k, width, flat = inst.k, len(a), table.ravel()
 
         def satisfied(L):
-            # np.take keeps the gathered rows C-ordered (L[:, a] would not);
-            # indexing widens narrow labels to intp, so nothing overflows.
-            return table[pair_idx, np.take(L, a, axis=1), np.take(L, b, axis=1)].sum(axis=1)
+            # One gather at p*k*k + L[a]*k + L[b], the cell part formed from
+            # whole rows of L.T in the narrowest dtype holding k*k - 1 and
+            # widened once, into C-ordered (rows, P) indices.
+            LT = np.ascontiguousarray(L.T, dtype=np.min_scalar_type(k * k - 1))
+            cell = np.take(LT, a, axis=0) * k
+            cell += np.take(LT, b, axis=0)
+            at = cell.T.astype(np.intp, order="C")
+            at += np.arange(width) * (k * k)
+            return np.take(flat, at).sum(axis=1)
 
         total = pair_total[None, :].sum(axis=1)[0]
     else:

@@ -8,8 +8,9 @@ perfectly satisfying labelings are eigenvectors of M with eigenvalue d
 
 Every operator built here is one list of stored entries, put in a
 container by one storage rule: a dense array (the list summed in order by
-``np.bincount``) below SPARSE_MIN_DIM rows or above SPARSE_MAX_FILL stored
-entries per matrix entry, and scipy.sparse CSR, imported only then, otherwise.
+``np.bincount``, or M scattered bitwise-equal from the pair table) below
+SPARSE_MIN_DIM rows or above SPARSE_MAX_FILL stored entries per matrix
+entry, and scipy.sparse CSR, imported only then, otherwise.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ class LabelExtendedMatrix:
         return self.matrix.shape[0]
 
 
+def _dense(inst: UGInstance, dim, m):
+    """The storage rule on the entry list, m entries per edge end (a loop's once)."""
+    stored = (2 * len(inst.w) - np.count_nonzero(inst.u == inst.v)) * m
+    return dim < SPARSE_MIN_DIM or stored > SPARSE_MAX_FILL * dim * dim
+
+
 def _edge_operator(inst: UGInstance, dim, rows, cols):
     """Symmetric dim x dim operator from one entry list: edge by edge, its
     weight at the (E, m) positions (rows[e], cols[e]), then at the
@@ -50,7 +57,7 @@ def _edge_operator(inst: UGInstance, dim, rows, cols):
     keep = np.stack([np.ones_like(loop), ~loop], axis=1)
     at = np.stack([rows * dim + cols, cols * dim + rows], axis=1)[keep].ravel()
     w = np.repeat(inst.w, (2 - loop) * rows.shape[1])
-    if dim < SPARSE_MIN_DIM or at.size > SPARSE_MAX_FILL * dim * dim:
+    if _dense(inst, dim, rows.shape[1]):
         M = np.bincount(at, w, minlength=dim * dim).reshape(dim, dim)
     else:
         import scipy.sparse as sp
@@ -61,13 +68,25 @@ def _edge_operator(inst: UGInstance, dim, rows, cols):
 
 def build_label_extended(inst: UGInstance) -> LabelExtendedMatrix:
     """Adjacency matrix M of the label-extended graph; parallel edges
-    accumulate additively into the block."""
+    accumulate additively into the block.  A dense M of an instance with a
+    pair table is scattered from its P*k*k cells in place of 2*E*k entries:
+    each cell belongs to one pair (a, b), whose table T sums the pair's
+    edges in edge order, in both orientations, as the entry list is summed."""
     # Edge e puts w * Pi_e in block (u, v) and its transpose in block (v, u);
     # a self-loop puts w * Pi_e once on its diagonal block, so that it
     # contributes its weight (not twice) to the row sum.
-    rows = inst.u[:, None] * inst.k + np.arange(inst.k)
-    cols = inst.v[:, None] * inst.k + inst.perm
-    M = _edge_operator(inst, inst.n * inst.k, rows, cols)
+    n, k = inst.n, inst.k
+    if _dense(inst, n * k, k) and inst.pair_table is not None:
+        a, b, table, _ = inst.pair_table
+        A = np.zeros((n, k, n, k))
+        A[b, :, a, :] = table.transpose(0, 2, 1)
+        A[a, :, b, :] = table  # T in block (a, b) and T^T in (b, a), T when a = b
+        A = A.reshape(n * k, n * k)
+        M = (A + A.T) / 2
+    else:
+        rows = inst.u[:, None] * k + np.arange(k)
+        cols = inst.v[:, None] * k + inst.perm
+        M = _edge_operator(inst, n * k, rows, cols)
     return LabelExtendedMatrix(M, float(inst.degrees().mean()))
 
 

@@ -11,13 +11,13 @@ core.BATCH_BYTES bytes of ambient vectors per chunk.
 
 A labeling is read off each candidate by per-vertex-block argmax without
 forming the candidate: read_off_batch multiplies a chunk of coefficient rows
-by one label's rows of the basis at a time (a label-major copy of the basis,
+by one label's block of the basis at a time (a label-major copy of the basis,
 label_blocks) and keeps a running maximum per vertex, so the working set is
 a (rows, n) buffer, 1/k of the ambient chunk.  The solver scores each
 distinct labeling of the whole stream once and keeps the first candidate of
-maximum satisfied weight.  The YES/NO decision compares that value to a
-threshold derived from the guarantee 1 - O(eps/(gamma-8*eps) + eps),
-whatever theta.
+maximum satisfied weight (without edges, the first net point alone).  The
+YES/NO decision compares that value to a threshold derived from the
+guarantee 1 - O(eps/(gamma-8*eps) + eps), whatever theta.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ class SolveReport:
     value_path: str | None = None  # UGInstance.value_path: 'pair-table' | 'edge'
     signed_candidates: int = 0  # signed basis vectors read off after the net
     # Seconds per stage: operator (its build) and eigensolve, whose sum is
-    # eigen_time, then readoff (the net's coefficient stream with its
-    # read-off), dedupe and scoring, whose sum is enumeration_time.
+    # eigen_time, then walk (the net's coefficient stream), readoff, dedupe
+    # and scoring, whose sum is enumeration_time.
     stages: dict = field(default_factory=dict)
     eigensolver: dict = field(default_factory=dict)  # W's solve: path, passes, block
     extras: dict = field(default_factory=dict)
@@ -133,14 +133,15 @@ def read_off_assignment(x, n, k) -> np.ndarray:
         raise UGError(f"vector length {x.shape} != n*k = {n * k}")
     if not np.all(np.isfinite(x)):
         raise UGError("non-finite entries in read-off vector")
-    return read_off_batch(np.ones((1, 1)), x.reshape(n, k).T[:, :, None])[0].astype(np.int64)
+    return read_off_batch(np.ones((1, 1)), x.reshape(n, k).T[:, None, :])[0].astype(np.int64)
 
 
 def label_blocks(basis, k) -> np.ndarray:
-    """Label-major copy of an (n*k, dim) basis: blocks[j, v] is row v*k + j,
-    the coordinate of label j at vertex v, as a (k, n, dim) C-ordered array."""
+    """Label-major copy of an (n*k, dim) basis: blocks[j, :, v] is row
+    v*k + j, the coordinates of label j at vertex v, as a (k, dim, n)
+    C-ordered array, so that each label's product is row-major."""
     nk, dim = basis.shape
-    return np.ascontiguousarray(basis.reshape(nk // k, k, dim).transpose(1, 0, 2))
+    return np.ascontiguousarray(basis.reshape(nk // k, k, dim).transpose(1, 2, 0))
 
 
 def read_off_batch(C, blocks) -> np.ndarray:
@@ -148,16 +149,16 @@ def read_off_batch(C, blocks) -> np.ndarray:
     ``blocks = label_blocks(B, k)`` lays out by label, as a (rows, n) array
     of the narrowest dtype holding k - 1.
 
-    Label j's coordinates C @ blocks[j].T land in one reused (rows, n)
+    Label j's coordinates C @ blocks[j] land in one reused (rows, n)
     buffer; a strictly greater value takes the vertex, so ties go to the
     smallest label, as with np.argmax."""
-    k, n, _ = blocks.shape
+    k = len(blocks)
     narrow = np.min_scalar_type(k - 1)
-    best = C @ blocks[0].T
+    best = C @ blocks[0]
     x, gt = np.empty_like(best), np.empty(best.shape, dtype=bool)
     labels, jgt = np.zeros(best.shape, dtype=narrow), np.empty(best.shape, dtype=narrow)
     for j in range(1, k):
-        np.matmul(C, blocks[j].T, out=x)
+        np.matmul(C, blocks[j], out=x)
         np.greater(x, best, out=gt)
         np.maximum(best, x, out=best)
         # labels = max(labels, j * gt): the masked copy np.copyto(where=)
@@ -347,7 +348,7 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
     labeling of maximum value."""
     params.validate()
     threshold = default_yes_threshold(params)
-    stages = dict.fromkeys(("operator", "eigensolve", "readoff", "dedupe", "scoring"), 0.0)
+    stages = dict.fromkeys(("operator", "eigensolve", "walk", "readoff", "dedupe", "scoring"), 0.0)
     t = time.perf_counter()
 
     def lap(stage):  # the seconds since the last lap go to stage
@@ -379,10 +380,15 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
     # one-dimensional W cannot be missed by lattice misalignment; as the
     # +-identity coefficient rows they are read off exactly.
     signed = np.concatenate([np.eye(dim), -np.eye(dim)])
+    chunks = itertools.chain(net_coefficients(W, step), [signed])
+    if not len(inst.w):  # every labeling scores 1.0, so the first net point wins
+        chunks, signed = (C[:1] for C in itertools.islice(chunks, 1)), signed[:0]
     narrow = np.min_scalar_type(k - 1)
     row = np.dtype((np.void, n * narrow.itemsize))
     distinct, candidates = {}, 0
-    for C in itertools.chain(net_coefficients(W, step), [signed]):
+    lap("readoff")  # the label-major copy of the basis
+    for C in chunks:
+        lap("walk")
         labels = read_off_batch(C, blocks)
         lap("readoff")
         # Each labeling is one opaque row; the dict keeps first occurrences
@@ -406,7 +412,7 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
         dim_W=dim,
         net_points_evaluated=candidates - len(signed),
         eigen_time=stages["operator"] + stages["eigensolve"],
-        enumeration_time=stages["readoff"] + stages["dedupe"] + stages["scoring"],
+        enumeration_time=sum(stages[s] for s in ("walk", "readoff", "dedupe", "scoring")),
         net_step=step,
         mode=params.mode,
         cut_gap=W.cut_gap,

@@ -252,12 +252,31 @@ class TestValue:
                 for row, v in zip(batch, vals):
                     assert v == value(inst, row)
 
+    @pytest.mark.parametrize("k", [3, 16, 17])
+    def test_pair_table_gather_any_label_dtype(self, k):
+        """The table path gathers cell p*k*k + L[a]*k + L[b] with the cell
+        part in uint8 up to k = 16 and uint16 from k = 17; from int64, uint8
+        and uint16 labels it equals the edge-by-edge sum (dyadic weights, so
+        every sum is exact)."""
+        rng = np.random.default_rng(k)
+        multi = random_multigraph(3, k, k, seed=k)
+        w = rng.integers(1, 9, len(multi.w)) / 8
+        inst = UGInstance.from_arrays(multi.n, k, multi.u, multi.v, w, multi.perm)
+        assert inst.value_path == "pair-table"
+        L = rng.integers(0, k, size=(30, inst.n))
+        edges = list(zip(inst.u.tolist(), inst.v.tolist(), w.tolist(), inst.perm.tolist()))
+        total = sum(w.tolist())
+        expected = [sum(x for u, v, x, p in edges if p[row[u]] == row[v]) / total
+                    for row in L.tolist()]
+        for dtype in (np.int64, np.uint8, np.uint16):
+            assert value_batch(inst, L.astype(dtype)).tolist() == expected
+
     @pytest.mark.parametrize("dense", [True, False])
     def test_values_independent_of_byte_budget(self, dense, monkeypatch):
         """A budget of one byte scores one row per slice, with the same
         values to the last bit, on both sides of the pair-table rule."""
         inst = random_multigraph(4, 3, 3, seed=2) if dense else random_instance(8, 3, seed=2)
-        assert (inst._pair_table is not None) == dense
+        assert (inst.pair_table is not None) == dense
         L = np.random.default_rng(1).integers(0, inst.k, size=(40, inst.n))
         whole = value_batch(inst, L)
         monkeypatch.setattr(core_mod, "BATCH_BYTES", 1)

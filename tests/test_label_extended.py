@@ -85,10 +85,30 @@ def loop_operators(inst):
     return M, np.diag(np.repeat(deg, k)) - M, (G + G.T) / 2, deg
 
 
+_K17 = np.random.default_rng(17).permuted(np.tile(np.arange(17), (18, 1)), axis=1)
+
+# Instances on value_batch's pair-table path (P*k <= E), whose dense
+# operators are scattered from the table: parallel edges stored in both
+# orientations, self-loops, zero weights, and k = 17 (uint16 table cells).
+PAIR_TABLE_EXAMPLES = (
+    UGInstance.from_arrays(2, 2, [0, 1, 0, 1], [1, 0, 1, 0],
+                           [0.1, 0.2, 0.3, 0.7], [[1, 0], [1, 0], [0, 1], [1, 0]]),
+    UGInstance.from_arrays(2, 2, [0, 0, 1, 0, 1, 1], [0, 0, 0, 1, 1, 1],
+                           [0.1, 0.3, 0.7, 0.9, 0.2, 0.6], [[1, 0], [0, 1], [1, 0]] * 2),
+    UGInstance.from_arrays(2, 3, [0, 1, 0, 1], [1, 0, 1, 0], [0.0, 0.3, 0.0, 0.1],
+                           [[1, 2, 0], [0, 2, 1], [2, 1, 0], [1, 2, 0]]),
+    UGInstance.from_arrays(2, 17, [0, 1] * 9, [1, 0] * 9, np.linspace(0.0, 0.9, 18), _K17),
+)
+
+
 class TestSummationContract:
     @given(multigraphs())
     @example(UGInstance.from_arrays(2, 2, [0, 1, 0, 1, 0], [1, 0, 1, 1, 0],
                                     [0.1, 0.2, 0.3, 0.7, 0.9], [[1, 0]] * 5))
+    @example(PAIR_TABLE_EXAMPLES[0])
+    @example(PAIR_TABLE_EXAMPLES[1])
+    @example(PAIR_TABLE_EXAMPLES[2])
+    @example(PAIR_TABLE_EXAMPLES[3])
     @settings(max_examples=60, deadline=None)
     def test_dense_builds_equal_edge_loop(self, inst):
         """Every dense operator and the degrees are bitwise the sums of the
@@ -98,6 +118,12 @@ class TestSummationContract:
         for got, want in zip(built, loop_operators(inst)):
             assert isinstance(got, np.ndarray) and got.dtype == np.float64
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("inst", PAIR_TABLE_EXAMPLES)
+    def test_examples_on_pair_table_path(self, inst):
+        """The examples above reach the table scatter, not the edge list."""
+        assert inst.value_path == "pair-table"
+        assert isinstance(build_label_extended(inst).matrix, np.ndarray)
 
     @pytest.mark.parametrize("mode", ["adjacency", "laplacian"])
     def test_overflowing_parallel_edges_rejected(self, mode):

@@ -400,6 +400,57 @@ class TestRecover:
         assert d["best_value"] == 1.0 and d["decision"] == "YES"
         assert len(d["best_labeling"]) == 1
 
+    @pytest.mark.parametrize("n, k", [(3, 2), (2, 3)])
+    def test_edgeless_reads_off_one_candidate(self, n, k, monkeypatch):
+        """Without edges every labeling scores 1.0, so the first candidate
+        in stream order wins: the solve reads off the first net row alone,
+        not the 30,826,865 points of this net, nor the signed basis."""
+        inst, params = from_rows(n, k, []), SolveParams(0.01, 0.5)
+        W, _ = select_search_space(inst, params)
+        step = float(np.sqrt(2 * 0.01 / (0.5 * W.dim)))
+        first = next(recover_mod.net_coefficients(W, step))[:1]
+        expected = read_off_batch(first, label_blocks(W.basis, k))[0].tolist()
+        calls = []
+
+        def counting(C, blocks):
+            calls.append(len(C))
+            return read_off_batch(C, blocks)
+
+        monkeypatch.setattr(recover_mod, "read_off_batch", counting)
+        rep = recover_solution(inst, params)
+        assert calls == [1]
+        assert rep.best_labeling.tolist() == expected
+        assert rep.best_value == value(inst, expected) == 1.0
+        assert rep.decision == ("YES" if 1.0 >= rep.yes_threshold else "NO")
+        assert (rep.net_points_evaluated, rep.signed_candidates) == (1, 0)
+        assert rep.distinct_labelings == 1 and rep.dim_W == n * k
+
+    def test_table_and_degrees_built_once_per_solve(self, monkeypatch):
+        """A solve of a dense pair-table instance finds its pairs once (one
+        np.unique) and calls np.bincount three times: twice for the pair
+        table, which the operator is scattered from and value_batch reads,
+        and once for the degrees, which the regularity test, the average
+        degree and the build share."""
+        inst = kv_instance(KVSpec(2, 0.25))
+        calls = {"unique": 0, "bincount": 0}
+
+        def counted(name):
+            real = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np, name, counted(name))
+        rep = recover_solution(inst, SolveParams(0.01, 0.5, net_step_override=0.9))
+        assert rep.value_path == "pair-table"
+        assert isinstance(build_label_extended(inst).matrix, np.ndarray)
+        assert calls == {"unique": 1, "bincount": 3}
+        assert not inst.degrees().flags.writeable
+
     def test_bad_yes_threshold_fails_before_eigensolve(self, monkeypatch):
         """gamma <= 8*eps, where the YES threshold is undefined, raises
         before any search space is built."""
@@ -424,11 +475,12 @@ class TestRecover:
                            "signed_candidates", "stages", "eigensolver"]
         assert all(type(x) is int for x in d["best_labeling"])
         stages = d["stages"]
-        assert list(stages) == ["operator", "eigensolve", "readoff", "dedupe", "scoring"]
+        assert list(stages) == ["operator", "eigensolve", "walk", "readoff", "dedupe", "scoring"]
         assert all(type(s) is float and s >= 0 for s in stages.values())
         assert d["eigen_time"] == stages["operator"] + stages["eigensolve"]
         assert d["eigensolver"] == {"path": "dense", "passes": 0, "block": 0}
-        assert d["enumeration_time"] == stages["readoff"] + stages["dedupe"] + stages["scoring"]
+        assert d["enumeration_time"] == (stages["walk"] + stages["readoff"] + stages["dedupe"]
+                                         + stages["scoring"])
         assert d["signed_candidates"] == 2 * d["dim_W"]
         assert d["value_path"] == "edge"  # 15 pairs, one edge each
         assert 1 <= d["distinct_labelings"] <= d["net_points_evaluated"] + 2 * d["dim_W"]
