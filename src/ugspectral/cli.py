@@ -4,7 +4,7 @@ Subcommands: gen, solve, oracle, spectrum, diagnose, kv-spectrum.  Reports
 are single JSON objects on stdout with an embedded run manifest; logs go to
 stderr.  Exit codes: 0 success, 1 usage/contract error, 2 a valid input
 the solve gave up on (``AbortError``: a budget, dimension cap or numeric
-failure).
+failure; or running out of memory).
 """
 
 from __future__ import annotations
@@ -267,6 +267,9 @@ def main(argv=None):
         return args.func(args, t0)
     except AbortError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a valid input too large to solve here
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except UGError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ permutation of the alphabet [k], and a labeling satisfies the edge (u, v)
 when the permutation maps u's label to v's label.  Edges are stored once in
 one orientation; traversal in the reverse direction applies the inverse
 permutation.  Multi-edges and self-loops are allowed.  An instance
-computes its degrees, and its pair table (see value_batch), once.
+computes its degrees, vertex pairs and pair table (see value_batch) once each,
+on first use: choosing the scoring path reads the pairs alone.
 """
 
 from __future__ import annotations
@@ -151,27 +152,31 @@ class UGInstance:
         return float(sum(self.w.tolist()))
 
     @cached_property
+    def _pairs(self):
+        """(sorted pair keys a*n + b with a <= b, each edge's pair index)."""
+        lo, hi = np.minimum(self.u, self.v), np.maximum(self.u, self.v)
+        return np.unique(lo * self.n + hi, return_inverse=True)
+
+    @property
+    def value_path(self):
+        """How value_batch scores this instance when it has edges: from the
+        pair table when P*k <= E ("pair-table"), else "edge"."""
+        return "pair-table" if len(self._pairs[0]) * self.k <= len(self.w) else "edge"
+
+    @cached_property
     def pair_table(self):
-        """The per-solve form of a multigraph instance, built on first use:
-        (a, b, T, per-pair weight totals) as value_batch defines them, or None
-        when P*k > E and value_batch and the label-extended build go by edge."""
+        """(a, b, T, per-pair weight totals) as value_batch defines them,
+        built on first use: the table value_batch scores on its pair-table
+        path, and the source of every dense operator."""
         u, v, w, k = self.u, self.v, self.w, self.k
-        pairs, pair = np.unique(np.minimum(u, v) * self.n + np.maximum(u, v), return_inverse=True)
+        pairs, pair = self._pairs
         P = len(pairs)
-        if P * k > len(w):
-            return None
         own = np.broadcast_to(np.arange(k), self.perm.shape)
         flip = (u > v)[:, None]
         at_a, at_b = np.where(flip, self.perm, own), np.where(flip, own, self.perm)
         cells = (pair[:, None] * k + at_a) * k + at_b
         table = np.bincount(cells.ravel(), np.repeat(w, k), minlength=P * k * k)
         return (*divmod(pairs, self.n), table.reshape(P, k, k), np.bincount(pair, w, minlength=P))
-
-    @property
-    def value_path(self):
-        """How value_batch scores this instance when it has edges:
-        "pair-table" or "edge"."""
-        return "edge" if self.pair_table is None else "pair-table"
 
     def degrees(self):
         """Constraint-graph degrees: edge by edge, the weight at u, then at v
@@ -227,9 +232,10 @@ def value_batch(inst: UGInstance, labels_batch: np.ndarray) -> np.ndarray:
     as (b, a) enters with its inverse permutation), and a labeling scores
     sum_p T[p, L[a_p], L[b_p]], P gathers in place of E gathers and E
     compares.  Under the rule T has P*k*k <= E*k entries, no more than
-    ``inst.perm``.  Other instances are checked edge by edge: for a sparse
-    instance with a large alphabet the table would be up to k times larger
-    than the instance itself.
+    ``inst.perm``; ``inst.value_path`` applies the rule without building T.
+    Other instances are checked edge by edge: for a sparse instance with a
+    large alphabet the table would be up to k times larger than the
+    instance itself.
 
     Each labeling's terms are summed on their own, over a C-ordered row, so
     its value does not depend on the batch it is in (a matrix-vector product
@@ -243,7 +249,7 @@ def value_batch(inst: UGInstance, labels_batch: np.ndarray) -> np.ndarray:
     E = len(w)
     if not E:
         return np.ones(len(labels_batch))
-    if inst.pair_table is not None:
+    if inst.value_path == "pair-table":
         a, b, table, pair_total = inst.pair_table
         k, width, flat = inst.k, len(a), table.ravel()
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import UGInstance, UGError, _unit_scale, shift_image, value
-from .label_extended import constraint_graph_adjacency
+from .label_extended import build_label_extended
 from .linalg import select_eigenspace
 
 
@@ -124,7 +124,7 @@ def random_regular_graph(n, d, seed=0):
             )
             # The top eigenvalue of a d-regular graph is d, so lambda_2 is the
             # second eigenvalue of the window at d, or the first one below it.
-            W = select_eigenspace(constraint_graph_adjacency(graph), d, "adjacency-high")
+            W = select_eigenspace(build_label_extended(graph).matrix, d, "adjacency-high")
             lambda2 = float(W.eigenvalues[1] if W.dim > 1 else W.nearest_dropped)
             return [(int(key // n), int(key % n)) for key in keys], lambda2 if n > 1 else 0.0
     raise UGError(f"pairing model failed {PAIRING_TRIES} times for n={n}, d={d}")

@@ -6,11 +6,12 @@ with D block-diagonal holding deg(u) * I_k.  Characteristic vectors of
 perfectly satisfying labelings are eigenvectors of M with eigenvalue d
 (d-regular graphs) and of L_M with eigenvalue 0.
 
-Every operator built here is one list of stored entries, put in a
-container by one storage rule: a dense array (the list summed in order by
-``np.bincount``, or M scattered bitwise-equal from the pair table) below
-SPARSE_MIN_DIM rows or above SPARSE_MAX_FILL stored entries per matrix
-entry, and scipy.sparse CSR, imported only then, otherwise.
+Every operator built here has one source per container, chosen by one
+storage rule on its entry list (2*E*k entries, a self-loop's k once): a
+dense array, scattered from the instance's pair table, below SPARSE_MIN_DIM
+rows or above SPARSE_MAX_FILL stored entries per matrix entry, and
+otherwise scipy.sparse CSR of the entry list, imported only then.  The
+constraint graph is the label-extended graph of the same edges with k = 1.
 """
 
 from __future__ import annotations
@@ -41,53 +42,40 @@ class LabelExtendedMatrix:
         return self.matrix.shape[0]
 
 
-def _dense(inst: UGInstance, dim, m):
-    """The storage rule on the entry list, m entries per edge end (a loop's once)."""
-    stored = (2 * len(inst.w) - np.count_nonzero(inst.u == inst.v)) * m
+def _dense(inst: UGInstance):
+    """The storage rule on the entry list, k entries per edge end (a loop's once)."""
+    dim = inst.n * inst.k
+    stored = (2 * len(inst.w) - np.count_nonzero(inst.u == inst.v)) * inst.k
     return dim < SPARSE_MIN_DIM or stored > SPARSE_MAX_FILL * dim * dim
-
-
-def _edge_operator(inst: UGInstance, dim, rows, cols):
-    """Symmetric dim x dim operator from one entry list: edge by edge, its
-    weight at the (E, m) positions (rows[e], cols[e]), then at the
-    transposed ones unless it is a self-loop; then averaged with its
-    transpose, which makes a self-loop's block symmetric, and the CSR
-    exactly symmetric whatever order scipy sums duplicates in."""
-    loop = inst.u == inst.v
-    keep = np.stack([np.ones_like(loop), ~loop], axis=1)
-    at = np.stack([rows * dim + cols, cols * dim + rows], axis=1)[keep].ravel()
-    w = np.repeat(inst.w, (2 - loop) * rows.shape[1])
-    if _dense(inst, dim, rows.shape[1]):
-        M = np.bincount(at, w, minlength=dim * dim).reshape(dim, dim)
-    else:
-        import scipy.sparse as sp
-
-        M = sp.csr_array((w, divmod(at, dim)), shape=(dim, dim))
-    return (M + M.T) / 2
 
 
 def build_label_extended(inst: UGInstance) -> LabelExtendedMatrix:
     """Adjacency matrix M of the label-extended graph; parallel edges
-    accumulate additively into the block.  A dense M of an instance with a
-    pair table is scattered from its P*k*k cells in place of 2*E*k entries:
-    each cell belongs to one pair (a, b), whose table T sums the pair's
-    edges in edge order, in both orientations, as the entry list is summed."""
+    accumulate additively into the block.  Either build is averaged with its
+    transpose, which makes a self-loop's block symmetric, and the CSR exactly
+    symmetric whatever order scipy sums duplicates in."""
     # Edge e puts w * Pi_e in block (u, v) and its transpose in block (v, u);
     # a self-loop puts w * Pi_e once on its diagonal block, so that it
     # contributes its weight (not twice) to the row sum.
     n, k = inst.n, inst.k
-    if _dense(inst, n * k, k) and inst.pair_table is not None:
+    if _dense(inst):
+        # Each cell belongs to one pair (a, b), whose table T sums the pair's
+        # edges in edge order, in both orientations, as the entry list would.
         a, b, table, _ = inst.pair_table
         A = np.zeros((n, k, n, k))
         A[b, :, a, :] = table.transpose(0, 2, 1)
         A[a, :, b, :] = table  # T in block (a, b) and T^T in (b, a), T when a = b
         A = A.reshape(n * k, n * k)
-        M = (A + A.T) / 2
     else:
-        rows = inst.u[:, None] * k + np.arange(k)
-        cols = inst.v[:, None] * k + inst.perm
-        M = _edge_operator(inst, n * k, rows, cols)
-    return LabelExtendedMatrix(M, float(inst.degrees().mean()))
+        import scipy.sparse as sp
+
+        # Edge by edge, its k entries and then their transposes.
+        loop = inst.u == inst.v
+        keep = np.stack([np.ones_like(loop), ~loop], axis=1)
+        ends = np.stack([inst.u[:, None] * k + np.arange(k), inst.v[:, None] * k + inst.perm], 1)
+        at = (ends[keep].ravel(), ends[:, ::-1][keep].ravel())
+        A = sp.csr_array((np.repeat(inst.w, (2 - loop) * k), at), shape=(n * k, n * k))
+    return LabelExtendedMatrix((A + A.T) / 2, float(inst.degrees().mean()))
 
 
 def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
@@ -105,7 +93,8 @@ def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
 
 
 def constraint_graph_adjacency(inst: UGInstance):
-    """n x n weighted adjacency of the underlying constraint graph
-    (permutations forgotten, parallel edges summed), stored by the same rule
-    as the label-extended matrix."""
-    return _edge_operator(inst, inst.n, inst.u[:, None], inst.v[:, None])
+    """n x n weighted adjacency of the underlying constraint graph: the
+    label-extended matrix of the same edges with every permutation
+    forgotten (k = 1), so parallel edges are summed as in M."""
+    graph = UGInstance.from_arrays(inst.n, 1, inst.u, inst.v, inst.w, np.zeros((len(inst.w), 1)))
+    return build_label_extended(graph).matrix

@@ -20,7 +20,7 @@ import numpy as np
 from .core import UGInstance, UGError, shift_image, value
 from .label_extended import build_label_extended, constraint_graph_adjacency
 from .linalg import Eigenspace, project_split, select_eigenspace
-from .recover import SolveParams, SolveReport, recover_solution
+from .recover import NonRegularError, SolveParams, SolveReport, recover_solution
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,10 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
     (a warning, not fatal, when violated) and the expander regime flag
     (dim(S) = 1, the polynomial-time regime; the search is still the net).
     """
-    report = recover_solution(ml.base, params)
+    try:
+        report = recover_solution(ml.base, params)
+    except NonRegularError:  # the generic advice, laplacian mode, is not open to Max-Lin
+        raise NonRegularError("Max-Lin needs a d-regular constraint graph") from None
     A = constraint_graph_adjacency(ml.base)
     S = select_eigenspace(A, (1 - params.gamma) * ml.base.average_degree, "adjacency-high")
     uni = uniformity_check(S, UNIFORMITY_C)

@@ -320,12 +320,6 @@ def search_operator(inst: UGInstance, params: SolveParams):
     return build_label_extended(inst).matrix, (1 - params.window) * d, "adjacency-high", d
 
 
-def select_search_space(inst: UGInstance, params: SolveParams):
-    """(W, d): the selected eigenspace of search_operator's matrix, and d."""
-    A, threshold, side, d = search_operator(inst, params)
-    return select_eigenspace(A, threshold, side), d
-
-
 def default_yes_threshold(params: SolveParams) -> float:
     """1 - YES_CONSTANT * (eps/(gamma - 8*eps) + eps), clamped into (0, 1);
     validate() guarantees gamma > 8*eps."""
@@ -430,7 +424,7 @@ def closeness_diagnostic(inst: UGInstance, planted, params: SolveParams):
     against the selected eigenspace W."""
     params.validate()
     L = validate_labeling(inst, planted)
-    W, _ = select_search_space(inst, params)
+    W = select_eigenspace(*search_operator(inst, params)[:3])
     if W.dim == 0:
         raise DegenerateSpectrumError("empty eigenspace")
     y = characteristic_vector(L, inst.k, normalized=True)

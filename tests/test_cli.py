@@ -219,6 +219,39 @@ class TestSolve:
         assert proc.stderr == ("error: Max-Lin searches the adjacency window, "
                                "not mode 'laplacian'\n")
 
+    def test_maxlin_non_regular_exit_1(self, tmp_path):
+        """On a 3-vertex path the Max-Lin solve names the d-regular
+        requirement without advising laplacian mode, which it rejects; a
+        parameter error is still reported first."""
+        path = tmp_path / "path.ug"
+        path.write_text("maxlin 3 2\n0 1 1.0 0\n1 2 1.0 1\n")
+        proc = run_cli("solve", path, "--epsilon", 0.01, "--gamma", 0.5, "--maxlin")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "d-regular" in proc.stderr and "laplacian" not in proc.stderr
+        proc = run_cli("solve", path, "--epsilon", 0.01, "--gamma", 0.05, "--maxlin")
+        assert proc.returncode == 1 and "gamma" in proc.stderr
+        assert "d-regular" not in proc.stderr
+
+    @pytest.mark.parametrize("module, name, command", [
+        ("cli", "dense_symmetric", ["spectrum"]),
+        ("recover", "select_eigenspace",
+         ["solve", "--epsilon", "0.01", "--gamma", "0.5", "--mode", "laplacian"]),
+    ])
+    def test_out_of_memory_exit_2(self, maxlin_file, monkeypatch, capsys, module, name, command):
+        """An allocation that fails (raised here, never attempted) exits 2
+        with one error line, not a traceback."""
+        from ugspectral import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 4.66 TiB")
+
+        monkeypatch.setattr({"cli": cli, "recover": recover}[module], name, exhausted)
+        path, _, _ = maxlin_file
+        assert cli.main([command[0], str(path), *command[1:]]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: out of memory: Unable to allocate 4.66 TiB\n"
+
     def test_deterministic_up_to_timings(self, maxlin_file):
         path, _, _ = maxlin_file
         outs = []

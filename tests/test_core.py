@@ -276,7 +276,7 @@ class TestValue:
         """A budget of one byte scores one row per slice, with the same
         values to the last bit, on both sides of the pair-table rule."""
         inst = random_multigraph(4, 3, 3, seed=2) if dense else random_instance(8, 3, seed=2)
-        assert (inst.pair_table is not None) == dense
+        assert (inst.value_path == "pair-table") == dense
         L = np.random.default_rng(1).integers(0, inst.k, size=(40, inst.n))
         whole = value_batch(inst, L)
         monkeypatch.setattr(core_mod, "BATCH_BYTES", 1)

@@ -100,6 +100,15 @@ PAIR_TABLE_EXAMPLES = (
     UGInstance.from_arrays(2, 17, [0, 1] * 9, [1, 0] * 9, np.linspace(0.0, 0.9, 18), _K17),
 )
 
+# Instances on value_batch's edge path (P*k > E), whose dense operators are
+# scattered from the table all the same: a self-loop, a pair stored in both
+# orientations, k = 3 and k = 17.
+EDGE_PATH_EXAMPLES = (
+    UGInstance.from_arrays(3, 3, [0, 1, 2, 1], [1, 0, 2, 2], [0.1, 0.2, 0.3, 0.7],
+                           [[1, 2, 0], [2, 0, 1], [0, 2, 1], [1, 0, 2]]),
+    UGInstance.from_arrays(3, 17, [0, 1, 1, 2], [1, 0, 1, 0], [0.3, 0.1, 0.7, 0.9], _K17[:4]),
+)
+
 
 class TestSummationContract:
     @given(multigraphs())
@@ -109,6 +118,8 @@ class TestSummationContract:
     @example(PAIR_TABLE_EXAMPLES[1])
     @example(PAIR_TABLE_EXAMPLES[2])
     @example(PAIR_TABLE_EXAMPLES[3])
+    @example(EDGE_PATH_EXAMPLES[0])
+    @example(EDGE_PATH_EXAMPLES[1])
     @settings(max_examples=60, deadline=None)
     def test_dense_builds_equal_edge_loop(self, inst):
         """Every dense operator and the degrees are bitwise the sums of the
@@ -124,6 +135,23 @@ class TestSummationContract:
         """The examples above reach the table scatter, not the edge list."""
         assert inst.value_path == "pair-table"
         assert isinstance(build_label_extended(inst).matrix, np.ndarray)
+
+    @pytest.mark.parametrize("inst", EDGE_PATH_EXAMPLES)
+    def test_examples_on_edge_path(self, inst):
+        """The examples above score edge by edge, and their dense build
+        reads the pair table, which the instance then keeps."""
+        assert inst.value_path == "edge"
+        assert isinstance(build_label_extended(inst).matrix, np.ndarray)
+        assert vars(inst).get("pair_table") is not None
+
+    def test_table_built_only_for_a_dense_operator(self):
+        """Choosing the scoring path, a CSR build and the constraint graph
+        leave the pair table unbuilt."""
+        inst, _, _ = planted_regular_instance(128, 4, 4, seed=2, constraint_family="maxlin")
+        assert inst.value_path == "edge"
+        assert scipy.sparse.issparse(build_laplacian(inst).matrix)
+        constraint_graph_adjacency(inst)
+        assert "pair_table" not in vars(inst)
 
     @pytest.mark.parametrize("mode", ["adjacency", "laplacian"])
     def test_overflowing_parallel_edges_rejected(self, mode):

@@ -24,7 +24,7 @@ from ugspectral.generators import (
     planted_regular_instance,
 )
 from ugspectral.label_extended import build_label_extended
-from ugspectral.linalg import Eigenspace
+from ugspectral.linalg import Eigenspace, select_eigenspace
 from ugspectral.recover import (
     DegenerateSpectrumError,
     DimensionAbortError,
@@ -41,10 +41,16 @@ from ugspectral.recover import (
     read_off_assignment,
     read_off_batch,
     recover_solution,
-    select_search_space,
+    search_operator,
 )
 
 from conftest import complete_skeleton, cycle_skeleton, from_rows, planted_on, random_instance
+
+
+def select_search_space(inst, params):
+    """(W, d): the eigenspace a solve selects for params, and its degree scale."""
+    A, threshold, side, d = search_operator(inst, params)
+    return select_eigenspace(A, threshold, side), d
 
 
 def orthonormal_space(dim_ambient, dim, seed=0):
@@ -376,7 +382,7 @@ class TestRecover:
         """The empty-window guard raises the dedicated error (reachable only
         through pathological search spaces, so exercised directly)."""
         import ugspectral.recover as recover_mod
-        from ugspectral.linalg import Eigenspace
+        from ugspectral.linalg import Eigenspace, select_eigenspace
 
         inst, _ = planted_on(6, 3, complete_skeleton(6), seed=6, family="maxlin")
         empty = Eigenspace(18, np.zeros((18, 0)), np.zeros(0), 0.0, "adjacency-high")

@@ -7,7 +7,12 @@ Solves the given seeds (default 0-9) of every workload in
 prints one JSON line per case: the answer and how it was found, with no
 timings, so that the output of two checkouts compares with ``diff``.  To
 check a change against its parent, copy this file into a checkout of the
-parent (``git archive``) and run both.
+parent (``git archive``) and run both at the same BLAS thread count
+(``OPENBLAS_NUM_THREADS``).  The output of one checkout is not the same
+across thread counts: at 1 and 2 threads every ``kv3-gap`` seed reads off a
+different best labeling and ``distinct_labelings``, and most a different
+``cut_gap`` (with the same ``best_value`` and decision), most likely
+because the dense ``eigh`` basis of its 8-fold eigenspace differs.
 """
 
 from __future__ import annotations
