@@ -8,7 +8,6 @@ integrality-gap instance, plus closed-form and brute-force oracles.
 """
 
 from .core import (
-    UGEdge,
     UGInstance,
     UGError,
     characteristic_vector,
@@ -25,7 +24,6 @@ from .maxlin import AbelianGroup, MaxLinInstance, MaxLinParams, solve_maxlin
 from .oracle import OracleResult, brute_force
 
 __all__ = [
-    "UGEdge",
     "UGInstance",
     "UGError",
     "characteristic_vector",

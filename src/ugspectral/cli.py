@@ -160,7 +160,10 @@ def cmd_diagnose(args, t0):
     else:
         if args.planted_file:
             with open(args.planted_file, "r", encoding="utf-8") as fh:
-                planted = _parse_labels(fh.read())
+                try:
+                    planted = _parse_labels(fh.read())
+                except UnicodeDecodeError as exc:
+                    raise UGError(f"{args.planted_file}: not UTF-8 text: {exc}") from None
         elif args.planted:
             planted = _parse_labels(args.planted)
         else:

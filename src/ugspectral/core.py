@@ -442,7 +442,10 @@ def serialize_instance(inst: UGInstance) -> str:
 
 def load_instance(path) -> UGInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            return parse_instance(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def save_instance(inst: UGInstance, path):

@@ -152,18 +152,11 @@ def planted_regular_instance(n, d, k, seed=0, constraint_family="general-permuta
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FourierSpectrum:
-    """values[omega] = sum_x f(x) * (-1)^<omega, x>; exactly the adjacency
+def walsh_hadamard_spectrum(f) -> np.ndarray:
+    """Unnormalized fast Walsh-Hadamard transform, in place on a copy:
+    values[omega] = sum_x f(x) * (-1)^<omega, x>, exactly the adjacency
     eigenvalue of the Cayley graph with weight function f for the character
     indexed by omega."""
-
-    group_dim: int
-    values: np.ndarray
-
-
-def walsh_hadamard_spectrum(f) -> FourierSpectrum:
-    """Unnormalized fast Walsh-Hadamard transform, in place on a copy."""
     a = np.asarray(f, dtype=np.float64).copy()
     N = len(a)
     if N == 0 or (N & (N - 1)) != 0:
@@ -176,7 +169,7 @@ def walsh_hadamard_spectrum(f) -> FourierSpectrum:
         a[:, 1, :] = x - y
         a = a.reshape(N)
         h *= 2
-    return FourierSpectrum(group_dim=int(np.log2(N)), values=a)
+    return a
 
 
 def cayley_matrix(f) -> np.ndarray:

@@ -34,8 +34,9 @@ SPARSE_MAX_FILL = 1 / 8
 
 @dataclass
 class LabelExtendedMatrix:
+    """A built operator; ``perfbench/tracing.py`` sizes it by its ``dim``."""
+
     matrix: object  # np.ndarray or scipy.sparse CSR array, by the storage rule
-    d_avg: float
 
     @property
     def dim(self):
@@ -75,7 +76,7 @@ def build_label_extended(inst: UGInstance) -> LabelExtendedMatrix:
         ends = np.stack([inst.u[:, None] * k + np.arange(k), inst.v[:, None] * k + inst.perm], 1)
         at = (ends[keep].ravel(), ends[:, ::-1][keep].ravel())
         A = sp.csr_array((np.repeat(inst.w, (2 - loop) * k), at), shape=(n * k, n * k))
-    return LabelExtendedMatrix((A + A.T) / 2, float(inst.degrees().mean()))
+    return LabelExtendedMatrix((A + A.T) / 2)
 
 
 def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
@@ -89,7 +90,7 @@ def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
         import scipy.sparse as sp
 
         diag = sp.diags_array(D)
-    return LabelExtendedMatrix(diag - adj.matrix, adj.d_avg)
+    return LabelExtendedMatrix(diag - adj.matrix)
 
 
 def constraint_graph_adjacency(inst: UGInstance):

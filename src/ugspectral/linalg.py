@@ -66,15 +66,6 @@ class Eigenspace:
         return float(self.nearest_dropped - self.eigenvalues.max())
 
 
-@dataclass
-class ProjectionSplit:
-    """Norms of the components of x inside (alpha) and orthogonal to
-    (beta) a subspace; alpha^2 + beta^2 = ||x||^2."""
-
-    alpha: float
-    beta: float
-
-
 def dense_symmetric(A) -> np.ndarray:
     """A as a float64 array (a sparse matrix densified): NumericError unless
     it is square, finite and exactly symmetric."""
@@ -235,13 +226,13 @@ def _chebyshev(op, X, b, top):
     return Z
 
 
-def project_split(x, S: Eigenspace) -> ProjectionSplit:
-    """Split x into its components inside and orthogonal to span(S)."""
+def project_split(x, S: Eigenspace) -> tuple[float, float]:
+    """(alpha, beta): the norms of the components of x inside and orthogonal
+    to span(S), so alpha^2 + beta^2 = ||x||^2."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (S.dim_ambient,):
         raise NumericError(f"vector shape {x.shape} != ambient dim {S.dim_ambient}")
     if np.linalg.norm(x) == 0:
         raise NumericError("cannot split the zero vector")
     parallel = S.basis @ (S.basis.T @ x)
-    return ProjectionSplit(alpha=float(np.linalg.norm(parallel)),
-                           beta=float(np.linalg.norm(x - parallel)))
+    return float(np.linalg.norm(parallel)), float(np.linalg.norm(x - parallel))

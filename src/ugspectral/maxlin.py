@@ -45,10 +45,6 @@ class AbelianGroup:
         digits = np.arange(self.order)[:, None] // places % self.factors
         return (shift_image(digits[None, :], digits[:, None], self.factors) * places).sum(axis=-1)
 
-    @staticmethod
-    def cyclic(k):
-        return AbelianGroup((k,))
-
 
 @dataclass
 class MaxLinInstance:
@@ -72,15 +68,13 @@ class MaxLinInstance:
             u, v = self.base.u[e], self.base.v[e]
             raise UGError(f"edge ({u},{v}) is not the shift by {self.shifts[e]}")
 
-    @property
-    def k(self):
-        return self.base.k
-
     @classmethod
     def from_instance(cls, inst: UGInstance, group: AbelianGroup | None = None):
         """The instance as a difference game over the group (cyclic Z_k by
-        default); error if any edge is not one of its shifts."""
-        return cls(inst, group or AbelianGroup.cyclic(inst.k))
+        default); error if k < 2 or if any edge is not one of its shifts."""
+        if inst.k < 2:
+            raise UGError(f"Max-Lin needs k >= 2, got k={inst.k}")
+        return cls(inst, group or AbelianGroup((inst.k,)))
 
 
 def shift(labels, i, group: AbelianGroup) -> np.ndarray:
@@ -103,7 +97,7 @@ def lift_eigenbasis(phi_basis: Eigenspace, ml: MaxLinInstance, planted) -> np.nd
     planted = np.asarray(planted, dtype=np.int64)
     if value(ml.base, planted) != 1.0:
         raise UGError("lift requires the planted labeling to satisfy everything")
-    n, k = ml.base.n, ml.k
+    n, k = ml.base.n, ml.base.k
     # Row i is the planted labeling shifted by i.
     cols = np.arange(n) * k + shift(planted, np.arange(k)[:, None], ml.group)
     out = np.zeros((phi_basis.dim, k, n * k))
@@ -205,23 +199,22 @@ def sin_theta_report(
     """Davis-Kahan style diagnostics for one unit eigenvector w of the
     perturbed label-extended matrix against the completion's high space Y.
     With w None, the top eigenvector: the first of the window at
-    (1-gamma)*d_avg, never empty since the top eigenvalue is at least the
-    Rayleigh quotient d_avg of the all-ones vector."""
+    (1-gamma)*d, d the average degree, never empty since the top eigenvalue
+    is at least the Rayleigh quotient d of the all-ones vector."""
     R = perturbed_edge_matrix(ml.base, completion.base)  # checks the skeletons first
-    M = build_label_extended(ml.base)
-    Mt = build_label_extended(completion.base)
+    M = build_label_extended(ml.base).matrix
+    Mt = build_label_extended(completion.base).matrix
     if w is None:
-        w = select_eigenspace(M.matrix, (1 - gamma) * M.d_avg, "adjacency-high").basis[:, 0]
+        w = select_eigenspace(M, (1 - gamma) * ml.base.average_degree, "adjacency-high").basis[:, 0]
     w = np.asarray(w, dtype=np.float64)
-    d = Mt.d_avg
-    lam = float(w @ (M.matrix @ w))
+    lam = float(w @ (M @ w))
     # One decomposition gives Y and lambda_s, the largest eigenvalue it cuts.
-    Y = select_eigenspace(Mt.matrix, (1 - gamma) * d, "adjacency-high")
+    Y = select_eigenspace(Mt, (1 - gamma) * completion.base.average_degree, "adjacency-high")
     lambda_s = Y.nearest_dropped
-    numerator = float(np.linalg.norm((Mt.matrix - M.matrix) @ w))
+    numerator = float(np.linalg.norm((Mt - M) @ w))
     beta_bound = numerator / (lam - lambda_s) if lam > lambda_s else np.inf
-    beta_measured = project_split(w, Y).beta
-    wbar = block_norm_vector(w, ml.base.n, ml.k)
+    beta_measured = project_split(w, Y)[1]
+    wbar = block_norm_vector(w, ml.base.n, ml.base.k)
     return PerturbationReport(
         lam=lam,
         lambda_s=lambda_s,
@@ -275,8 +268,8 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
     report.extras.update(
         {
             "dim_S": S.dim,
-            "k_times_dim_S": ml.k * S.dim,
-            "dim_check_ok": bool(report.dim_W <= ml.k * S.dim),
+            "k_times_dim_S": ml.base.k * S.dim,
+            "dim_check_ok": bool(report.dim_W <= ml.base.k * S.dim),
             "theta": params.window,
             "uniformity_passes": uni.passes,
             "uniformity_worst_linf": max(uni.worst_basis_linf, uni.sampled_max_linf),

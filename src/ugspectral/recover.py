@@ -297,12 +297,6 @@ def net_coefficients(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
         yield Z * step
 
 
-def enumerate_net(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
-    """The net vectors of net_coefficients, as (rows, dim_ambient) arrays."""
-    for C in net_coefficients(basis, step):
-        yield C @ basis.basis.T
-
-
 def search_operator(inst: UGInstance, params: SolveParams):
     """(matrix, threshold, side, d): W is select_eigenspace(matrix, threshold,
     side) for the requested mode, and d the degree scale, the regular degree
@@ -428,5 +422,4 @@ def closeness_diagnostic(inst: UGInstance, planted, params: SolveParams):
     if W.dim == 0:
         raise DegenerateSpectrumError("empty eigenspace")
     y = characteristic_vector(L, inst.k, normalized=True)
-    split = project_split(y, W)
-    return split.alpha, split.beta
+    return project_split(y, W)

@@ -232,6 +232,13 @@ class TestSolve:
         assert proc.returncode == 1 and "gamma" in proc.stderr
         assert "d-regular" not in proc.stderr
 
+    def test_maxlin_single_label_exit_1(self, tmp_path):
+        path = tmp_path / "k1.ug"
+        path.write_text("ug 1 1\n0 0 1.0 0\n")
+        proc = run_cli("solve", path, "--epsilon", 0.01, "--gamma", 0.5, "--maxlin")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: Max-Lin needs k >= 2, got k=1\n"
+
     @pytest.mark.parametrize("module, name, command", [
         ("cli", "dense_symmetric", ["spectrum"]),
         ("recover", "select_eigenspace",
@@ -429,6 +436,25 @@ class TestKVSpectrum:
         proc = run_cli("kv-spectrum", "--n", n, "--eps", 0.25)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: --n must be a power of two >= 2")
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "{bad}", "--epsilon", "0.01", "--gamma", "0.5"],
+    ["oracle", "{bad}"],
+    ["diagnose", "{bad}", "--planted", "0,1"],
+    ["diagnose", "{ok}", "--maxlin", "--completion", "{bad}"],
+    ["diagnose", "{ok}", "--planted-file", "{bad}"],
+], ids=["solve", "oracle", "diagnose", "completion", "planted-file"])
+def test_non_utf8_file_exit_1(tmp_path, command):
+    """An instance, completion or planted file that is not UTF-8 is named
+    in one error line."""
+    bad, ok = tmp_path / "bin.ug", tmp_path / "ok.ug"
+    bad.write_bytes(b"ug 2 2\n0 1 1.0 0 1 \xff\xfe\n")
+    ok.write_text("ug 2 2\n0 1 1.0 0 1\n")
+    proc = run_cli(*(arg.format(bad=bad, ok=ok) for arg in command))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {bad}: not UTF-8 text: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_arguments_exit_1():

@@ -16,6 +16,7 @@ from ugspectral.core import (
     UGError,
     UGInstance,
     characteristic_vector,
+    load_instance,
     parse_instance,
     serialize_instance,
     shift_image,
@@ -498,6 +499,12 @@ class TestSerialization:
     def test_parse_error_names_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_instance("# c\nug 2 2\n0 1 bad 0 1\n")
+
+    def test_load_names_decoding_error(self, tmp_path):
+        path = tmp_path / "bin.ug"
+        path.write_bytes(b"ug 2 2\n0 1 1.0 0 1 \xff\xfe\n")
+        with pytest.raises(ParseError, match="not UTF-8 text: 'utf-8' codec can't decode"):
+            load_instance(path)
 
     @settings(max_examples=300, deadline=None)
     @given(instance_texts())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ugspectral.generators as generators_mod
 from ugspectral.core import UGError, serialize_instance, value
 from ugspectral.generators import (
     KVSpec,
@@ -94,6 +95,21 @@ class TestPerturb:
         pert = perturb(inst, planted, 0.3, seed=1)
         with pytest.raises(UGError):
             perturb(pert, planted, 0.1)
+
+    @pytest.mark.parametrize("eps", [-0.1, 1.0])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        inst, planted = planted_instance(
+            PlantedSpec(5, 2, cycle_skeleton(5), [0] * 5, seed=0)
+        )
+        with pytest.raises(UGError, match=r"eps must be in \[0,1\)"):
+            perturb(inst, planted, eps)
+
+    def test_single_label_rejected(self):
+        inst, planted = planted_instance(
+            PlantedSpec(5, 1, cycle_skeleton(5), [0] * 5, seed=0)
+        )
+        with pytest.raises(UGError, match="k=1"):
+            perturb(inst, planted, 0.1)
 
     def test_maxlin_family_stays_maxlin(self):
         rng = np.random.default_rng(7)
@@ -205,6 +221,22 @@ class TestRandomRegular:
         with pytest.raises(UGError):
             random_regular_graph(5, 3)
 
+    @pytest.mark.parametrize("n,d", [(4, 4), (4, 6), (4, -2)])
+    def test_degree_outside_range_rejected(self, n, d):
+        with pytest.raises(UGError, match="need 0 <= d < n"):
+            random_regular_graph(n, d)
+
+    def test_pairing_failure_raises(self, monkeypatch):
+        """n = 10, d = 6 draws a simple pairing with probability about
+        e^-8.75, so three tries fail."""
+        monkeypatch.setattr(generators_mod, "PAIRING_TRIES", 3)
+        with pytest.raises(UGError, match="pairing model failed 3 times"):
+            random_regular_graph(10, 6)
+
+    def test_planted_regular_k_below_one_rejected(self):
+        with pytest.raises(UGError, match="need k >= 1"):
+            planted_regular_instance(12, 3, 0)
+
     def test_planted_regular_instance(self):
         inst, planted, lam2 = planted_regular_instance(12, 3, 3, seed=6)
         assert inst.is_regular()
@@ -228,13 +260,13 @@ class TestWalshHadamard:
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(2**dim)
         spec = walsh_hadamard_spectrum(f)
-        assert spec.group_dim == dim
-        assert np.abs(spec.values - self.naive_transform(f)).max() <= 1e-9
+        assert spec.shape == (2**dim,)
+        assert np.abs(spec - self.naive_transform(f)).max() <= 1e-9
 
     def test_involution_up_to_scale(self):
         rng = np.random.default_rng(1)
         f = rng.standard_normal(16)
-        twice = walsh_hadamard_spectrum(walsh_hadamard_spectrum(f).values).values
+        twice = walsh_hadamard_spectrum(walsh_hadamard_spectrum(f))
         assert np.abs(twice - 16 * f).max() <= 1e-9
 
     def test_rejects_non_power_of_two(self):
@@ -249,7 +281,7 @@ class TestWalshHadamard:
         A = cayley_matrix(f)
         assert np.array_equal(A, A.T)
         dense = np.sort(np.linalg.eigvalsh(A))
-        fwht = np.sort(walsh_hadamard_spectrum(f).values)
+        fwht = np.sort(walsh_hadamard_spectrum(f))
         assert np.abs(dense - fwht).max() <= 1e-9
 
 
@@ -354,6 +386,11 @@ class TestKV:
         assert kv_eigenspace_dimension(spec, 0.4) == 1      # only r=0 (4 >= 2.4)
         assert kv_eigenspace_dimension(spec, 0.5) == 5      # r<=1 (2 >= 2)
         assert kv_eigenspace_dimension(spec, 1.0) == 16     # everything >= 0
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5])
+    def test_eigenspace_dimension_gamma_range(self, gamma):
+        with pytest.raises(UGError, match=r"gamma must be in \(0, 1\]"):
+            kv_eigenspace_dimension(KVSpec(2, 0.25), gamma)
 
     def test_materialization_limits(self):
         with pytest.raises(UGError):

@@ -38,7 +38,7 @@ class TestAbelianGroup:
     shift(L, i) adds i to every label."""
 
     def test_cyclic_arithmetic(self):
-        g = AbelianGroup.cyclic(5)
+        g = AbelianGroup((5,))
         table = g.shift_table()
         assert shift([3], 4, g).tolist() == [2]  # 3 + 4
         assert table[2, 0] == 3  # -2 = 0 - 2
@@ -62,7 +62,7 @@ class TestAbelianGroup:
             assert table[i, shift(range(6), i, g)].tolist() == list(range(6))
 
     def test_shift_table_encodes_difference(self):
-        g = AbelianGroup.cyclic(4)
+        g = AbelianGroup((4,))
         table = g.shift_table()
         # pi(x_u) = x_v with pi = table[1] encodes x_u - x_v = 1
         for xu in range(4):
@@ -86,7 +86,7 @@ class TestMaxLinInstance:
         assert [f.name for f in dataclasses.fields(MaxLinInstance)] == ["base", "group"]
 
     def test_from_constraints(self):
-        g = AbelianGroup.cyclic(3)
+        g = AbelianGroup((3,))
         ml = maxlin_on(3, g, [(0, 1, 1.0, 2), (1, 2, 1.0, 0)])
         assert ml.shifts.tolist() == [2, 0]
         assert value(ml.base, [2, 0, 0]) == 1.0  # x0 - x1 = 2, x1 - x2 = 0
@@ -125,16 +125,16 @@ class TestMaxLinInstance:
     def test_group_order_must_match(self):
         inst = from_rows(2, 3, [(0, 1, 1.0, shift_image(np.arange(3), 1, 3))])
         with pytest.raises(UGError):
-            MaxLinInstance.from_instance(inst, AbelianGroup.cyclic(4))
+            MaxLinInstance.from_instance(inst, AbelianGroup((4,)))
 
 
 class TestShiftInvariance:
     def test_identity_shift(self):
-        g = AbelianGroup.cyclic(3)
+        g = AbelianGroup((3,))
         assert shift([0, 1, 2], 0, g).tolist() == [0, 1, 2]
 
     def test_known_shift(self):
-        g = AbelianGroup.cyclic(3)
+        g = AbelianGroup((3,))
         assert shift([0, 1, 2], 1, g).tolist() == [1, 2, 0]
 
     @given(st.integers(0, 10**6), st.integers(2, 5))
@@ -142,7 +142,7 @@ class TestShiftInvariance:
     def test_value_invariant_under_every_shift(self, seed, k):
         inst, planted = planted_on(6, k, complete_skeleton(6), seed=seed, family="maxlin")
         pert = perturb(inst, planted, 0.2, seed=seed + 1, constraint_family="maxlin")
-        g = AbelianGroup.cyclic(k)
+        g = AbelianGroup((k,))
         rng = np.random.default_rng(seed)
         L = rng.integers(0, k, size=6)
         base = value(pert, L)
@@ -155,7 +155,7 @@ class TestLiftEigenbasis:
         """One edge, k=2, shift 0, planted (0,0): the all-ones constraint
         graph eigenvector lifts to the two disjoint-support eigenvectors of
         the label-extended matrix with eigenvalue d."""
-        g = AbelianGroup.cyclic(2)
+        g = AbelianGroup((2,))
         ml = maxlin_on(2, g, [(0, 1, 1.0, 0)])
         phi = Eigenspace(2, np.full((2, 1), 1 / np.sqrt(2)), np.array([1.0]),
                          0.0, "adjacency-high")
@@ -229,6 +229,11 @@ class TestUniformity:
     def _space(self, vecs):
         B = np.column_stack(vecs)
         return Eigenspace(B.shape[0], B, np.zeros(B.shape[1]), 0.0, "adjacency-high")
+
+    def test_empty_space_rejected(self):
+        empty = Eigenspace(4, np.zeros((4, 0)), np.zeros(0), 0.0, "adjacency-high")
+        with pytest.raises(UGError, match="nonempty eigenspace"):
+            uniformity_check(empty, C=1.0)
 
     def test_all_ones_passes_c1(self):
         n = 16
@@ -343,6 +348,10 @@ class TestParamsAndSolver:
         p.validate()
         assert p.window == 0.2
 
+    def test_gamma_above_one_rejected(self):
+        with pytest.raises(UGError, match=r"gamma must be in \(0,1\]"):
+            MaxLinParams(0.01, 1.5).validate()
+
     def test_laplacian_mode_rejected(self):
         with pytest.raises(UGError, match="adjacency window"):
             MaxLinParams(0.01, 0.5, mode="laplacian").validate()
@@ -392,7 +401,7 @@ class TestParamsAndSolver:
         assert rep.extras["dim_check_ok"] is True
 
     def test_requires_regular(self):
-        g = AbelianGroup.cyclic(2)
+        g = AbelianGroup((2,))
         ml = maxlin_on(3, g, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 0.5, 0)])
         with pytest.raises(NonRegularError):
             solve_maxlin(ml, MaxLinParams(0.01, 0.5))

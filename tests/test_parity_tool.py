@@ -1,4 +1,5 @@
-"""tools/parity.py: one timing-free JSON line per workload case."""
+"""tools/parity.py: the BLAS thread count, then one timing-free JSON line
+per workload case."""
 
 import json
 import subprocess
@@ -12,7 +13,9 @@ def test_seed_zero_of_every_workload():
     proc = subprocess.run([sys.executable, str(TOOL), "--seeds", "0"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    header, *lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert list(header) == ["blas_threads"]
+    assert header["blas_threads"] is None or header["blas_threads"] >= 1
     assert len(lines) == 3 and len({line["workload"] for line in lines}) == 3
     for line in lines:
         assert list(line) == ["workload", "seed", "best_value", "best_labeling_sha256", "dim_W",

@@ -35,8 +35,8 @@ from ugspectral.recover import (
     _net_radius2,
     closeness_diagnostic,
     default_yes_threshold,
-    enumerate_net,
     label_blocks,
+    net_coefficients,
     net_size,
     read_off_assignment,
     read_off_batch,
@@ -51,6 +51,12 @@ def select_search_space(inst, params):
     """(W, d): the eigenspace a solve selects for params, and its degree scale."""
     A, threshold, side, d = search_operator(inst, params)
     return select_eigenspace(A, threshold, side), d
+
+
+def enumerate_net(basis, step):
+    """The net vectors of net_coefficients, as (rows, dim_ambient) arrays."""
+    for C in net_coefficients(basis, step):
+        yield C @ basis.basis.T
 
 
 def orthonormal_space(dim_ambient, dim, seed=0):
@@ -79,7 +85,8 @@ class TestParams:
                                      dict(epsilon=0.01, gamma=0.5, net_step_override=0.0),
                                      dict(epsilon=0.01, gamma=0.5, theta=0.0),
                                      dict(epsilon=0.01, gamma=0.5, theta=0.6),
-                                     dict(epsilon=0.01, gamma=0.5, theta=float("nan"))])
+                                     dict(epsilon=0.01, gamma=0.5, theta=float("nan")),
+                                     dict(epsilon=0.01, gamma=float("inf"))])
     def test_invalid(self, bad):
         with pytest.raises(UGError):
             SolveParams(**bad).validate()
@@ -195,6 +202,10 @@ class TestNet:
         monkeypatch.setattr(recover_mod, "NET_CAP", 10)
         with pytest.raises(NetTooLargeError):
             list(enumerate_net(orthonormal_space(4, 3, seed=0), 0.2))
+
+    def test_empty_basis_rejected(self):
+        with pytest.raises(UGError, match="empty basis"):
+            next(net_coefficients(orthonormal_space(4, 0), 0.5))
 
     def test_invalid_args(self):
         with pytest.raises(UGError):
@@ -663,3 +674,30 @@ class TestClosenessDiagnostic:
         pert = perturb(inst, planted, 0.1, seed=5, constraint_family="maxlin")
         alpha, beta = closeness_diagnostic(pert, planted, SolveParams(0.05, 0.5))
         assert alpha**2 + beta**2 == pytest.approx(1.0)
+
+    def test_empty_window_rejected(self, monkeypatch):
+        """The adjacency and Laplacian windows of an instance always hold
+        the all-ones vector, so an empty W is substituted to reach the guard."""
+        inst, planted = planted_on(8, 3, complete_skeleton(8), seed=2, family="maxlin")
+        monkeypatch.setattr(recover_mod, "select_eigenspace",
+                            lambda *args: orthonormal_space(inst.n * inst.k, 0))
+        with pytest.raises(DegenerateSpectrumError, match="empty eigenspace"):
+            closeness_diagnostic(inst, planted, SolveParams(0.01, 0.5))
+
+
+class TestAlphabetIndependence:
+    """The paper's guarantee does not depend on the alphabet size k: on
+    planted instances with 2% of the constraints perturbed, dim W and the
+    recovered value hold steady as k grows from 2 to 32."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_value_and_window_independent_of_k(self, seed):
+        params = SolveParams(0.005, 0.1, theta=0.05, max_dim=8, net_step_override=1.0)
+        dims = set()
+        for k in (2, 4, 8, 16, 32):
+            inst, planted, _ = planted_regular_instance(200, 4, k, seed=seed)
+            pert = perturb(inst, planted, 0.02, seed=seed)
+            rep = recover_solution(pert, params)
+            assert rep.best_value >= value(pert, planted) - 0.05, k
+            dims.add(rep.dim_W)
+        assert len(dims) == 1, dims

@@ -8,11 +8,13 @@ prints one JSON line per case: the answer and how it was found, with no
 timings, so that the output of two checkouts compares with ``diff``.  To
 check a change against its parent, copy this file into a checkout of the
 parent (``git archive``) and run both at the same BLAS thread count
-(``OPENBLAS_NUM_THREADS``).  The output of one checkout is not the same
-across thread counts: at 1 and 2 threads every ``kv3-gap`` seed reads off a
-different best labeling and ``distinct_labelings``, and most a different
-``cut_gap`` (with the same ``best_value`` and decision), most likely
-because the dense ``eigh`` basis of its 8-fold eigenspace differs.
+(``OPENBLAS_NUM_THREADS``).  The first line, ``{"blas_threads": N}``, is
+the count OpenBLAS reports in effect (``perfbench/run.py``), so a diff of
+runs at different counts fails on it.  The output of one checkout is not
+the same across thread counts: at 1 and 2 threads every ``kv3-gap`` seed
+reads off a different best labeling and ``distinct_labelings``, and most a
+different ``cut_gap`` (with the same ``best_value`` and decision), most
+likely because the dense ``eigh`` basis of its 8-fold eigenspace differs.
 """
 
 from __future__ import annotations
@@ -53,8 +55,10 @@ def main(argv=None):
     args = p.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from ugspectral import core
+    from run import blas_threads
     from workloads import WORKLOADS
 
+    print(json.dumps({"blas_threads": blas_threads()}), flush=True)
     for name, workload in WORKLOADS.items():
         for seed in args.seeds:
             print(json.dumps(case_line(name, seed, workload, core)), flush=True)
