@@ -159,7 +159,7 @@ def cmd_diagnose(args, t0):
         out = rep.to_dict()
     else:
         if args.planted_file:
-            with open(args.planted_file, "r", encoding="utf-8") as fh:
+            with open(args.planted_file, "r", encoding="utf-8-sig") as fh:
                 try:
                     planted = _parse_labels(fh.read())
                 except UnicodeDecodeError as exc:

@@ -441,7 +441,7 @@ def serialize_instance(inst: UGInstance) -> str:
 
 
 def load_instance(path) -> UGInstance:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return parse_instance(fh.read())
         except UnicodeDecodeError as exc:

@@ -30,6 +30,10 @@ class NumericError(AbortError):
     pass
 
 
+class DimensionAbortError(AbortError):
+    pass
+
+
 @dataclass
 class Eigenspace:
     """Orthonormal basis of a spectral window of a symmetric matrix.
@@ -85,7 +89,7 @@ def eigendecompose(A):
     return vals[::-1], vecs[:, ::-1]
 
 
-def select_eigenspace(A, threshold, mode) -> Eigenspace:
+def select_eigenspace(A, threshold, mode, max_dim=None) -> Eigenspace:
     """Maximal eigenspace of A on one side of a threshold.
 
     mode 'adjacency-high': eigenvalues >= threshold (the high window W of an
@@ -95,14 +99,15 @@ def select_eigenspace(A, threshold, mode) -> Eigenspace:
     numerically equal eigenvalues sitting on the threshold is kept whole
     rather than split by rounding, and a dense and a sparse A get the same
     window.  A sparse A takes the filtered path (``_sparse_window``) unless
-    it falls back to the dense one.
+    it falls back to the dense one; with ``max_dim`` that path raises
+    DimensionAbortError as soon as it proves dim W > max_dim.
     """
     if mode not in ("adjacency-high", "laplacian-low"):
         raise ValueError(f"unknown mode {mode!r}")
     if not np.isfinite(threshold):
         raise NumericError("threshold must be finite")
     if _is_sparse(A):
-        W = _sparse_window(A, float(threshold), mode)
+        W = _sparse_window(A, float(threshold), mode, max_dim)
         if W is not None:
             return W
     else:
@@ -148,7 +153,7 @@ SPARSE_MAX_SHARE = 0.25  # densify once the block would exceed this share of dim
 SPARSE_MAX_PASSES = 50   # densify after this many filter passes
 
 
-def _sparse_window(A, threshold, mode) -> Eigenspace | None:
+def _sparse_window(A, threshold, mode, max_dim=None) -> Eigenspace | None:
     """select_eigenspace for a sparse A by Chebyshev-filtered subspace
     iteration, or None where the dense path should take over.
 
@@ -161,7 +166,10 @@ def _sparse_window(A, threshold, mode) -> Eigenspace | None:
     as an eigenvalue of A, so r <= max|lambda| as in the dense contract.
     The block doubles while every Ritz value is kept or the nearest dropped
     one lies within 1% of the Ritz spread above b, where the filter cannot
-    part its cluster from those below.  None if c = 0, if the block would
+    part its cluster from those below.  By Cauchy interlacing the i-th
+    largest Ritz value is at most the i-th largest eigenvalue of op, so
+    more than ``max_dim`` Ritz values at or past the cut prove dim W >
+    max_dim and raise DimensionAbortError.  None if c = 0, if the block would
     pass SPARSE_MAX_SHARE of dim or after SPARSE_MAX_PASSES passes.  Like a
     Krylov start vector, the seeded block misses an eigenvector inside the
     window only if it is orthogonal to it.
@@ -189,6 +197,8 @@ def _sparse_window(A, threshold, mode) -> Eigenspace | None:
         mu, Y = np.linalg.eigh(X.T @ AX)  # ascending Ritz values
         X, AX = X @ Y, AX @ Y
         edge = np.searchsorted(mu, cut) - 1  # the nearest dropped; -1 if none
+        if max_dim is not None and len(mu) - 1 - edge > max_dim:
+            raise DimensionAbortError(f"dim(W) >= {len(mu) - 1 - edge} exceeds max_dim={max_dim}")
         res = np.linalg.norm(AX - X * mu, axis=0)
         if edge >= 0 and res[edge:].max() <= RESIDUAL_TOL * max(1.0, np.abs(mu - c).max()):
             break

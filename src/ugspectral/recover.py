@@ -5,7 +5,8 @@ matrix (eigenvalues >= (1-theta)d) or the low eigenspace of its Laplacian
 (eigenvalues <= theta*d_avg), where the window theta defaults to gamma, and
 streams candidates as coefficient rows over the basis of W: the lattice
 epsilon-net of the unit ball of W (step*Z^dim points of coefficient step
-sqrt(2*eps/(theta*dim W))), then the +-identity rows, the signed basis
+sqrt(2*eps/(theta*dim W)), only those with coefficient 0 on the all-ones
+vector where it is a basis column), then the +-identity rows, the signed basis
 vectors.  One coefficient stream owns the net cap and the chunking, at most
 core.BATCH_BYTES bytes of ambient vectors per chunk.
 
@@ -40,7 +41,8 @@ from .core import (
     value_batch,
 )
 from .label_extended import build_label_extended, build_laplacian
-from .linalg import Eigenspace, NumericError, project_split, select_eigenspace
+from .linalg import (RESIDUAL_TOL, DimensionAbortError, Eigenspace, NumericError, project_split,
+                     select_eigenspace)
 
 
 YES_CONSTANT = 10.0  # the O(.) constant of the YES threshold
@@ -52,10 +54,6 @@ class NonRegularError(UGError):
 
 
 class DegenerateSpectrumError(AbortError):
-    pass
-
-
-class DimensionAbortError(AbortError):
     pass
 
 
@@ -238,10 +236,11 @@ def net_size(dim, step, cap=None) -> int:
     return count if cap is None or count <= cap else cap + 1
 
 
-def _lattice_chunks(dim, step, rows) -> Iterator[np.ndarray]:
+def _lattice_chunks(dim, step, rows, hold=None) -> Iterator[np.ndarray]:
     """Integer lattice points z with ||z||^2 <= r2, the integer radius that
     net_size counts, in lexicographic order over coordinate tuples, yielded
-    as (rows, dim) arrays (the last may be shorter).
+    as (rows, dim) arrays (the last may be shorter).  With ``hold`` a
+    coordinate, only the points with z_hold = 0, at the same r2.
 
     A depth-first walk over blocks of coordinate prefixes: each step takes
     the next at most ``width`` children of the block on top of the stack, so
@@ -261,10 +260,11 @@ def _lattice_chunks(dim, step, rows) -> Iterator[np.ndarray]:
                 yield out[:rows]
                 out = out[rows:]
             continue
-        # Prefix p has 2m+1 children p + (z,), -m <= z <= m, m = isqrt(r2 - |p|^2);
-        # the float square root truncates to isqrt exactly below 2**52.
+        # Prefix p has 2m+1 children p + (z,), -m <= z <= m, m = isqrt(r2 - |p|^2)
+        # (0 at the held coordinate); the float square root truncates to isqrt
+        # exactly below 2**52.
         rest = r2 - np.einsum("ij,ij->i", prefixes, prefixes)
-        m = np.sqrt(rest).astype(np.int64)
+        m = np.sqrt(rest).astype(np.int64) * (prefixes.shape[1] != hold)
         end = np.cumsum(2 * m + 1)
         hi = min(lo + width, int(end[-1]))
         if hi < end[-1]:
@@ -277,14 +277,15 @@ def _lattice_chunks(dim, step, rows) -> Iterator[np.ndarray]:
         yield out
 
 
-def net_coefficients(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
+def net_coefficients(basis: Eigenspace, step: float, hold=None) -> Iterator[np.ndarray]:
     """The coefficients alpha in step*Z^dim of every net vector
     sum_s alpha_s w(s): coefficient norm at most 1 + step*sqrt(dim)/2, each
     point once, in lexicographic order, as (rows, dim) float64 arrays whose
     ambient vectors take at most core.BATCH_BYTES bytes (or one row).  The
     extra half-cell-diagonal of slack beyond the unit ball guarantees every
     vector of norm <= 1 has a net point within step*sqrt(dim)/2 of it.
-    Raises NetTooLargeError before yielding if the net exceeds the cap."""
+    With ``hold`` a coordinate, only the points with alpha_hold = 0.
+    Raises NetTooLargeError before yielding if the whole net exceeds the cap."""
     dim = basis.dim
     if dim < 1:
         raise UGError("empty basis")
@@ -293,7 +294,7 @@ def net_coefficients(basis: Eigenspace, step: float) -> Iterator[np.ndarray]:
             f"net would have more than cap {NET_CAP} points at dim={dim}, step={step}"
         )
     rows = max(1, core.BATCH_BYTES // (8 * basis.dim_ambient))
-    for Z in _lattice_chunks(dim, step, rows):
+    for Z in _lattice_chunks(dim, step, rows, hold):
         yield Z * step
 
 
@@ -350,7 +351,7 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
         _check_dimension(inst.n * inst.k, params, 0.0)
     A, level, side, d = search_operator(inst, params)
     lap("operator")
-    W = select_eigenspace(A, level, side)
+    W = select_eigenspace(A, level, side, params.max_dim)
     lap("eigensolve")
     dim = W.dim
     if dim == 0:
@@ -364,11 +365,17 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
 
     n, k = inst.n, inst.k
     blocks = label_blocks(W.basis, k)
+    # Adding t * 1 to a vector adds t to every entry of every vertex block,
+    # so no argmax moves: where the normalised all-ones vector is a basis
+    # column (its eigenvalue is simple), the net points on a line along it
+    # read off one labeling, and the walk keeps the one with coefficient 0.
+    ones = np.abs(W.basis.sum(axis=0)) / np.sqrt(n * k)  # |<w, 1>| / ||1|| per column
+    hold = int(np.argmax(ones)) if ones.max() >= 1 - RESIDUAL_TOL else None
     # The signed basis vectors follow the net as candidates so a
     # one-dimensional W cannot be missed by lattice misalignment; as the
     # +-identity coefficient rows they are read off exactly.
     signed = np.concatenate([np.eye(dim), -np.eye(dim)])
-    chunks = itertools.chain(net_coefficients(W, step), [signed])
+    chunks = itertools.chain(net_coefficients(W, step, hold), [signed])
     if not len(inst.w):  # every labeling scores 1.0, so the first net point wins
         chunks, signed = (C[:1] for C in itertools.islice(chunks, 1)), signed[:0]
     narrow = np.min_scalar_type(k - 1)
@@ -418,7 +425,7 @@ def closeness_diagnostic(inst: UGInstance, planted, params: SolveParams):
     against the selected eigenspace W."""
     params.validate()
     L = validate_labeling(inst, planted)
-    W = select_eigenspace(*search_operator(inst, params)[:3])
+    W = select_eigenspace(*search_operator(inst, params)[:3], params.max_dim)
     if W.dim == 0:
         raise DegenerateSpectrumError("empty eigenspace")
     y = characteristic_vector(L, inst.k, normalized=True)

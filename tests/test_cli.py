@@ -457,6 +457,32 @@ def test_non_utf8_file_exit_1(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
+def test_byte_order_mark_ignored(maxlin_file, tmp_path):
+    """An instance or planted file that starts with a UTF-8 byte-order mark
+    gives the same instance and reports as the file without it (all but the
+    manifest, which hashes the file and times the run)."""
+    path, _, planted = maxlin_file
+    labels = tmp_path / "planted.txt"
+    labels.write_text(",".join(str(int(x)) for x in planted) + "\n")
+    marked, marked_labels = tmp_path / "marked.ug", tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    marked_labels.write_bytes(b"\xef\xbb\xbf" + labels.read_bytes())
+    assert core.serialize_instance(load_instance(marked)) == path.read_text()
+
+    def reports(instance, planted_file):
+        out = []
+        for command in (("solve", instance, "--epsilon", 0.03, "--gamma", 0.5, "--maxlin"),
+                        ("diagnose", instance, "--epsilon", 0.05, "--gamma", 0.5,
+                         "--planted-file", planted_file)):
+            rep = json.loads(run_cli(*command, check=True).stdout)
+            for key in ("eigen_time", "enumeration_time", "stages", "manifest"):
+                rep.pop(key, None)
+            out.append(rep)
+        return out
+
+    assert reports(marked, marked_labels) == reports(path, labels)
+
+
 def test_unknown_arguments_exit_1():
     assert run_cli("solve").returncode == 1
     assert run_cli("frobnicate").returncode == 1

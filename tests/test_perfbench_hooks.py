@@ -10,6 +10,8 @@ failure.
 import json
 from pathlib import Path
 
+import numpy as np
+
 from ugspectral.core import parse_instance
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -61,7 +63,9 @@ def test_readoff_called_once_per_chunk(monkeypatch):
     """perfbench's ``recover.readoff_s`` times the wrapper on
     ``recover.read_off_batch``, so a solve must call it, looked up on the
     module, once per coefficient chunk of the net and once for the signed
-    basis, on every candidate row."""
+    basis, on every candidate row.  KV's top eigenvalue d is simple, so its
+    all-ones basis column is held at 0: the net read off is the points of
+    the full net with one coordinate 0, as many whichever it is."""
     import ugspectral.core as core_mod
     import ugspectral.recover as recover_mod
     from ugspectral.generators import KVSpec, kv_instance
@@ -79,7 +83,9 @@ def test_readoff_called_once_per_chunk(monkeypatch):
     monkeypatch.setattr(recover_mod, "read_off_batch", counting)
     rep = recover_mod.recover_solution(inst, params)
     net = rep.net_points_evaluated
-    assert net == recover_mod.net_size(rep.dim_W, rep.net_step) > rows
+    full = np.concatenate(list(recover_mod._lattice_chunks(rep.dim_W, rep.net_step, 8192)))
+    assert len(full) == recover_mod.net_size(rep.dim_W, rep.net_step) == 221
+    assert net == np.count_nonzero(full[:, 0] == 0) == 89 > rows
     assert len(calls) == -(-net // rows) + 1
     assert calls[-1] == rep.signed_candidates == 2 * rep.dim_W
     assert sum(calls) == net + 2 * rep.dim_W

@@ -3,6 +3,7 @@
 import itertools
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +131,25 @@ class TestReadOff:
         parts = [read_off_batch(part, label_blocks(B, k)) for part in np.split(C, cuts)]
         assert np.array_equal(np.concatenate(parts), got)
 
+    @given(st.integers(2, 6), st.integers(1, 4), st.integers(1, 4), st.integers(1, 6),
+           st.integers(-2, 2), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_constant_column_never_moves_a_label(self, k, n, dim, rows, const, data):
+        """A basis column that is constant adds one number to all k entries of
+        every vertex block, so whatever integer its coefficient is, every
+        label is the same, bit for bit (small integers keep products exact)."""
+        ints = st.integers(-2, 2).map(float)
+        B = data.draw(hnp.arrays(np.float64, (n * k, dim), elements=ints))
+        c = data.draw(st.integers(0, dim - 1))
+        B[:, c] = const
+        C = data.draw(hnp.arrays(np.float64, (rows, dim), elements=ints))
+        C[:, c] = 0
+        blocks = label_blocks(B, k)
+        held = read_off_batch(C, blocks)
+        for t in data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4)):
+            C[:, c] = t
+            assert np.array_equal(read_off_batch(C, blocks), held)
+
 
 class TestNet:
     @pytest.mark.parametrize("dim,step", [(1, 0.3), (2, 0.4), (3, 0.4), (3, 0.25)])
@@ -166,6 +186,31 @@ class TestNet:
         assert 1 <= len(chunks[-1]) <= rows
         assert np.concatenate(chunks).tolist() == [list(z) for z in reference]
         assert len(reference) == net_size(dim, step)
+
+    @pytest.mark.parametrize("dim,step", [(1, 0.3), (1, 2.5), (2, 0.4), (3, 0.4), (4, 0.7)])
+    @pytest.mark.parametrize("rows", [1, 7, 8192])
+    def test_held_walk_is_the_full_nets_zero_slice(self, dim, step, rows):
+        """Holding coordinate c walks exactly the full net's points with
+        z_c = 0, at the full net's radius, in lexicographic order and in
+        chunks of ``rows``; at dim 1 that is the origin alone."""
+        r2 = _net_radius2(dim, step)
+        m = int(np.floor(np.sqrt(r2)))
+        full = [z for z in itertools.product(range(-m, m + 1), repeat=dim)
+                if sum(x * x for x in z) <= r2]
+        for c in range(dim):
+            chunks = list(_lattice_chunks(dim, step, rows, hold=c))
+            assert all(len(Z) == rows for Z in chunks[:-1]) and 1 <= len(chunks[-1]) <= rows
+            assert np.concatenate(chunks).tolist() == [list(z) for z in full if z[c] == 0]
+
+    def test_held_net_keeps_the_full_cap(self, monkeypatch):
+        """NET_CAP counts the full net, so holding a coordinate aborts
+        wherever the full net would, also when the held points fit the cap."""
+        basis = orthonormal_space(6, 3, seed=3)
+        held = sum(len(C) for C in net_coefficients(basis, 0.4, hold=1))
+        assert held < net_size(3, 0.4)
+        monkeypatch.setattr(recover_mod, "NET_CAP", held)
+        with pytest.raises(NetTooLargeError):
+            next(net_coefficients(basis, 0.4, hold=1))
 
     @pytest.mark.parametrize("budget", [1, 8 * 6 * 5 + 7, 8 * 6 * 64, core_mod.BATCH_BYTES])
     def test_net_chunks_within_byte_budget(self, budget, monkeypatch):
@@ -379,6 +424,35 @@ class TestRecover:
         with pytest.raises(DimensionAbortError):
             recover_solution(inst, SolveParams(epsilon=0.01, gamma=0.5, max_dim=2))
 
+    @pytest.mark.parametrize("solver", ["solve", "diagnose"])
+    def test_wide_sparse_window_aborts_on_ritz_values(self, solver, monkeypatch):
+        """20 disjoint planted 6-cycles (k = 4, CSR at dim 480) have a Laplacian
+        window of hundreds of eigenvalues.  More than max_dim Ritz values past
+        the cut prove dim W > max_dim (Cauchy interlacing), so the filtered
+        solve aborts after one pass on its first block, neither doubling the
+        block nor falling back to dense eigh."""
+        skeleton = [(6 * c + u, 6 * c + (u + 1) % 6) for c in range(20) for u in range(6)]
+        inst, planted = planted_on(120, 4, skeleton, seed=0)
+        passes = []
+
+        def counting(op, X, b, top):
+            passes.append(X.shape[1])
+            return chebyshev(op, X, b, top)
+
+        def unreachable(A):
+            raise AssertionError("the solve fell back to dense eigh")
+
+        chebyshev = linalg_mod._chebyshev
+        monkeypatch.setattr(linalg_mod, "_chebyshev", counting)
+        monkeypatch.setattr(linalg_mod, "eigendecompose", unreachable)
+        params = SolveParams(0.01, 0.5, mode="laplacian")
+        with pytest.raises(DimensionAbortError, match=r"^dim\(W\) >= 16 exceeds max_dim=8$"):
+            if solver == "solve":
+                recover_solution(inst, params)
+            else:
+                closeness_diagnostic(inst, planted, params)
+        assert passes == [linalg_mod.SPARSE_BLOCK]
+
     def test_window_never_empty_on_real_instances(self):
         """The label-extended graph is degree-regular row-wise, so its top
         eigenvalue is exactly d and the high window always holds at least
@@ -397,7 +471,7 @@ class TestRecover:
 
         inst, _ = planted_on(6, 3, complete_skeleton(6), seed=6, family="maxlin")
         empty = Eigenspace(18, np.zeros((18, 0)), np.zeros(0), 0.0, "adjacency-high")
-        monkeypatch.setattr(recover_mod, "select_eigenspace", lambda A, t, side: empty)
+        monkeypatch.setattr(recover_mod, "select_eigenspace", lambda A, t, side, max_dim: empty)
         with pytest.raises(DegenerateSpectrumError):
             recover_mod.recover_solution(
                 inst, SolveParams(epsilon=0.01, gamma=0.5, max_dim=8)
@@ -534,14 +608,61 @@ class TestRecover:
         assert r1["cut_gap"] == pytest.approx(dense.cut_gap, abs=1e-9) and dense.cut_gap > 0
 
 
+class TestHeldWalk:
+    """Adding a multiple of the all-ones vector moves no per-block argmax,
+    so where it is a basis column of W (its eigenvalue is simple) the solve
+    reads off only the net points whose coefficient on it is 0."""
+
+    def test_one_dimensional_window_reads_the_origin(self):
+        """KV kappa = 2 at gamma 0.25 keeps only the simple top eigenvalue d,
+        whose eigenvector is the all-ones vector: the solve reads the origin
+        and the two signed rows, and returns the best of those three."""
+        inst, params = kv_instance(KVSpec(2, 0.25)), SolveParams(0.01, 0.25)
+        col = select_search_space(inst, params)[0].basis[:, 0]
+        rep = recover_solution(inst, params)
+        assert rep.dim_W == 1
+        assert (rep.net_points_evaluated, rep.signed_candidates) == (1, 2)
+        assert net_size(1, rep.net_step) > 1
+        assert rep.best_value == max(value(inst, read_off_assignment(x, inst.n, inst.k))
+                                     for x in (0 * col, col, -col))
+
+    def test_repeated_top_eigenvalue_walks_the_full_net(self):
+        """A perfectly satisfiable Max-Lin instance has the top eigenvalue d
+        k times over, so no basis column is the all-ones vector."""
+        inst, _ = planted_on(7, 3, complete_skeleton(7), seed=4, family="maxlin")
+        rep = recover_solution(inst, SolveParams(0.01, 0.5))
+        assert rep.dim_W == 3
+        assert rep.net_points_evaluated == net_size(rep.dim_W, rep.net_step)
+
+    def test_laplacian_clustered_count(self, monkeypatch):
+        """The benchmark's laplacian-clustered seed 1 reads 16,859 of its
+        47,921 net points."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        workload = workloads.WORKLOADS["laplacian-clustered"]
+        rep = workload.solve(core_mod.parse_instance(workload.make(1).text))
+        assert net_size(rep.dim_W, rep.net_step) == 47921
+        assert rep.net_points_evaluated == 16859
+
+
 def reference_labelings(inst, params):
     """Every candidate in stream order (the net, then the signed basis
-    vectors), each read off by per-block argmax."""
+    vectors), each read off by per-block argmax.  Where a basis column w is
+    the normalised all-ones vector 1^ up to sign, |<w, 1^>| >= 1 -
+    RESIDUAL_TOL or ||w -+ 1^||^2 <= 2 RESIDUAL_TOL, the net is the full
+    net's points with coefficient 0 on it, in the full net's order."""
     W, _ = select_search_space(inst, params)
     step = params.net_step_override
     if step is None:
         step = float(np.sqrt(2 * params.epsilon / (params.gamma * W.dim)))
-    cands = np.concatenate(list(enumerate_net(W, step)) + [W.basis.T, -W.basis.T])
+    C = np.concatenate(list(net_coefficients(W, step)))
+    ones = np.full(inst.n * inst.k, 1 / np.sqrt(inst.n * inst.k))
+    held = [j for j, w in enumerate(W.basis.T)
+            if min(np.sum((w - ones) ** 2), np.sum((w + ones) ** 2)) <= 2 * linalg_mod.RESIDUAL_TOL]
+    if held:
+        C = C[C[:, held[0]] == 0]
+    cands = np.concatenate([C @ W.basis.T, W.basis.T, -W.basis.T])
     return [np.argmax(x.reshape(inst.n, inst.k), axis=1) for x in cands]
 
 
