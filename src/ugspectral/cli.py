@@ -159,11 +159,7 @@ def cmd_diagnose(args, t0):
         out = rep.to_dict()
     else:
         if args.planted_file:
-            with open(args.planted_file, "r", encoding="utf-8-sig") as fh:
-                try:
-                    planted = _parse_labels(fh.read())
-                except UnicodeDecodeError as exc:
-                    raise UGError(f"{args.planted_file}: not UTF-8 text: {exc}") from None
+            planted = _parse_labels(core.read_text(args.planted_file))
         elif args.planted:
             planted = _parse_labels(args.planted)
         else:

@@ -440,12 +440,18 @@ def serialize_instance(inst: UGInstance) -> str:
     return "\n".join([f"ug {inst.n} {inst.k}", *(row % f for f in fields)]) + "\n"
 
 
-def load_instance(path) -> UGInstance:
+def read_text(path) -> str:
+    """The text of a UTF-8 file, a leading byte-order mark skipped; a file
+    that is not UTF-8 raises ParseError naming it."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
-            return parse_instance(fh.read())
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def load_instance(path) -> UGInstance:
+    return parse_instance(read_text(path))
 
 
 def save_instance(inst: UGInstance, path):

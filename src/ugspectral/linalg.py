@@ -99,8 +99,9 @@ def select_eigenspace(A, threshold, mode, max_dim=None) -> Eigenspace:
     numerically equal eigenvalues sitting on the threshold is kept whole
     rather than split by rounding, and a dense and a sparse A get the same
     window.  A sparse A takes the filtered path (``_sparse_window``) unless
-    it falls back to the dense one; with ``max_dim`` that path raises
-    DimensionAbortError as soon as it proves dim W > max_dim.
+    it falls back to the dense one.  With ``max_dim`` either path raises
+    DimensionAbortError once it knows dim W > max_dim: from the Ritz values
+    (filtered) or the kept count, before any residual is computed (dense).
     """
     if mode not in ("adjacency-high", "laplacian-low"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -115,6 +116,9 @@ def select_eigenspace(A, threshold, mode, max_dim=None) -> Eigenspace:
     vals, vecs = eigendecompose(A)
     sign, c, cut = _window_cut(A, threshold, mode)
     keep = sign * vals + c >= cut
+    count = int(np.count_nonzero(keep))
+    if max_dim is not None and count > max_dim:
+        raise DimensionAbortError(f"dim(W)={count} exceeds max_dim={max_dim}")
     nearest = sign * (sign * vals[~keep]).max(initial=-np.inf)
     return _eigenspace(A, vals[keep], np.ascontiguousarray(vecs[:, keep]), threshold, mode, nearest)
 

@@ -299,20 +299,20 @@ def net_coefficients(basis: Eigenspace, step: float, hold=None) -> Iterator[np.n
 
 
 def search_operator(inst: UGInstance, params: SolveParams):
-    """(matrix, threshold, side, d): W is select_eigenspace(matrix, threshold,
-    side) for the requested mode, and d the degree scale, the regular degree
-    in adjacency mode and the average degree in laplacian mode."""
+    """(matrix, threshold, side): W is select_eigenspace(matrix, threshold,
+    side) for the requested mode, the threshold scaled by the regular degree
+    in adjacency mode and by the average degree in laplacian mode."""
     d = inst.average_degree
     if not math.isfinite(d):
         raise NumericError(f"average degree {d}: the edge weights overflow float64")
     if params.mode == "laplacian":
-        return build_laplacian(inst).matrix, params.window * d, "laplacian-low", d
+        return build_laplacian(inst).matrix, params.window * d, "laplacian-low"
     if not inst.is_regular():
         raise NonRegularError(
             "adjacency mode requires a d-regular constraint graph; "
             "use laplacian mode for non-regular instances"
         )
-    return build_label_extended(inst).matrix, (1 - params.window) * d, "adjacency-high", d
+    return build_label_extended(inst).matrix, (1 - params.window) * d, "adjacency-high"
 
 
 def default_yes_threshold(params: SolveParams) -> float:
@@ -321,14 +321,6 @@ def default_yes_threshold(params: SolveParams) -> float:
     eps, gamma = params.epsilon, params.gamma
     t = 1.0 - YES_CONSTANT * (eps / (gamma - 8 * eps) + eps)
     return float(min(max(t, 1e-12), 1.0 - 1e-12))
-
-
-def _check_dimension(dim, params: SolveParams, d):
-    if dim > params.max_dim:
-        raise DimensionAbortError(
-            f"dim(W)={dim} exceeds max_dim={params.max_dim} "
-            f"(mode={params.mode}, threshold scale d={d})"
-        )
 
 
 def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
@@ -345,11 +337,11 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
         t, t0 = time.perf_counter(), t
         stages[stage] += t - t0
 
-    if not len(inst.w):
+    if not len(inst.w) and inst.n * inst.k > params.max_dim:
         # Without edges every eigenvalue is 0, so W is the whole space: its
         # dimension is checked before the n*k x n*k operator is built.
-        _check_dimension(inst.n * inst.k, params, 0.0)
-    A, level, side, d = search_operator(inst, params)
+        raise DimensionAbortError(f"dim(W)={inst.n * inst.k} exceeds max_dim={params.max_dim}")
+    A, level, side = search_operator(inst, params)
     lap("operator")
     W = select_eigenspace(A, level, side, params.max_dim)
     lap("eigensolve")
@@ -358,7 +350,6 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
         raise DegenerateSpectrumError(
             f"no eigenvalues in the selected window (mode={params.mode}, window={params.window})"
         )
-    _check_dimension(dim, params, d)
     step = params.net_step_override
     if step is None:
         step = float(np.sqrt(2 * params.epsilon / (params.window * dim)))
@@ -422,10 +413,11 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
 
 def closeness_diagnostic(inst: UGInstance, planted, params: SolveParams):
     """(alpha, beta) split of the normalized planted characteristic vector
-    against the selected eigenspace W."""
+    against the selected eigenspace W, whatever its dimension: no net is
+    built, so max_dim does not apply."""
     params.validate()
     L = validate_labeling(inst, planted)
-    W = select_eigenspace(*search_operator(inst, params)[:3], params.max_dim)
+    W = select_eigenspace(*search_operator(inst, params))
     if W.dim == 0:
         raise DegenerateSpectrumError("empty eigenspace")
     y = characteristic_vector(L, inst.k, normalized=True)

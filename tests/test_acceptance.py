@@ -96,20 +96,24 @@ def test_criterion_01_assignment_eigenvector_identity(capsys):
 
 def test_criterion_02_closeness_bound(capsys):
     """beta <= sqrt(2*eps'/gamma) + 1e-8 for the planted characteristic
-    vector against W, both modes, eps in {0.01, 0.02, 0.05}, gamma = 0.5."""
+    vector against W, both modes, eps in {0.01, 0.02, 0.05}, gamma = 0.5.
+    Adjacency mode runs at n = 20 (dense) and n = 128 (CSR, nk = 384): W
+    is wider than the default max_dim, which caps the solve's net, not the
+    diagnostic."""
     gamma = 0.5
     worst_margin = -np.inf
     checks = 0
     for eps in (0.01, 0.02, 0.05):
         # adjacency mode needs a regular skeleton
-        inst, planted, _ = planted_regular_instance(20, 4, 3, seed=5)
-        pert = perturb(inst, planted, eps, seed=9)
-        realized = 1 - value(pert, planted)
-        _, beta = closeness_diagnostic(
-            pert, planted, SolveParams(eps, gamma, mode="adjacency")
-        )
-        worst_margin = max(worst_margin, beta - np.sqrt(2 * realized / gamma))
-        checks += 1
+        for n in (20, 128):
+            inst, planted, _ = planted_regular_instance(n, 4, 3, seed=5)
+            pert = perturb(inst, planted, eps, seed=9)
+            realized = 1 - value(pert, planted)
+            _, beta = closeness_diagnostic(
+                pert, planted, SolveParams(eps, gamma, mode="adjacency")
+            )
+            worst_margin = max(worst_margin, beta - np.sqrt(2 * realized / gamma))
+            checks += 1
         # laplacian mode exercised on a non-regular skeleton
         rng = np.random.default_rng(17)
         skel = [(u, v) for u in range(15) for v in range(u + 1, 15)
@@ -124,7 +128,7 @@ def test_criterion_02_closeness_bound(capsys):
         )
         worst_margin = max(worst_margin, beta2 - np.sqrt(2 * realized2 / gamma))
         checks += 1
-    ok = checks == 6 and worst_margin <= 1e-8
+    ok = checks == 9 and worst_margin <= 1e-8
     announce(capsys, 2, ok,
              f"closeness bound, {checks} runs (both modes), worst "
              f"beta - sqrt(2*eps'/gamma) = {worst_margin:.2e} <= 1e-08")

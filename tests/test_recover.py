@@ -25,7 +25,8 @@ from ugspectral.generators import (
     planted_regular_instance,
 )
 from ugspectral.label_extended import build_label_extended
-from ugspectral.linalg import Eigenspace, select_eigenspace
+from ugspectral.linalg import Eigenspace, project_split, select_eigenspace
+from ugspectral.oracle import brute_force
 from ugspectral.recover import (
     DegenerateSpectrumError,
     DimensionAbortError,
@@ -50,8 +51,7 @@ from conftest import complete_skeleton, cycle_skeleton, from_rows, planted_on, r
 
 def select_search_space(inst, params):
     """(W, d): the eigenspace a solve selects for params, and its degree scale."""
-    A, threshold, side, d = search_operator(inst, params)
-    return select_eigenspace(A, threshold, side), d
+    return select_eigenspace(*search_operator(inst, params)), inst.average_degree
 
 
 def enumerate_net(basis, step):
@@ -430,9 +430,21 @@ class TestRecover:
         window of hundreds of eigenvalues.  More than max_dim Ritz values past
         the cut prove dim W > max_dim (Cauchy interlacing), so the filtered
         solve aborts after one pass on its first block, neither doubling the
-        block nor falling back to dense eigh."""
+        block nor falling back to dense eigh.  diagnose builds no net, so it
+        takes no cap: it splits the planted vector against the whole window,
+        as against the window of the densified Laplacian."""
         skeleton = [(6 * c + u, 6 * c + (u + 1) % 6) for c in range(20) for u in range(6)]
         inst, planted = planted_on(120, 4, skeleton, seed=0)
+        params = SolveParams(0.01, 0.5, mode="laplacian")
+        if solver == "diagnose":
+            A, threshold, side = search_operator(inst, params)
+            assert scipy.sparse.issparse(A)
+            reference = select_eigenspace(A.toarray(), threshold, side)
+            assert reference.dim > params.max_dim
+            y = characteristic_vector(planted, 4, normalized=True)
+            split = closeness_diagnostic(inst, planted, params)
+            assert split == pytest.approx(project_split(y, reference), rel=0, abs=1e-8)
+            return
         passes = []
 
         def counting(op, X, b, top):
@@ -445,13 +457,33 @@ class TestRecover:
         chebyshev = linalg_mod._chebyshev
         monkeypatch.setattr(linalg_mod, "_chebyshev", counting)
         monkeypatch.setattr(linalg_mod, "eigendecompose", unreachable)
-        params = SolveParams(0.01, 0.5, mode="laplacian")
         with pytest.raises(DimensionAbortError, match=r"^dim\(W\) >= 16 exceeds max_dim=8$"):
-            if solver == "solve":
-                recover_solution(inst, params)
-            else:
-                closeness_diagnostic(inst, planted, params)
+            recover_solution(inst, params)
         assert passes == [linalg_mod.SPARSE_BLOCK]
+
+    def test_wide_dense_window_aborts_on_its_count(self, monkeypatch):
+        """5 disjoint planted 6-cycles (k = 4, dense at dim 120) have a
+        Laplacian window of 54 eigenvalues.  The solve aborts in
+        select_eigenspace as soon as eigh's kept count is known, before any
+        residual is computed; diagnose, which builds no net, splits the
+        planted vector against the whole window."""
+        skeleton = [(6 * c + u, 6 * c + (u + 1) % 6) for c in range(5) for u in range(6)]
+        inst, planted = planted_on(30, 4, skeleton, seed=0)
+        params = SolveParams(0.01, 0.5, mode="laplacian")
+        A, threshold, side = search_operator(inst, params)
+        assert isinstance(A, np.ndarray)
+        reference = select_eigenspace(A, threshold, side)
+        assert reference.dim == 54
+        y = characteristic_vector(planted, 4, normalized=True)
+        split = closeness_diagnostic(inst, planted, params)
+        assert split == pytest.approx(project_split(y, reference), rel=0, abs=1e-8)
+
+        def unreachable(*args):
+            raise AssertionError("the solve computed the residuals of W")
+
+        monkeypatch.setattr(linalg_mod, "_eigenspace", unreachable)
+        with pytest.raises(DimensionAbortError, match=r"^dim\(W\)=54 exceeds max_dim=8$"):
+            recover_solution(inst, params)
 
     def test_window_never_empty_on_real_instances(self):
         """The label-extended graph is degree-regular row-wise, so its top
@@ -822,3 +854,40 @@ class TestAlphabetIndependence:
             assert rep.best_value >= value(pert, planted) - 0.05, k
             dims.add(rep.dim_W)
         assert len(dims) == 1, dims
+
+
+class TestYesConstant:
+    """recover.YES_CONSTANT, the c of the YES threshold 1 - c*(eps/(gamma -
+    8*eps) + eps), measured: the largest (OPT - best)/(eps/(gamma - 8*eps) +
+    eps) over planted instances of both families that the oracle solves
+    exactly, with 2 or 3 constraints violated and eps the realized
+    violation.  gamma = 1, the largest normalised gap, gives the smallest
+    denominator; theta is halved from gamma until dim W fits max_dim."""
+
+    def test_measured_ratio_within_constant(self):
+        gamma, worst, solves = 1.0, 0.0, 0
+        for family, n, d, k, m, seed in itertools.product(
+            ("general-permutation", "maxlin"), (8, 10, 12), (3, 4, 5), (2, 3, 4), (2, 3), (0, 1, 2)
+        ):
+            edges, shift = n * d // 2, family == "maxlin"  # the oracle pins a shift game's vertex
+            if n * d % 2 or 8 * m >= edges * gamma or k ** (n - shift) > 2 * 10**5:
+                continue
+            inst, planted, _ = planted_regular_instance(n, d, k, seed=seed,
+                                                        constraint_family=family)
+            pert = perturb(inst, planted, m / edges, seed=seed + 17, constraint_family=family)
+            eps = 1 - value(pert, planted)
+            assert eps == pytest.approx(m / edges)
+            for theta in gamma / 2.0 ** np.arange(8):
+                try:
+                    rep = recover_solution(pert, SolveParams(eps, gamma, theta=theta,
+                                                             net_step_override=0.5))
+                    break
+                except DimensionAbortError:
+                    continue
+            else:
+                raise AssertionError(f"no theta fits max_dim: {family}, n={n}, d={d}, k={k}")
+            opt = brute_force(pert).best_value
+            worst = max(worst, (opt - rep.best_value) / (eps / (gamma - 8 * eps) + eps))
+            solves += 1
+        assert solves == 90
+        assert worst <= recover_mod.YES_CONSTANT
