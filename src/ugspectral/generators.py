@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import UGInstance, UGError, _unit_scale, shift_image, value
-from .label_extended import build_label_extended
+from .label_extended import graph_operator
 from .linalg import select_eigenspace
 
 
@@ -100,12 +100,41 @@ def perturb(inst: UGInstance, planted, eps, seed=0, constraint_family="general-p
     return UGInstance.from_arrays(inst.n, k, inst.u, inst.v, inst.w, perm, inst.scale)
 
 
-PAIRING_TRIES = 10000  # pairings drawn before random_regular_graph gives up
+PAIRING_TRIES = 10000  # pairings drawn before random_regular_graph repairs one
+
+
+def _simple_pairs(pairs, n):
+    """Per pair of a pairing, whether it is a loop or repeats an earlier pair."""
+    keys = pairs.min(axis=1) * n + pairs.max(axis=1)
+    bad = np.ones(len(keys), dtype=bool)
+    bad[np.unique(keys, return_index=True)[1]] = False
+    return bad | (pairs[:, 0] == pairs[:, 1])
+
+
+def _switch_to_simple(pairs, n, rng):
+    """A pairing made simple by degree-preserving switches: a random bad
+    pair {a, b} (``_simple_pairs``) and a random other pair {c, e} become
+    {a, c} and {b, e}, the other pair's ends in random order, whenever that
+    leaves no more bad pairs than before."""
+    bad = _simple_pairs(pairs, n)
+    while bad.any():
+        i = rng.choice(np.flatnonzero(bad))
+        j = (i + 1 + rng.integers(len(pairs) - 1)) % len(pairs)
+        c, e = pairs[j][rng.permutation(2)]
+        trial = pairs.copy()
+        trial[i], trial[j] = (pairs[i, 0], c), (pairs[i, 1], e)
+        trial_bad = _simple_pairs(trial, n)
+        if trial_bad.sum() <= bad.sum():
+            pairs, bad = trial, trial_bad
+    return pairs
 
 
 def random_regular_graph(n, d, seed=0):
     """Simple d-regular graph by the pairing model with rejection of loops
-    and multi-edges.  Returns (edge list, second adjacency eigenvalue);
+    and multi-edges.  Where PAIRING_TRIES pairings in a row are rejected, as
+    at a dense d, the last one is repaired by degree-preserving switches
+    (``_switch_to_simple``), so every valid (n, d) gets a graph, the same
+    for the same seed.  Returns (edge list, second adjacency eigenvalue);
     expansion is measured, never assumed.
     """
     if (n * d) % 2 != 0:
@@ -116,18 +145,20 @@ def random_regular_graph(n, d, seed=0):
     for _ in range(PAIRING_TRIES):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
-        lo, hi = np.sort(stubs.reshape(-1, 2), axis=1).T
-        keys = np.unique(lo * n + hi)  # sorted, one per distinct pair
-        if np.all(lo != hi) and len(keys) == len(lo):
-            graph = UGInstance.from_arrays(
-                n, 1, keys // n, keys % n, np.ones(len(keys)), np.zeros((len(keys), 1))
-            )
-            # The top eigenvalue of a d-regular graph is d, so lambda_2 is the
-            # second eigenvalue of the window at d, or the first one below it.
-            W = select_eigenspace(build_label_extended(graph).matrix, d, "adjacency-high")
-            lambda2 = float(W.eigenvalues[1] if W.dim > 1 else W.nearest_dropped)
-            return [(int(key // n), int(key % n)) for key in keys], lambda2 if n > 1 else 0.0
-    raise UGError(f"pairing model failed {PAIRING_TRIES} times for n={n}, d={d}")
+        pairs = stubs.reshape(-1, 2)
+        # A loop rejects most dense pairings, at a fraction of the cost of
+        # the full test.
+        if not np.any(pairs[:, 0] == pairs[:, 1]) and not _simple_pairs(pairs, n).any():
+            break
+    else:
+        pairs = _switch_to_simple(pairs, n, rng)
+    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))  # sorted, one per pair
+    # The top eigenvalue of a d-regular graph is d, so lambda_2 is the
+    # second eigenvalue of the window at d, or the first one below it.
+    W = select_eigenspace(graph_operator(n, keys // n, keys % n, np.ones(len(keys))), d,
+                          "adjacency-high")
+    lambda2 = float(W.eigenvalues[1] if W.dim > 1 else W.nearest_dropped)
+    return [(int(key // n), int(key % n)) for key in keys], lambda2 if n > 1 else 0.0
 
 
 def planted_regular_instance(n, d, k, seed=0, constraint_family="general-permutation"):

@@ -8,10 +8,12 @@ perfectly satisfying labelings are eigenvectors of M with eigenvalue d
 
 Every operator built here has one source per container, chosen by one
 storage rule on its entry list (2*E*k entries, a self-loop's k once): a
-dense array, scattered from the instance's pair table, below SPARSE_MIN_DIM
-rows or above SPARSE_MAX_FILL stored entries per matrix entry, and
-otherwise scipy.sparse CSR of the entry list, imported only then.  The
-constraint graph is the label-extended graph of the same edges with k = 1.
+dense array below SPARSE_MIN_DIM rows or above SPARSE_MAX_FILL stored
+entries per matrix entry, and otherwise scipy.sparse CSR of the entry list,
+imported only then.  A dense M is scattered from the instance's pair table.
+A graph operator (``graph_operator``: the constraint graph, and the
+character blocks of a group-difference instance, whose weights may be
+negative) is the k = 1 case, its dense array summed from the entry list.
 """
 
 from __future__ import annotations
@@ -43,11 +45,16 @@ class LabelExtendedMatrix:
         return self.matrix.shape[0]
 
 
-def _dense(inst: UGInstance):
-    """The storage rule on the entry list, k entries per edge end (a loop's once)."""
-    dim = inst.n * inst.k
-    stored = (2 * len(inst.w) - np.count_nonzero(inst.u == inst.v)) * inst.k
+def _dense(dim, stored):
+    """The storage rule on an entry list of ``stored`` entries."""
     return dim < SPARSE_MIN_DIM or stored > SPARSE_MAX_FILL * dim * dim
+
+
+def _csr(dim, rows, cols, vals):
+    """The dim x dim CSR array summing an entry list, in its order."""
+    import scipy.sparse as sp
+
+    return sp.csr_array((vals, (rows, cols)), shape=(dim, dim))
 
 
 def build_label_extended(inst: UGInstance) -> LabelExtendedMatrix:
@@ -59,7 +66,8 @@ def build_label_extended(inst: UGInstance) -> LabelExtendedMatrix:
     # a self-loop puts w * Pi_e once on its diagonal block, so that it
     # contributes its weight (not twice) to the row sum.
     n, k = inst.n, inst.k
-    if _dense(inst):
+    loop = inst.u == inst.v
+    if _dense(n * k, (2 * len(inst.w) - np.count_nonzero(loop)) * k):
         # Each cell belongs to one pair (a, b), whose table T sums the pair's
         # edges in edge order, in both orientations, as the entry list would.
         a, b, table, _ = inst.pair_table
@@ -68,14 +76,11 @@ def build_label_extended(inst: UGInstance) -> LabelExtendedMatrix:
         A[a, :, b, :] = table  # T in block (a, b) and T^T in (b, a), T when a = b
         A = A.reshape(n * k, n * k)
     else:
-        import scipy.sparse as sp
-
         # Edge by edge, its k entries and then their transposes.
-        loop = inst.u == inst.v
         keep = np.stack([np.ones_like(loop), ~loop], axis=1)
         ends = np.stack([inst.u[:, None] * k + np.arange(k), inst.v[:, None] * k + inst.perm], 1)
-        at = (ends[keep].ravel(), ends[:, ::-1][keep].ravel())
-        A = sp.csr_array((np.repeat(inst.w, (2 - loop) * k), at), shape=(n * k, n * k))
+        A = _csr(n * k, ends[keep].ravel(), ends[:, ::-1][keep].ravel(),
+                 np.repeat(inst.w, (2 - loop) * k))
     return LabelExtendedMatrix((A + A.T) / 2)
 
 
@@ -93,9 +98,24 @@ def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
     return LabelExtendedMatrix(diag - adj.matrix)
 
 
+def graph_operator(n, u, v, w):
+    """n x n symmetric matrix of a weighted graph: edge by edge, w at (u, v)
+    and then at (v, u), a self-loop's once, summed in edge order and
+    averaged with the transpose, so that it is exactly symmetric.  Weights
+    may be negative.  The storage rule is the label-extended one at k = 1."""
+    loop = u == v
+    keep = np.stack([np.ones_like(loop), ~loop], axis=1)
+    rows, cols = np.stack([u, v], axis=1)[keep], np.stack([v, u], axis=1)[keep]
+    vals = np.repeat(np.asarray(w, dtype=np.float64), 2 - loop)
+    if _dense(n, len(vals)):
+        A = np.bincount(rows * n + cols, vals, minlength=n * n).reshape(n, n)
+    else:
+        A = _csr(n, rows, cols, vals)
+    return (A + A.T) / 2
+
+
 def constraint_graph_adjacency(inst: UGInstance):
-    """n x n weighted adjacency of the underlying constraint graph: the
-    label-extended matrix of the same edges with every permutation
-    forgotten (k = 1), so parallel edges are summed as in M."""
-    graph = UGInstance.from_arrays(inst.n, 1, inst.u, inst.v, inst.w, np.zeros((len(inst.w), 1)))
-    return build_label_extended(graph).matrix
+    """n x n weighted adjacency of the underlying constraint graph, the
+    label-extended matrix with every permutation forgotten (k = 1):
+    parallel edges are summed in edge order, as in M."""
+    return graph_operator(inst.n, inst.u, inst.v, inst.w)

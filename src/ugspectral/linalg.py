@@ -31,7 +31,12 @@ class NumericError(AbortError):
 
 
 class DimensionAbortError(AbortError):
-    pass
+    """dim W exceeds max_dim: ``dim`` is its count, or with ``at_least`` a
+    lower bound on it."""
+
+    def __init__(self, dim, max_dim, at_least=False):
+        self.dim, self.max_dim, self.at_least = dim, max_dim, at_least
+        super().__init__(f"dim(W){' >= ' if at_least else '='}{dim} exceeds max_dim={max_dim}")
 
 
 @dataclass
@@ -53,6 +58,7 @@ class Eigenspace:
     max_residual: float = float("nan")
     passes: int = 0  # filter passes of the sparse solve; 0 on the dense path
     block: int = 0  # its final block width; 0 on the dense path
+    blocks: int = 0  # character blocks it was assembled from; 0 for one solve
 
     @property
     def dim(self):
@@ -118,9 +124,23 @@ def select_eigenspace(A, threshold, mode, max_dim=None) -> Eigenspace:
     keep = sign * vals + c >= cut
     count = int(np.count_nonzero(keep))
     if max_dim is not None and count > max_dim:
-        raise DimensionAbortError(f"dim(W)={count} exceeds max_dim={max_dim}")
+        raise DimensionAbortError(count, max_dim)
     nearest = sign * (sign * vals[~keep]).max(initial=-np.inf)
     return _eigenspace(A, vals[keep], np.ascontiguousarray(vecs[:, keep]), threshold, mode, nearest)
+
+
+def narrow_window(A, S: Eigenspace, threshold) -> Eigenspace:
+    """select_eigenspace(A, threshold, S.mode) read off S, a window of A on
+    the same side whose threshold is at or outside this one: S's eigenpairs
+    past the threshold by the same cut, with nearest_dropped the nearest of
+    the rest of S, or S's own if none is left."""
+    sign, c, cut = _window_cut(A, threshold, S.mode)
+    keep = sign * S.eigenvalues + c >= cut
+    nearest = max(sign * S.nearest_dropped, (sign * S.eigenvalues[~keep]).max(initial=-np.inf))
+    W = _eigenspace(A, S.eigenvalues[keep], np.ascontiguousarray(S.basis[:, keep]), threshold,
+                    S.mode, sign * nearest)
+    W.passes, W.block = S.passes, S.block
+    return W
 
 
 def _window_cut(A, threshold, mode):
@@ -202,7 +222,7 @@ def _sparse_window(A, threshold, mode, max_dim=None) -> Eigenspace | None:
         X, AX = X @ Y, AX @ Y
         edge = np.searchsorted(mu, cut) - 1  # the nearest dropped; -1 if none
         if max_dim is not None and len(mu) - 1 - edge > max_dim:
-            raise DimensionAbortError(f"dim(W) >= {len(mu) - 1 - edge} exceeds max_dim={max_dim}")
+            raise DimensionAbortError(len(mu) - 1 - edge, max_dim, at_least=True)
         res = np.linalg.norm(AX - X * mu, axis=0)
         if edge >= 0 and res[edge:].max() <= RESIDUAL_TOL * max(1.0, np.abs(mu - c).max()):
             break

@@ -7,7 +7,8 @@ of Z_2 cover the Khot-Vishnoi XOR constraints).  Includes the lifted
 eigenbasis of a perfectly satisfiable completion, the sin-theta
 perturbation diagnostics, the l-infinity uniformity proxy check, and the
 Max-Lin solve: the generic solve searching the narrower window (1-theta)d,
-plus dim(S), the uniformity check and an expander-regime flag.
+whose W (and the constraint graph's S) is solved one character block at a
+time, plus dim(S), the uniformity check and an expander-regime flag.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import UGInstance, UGError, shift_image, value
-from .label_extended import build_label_extended, constraint_graph_adjacency
-from .linalg import Eigenspace, project_split, select_eigenspace
-from .recover import NonRegularError, SolveParams, SolveReport, recover_solution
+# constraint_graph_adjacency is imported for perfbench/tracing.py, which
+# wraps it on this module; the solve builds the constraint graph as the
+# trivial character block.
+from .label_extended import build_label_extended, constraint_graph_adjacency, graph_operator
+from .linalg import DimensionAbortError, Eigenspace, narrow_window, project_split, select_eigenspace
+from .recover import NonRegularError, SolveParams, SolveReport, finite_degree, recover_solution
 
 
 @dataclass(frozen=True)
@@ -38,12 +42,26 @@ class AbelianGroup:
     def order(self):
         return math.prod(self.factors)
 
+    def _digits(self):
+        """(place values, (order, factors) array of every element's digits)."""
+        places = np.cumprod([1, *self.factors[:-1]])
+        return places, np.arange(self.order)[:, None] // places % self.factors
+
     def shift_table(self) -> np.ndarray:
         """(order, order) array whose row c is the image table of the shift
         by c, the map i -> i - c taken digit by digit (``shift_image``)."""
-        places = np.cumprod([1, *self.factors[:-1]])
-        digits = np.arange(self.order)[:, None] // places % self.factors
+        places, digits = self._digits()
         return (shift_image(digits[None, :], digits[:, None], self.factors) * places).sum(axis=-1)
+
+    def characters(self) -> np.ndarray:
+        """(order, order) array whose entry [j, a] is the r in 0..order-1
+        with chi_j(a) = exp(2 pi i r / order): character j pairs digits,
+        chi_j(a) = prod_t exp(2 pi i j_t a_t / k_t), so chi_{-j} is the
+        conjugate of chi_j."""
+        digits = self._digits()[1]
+        factors = np.array(self.factors)
+        r = digits[:, None, :] * digits[None, :, :] % factors * (self.order // factors)
+        return r.sum(axis=-1) % self.order
 
 
 @dataclass
@@ -249,21 +267,115 @@ class MaxLinParams(SolveParams):
         super().validate()
 
 
+def character_blocks(ml: MaxLinInstance) -> list:
+    """The label-extended matrix M split by the group's characters: one real
+    symmetric operator per self-conjugate character and per conjugate pair,
+    as (j, operator) pairs in order of j, the pair's smaller index, so the
+    trivial character comes first.
+
+    M maps f (x) chi_j, the vector f(u) chi_j(a) at row u*k + a, to
+    (H_j f) (x) chi_j: an edge (u, v) of weight w and shift c adds
+    w conj(chi_j(c)) to H_j[u, v] and w chi_j(c) to H_j[v, u], a self-loop
+    w Re chi_j(c) once, as M's averaged diagonal block does.  A real chi_j
+    (2j = 0) gives the n x n graph operator of weights w chi_j(c); a pair
+    {j, -j} gives the 2n x 2n one [[Re H_j, -Im H_j], [Im H_j, Re H_j]],
+    whose eigenvector [p; q] is H_j's p + iq.  Each is a ``graph_operator``,
+    stored by the label-extended storage rule; the trivial block is the
+    constraint graph's adjacency."""
+    base, k = ml.base, ml.base.k
+    n, u, v = base.n, base.u, base.v
+    conj = ml.group.shift_table()[:, 0]  # -j
+    phases = 2 * np.pi * ml.group.characters()[:, ml.shifts] / k  # chi_j(c) = exp(i phase)
+    blocks = []
+    for j in np.flatnonzero(np.arange(k) <= conj):
+        cw = base.w * np.cos(phases[j])
+        if conj[j] == j:
+            blocks.append((int(j), graph_operator(n, u, v, cw)))
+        else:
+            sw = np.where(u == v, 0.0, base.w * np.sin(phases[j]))
+            ends = (np.concatenate([u, n + u, u, n + u]), np.concatenate([v, n + v, n + v, v]))
+            blocks.append((int(j), graph_operator(2 * n, *ends, np.concatenate([cw, cw, sw, -sw]))))
+    return blocks
+
+
+def character_window(ml: MaxLinInstance, params: SolveParams,
+                     blocks) -> tuple[Eigenspace, Eigenspace]:
+    """(W, S) of a d-regular instance from its ``character_blocks``: W the
+    label-extended window at (1-theta)d, S the constraint graph's at
+    (1-gamma)d, one select_eigenspace per block.
+
+    The trivial block is solved at S's cut and W takes its eigenpairs at or
+    above (1-theta)d (``narrow_window``); every other block is solved at W's
+    cut.  A block eigenvector is lifted into R^(n*k) isometrically, f(u)
+    chi_j(a) / sqrt(k) for a real chi_j and Re((p + iq)(u) chi_j(a))
+    sqrt(2/k) for a pair, so its residual is the block's.  W's columns are
+    sorted by descending eigenvalue; its nearest_dropped and max_residual
+    are the largest over the blocks, its passes their sum and its block the
+    widest.  max_dim is charged across the blocks in turn, and
+    DimensionAbortError names the total so far."""
+    base, k = ml.base, ml.base.k
+    n, d = base.n, base.average_degree
+    level = (1 - params.window) * d
+    phases = 2 * np.pi * ml.group.characters() / k
+    used, parts = 0, []
+    for j, B in blocks:
+        if j == 0:  # the trivial character, first
+            S = select_eigenspace(B, (1 - params.gamma) * d, "adjacency-high")
+            E = narrow_window(B, S, level)
+            if E.dim > params.max_dim:
+                raise DimensionAbortError(E.dim, params.max_dim)
+        else:
+            try:
+                E = select_eigenspace(B, level, "adjacency-high", params.max_dim - used)
+            except DimensionAbortError as e:
+                raise DimensionAbortError(used + e.dim, params.max_dim, e.at_least) from None
+        used += E.dim
+        X = E.basis.reshape(E.dim_ambient // n, n, E.dim)  # [f] or [p; q]
+        lift = X[0][:, None, :] * np.cos(phases[j])[:, None]
+        if len(X) == 2:
+            lift -= X[1][:, None, :] * np.sin(phases[j])[:, None]
+        parts.append((E, lift.reshape(n * k, E.dim) * np.sqrt(len(X) / k)))
+    vals = np.concatenate([E.eigenvalues for E, _ in parts])
+    order = np.argsort(-vals, kind="stable")
+    W = Eigenspace(
+        dim_ambient=n * k,
+        basis=np.hstack([lift for _, lift in parts])[:, order],
+        eigenvalues=vals[order],
+        threshold=float(level),
+        mode="adjacency-high",
+        nearest_dropped=max(E.nearest_dropped for E, _ in parts),
+        max_residual=max(E.max_residual for E, _ in parts),
+        passes=sum(E.passes for E, _ in parts),
+        block=max(E.block for E, _ in parts),
+        blocks=len(parts),
+    )
+    return W, S
+
+
 def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
     """Gamma-Max-Lin solver: the generic solver searching the label-extended
-    high space at (1-theta)d and deciding at gamma, then the constraint
-    graph's high space S_(1-gamma) and the uniformity proxy on it.
+    high space at (1-theta)d and deciding at gamma, with W and the
+    constraint graph's high space S_(1-gamma) solved one character block
+    at a time (``character_window``), then the uniformity proxy on S.
 
     The report records dim(S), the dimension check dim(W) <= k * dim(S)
     (a warning, not fatal, when violated) and the expander regime flag
     (dim(S) = 1, the polynomial-time regime; the search is still the net).
     """
-    try:
-        report = recover_solution(ml.base, params)
-    except NonRegularError:  # the generic advice, laplacian mode, is not open to Max-Lin
-        raise NonRegularError("Max-Lin needs a d-regular constraint graph") from None
-    A = constraint_graph_adjacency(ml.base)
-    S = select_eigenspace(A, (1 - params.gamma) * ml.base.average_degree, "adjacency-high")
+    spaces = {}
+
+    def window(inst, params, lap):
+        finite_degree(inst)
+        if not inst.is_regular():
+            raise NonRegularError("Max-Lin needs a d-regular constraint graph")
+        blocks = character_blocks(ml)
+        lap("operator")
+        W, spaces["S"] = character_window(ml, params, blocks)
+        lap("eigensolve")
+        return W
+
+    report = recover_solution(ml.base, params, window)
+    S = spaces["S"]
     uni = uniformity_check(S, UNIFORMITY_C)
     report.extras.update(
         {

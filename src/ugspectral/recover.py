@@ -117,7 +117,7 @@ class SolveReport:
     # eigen_time, then walk (the net's coefficient stream), readoff, dedupe
     # and scoring, whose sum is enumeration_time.
     stages: dict = field(default_factory=dict)
-    eigensolver: dict = field(default_factory=dict)  # W's solve: path, passes, block
+    eigensolver: dict = field(default_factory=dict)  # W's solve: path, passes, block(s)
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -298,13 +298,19 @@ def net_coefficients(basis: Eigenspace, step: float, hold=None) -> Iterator[np.n
         yield Z * step
 
 
+def finite_degree(inst: UGInstance) -> float:
+    """The average degree; NumericError where the edge weights overflow it."""
+    d = inst.average_degree
+    if not math.isfinite(d):
+        raise NumericError(f"average degree {d}: the edge weights overflow float64")
+    return d
+
+
 def search_operator(inst: UGInstance, params: SolveParams):
     """(matrix, threshold, side): W is select_eigenspace(matrix, threshold,
     side) for the requested mode, the threshold scaled by the regular degree
     in adjacency mode and by the average degree in laplacian mode."""
-    d = inst.average_degree
-    if not math.isfinite(d):
-        raise NumericError(f"average degree {d}: the edge weights overflow float64")
+    d = finite_degree(inst)
     if params.mode == "laplacian":
         return build_laplacian(inst).matrix, params.window * d, "laplacian-low"
     if not inst.is_regular():
@@ -323,10 +329,23 @@ def default_yes_threshold(params: SolveParams) -> float:
     return float(min(max(t, 1e-12), 1.0 - 1e-12))
 
 
-def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
+def solve_window(inst: UGInstance, params: SolveParams, lap) -> Eigenspace:
+    """The generic W: select_eigenspace on search_operator's matrix, its
+    build timed as the operator stage and its solve as the eigensolve stage
+    (``lap(stage)`` charges the seconds since the last lap to the stage)."""
+    A, level, side = search_operator(inst, params)
+    lap("operator")
+    W = select_eigenspace(A, level, side, params.max_dim)
+    lap("eigensolve")
+    return W
+
+
+def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window) -> SolveReport:
     """The main solver: read off a labeling from every candidate vector (the
     epsilon-net of W, then the signed basis vectors) and return the first
-    labeling of maximum value."""
+    labeling of maximum value.  W is ``window(inst, params, lap)``, which
+    laps the operator and eigensolve stages as ``solve_window`` does;
+    solve_maxlin passes its character-block solve."""
     params.validate()
     threshold = default_yes_threshold(params)
     stages = dict.fromkeys(("operator", "eigensolve", "walk", "readoff", "dedupe", "scoring"), 0.0)
@@ -340,11 +359,8 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
     if not len(inst.w) and inst.n * inst.k > params.max_dim:
         # Without edges every eigenvalue is 0, so W is the whole space: its
         # dimension is checked before the n*k x n*k operator is built.
-        raise DimensionAbortError(f"dim(W)={inst.n * inst.k} exceeds max_dim={params.max_dim}")
-    A, level, side = search_operator(inst, params)
-    lap("operator")
-    W = select_eigenspace(A, level, side, params.max_dim)
-    lap("eigensolve")
+        raise DimensionAbortError(inst.n * inst.k, params.max_dim)
+    W = window(inst, params, lap)
     dim = W.dim
     if dim == 0:
         raise DegenerateSpectrumError(
@@ -390,6 +406,9 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
     best_value, best_labeling = float(vals[i]), labelings[i].astype(np.int64)
     lap("scoring")
 
+    eigensolver = dict(path="filtered" if W.block else "dense", passes=W.passes, block=W.block)
+    if W.blocks:
+        eigensolver.update(path="characters", blocks=W.blocks)
     return SolveReport(
         best_labeling=best_labeling,
         best_value=best_value,
@@ -407,7 +426,7 @@ def recover_solution(inst: UGInstance, params: SolveParams) -> SolveReport:
         value_path=inst.value_path,
         signed_candidates=len(signed),
         stages=stages,
-        eigensolver=dict(path="filtered" if W.block else "dense", passes=W.passes, block=W.block),
+        eigensolver=eigensolver,
     )
 
 

@@ -226,12 +226,38 @@ class TestRandomRegular:
         with pytest.raises(UGError, match="need 0 <= d < n"):
             random_regular_graph(n, d)
 
-    def test_pairing_failure_raises(self, monkeypatch):
+    @staticmethod
+    def assert_simple_regular(edges, n, d):
+        assert len(edges) == len(set(edges)) == n * d // 2
+        assert all(0 <= u < v < n for u, v in edges)
+        assert np.bincount(np.ravel(edges).astype(int), minlength=n).tolist() == [d] * n
+
+    def test_pairing_failure_repaired(self, monkeypatch):
         """n = 10, d = 6 draws a simple pairing with probability about
-        e^-8.75, so three tries fail."""
+        e^-8.75, so three tries fail and the last pairing is repaired by
+        switches, into the same graph for the same seed."""
         monkeypatch.setattr(generators_mod, "PAIRING_TRIES", 3)
-        with pytest.raises(UGError, match="pairing model failed 3 times"):
-            random_regular_graph(10, 6)
+        edges, lam2 = random_regular_graph(10, 6)
+        self.assert_simple_regular(edges, 10, 6)
+        assert random_regular_graph(10, 6) == (edges, lam2)
+
+    @pytest.mark.parametrize("n,d", [(10, 6), (300, 6)])
+    def test_dense_degree_solves(self, n, d):
+        """At d = 6 a pairing is simple with probability about
+        e^-(d^2-1)/4 = 2e-4 or less, so PAIRING_TRIES of them are rejected
+        and the last is repaired: simple, d-regular and seeded."""
+        edges, lam2 = random_regular_graph(n, d, seed=0)
+        self.assert_simple_regular(edges, n, d)
+        assert random_regular_graph(n, d, seed=0) == (edges, lam2)
+
+    def test_switches_reach_every_dense_degree(self, monkeypatch):
+        """With one pairing drawn, every valid (n, d) up to n = 11 is
+        repaired, the complete graph d = n - 1 included."""
+        monkeypatch.setattr(generators_mod, "PAIRING_TRIES", 1)
+        for n in range(2, 12):
+            for d in (d for d in range(n) if n * d % 2 == 0):
+                for seed in range(3):
+                    self.assert_simple_regular(random_regular_graph(n, d, seed)[0], n, d)
 
     def test_planted_regular_k_below_one_rejected(self):
         with pytest.raises(UGError, match="need k >= 1"):

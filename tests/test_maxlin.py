@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import ugspectral.core as core_mod
 from ugspectral.core import UGInstance, UGError, shift_image, value
-from ugspectral.generators import perturb, planted_regular_instance
+from ugspectral.generators import perturb, planted_regular_instance, random_regular_graph
 from ugspectral.label_extended import build_label_extended, constraint_graph_adjacency
-from ugspectral.linalg import Eigenspace, eigendecompose, select_eigenspace
+from ugspectral.linalg import DimensionAbortError, Eigenspace, eigendecompose, select_eigenspace
 import ugspectral.maxlin as maxlin_mod
 from ugspectral.maxlin import (
     UNIFORMITY_SAMPLES,
@@ -21,6 +21,8 @@ from ugspectral.maxlin import (
     MaxLinParams,
     PerturbationReport,
     block_norm_vector,
+    character_blocks,
+    character_window,
     lift_eigenbasis,
     perturbed_edge_matrix,
     shift,
@@ -28,6 +30,7 @@ from ugspectral.maxlin import (
     solve_maxlin,
     uniformity_check,
 )
+import ugspectral.recover as recover_mod
 from ugspectral.recover import NonRegularError, SolveParams, recover_solution
 
 from conftest import complete_skeleton, from_rows, maxlin_on, planted_on
@@ -76,6 +79,39 @@ class TestAbelianGroup:
     def test_rejects_bad_factors(self):
         with pytest.raises(UGError):
             AbelianGroup((1,))
+
+
+def regular_maxlin(n, d, group, seed, perturbed=False):
+    """Max-Lin over the group on a random d-regular graph, every constraint
+    satisfied by a random labeling, then 5% of the shifts redrawn if
+    perturbed."""
+    edges, _ = random_regular_graph(n, d, seed)
+    u, v = np.array(edges).T
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, group.order, n)
+    table = group.shift_table()
+    c = table[x[v], x[u]]  # x_u - x_v
+    if perturbed:
+        redraw = rng.random(len(c)) < 0.05
+        c[redraw] = rng.integers(0, group.order, np.count_nonzero(redraw))
+    return MaxLinInstance(UGInstance.from_arrays(n, group.order, u, v, np.ones(len(u)), table[c]),
+                          group)
+
+
+def projector_distance(X, Y):
+    """||P_X - P_Y||_2 for orthonormal bases of equal dimension: the sine of
+    their largest principal angle, ||Y - X X^T Y||_2, formed without the
+    ambient x ambient projectors."""
+    return np.linalg.norm(Y - X @ (X.T @ Y), 2) if Y.shape[1] else 0.0
+
+
+def assert_same_window(W, R):
+    """W and R, eigenspaces of the same operator and cut, agree: dimension,
+    eigenvalues, nearest dropped value and projector within 1e-8."""
+    assert W.dim == R.dim
+    np.testing.assert_allclose(np.sort(W.eigenvalues), np.sort(R.eigenvalues), rtol=0, atol=1e-8)
+    assert W.nearest_dropped == pytest.approx(R.nearest_dropped, rel=0, abs=1e-8)
+    assert projector_distance(W.basis, R.basis) <= 1e-8
 
 
 class TestMaxLinInstance:
@@ -356,19 +392,36 @@ class TestParamsAndSolver:
         with pytest.raises(UGError, match="adjacency window"):
             MaxLinParams(0.01, 0.5, mode="laplacian").validate()
 
-    @pytest.mark.parametrize("theta", [None, 0.3])
-    def test_solve_is_the_generic_solve(self, theta):
-        """solve_maxlin answers exactly as recover_solution on the same
-        record, which searches at the Max-Lin window."""
+    @pytest.mark.parametrize("epsilon, theta", [(0.05, None), (0.01, 0.3)], ids=["None", "0.3"])
+    def test_solve_is_the_generic_solve(self, epsilon, theta, monkeypatch):
+        """solve_maxlin searches the window recover_solution searches on the
+        same record: the same dim W and decision, and the same eigenvalues
+        and projector within 1e-8.  Its W comes from the character blocks,
+        whose basis is another one of the same space, so the net and the
+        first labeling of the best value may differ.  Both windows hold the
+        3 character tops; the default theta is 10 * epsilon * gamma = 0.25
+        (at epsilon = 0.01 it is 0.05 and W is the all-ones line alone,
+        whose read-off is a tie at every vertex)."""
         inst, planted = planted_on(7, 3, complete_skeleton(7), seed=3, family="maxlin")
         ml = MaxLinInstance.from_instance(
             perturb(inst, planted, 0.1, seed=2, constraint_family="maxlin"))
-        p = MaxLinParams(0.01, 0.5, theta=theta)
+        p = MaxLinParams(epsilon, 0.5, theta=theta)
+        spaces = []
+
+        def kept(solve):
+            def wrapped(*args):
+                spaces.append(solve(*args))
+                return spaces[-1]
+            return wrapped
+
+        monkeypatch.setattr(maxlin_mod, "character_window", kept(character_window))
+        monkeypatch.setattr(recover_mod, "select_eigenspace", kept(select_eigenspace))
         got, want = solve_maxlin(ml, p), recover_solution(ml.base, p)
-        assert got.best_value == want.best_value
-        assert np.array_equal(got.best_labeling, want.best_labeling)
-        assert (got.dim_W, got.decision, got.net_points_evaluated) == (
-            want.dim_W, want.decision, want.net_points_evaluated)
+        (W, _), R = spaces
+        assert (got.dim_W, got.decision) == (want.dim_W, want.decision) == (3, "YES")
+        assert W.dim == R.dim == 3
+        np.testing.assert_allclose(W.eigenvalues, R.eigenvalues, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(W.basis @ W.basis.T, R.basis @ R.basis.T, rtol=0, atol=1e-8)
         assert got.extras["theta"] == p.window
 
     def test_gamma_over_8eps_checked_before_eigensolve(self, monkeypatch):
@@ -419,3 +472,130 @@ class TestParamsAndSolver:
         monkeypatch.setattr(core_mod, "REGULARITY_REL_TOL", 1e-6)
         assert solve_maxlin(ml, MaxLinParams(0.01, 0.5)).best_value == 1.0
         assert recover_solution(skewed, SolveParams(0.01, 0.5)).best_value == 1.0
+
+
+GROUPS = [(2,), (3,), (4,), (5,), (8,), (2, 2, 2), (2, 4)]
+
+
+class TestCharacterBlocks:
+    """W from one eigensolve per character block against select_eigenspace
+    on the whole label-extended matrix."""
+
+    @pytest.mark.parametrize("factors, count", [((8,), 5), ((5,), 3), ((2, 2, 2), 8),
+                                                ((2, 4), 6), ((6,), 4)])
+    def test_block_count(self, factors, count):
+        """One block per self-conjugate character and per conjugate pair:
+        floor(k/2) + 1 for Z_k, 2^kappa real ones for (Z_2)^kappa; a pair's
+        block is 2n x 2n."""
+        ml = regular_maxlin(10, 3, AbelianGroup(factors), seed=1)
+        blocks = character_blocks(ml)
+        assert len(blocks) == count
+        conj = ml.group.shift_table()[:, 0]
+        for j, B in blocks:
+            assert j <= conj[j] and B.shape[0] == (10 if conj[j] == j else 20)
+
+    @pytest.mark.parametrize("factors", GROUPS)
+    def test_characters_are_homomorphisms(self, factors):
+        """chi_j(a + b) = chi_j(a) chi_j(b) and chi_{-j} = conj(chi_j), on
+        the exponents r of exp(2 pi i r / k)."""
+        g = AbelianGroup(factors)
+        R, table, k = g.characters(), g.shift_table(), g.order
+        plus = table[table[np.arange(k), 0][:, None], np.arange(k)]  # plus[b, a] = a + b
+        assert np.array_equal(R[:, plus], (R[:, None, :] + R[:, :, None]) % k)
+        assert np.array_equal(R[table[:, 0]], -R % k)
+
+    def test_trivial_block_is_the_constraint_graph(self):
+        ml = regular_maxlin(400, 4, AbelianGroup((4,)), seed=2, perturbed=True)
+        B = character_blocks(ml)[0][1]
+        A = constraint_graph_adjacency(ml.base)
+        assert B.format == A.format == "csr" and (B != A).nnz == 0
+
+    @given(factors=st.sampled_from(GROUPS), csr=st.booleans(), perturbed=st.booleans(),
+           seed=st.integers(0, 10**6), gamma=st.floats(0.02, 1.0), share=st.floats(0.05, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_window_matches_full_operator(self, factors, csr, perturbed, seed, gamma, share):
+        """Regular Max-Lin over Z_k and products, dense (n <= 16) and CSR
+        (n = 400, every pair block and the full matrix sparse) sizes: W
+        matches the label-extended window at (1-theta)d for theta <= gamma,
+        and S is the constraint graph's window at (1-gamma)d."""
+        group = AbelianGroup(factors)
+        if csr:
+            n, gamma = 400, min(gamma, 0.1)  # a narrow window keeps the full solve small
+        else:
+            n = 6 + seed % 11
+        ml = regular_maxlin(n, 4, group, seed, perturbed)
+        p = MaxLinParams(0.001, gamma, theta=gamma * share, max_dim=10**6)
+        W, S = character_window(ml, p, character_blocks(ml))
+        d = ml.base.average_degree
+        R = select_eigenspace(build_label_extended(ml.base).matrix, (1 - p.window) * d,
+                              "adjacency-high")
+        assert_same_window(W, R)
+        assert W.max_residual <= 1e-8
+        S0 = select_eigenspace(constraint_graph_adjacency(ml.base), (1 - gamma) * d,
+                               "adjacency-high")
+        assert S.dim == S0.dim and np.array_equal(S.basis, S0.basis)
+        assert np.array_equal(S.eigenvalues, S0.eigenvalues)
+
+    @pytest.mark.parametrize("factors", [(5,), (2, 4)])
+    def test_parallel_edges_and_loops(self, factors):
+        """Each pair of K_6 joined twice with different shifts and a
+        self-loop at every vertex: the blocks sum parallel edges and count a
+        loop once, as M does."""
+        group = AbelianGroup(factors)
+        rng = np.random.default_rng(0)
+        pairs = np.array(complete_skeleton(6) * 2 + [(u, u) for u in range(6)])
+        c = rng.integers(0, group.order, len(pairs))
+        inst = UGInstance.from_arrays(6, group.order, pairs[:, 0], pairs[:, 1],
+                                      np.ones(len(pairs)), group.shift_table()[c])
+        ml = MaxLinInstance(inst, group)
+        for theta in (0.2, 0.6, 1.0):
+            p = MaxLinParams(0.001, 1.0, theta=theta, max_dim=10**6)
+            W, _ = character_window(ml, p, character_blocks(ml))
+            M = build_label_extended(inst).matrix
+            d = inst.average_degree
+            assert_same_window(W, select_eigenspace(M, (1 - theta) * d, "adjacency-high"))
+
+    @pytest.mark.parametrize("n, message", [(16, r"^dim\(W\)=7 exceeds max_dim=5$"),
+                                            (400, r"^dim\(W\) >= \d+ exceeds max_dim=5$")])
+    def test_max_dim_charged_across_blocks(self, n, message):
+        """Z_8 with dim S = 1 puts 1, 2, 2, 2 and 1 dimensions of W in its
+        blocks in turn.  At max_dim 5 the first three fit, so the fourth
+        aborts, naming the total so far: exactly 5 + 2 where the block is
+        dense, at least 6 from the Ritz values of a sparse one."""
+        ml = regular_maxlin(n, 4, AbelianGroup((8,)), seed=3)
+        p = MaxLinParams(0.001, 0.1, theta=0.05, max_dim=5)
+        with pytest.raises(DimensionAbortError, match=message) as err:
+            character_window(ml, p, character_blocks(ml))
+        assert err.value.dim > 5 and err.value.max_dim == 5
+        p.max_dim = 8
+        assert character_window(ml, p, character_blocks(ml))[0].dim == 8
+
+
+class TestSolveBuilds:
+    """What solve_maxlin computes: the character blocks and one eigensolve
+    of each, and neither the n*k operator nor a second constraint-graph
+    solve."""
+
+    @pytest.mark.parametrize("factors", [(8,), (2, 2, 2)])
+    def test_one_eigensolve_per_block(self, monkeypatch, factors):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("solve_maxlin built or solved the n*k operator")
+
+        for module, name in [(maxlin_mod, "build_label_extended"),
+                             (maxlin_mod, "constraint_graph_adjacency"),
+                             (recover_mod, "build_label_extended"),
+                             (recover_mod, "search_operator"),
+                             (recover_mod, "select_eigenspace")]:
+            monkeypatch.setattr(module, name, unreachable)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return select_eigenspace(*args, **kwargs)
+
+        monkeypatch.setattr(maxlin_mod, "select_eigenspace", counted)
+        ml = regular_maxlin(400, 4, AbelianGroup(factors), seed=1, perturbed=True)
+        rep = solve_maxlin(ml, MaxLinParams(0.005, 0.1, theta=0.05, net_step_override=1.0))
+        assert len(calls) == len(character_blocks(ml)) == rep.eigensolver["blocks"]
+        assert rep.eigensolver["path"] == "characters"
+        assert rep.dim_W == 8 and rep.extras["dim_S"] == 1 and rep.decision == "YES"

@@ -15,6 +15,11 @@ the same across thread counts: at 1 and 2 threads every ``kv3-gap`` seed
 reads off a different best labeling and ``distinct_labelings``, and most a
 different ``cut_gap`` (with the same ``best_value`` and decision), most
 likely because the dense ``eigh`` basis of its 8-fold eigenspace differs.
+A ``maxlin-expander`` line reads ``eigensolver`` from the Max-Lin
+character-block solve (``path: "characters"``, summed passes, widest
+block, ``blocks``), and since that solve's basis of W is another one of
+the same space, its net may put another labeling of the same value first
+(``best_labeling_sha256``, ``distinct_labelings``).
 """
 
 from __future__ import annotations
