@@ -54,6 +54,7 @@ class Eigenspace:
     mode: str
     # Nearest eigenvalue outside the window; -inf/+inf (high/low) if none.
     nearest_dropped: float = float("nan")
+    dropped: np.ndarray | None = None  # an eigenvector of nearest_dropped; None if none
     # Largest eigenpair residual ||A x - lambda x|| over the basis.
     max_residual: float = float("nan")
     passes: int = 0  # filter passes of the sparse solve; 0 on the dense path
@@ -125,20 +126,26 @@ def select_eigenspace(A, threshold, mode, max_dim=None) -> Eigenspace:
     count = int(np.count_nonzero(keep))
     if max_dim is not None and count > max_dim:
         raise DimensionAbortError(count, max_dim)
-    nearest = sign * (sign * vals[~keep]).max(initial=-np.inf)
-    return _eigenspace(A, vals[keep], np.ascontiguousarray(vecs[:, keep]), threshold, mode, nearest)
+    # The dropped values run descending (high) or ascending (low) from the cut.
+    out = np.flatnonzero(~keep)[:: int(sign)]
+    W = _eigenspace(A, vals[keep], np.ascontiguousarray(vecs[:, keep]), threshold, mode,
+                    vals[out[0]] if len(out) else -sign * np.inf)
+    W.dropped = vecs[:, out[0]].copy() if len(out) else None
+    return W
 
 
 def narrow_window(A, S: Eigenspace, threshold) -> Eigenspace:
     """select_eigenspace(A, threshold, S.mode) read off S, a window of A on
     the same side whose threshold is at or outside this one: S's eigenpairs
-    past the threshold by the same cut, with nearest_dropped the nearest of
-    the rest of S, or S's own if none is left."""
+    past the threshold by the same cut, with nearest_dropped (and dropped)
+    the nearest of the rest of S, or S's own if none is left."""
     sign, c, cut = _window_cut(A, threshold, S.mode)
     keep = sign * S.eigenvalues + c >= cut
-    nearest = max(sign * S.nearest_dropped, (sign * S.eigenvalues[~keep]).max(initial=-np.inf))
+    out = np.flatnonzero(~keep)
+    i = out[np.argmax(sign * S.eigenvalues[out])] if len(out) else None  # the nearest of them
     W = _eigenspace(A, S.eigenvalues[keep], np.ascontiguousarray(S.basis[:, keep]), threshold,
-                    S.mode, sign * nearest)
+                    S.mode, S.nearest_dropped if i is None else S.eigenvalues[i])
+    W.dropped = S.dropped if i is None else S.basis[:, i].copy()
     W.passes, W.block = S.passes, S.block
     return W
 
@@ -237,7 +244,7 @@ def _sparse_window(A, threshold, mode, max_dim=None) -> Eigenspace | None:
     keep = np.arange(edge + 1, len(mu))[::-int(sign)]  # descending eigenvalue
     W = _eigenspace(A, sign * (mu[keep] - c), np.ascontiguousarray(X[:, keep]), threshold, mode,
                     sign * (mu[edge] - c))
-    W.passes, W.block = passes, X.shape[1]
+    W.dropped, W.passes, W.block = X[:, edge].copy(), passes, X.shape[1]
     return W
 
 

@@ -298,43 +298,52 @@ def character_blocks(ml: MaxLinInstance) -> list:
     return blocks
 
 
-def character_window(ml: MaxLinInstance, params: SolveParams,
-                     blocks) -> tuple[Eigenspace, Eigenspace]:
-    """(W, S) of a d-regular instance from its ``character_blocks``: W the
-    label-extended window at (1-theta)d, S the constraint graph's at
-    (1-gamma)d, one select_eigenspace per block.
+def _lift(X, phase, n, k) -> np.ndarray:
+    """Block eigenvectors, the columns of X, [f] or [p; q], lifted into
+    R^(n*k) isometrically: f(u) chi(a) / sqrt(k) for a real chi, and
+    Re((p + iq)(u) chi(a)) sqrt(2/k) for a pair; chi(a) = exp(i phase[a])."""
+    X = X.reshape(len(X) // n, n, X.shape[1])
+    lift = X[0][:, None, :] * np.cos(phase)[:, None]
+    if len(X) == 2:
+        lift -= X[1][:, None, :] * np.sin(phase)[:, None]
+    return lift.reshape(n * k, -1) * np.sqrt(len(X) / k)
 
-    The trivial block is solved at S's cut and W takes its eigenpairs at or
-    above (1-theta)d (``narrow_window``); every other block is solved at W's
-    cut.  A block eigenvector is lifted into R^(n*k) isometrically, f(u)
-    chi_j(a) / sqrt(k) for a real chi_j and Re((p + iq)(u) chi_j(a))
-    sqrt(2/k) for a pair, so its residual is the block's.  W's columns are
-    sorted by descending eigenvalue; its nearest_dropped and max_residual
-    are the largest over the blocks, its passes their sum and its block the
-    widest.  max_dim is charged across the blocks in turn, and
-    DimensionAbortError names the total so far."""
+
+def character_window(ml: MaxLinInstance, params: SolveParams,
+                     blocks) -> tuple[Eigenspace, Eigenspace, dict]:
+    """(W, S, shares) of a d-regular instance from its ``character_blocks``:
+    W the label-extended window at (1-theta)d, S the constraint graph's at
+    (1-gamma)d, one select_eigenspace per block, and shares[j] block j's
+    share of W, the window of the block itself.
+
+    Every non-trivial block is solved at W's cut, charging max_dim across
+    the blocks in turn (DimensionAbortError names the total so far).  The
+    trivial block comes last, so that an oversized W aborts before S's
+    uncapped solve: it is solved at S's cut and W takes its eigenpairs at or
+    above (1-theta)d (``narrow_window``).  A block eigenvector is lifted
+    into R^(n*k) by ``_lift``, so its residual is the block's.  W's columns
+    are sorted by descending eigenvalue, the trivial block's first among
+    equals; its nearest_dropped and max_residual are the largest over the
+    blocks, its passes their sum and its block the widest."""
     base, k = ml.base, ml.base.k
     n, d = base.n, base.average_degree
     level = (1 - params.window) * d
     phases = 2 * np.pi * ml.group.characters() / k
-    used, parts = 0, []
-    for j, B in blocks:
-        if j == 0:  # the trivial character, first
+    used, parts, shares = 0, [], {}
+    for j, B in blocks[1:] + blocks[:1]:
+        if j == 0:  # the trivial character
             S = select_eigenspace(B, (1 - params.gamma) * d, "adjacency-high")
             E = narrow_window(B, S, level)
-            if E.dim > params.max_dim:
-                raise DimensionAbortError(E.dim, params.max_dim)
+            if used + E.dim > params.max_dim:
+                raise DimensionAbortError(used + E.dim, params.max_dim)
         else:
             try:
                 E = select_eigenspace(B, level, "adjacency-high", params.max_dim - used)
             except DimensionAbortError as e:
                 raise DimensionAbortError(used + e.dim, params.max_dim, e.at_least) from None
         used += E.dim
-        X = E.basis.reshape(E.dim_ambient // n, n, E.dim)  # [f] or [p; q]
-        lift = X[0][:, None, :] * np.cos(phases[j])[:, None]
-        if len(X) == 2:
-            lift -= X[1][:, None, :] * np.sin(phases[j])[:, None]
-        parts.append((E, lift.reshape(n * k, E.dim) * np.sqrt(len(X) / k)))
+        shares[j] = E
+        parts.insert(len(parts) if j else 0, (E, _lift(E.basis, phases[j], n, k)))
     vals = np.concatenate([E.eigenvalues for E, _ in parts])
     order = np.argsort(-vals, kind="stable")
     W = Eigenspace(
@@ -349,7 +358,42 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
         block=max(E.block for E, _ in parts),
         blocks=len(parts),
     )
-    return W, S
+    return W, S, shares
+
+
+def character_net(ml: MaxLinInstance, shares) -> tuple[np.ndarray, np.ndarray]:
+    """(C, T): every rounding of the top character lines, the search of the
+    expander regime, as coefficient rows C over the lifted basis T
+    (``shares`` are ``character_window``'s block solves).
+
+    The unit character of factor t, chi_t(a) = exp(2 pi i a_t / k_t), has a
+    block whose top eigenvector f (the first of its share of W, else the
+    nearest dropped) is, on an expander, near chi_t(-x_u) times one phase,
+    x a best labeling.  T holds the lifts of f and, for a pair block, of
+    i f, so a row's (cos phi, sin phi) lifts e^(i phi) f, whose read-off
+    rounds the phase of f(u), turned by phi, into k_t sectors.  A turn by
+    2 pi / k_t shifts every digit, which no constraint sees; with
+    phi = 2 pi tau / k_t, tau in [0, 1), u's digit changes only at
+    tau = 1/2 - arg f(u) k_t / (2 pi) mod 1, and C takes one tau between
+    each two adjacent breakpoints.  A row turns every factor by its tau (a
+    real block, k_t = 2, takes 1): the read-off of a sum of lifts takes
+    each digit apart."""
+    n, k = ml.base.n, ml.base.k
+    phases = 2 * np.pi * ml.group.characters() / k
+    places = np.cumprod([1, *ml.group.factors[:-1]])
+    cols, turns = [], []
+    for j, kt in zip(places, ml.group.factors):
+        E = shares[j]
+        f = (E.basis[:, 0] if E.dim else E.dropped)[:, None]
+        if kt > 2:
+            f = np.hstack([f, np.roll(f, n) * np.repeat([-1.0, 1.0], n)[:, None]])  # f, i f
+            turns.append((0.5 - np.angle(f[:n, 0] + 1j * f[n:, 0]) * kt / (2 * np.pi)) % 1)
+        cols.append(_lift(f, phases[j], n, k))
+    b = np.unique(np.concatenate(turns)) if turns else np.zeros(1)
+    tau = (b + np.append(b[1:], b[0] + 1)) / 2 % 1
+    C = np.hstack([np.column_stack([np.cos(2 * np.pi * tau / kt), np.sin(2 * np.pi * tau / kt)])
+                   if kt > 2 else np.ones((len(tau), 1)) for kt in ml.group.factors])
+    return C, np.hstack(cols)
 
 
 def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
@@ -357,10 +401,15 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
     high space at (1-theta)d and deciding at gamma, with W and the
     constraint graph's high space S_(1-gamma) solved one character block
     at a time (``character_window``), then the uniformity proxy on S.
+    Where W misses the top line of a character (its block's share of W is
+    empty), W's net cannot read that character, and the roundings of the
+    top character lines (``character_net``) are read off after the signed
+    basis vectors.
 
     The report records dim(S), the dimension check dim(W) <= k * dim(S)
-    (a warning, not fatal, when violated) and the expander regime flag
-    (dim(S) = 1, the polynomial-time regime; the search is still the net).
+    (a warning, not fatal, when violated), the expander regime flag
+    (dim(S) = 1, the polynomial-time regime) and the number of character
+    roundings read off.
     """
     spaces = {}
 
@@ -370,9 +419,12 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
             raise NonRegularError("Max-Lin needs a d-regular constraint graph")
         blocks = character_blocks(ml)
         lap("operator")
-        W, spaces["S"] = character_window(ml, params, blocks)
+        W, spaces["S"], shares = character_window(ml, params, blocks)
         lap("eigensolve")
-        return W
+        missed = not all(E.dim for E in shares.values())
+        spaces["more"] = [character_net(ml, shares)] if missed else []
+        lap("walk")
+        return W, spaces["more"]
 
     report = recover_solution(ml.base, params, window)
     S = spaces["S"]
@@ -386,6 +438,7 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
             "uniformity_passes": uni.passes,
             "uniformity_worst_linf": max(uni.worst_basis_linf, uni.sampled_max_linf),
             "expander_fast_path": bool(S.dim == 1),
+            "character_candidates": sum(len(C) for C, _ in spaces["more"]),
         }
     )
     return report

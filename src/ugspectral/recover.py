@@ -7,8 +7,10 @@ streams candidates as coefficient rows over the basis of W: the lattice
 epsilon-net of the unit ball of W (step*Z^dim points of coefficient step
 sqrt(2*eps/(theta*dim W)), only those with coefficient 0 on the all-ones
 vector where it is a basis column), then the +-identity rows, the signed basis
-vectors.  One coefficient stream owns the net cap and the chunking, at most
-core.BATCH_BYTES bytes of ambient vectors per chunk.
+vectors, then any further candidates the window solve supplies as rows over
+a basis of their own (Max-Lin's character net).  One coefficient stream owns
+the net cap and the chunking, at most core.BATCH_BYTES bytes of ambient
+vectors per chunk.
 
 A labeling is read off each candidate by per-vertex-block argmax without
 forming the candidate: read_off_batch multiplies a chunk of coefficient rows
@@ -329,23 +331,26 @@ def default_yes_threshold(params: SolveParams) -> float:
     return float(min(max(t, 1e-12), 1.0 - 1e-12))
 
 
-def solve_window(inst: UGInstance, params: SolveParams, lap) -> Eigenspace:
-    """The generic W: select_eigenspace on search_operator's matrix, its
-    build timed as the operator stage and its solve as the eigensolve stage
-    (``lap(stage)`` charges the seconds since the last lap to the stage)."""
+def solve_window(inst: UGInstance, params: SolveParams, lap):
+    """(W, []): the generic W, select_eigenspace on search_operator's
+    matrix, its build timed as the operator stage and its solve as the
+    eigensolve stage (``lap(stage)`` charges the seconds since the last lap
+    to the stage), and no further candidates."""
     A, level, side = search_operator(inst, params)
     lap("operator")
     W = select_eigenspace(A, level, side, params.max_dim)
     lap("eigensolve")
-    return W
+    return W, []
 
 
 def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window) -> SolveReport:
     """The main solver: read off a labeling from every candidate vector (the
-    epsilon-net of W, then the signed basis vectors) and return the first
-    labeling of maximum value.  W is ``window(inst, params, lap)``, which
-    laps the operator and eigensolve stages as ``solve_window`` does;
-    solve_maxlin passes its character-block solve."""
+    epsilon-net of W, the signed basis vectors, then any further candidates)
+    and return the first labeling of maximum value.  ``window(inst, params,
+    lap)`` returns W and the further candidates, a list of (coefficient
+    rows, basis) pairs, and laps the operator and eigensolve stages as
+    ``solve_window`` does; solve_maxlin passes its character-block solve
+    and character net."""
     params.validate()
     threshold = default_yes_threshold(params)
     stages = dict.fromkeys(("operator", "eigensolve", "walk", "readoff", "dedupe", "scoring"), 0.0)
@@ -360,7 +365,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window)
         # Without edges every eigenvalue is 0, so W is the whole space: its
         # dimension is checked before the n*k x n*k operator is built.
         raise DimensionAbortError(inst.n * inst.k, params.max_dim)
-    W = window(inst, params, lap)
+    W, more = window(inst, params, lap)
     dim = W.dim
     if dim == 0:
         raise DegenerateSpectrumError(
@@ -382,16 +387,22 @@ def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window)
     # one-dimensional W cannot be missed by lattice misalignment; as the
     # +-identity coefficient rows they are read off exactly.
     signed = np.concatenate([np.eye(dim), -np.eye(dim)])
-    chunks = itertools.chain(net_coefficients(W, step, hold), [signed])
+    # The further candidates follow in chunks of the net's row count.
+    rows = max(1, core.BATCH_BYTES // (8 * n * k))
+    more = [(C, label_blocks(B, k)) for C, B in more]
+    chunks = itertools.chain(
+        ((C, blocks) for C in net_coefficients(W, step, hold)), [(signed, blocks)],
+        ((C[i:i + rows], L) for C, L in more for i in range(0, len(C), rows)))
+    others = len(signed) + sum(len(C) for C, _ in more)
     if not len(inst.w):  # every labeling scores 1.0, so the first net point wins
-        chunks, signed = (C[:1] for C in itertools.islice(chunks, 1)), signed[:0]
+        chunks, signed, others = ((C[:1], B) for C, B in itertools.islice(chunks, 1)), signed[:0], 0
     narrow = np.min_scalar_type(k - 1)
     row = np.dtype((np.void, n * narrow.itemsize))
     distinct, candidates = {}, 0
     lap("readoff")  # the label-major copy of the basis
-    for C in chunks:
+    for C, B in chunks:
         lap("walk")
-        labels = read_off_batch(C, blocks)
+        labels = read_off_batch(C, B)
         lap("readoff")
         # Each labeling is one opaque row; the dict keeps first occurrences
         # in stream order.
@@ -415,7 +426,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window)
         decision="YES" if best_value >= threshold else "NO",
         yes_threshold=threshold,
         dim_W=dim,
-        net_points_evaluated=candidates - len(signed),
+        net_points_evaluated=candidates - others,
         eigen_time=stages["operator"] + stages["eigensolve"],
         enumeration_time=sum(stages[s] for s in ("walk", "readoff", "dedupe", "scoring")),
         net_step=step,

@@ -100,12 +100,26 @@ class TestSelectEigenspace:
     def test_nothing_dropped(self):
         W = select_eigenspace(np.diag([3.0, 2.0]), 1.0, "adjacency-high")
         assert W.dim == 2 and W.nearest_dropped == -np.inf
-        assert W.cut_gap is None
+        assert W.cut_gap is None and W.dropped is None
 
     def test_empty_window(self):
         W = select_eigenspace(np.diag([1.0, 0.5]), 5.0, "adjacency-high")
         assert W.dim == 0
         assert W.cut_gap is None
+        assert W.nearest_dropped == 1.0 and np.abs(W.dropped).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("mode, threshold, nearest", [("adjacency-high", 2.5, 2.0),
+                                                          ("laplacian-low", 1.5, 2.0)])
+    def test_dropped_is_the_nearest_eigenvector(self, mode, threshold, nearest):
+        """On both sides the eigenvector of the dropped value nearest the
+        cut, also where a narrower window is read off a wider one."""
+        A = np.diag([3.0, 1.0, 2.0, 0.5])
+        W = select_eigenspace(A, threshold, mode)
+        assert W.nearest_dropped == nearest and np.abs(W.dropped).tolist() == [0, 0, 1, 0]
+        wide = select_eigenspace(A, 0.0 if mode == "adjacency-high" else 4.0, mode)
+        narrow = linalg_mod.narrow_window(A, wide, threshold)
+        assert narrow.dim == W.dim and narrow.nearest_dropped == nearest
+        assert np.abs(narrow.dropped).tolist() == [0, 0, 1, 0]
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -239,6 +253,10 @@ class TestSparseWindow:
         assert np.abs(sparse.basis.T @ sparse.basis - np.eye(sparse.dim)).max() <= tol
         for W in (dense, sparse):
             assert W.max_residual <= tol
+            # dropped is a unit eigenvector of nearest_dropped outside W.
+            x = W.dropped
+            assert np.linalg.norm(A @ x - W.nearest_dropped * x) <= tol
+            assert abs(np.linalg.norm(x) - 1) <= tol and np.abs(W.basis.T @ x).max() <= 1e-8
 
     def test_missed_copy_found_by_certificate(self):
         """The window at 3.3 holds 16 eigenvalues, the width of the first

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ugspectral.core as core_mod
-from ugspectral.core import UGInstance, UGError, shift_image, value
+from ugspectral.core import UGInstance, UGError, shift_image, value, value_batch
 from ugspectral.generators import perturb, planted_regular_instance, random_regular_graph
 from ugspectral.label_extended import build_label_extended, constraint_graph_adjacency
 from ugspectral.linalg import DimensionAbortError, Eigenspace, eigendecompose, select_eigenspace
@@ -22,6 +22,7 @@ from ugspectral.maxlin import (
     PerturbationReport,
     block_norm_vector,
     character_blocks,
+    character_net,
     character_window,
     lift_eigenbasis,
     perturbed_edge_matrix,
@@ -31,7 +32,8 @@ from ugspectral.maxlin import (
     uniformity_check,
 )
 import ugspectral.recover as recover_mod
-from ugspectral.recover import NonRegularError, SolveParams, recover_solution
+from ugspectral.recover import (NonRegularError, SolveParams, label_blocks, read_off_batch,
+                                recover_solution)
 
 from conftest import complete_skeleton, from_rows, maxlin_on, planted_on
 
@@ -392,20 +394,21 @@ class TestParamsAndSolver:
         with pytest.raises(UGError, match="adjacency window"):
             MaxLinParams(0.01, 0.5, mode="laplacian").validate()
 
-    @pytest.mark.parametrize("epsilon, theta", [(0.05, None), (0.01, 0.3)], ids=["None", "0.3"])
-    def test_solve_is_the_generic_solve(self, epsilon, theta, monkeypatch):
+    @pytest.mark.parametrize("theta", [None, 0.3])
+    def test_solve_is_the_generic_solve(self, theta, monkeypatch):
         """solve_maxlin searches the window recover_solution searches on the
         same record: the same dim W and decision, and the same eigenvalues
         and projector within 1e-8.  Its W comes from the character blocks,
         whose basis is another one of the same space, so the net and the
-        first labeling of the best value may differ.  Both windows hold the
-        3 character tops; the default theta is 10 * epsilon * gamma = 0.25
-        (at epsilon = 0.01 it is 0.05 and W is the all-ones line alone,
-        whose read-off is a tie at every vertex)."""
+        first labeling of the best value may differ; the character net read
+        off after it keeps the value at least the generic solve's.  The
+        default theta is 10 * epsilon * gamma = 0.05, where W is the
+        all-ones line alone, whose read-off is a tie at every vertex: only
+        the character net reads a labeling there."""
         inst, planted = planted_on(7, 3, complete_skeleton(7), seed=3, family="maxlin")
         ml = MaxLinInstance.from_instance(
             perturb(inst, planted, 0.1, seed=2, constraint_family="maxlin"))
-        p = MaxLinParams(epsilon, 0.5, theta=theta)
+        p = MaxLinParams(0.01, 0.5, theta=theta)
         spaces = []
 
         def kept(solve):
@@ -417,11 +420,12 @@ class TestParamsAndSolver:
         monkeypatch.setattr(maxlin_mod, "character_window", kept(character_window))
         monkeypatch.setattr(recover_mod, "select_eigenspace", kept(select_eigenspace))
         got, want = solve_maxlin(ml, p), recover_solution(ml.base, p)
-        (W, _), R = spaces
-        assert (got.dim_W, got.decision) == (want.dim_W, want.decision) == (3, "YES")
-        assert W.dim == R.dim == 3
+        (W, _, _), R = spaces
+        assert (got.dim_W, got.decision) == (want.dim_W, want.decision) == (W.dim, "YES")
+        assert W.dim == R.dim == (1 if theta is None else 3)
         np.testing.assert_allclose(W.eigenvalues, R.eigenvalues, rtol=0, atol=1e-8)
         np.testing.assert_allclose(W.basis @ W.basis.T, R.basis @ R.basis.T, rtol=0, atol=1e-8)
+        assert got.best_value >= want.best_value
         assert got.extras["theta"] == p.window
 
     def test_gamma_over_8eps_checked_before_eigensolve(self, monkeypatch):
@@ -446,7 +450,8 @@ class TestParamsAndSolver:
         inst, planted = planted_on(7, 3, complete_skeleton(7), seed=3, family="maxlin")
         rep = solve_maxlin(MaxLinInstance.from_instance(inst), MaxLinParams(0.01, 0.5))
         for key in ("dim_S", "k_times_dim_S", "dim_check_ok", "theta",
-                    "uniformity_passes", "uniformity_worst_linf", "expander_fast_path"):
+                    "uniformity_passes", "uniformity_worst_linf", "expander_fast_path",
+                    "character_candidates"):
             assert key in rep.extras
         # complete graph: spectral gap puts exactly one eigenvalue in S
         assert rep.extras["dim_S"] == 1
@@ -525,7 +530,7 @@ class TestCharacterBlocks:
             n = 6 + seed % 11
         ml = regular_maxlin(n, 4, group, seed, perturbed)
         p = MaxLinParams(0.001, gamma, theta=gamma * share, max_dim=10**6)
-        W, S = character_window(ml, p, character_blocks(ml))
+        W, S, _ = character_window(ml, p, character_blocks(ml))
         d = ml.base.average_degree
         R = select_eigenspace(build_label_extended(ml.base).matrix, (1 - p.window) * d,
                               "adjacency-high")
@@ -550,18 +555,19 @@ class TestCharacterBlocks:
         ml = MaxLinInstance(inst, group)
         for theta in (0.2, 0.6, 1.0):
             p = MaxLinParams(0.001, 1.0, theta=theta, max_dim=10**6)
-            W, _ = character_window(ml, p, character_blocks(ml))
+            W = character_window(ml, p, character_blocks(ml))[0]
             M = build_label_extended(inst).matrix
             d = inst.average_degree
             assert_same_window(W, select_eigenspace(M, (1 - theta) * d, "adjacency-high"))
 
-    @pytest.mark.parametrize("n, message", [(16, r"^dim\(W\)=7 exceeds max_dim=5$"),
+    @pytest.mark.parametrize("n, message", [(16, r"^dim\(W\)=6 exceeds max_dim=5$"),
                                             (400, r"^dim\(W\) >= \d+ exceeds max_dim=5$")])
     def test_max_dim_charged_across_blocks(self, n, message):
-        """Z_8 with dim S = 1 puts 1, 2, 2, 2 and 1 dimensions of W in its
-        blocks in turn.  At max_dim 5 the first three fit, so the fourth
-        aborts, naming the total so far: exactly 5 + 2 where the block is
-        dense, at least 6 from the Ritz values of a sparse one."""
+        """Z_8 with dim S = 1 puts 2, 2, 2 and 1 dimensions of W in its
+        non-trivial blocks in turn, and 1 in the trivial block, solved last.
+        At max_dim 5 the first two fit, so the third aborts, naming the
+        total so far: exactly 4 + 2 where the block is dense, at least 6
+        from the Ritz values of a sparse one."""
         ml = regular_maxlin(n, 4, AbelianGroup((8,)), seed=3)
         p = MaxLinParams(0.001, 0.1, theta=0.05, max_dim=5)
         with pytest.raises(DimensionAbortError, match=message) as err:
@@ -569,6 +575,23 @@ class TestCharacterBlocks:
         assert err.value.dim > 5 and err.value.max_dim == 5
         p.max_dim = 8
         assert character_window(ml, p, character_blocks(ml))[0].dim == 8
+
+    def test_oversized_window_aborts_before_wide_s(self, monkeypatch):
+        """At gamma = 1 the trivial block's S cut is 0, half its spectrum;
+        a W over max_dim aborts on the capped blocks, and that uncapped
+        solve never runs."""
+        ml = regular_maxlin(400, 4, AbelianGroup((8,)), seed=3)
+        p = MaxLinParams(0.001, 1.0, theta=0.05, max_dim=5)
+        levels = []
+
+        def recorded(A, level, *args):
+            levels.append(level)
+            return select_eigenspace(A, level, *args)
+
+        monkeypatch.setattr(maxlin_mod, "select_eigenspace", recorded)
+        with pytest.raises(DimensionAbortError, match=r"^dim\(W\) >= \d+ exceeds max_dim=5$"):
+            solve_maxlin(ml, p)
+        assert levels and set(levels) == {(1 - 0.05) * 4}
 
 
 class TestSolveBuilds:
@@ -581,6 +604,9 @@ class TestSolveBuilds:
         def unreachable(*args, **kwargs):
             raise AssertionError("solve_maxlin built or solved the n*k operator")
 
+        # maxlin imports constraint_graph_adjacency only for the benchmark's
+        # tracer and the solve has no call to it (the trivial block is that
+        # graph), so patching it only guards against a call coming back.
         for module, name in [(maxlin_mod, "build_label_extended"),
                              (maxlin_mod, "constraint_graph_adjacency"),
                              (recover_mod, "build_label_extended"),
@@ -599,3 +625,52 @@ class TestSolveBuilds:
         assert len(calls) == len(character_blocks(ml)) == rep.eigensolver["blocks"]
         assert rep.eigensolver["path"] == "characters"
         assert rep.dim_W == 8 and rep.extras["dim_S"] == 1 and rep.decision == "YES"
+        # W holds every character's top line, so its net reads them all.
+        assert rep.extras["character_candidates"] == 0
+
+
+class TestCharacterNet:
+    """The roundings of the top character lines, read off after W's net."""
+
+    @pytest.mark.parametrize("factors", GROUPS + [(3, 3)])
+    def test_rounds_a_satisfiable_game_exactly(self, factors):
+        """Unperturbed, block t's top eigenvector is chi_t(-x_u) times one
+        phase, so one rounding reads x up to a shift, of value 1."""
+        group = AbelianGroup(factors)
+        ml = regular_maxlin(60, 4, group, seed=1)
+        p = MaxLinParams(0.001, 0.1, theta=0.001, max_dim=100)
+        C, T = character_net(ml, character_window(ml, p, character_blocks(ml))[2])
+        labels = read_off_batch(C, label_blocks(T, group.order)).astype(np.int64)
+        assert value_batch(ml.base, labels).max() == 1.0
+
+    def test_rows_span_every_rounding(self):
+        """Z_5 on 40 vertices: the rows are n turns between adjacent
+        breakpoints, n distinct labelings, and any turn reads off one of
+        them up to a shift (a labeling less its label at vertex 0)."""
+        ml = regular_maxlin(40, 4, AbelianGroup((5,)), seed=4, perturbed=True)
+        p = MaxLinParams(0.001, 0.1, theta=0.001, max_dim=100)
+        C, T = character_net(ml, character_window(ml, p, character_blocks(ml))[2])
+        blocks = label_blocks(T, 5)
+
+        def unshifted(labels):
+            return {row.tobytes() for row in (labels.astype(np.int64) - labels[:, :1]) % 5}
+
+        assert len(C) == 40 and len(unshifted(read_off_batch(C, blocks))) == 40
+        tau = np.random.default_rng(0).random(200)
+        turned = np.column_stack([np.cos(2 * np.pi * tau / 5), np.sin(2 * np.pi * tau / 5)])
+        assert unshifted(read_off_batch(turned, blocks)) <= unshifted(read_off_batch(C, blocks))
+
+    def test_default_theta_reaches_planted(self):
+        """The default theta on n = 600, 4-regular, k = 8, 2% perturbed is
+        0.005, below the cluster of character tops, so W is the all-ones
+        line; the character net still reads planted - 0.05."""
+        for seed in range(3):
+            inst, planted, _ = planted_regular_instance(600, 4, 8, seed=seed,
+                                                        constraint_family="maxlin")
+            inst = perturb(inst, planted, 0.02, seed=seed, constraint_family="maxlin")
+            rep = solve_maxlin(MaxLinInstance.from_instance(inst), MaxLinParams(0.005, 0.1))
+            assert rep.dim_W == 1 and rep.extras["theta"] == pytest.approx(0.005)
+            assert rep.best_value >= value(inst, planted) - 0.05
+            assert 1 <= rep.extras["character_candidates"] <= 600
+            assert rep.distinct_labelings <= (rep.net_points_evaluated + rep.signed_candidates
+                                              + rep.extras["character_candidates"])
