@@ -15,7 +15,7 @@ fixed input.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,9 +57,8 @@ class Eigenspace:
     dropped: np.ndarray | None = None  # an eigenvector of nearest_dropped; None if none
     # Largest eigenpair residual ||A x - lambda x|| over the basis.
     max_residual: float = float("nan")
-    passes: int = 0  # filter passes of the sparse solve; 0 on the dense path
-    block: int = 0  # its final block width; 0 on the dense path
-    blocks: int = 0  # character blocks it was assembled from; 0 for one solve
+    # Its solve, as SolveReport.eigensolver prints it; dense by default.
+    solver: dict = field(default_factory=lambda: dict(path="dense", passes=0, block=0))
 
     @property
     def dim(self):
@@ -138,7 +137,7 @@ def narrow_window(A, S: Eigenspace, threshold) -> Eigenspace:
     """select_eigenspace(A, threshold, S.mode) read off S, a window of A on
     the same side whose threshold is at or outside this one: S's eigenpairs
     past the threshold by the same cut, with nearest_dropped (and dropped)
-    the nearest of the rest of S, or S's own if none is left."""
+    the nearest of the rest of S, or S's own if none is left, and S's solver."""
     sign, c, cut = _window_cut(A, threshold, S.mode)
     keep = sign * S.eigenvalues + c >= cut
     out = np.flatnonzero(~keep)
@@ -146,7 +145,7 @@ def narrow_window(A, S: Eigenspace, threshold) -> Eigenspace:
     W = _eigenspace(A, S.eigenvalues[keep], np.ascontiguousarray(S.basis[:, keep]), threshold,
                     S.mode, S.nearest_dropped if i is None else S.eigenvalues[i])
     W.dropped = S.dropped if i is None else S.basis[:, i].copy()
-    W.passes, W.block = S.passes, S.block
+    W.solver = S.solver
     return W
 
 
@@ -244,7 +243,7 @@ def _sparse_window(A, threshold, mode, max_dim=None) -> Eigenspace | None:
     keep = np.arange(edge + 1, len(mu))[::-int(sign)]  # descending eigenvalue
     W = _eigenspace(A, sign * (mu[keep] - c), np.ascontiguousarray(X[:, keep]), threshold, mode,
                     sign * (mu[edge] - c))
-    W.dropped, W.passes, W.block = X[:, edge].copy(), passes, X.shape[1]
+    W.dropped, W.solver = X[:, edge].copy(), dict(path="filtered", passes=passes, block=X.shape[1])
     return W
 
 

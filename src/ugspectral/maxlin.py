@@ -67,7 +67,8 @@ class AbelianGroup:
 @dataclass
 class MaxLinInstance:
     """A group-difference instance: every edge of ``base`` is a shift of
-    ``group``.  ``shifts`` (read-only int64, one per edge) names them."""
+    ``group``.  Read-only arrays: ``shifts`` (int64, one per edge) names them,
+    ``conj`` maps j to -j and ``phases`` has chi_j(a) = exp(i phases[j, a])."""
 
     base: UGInstance
     group: AbelianGroup
@@ -85,6 +86,9 @@ class MaxLinInstance:
             e = int(np.argmax(wrong))
             u, v = self.base.u[e], self.base.v[e]
             raise UGError(f"edge ({u},{v}) is not the shift by {self.shifts[e]}")
+        self.conj = table[:, 0].copy()  # the shift by j maps 0 to -j
+        self.phases = 2 * np.pi * self.group.characters() / self.base.k
+        self.conj.flags.writeable = self.phases.flags.writeable = False
 
     @classmethod
     def from_instance(cls, inst: UGInstance, group: AbelianGroup | None = None):
@@ -267,11 +271,11 @@ class MaxLinParams(SolveParams):
         super().validate()
 
 
-def character_blocks(ml: MaxLinInstance) -> list:
+def character_blocks(ml: MaxLinInstance):
     """The label-extended matrix M split by the group's characters: one real
     symmetric operator per self-conjugate character and per conjugate pair,
-    as (j, operator) pairs in order of j, the pair's smaller index, so the
-    trivial character comes first.
+    built one at a time and yielded as (j, operator) pairs in solve order:
+    by ascending j, the pair's smaller index, with the trivial character last.
 
     M maps f (x) chi_j, the vector f(u) chi_j(a) at row u*k + a, to
     (H_j f) (x) chi_j: an edge (u, v) of weight w and shift c adds
@@ -282,20 +286,18 @@ def character_blocks(ml: MaxLinInstance) -> list:
     whose eigenvector [p; q] is H_j's p + iq.  Each is a ``graph_operator``,
     stored by the label-extended storage rule; the trivial block is the
     constraint graph's adjacency."""
-    base, k = ml.base, ml.base.k
+    base = ml.base
     n, u, v = base.n, base.u, base.v
-    conj = ml.group.shift_table()[:, 0]  # -j
-    phases = 2 * np.pi * ml.group.characters()[:, ml.shifts] / k  # chi_j(c) = exp(i phase)
-    blocks = []
-    for j in np.flatnonzero(np.arange(k) <= conj):
-        cw = base.w * np.cos(phases[j])
-        if conj[j] == j:
-            blocks.append((int(j), graph_operator(n, u, v, cw)))
+    order = np.flatnonzero(np.arange(base.k) <= ml.conj)  # 0 first: conj[0] = 0
+    for j in [*order[1:], 0]:
+        phase = ml.phases[j, ml.shifts]  # chi_j(c) = exp(i phase)
+        cw = base.w * np.cos(phase)
+        if ml.conj[j] == j:
+            yield int(j), graph_operator(n, u, v, cw)
         else:
-            sw = np.where(u == v, 0.0, base.w * np.sin(phases[j]))
+            sw = np.where(u == v, 0.0, base.w * np.sin(phase))
             ends = (np.concatenate([u, n + u, u, n + u]), np.concatenate([v, n + v, n + v, v]))
-            blocks.append((int(j), graph_operator(2 * n, *ends, np.concatenate([cw, cw, sw, -sw]))))
-    return blocks
+            yield int(j), graph_operator(2 * n, *ends, np.concatenate([cw, cw, sw, -sw]))
 
 
 def _lift(X, phase, n, k) -> np.ndarray:
@@ -310,11 +312,12 @@ def _lift(X, phase, n, k) -> np.ndarray:
 
 
 def character_window(ml: MaxLinInstance, params: SolveParams,
-                     blocks) -> tuple[Eigenspace, Eigenspace, dict]:
-    """(W, S, shares) of a d-regular instance from its ``character_blocks``:
-    W the label-extended window at (1-theta)d, S the constraint graph's at
-    (1-gamma)d, one select_eigenspace per block, and shares[j] block j's
-    share of W, the window of the block itself.
+                     lap) -> tuple[Eigenspace, Eigenspace, dict]:
+    """(W, S, shares) of a d-regular instance, its ``character_blocks`` built
+    and solved by select_eigenspace one at a time, each build and solve lapped
+    as the operator and eigensolve stages: W the label-extended window at
+    (1-theta)d, S the constraint graph's at (1-gamma)d, and shares[j] block
+    j's share of W, the window of the block itself, in solve order.
 
     Every non-trivial block is solved at W's cut, charging max_dim across
     the blocks in turn (DimensionAbortError names the total so far).  The
@@ -322,15 +325,15 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
     uncapped solve: it is solved at S's cut and W takes its eigenpairs at or
     above (1-theta)d (``narrow_window``).  A block eigenvector is lifted
     into R^(n*k) by ``_lift``, so its residual is the block's.  W's columns
-    are sorted by descending eigenvalue, the trivial block's first among
-    equals; its nearest_dropped and max_residual are the largest over the
-    blocks, its passes their sum and its block the widest."""
+    are sorted by descending eigenvalue, then j (the trivial block's first
+    among equals); its nearest_dropped and max_residual are the largest over
+    the blocks, its solver record sums their passes and takes the widest block."""
     base, k = ml.base, ml.base.k
     n, d = base.n, base.average_degree
     level = (1 - params.window) * d
-    phases = 2 * np.pi * ml.group.characters() / k
-    used, parts, shares = 0, [], {}
-    for j, B in blocks[1:] + blocks[:1]:
+    used, shares, lifts = 0, {}, []
+    for j, B in character_blocks(ml):
+        lap("operator")
         if j == 0:  # the trivial character
             S = select_eigenspace(B, (1 - params.gamma) * d, "adjacency-high")
             E = narrow_window(B, S, level)
@@ -343,26 +346,29 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
                 raise DimensionAbortError(used + e.dim, params.max_dim, e.at_least) from None
         used += E.dim
         shares[j] = E
-        parts.insert(len(parts) if j else 0, (E, _lift(E.basis, phases[j], n, k)))
-    vals = np.concatenate([E.eigenvalues for E, _ in parts])
-    order = np.argsort(-vals, kind="stable")
+        lifts.append(_lift(E.basis, ml.phases[j], n, k))
+        if j:  # the trivial block, the last, laps after W's assembly
+            lap("eigensolve")
+    Es = shares.values()
+    vals = np.concatenate([E.eigenvalues for E in Es])
+    order = np.lexsort((np.repeat(list(shares), [E.dim for E in Es]), -vals))
     W = Eigenspace(
         dim_ambient=n * k,
-        basis=np.hstack([lift for _, lift in parts])[:, order],
+        basis=np.hstack(lifts)[:, order],
         eigenvalues=vals[order],
         threshold=float(level),
         mode="adjacency-high",
-        nearest_dropped=max(E.nearest_dropped for E, _ in parts),
-        max_residual=max(E.max_residual for E, _ in parts),
-        passes=sum(E.passes for E, _ in parts),
-        block=max(E.block for E, _ in parts),
-        blocks=len(parts),
+        nearest_dropped=max(E.nearest_dropped for E in Es),
+        max_residual=max(E.max_residual for E in Es),
+        solver=dict(path="characters", passes=sum(E.solver["passes"] for E in Es),
+                    block=max(E.solver["block"] for E in Es), blocks=len(Es)),
     )
+    lap("eigensolve")
     return W, S, shares
 
 
 def character_net(ml: MaxLinInstance, shares) -> tuple[np.ndarray, np.ndarray]:
-    """(C, T): every rounding of the top character lines, the search of the
+    """(C, T): roundings of the top character lines, the search of the
     expander regime, as coefficient rows C over the lifted basis T
     (``shares`` are ``character_window``'s block solves).
 
@@ -375,11 +381,11 @@ def character_net(ml: MaxLinInstance, shares) -> tuple[np.ndarray, np.ndarray]:
     2 pi / k_t shifts every digit, which no constraint sees; with
     phi = 2 pi tau / k_t, tau in [0, 1), u's digit changes only at
     tau = 1/2 - arg f(u) k_t / (2 pi) mod 1, and C takes one tau between
-    each two adjacent breakpoints.  A row turns every factor by its tau (a
-    real block, k_t = 2, takes 1): the read-off of a sum of lifts takes
-    each digit apart."""
+    each two adjacent breakpoints of all factors.  A row turns every factor
+    by that tau (a real block, k_t = 2, takes 1); the read-off of a sum of
+    lifts takes each digit apart, so the rows hold each factor's roundings,
+    but not every combination of two factors of order > 2."""
     n, k = ml.base.n, ml.base.k
-    phases = 2 * np.pi * ml.group.characters() / k
     places = np.cumprod([1, *ml.group.factors[:-1]])
     cols, turns = [], []
     for j, kt in zip(places, ml.group.factors):
@@ -388,7 +394,7 @@ def character_net(ml: MaxLinInstance, shares) -> tuple[np.ndarray, np.ndarray]:
         if kt > 2:
             f = np.hstack([f, np.roll(f, n) * np.repeat([-1.0, 1.0], n)[:, None]])  # f, i f
             turns.append((0.5 - np.angle(f[:n, 0] + 1j * f[n:, 0]) * kt / (2 * np.pi)) % 1)
-        cols.append(_lift(f, phases[j], n, k))
+        cols.append(_lift(f, ml.phases[j], n, k))
     b = np.unique(np.concatenate(turns)) if turns else np.zeros(1)
     tau = (b + np.append(b[1:], b[0] + 1)) / 2 % 1
     C = np.hstack([np.column_stack([np.cos(2 * np.pi * tau / kt), np.sin(2 * np.pi * tau / kt)])
@@ -417,10 +423,7 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
         finite_degree(inst)
         if not inst.is_regular():
             raise NonRegularError("Max-Lin needs a d-regular constraint graph")
-        blocks = character_blocks(ml)
-        lap("operator")
-        W, spaces["S"], shares = character_window(ml, params, blocks)
-        lap("eigensolve")
+        W, spaces["S"], shares = character_window(ml, params, lap)
         missed = not all(E.dim for E in shares.values())
         spaces["more"] = [character_net(ml, shares)] if missed else []
         lap("walk")

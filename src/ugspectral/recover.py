@@ -119,7 +119,7 @@ class SolveReport:
     # eigen_time, then walk (the net's coefficient stream), readoff, dedupe
     # and scoring, whose sum is enumeration_time.
     stages: dict = field(default_factory=dict)
-    eigensolver: dict = field(default_factory=dict)  # W's solve: path, passes, block(s)
+    eigensolver: dict = field(default_factory=dict)  # W.solver: path, passes, block(s)
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -417,9 +417,6 @@ def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window)
     best_value, best_labeling = float(vals[i]), labelings[i].astype(np.int64)
     lap("scoring")
 
-    eigensolver = dict(path="filtered" if W.block else "dense", passes=W.passes, block=W.block)
-    if W.blocks:
-        eigensolver.update(path="characters", blocks=W.blocks)
     return SolveReport(
         best_labeling=best_labeling,
         best_value=best_value,
@@ -437,7 +434,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window)
         value_path=inst.value_path,
         signed_candidates=len(signed),
         stages=stages,
-        eigensolver=eigensolver,
+        eigensolver=W.solver,
     )
 
 

@@ -258,6 +258,14 @@ class TestSparseWindow:
             assert np.linalg.norm(A @ x - W.nearest_dropped * x) <= tol
             assert abs(np.linalg.norm(x) - 1) <= tol and np.abs(W.basis.T @ x).max() <= 1e-8
 
+    def test_narrow_window_keeps_the_solver_record(self):
+        """A window read off a filtered solve carries that solve's record."""
+        A, _ = _maxlin_operator(64, 8, 0.0, 3)
+        wide = select_eigenspace(A, 3.3, "adjacency-high")
+        narrow = linalg_mod.narrow_window(A, wide, 3.9)
+        assert wide.solver["path"] == "filtered" and wide.solver["passes"] > 0
+        assert narrow.dim < wide.dim and narrow.solver == wide.solver
+
     def test_missed_copy_found_by_certificate(self):
         """The window at 3.3 holds 16 eigenvalues, the width of the first
         block, so every Ritz value is kept and nothing certifies the cut:
@@ -266,8 +274,8 @@ class TestSparseWindow:
         sparse = _sparse_window(A, 3.3, "adjacency-high")
         dense = select_eigenspace(A.toarray(), 3.3, "adjacency-high")
         assert sparse.dim == dense.dim == SPARSE_BLOCK
-        assert sparse.block > SPARSE_BLOCK and sparse.passes > 0
-        assert (dense.passes, dense.block) == (0, 0)
+        assert sparse.solver["block"] > SPARSE_BLOCK and sparse.solver["passes"] > 0
+        assert (dense.solver["passes"], dense.solver["block"]) == (0, 0)
         assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-9
         assert np.abs(sparse.basis.T @ dense.basis @ dense.basis.T @ sparse.basis
                       - np.eye(dense.dim)).max() <= 1e-8
@@ -324,7 +332,7 @@ class TestSparseWindow:
             from ugspectral.linalg import select_eigenspace
             inst, _, _ = planted_regular_instance(64, 4, 8, seed=3, constraint_family="maxlin")
             W = select_eigenspace(build_label_extended(inst).matrix, 3.3, "adjacency-high")
-            assert W.block > 0, "expected the filtered path"
+            assert W.solver["block"] > 0, "expected the filtered path"
             print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
         """)
         src = str(Path(linalg_mod.__file__).resolve().parent.parent)

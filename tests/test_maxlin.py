@@ -482,6 +482,10 @@ class TestParamsAndSolver:
 GROUPS = [(2,), (3,), (4,), (5,), (8,), (2, 2, 2), (2, 4)]
 
 
+def skip_lap(stage):
+    """A ``character_window`` lap that times nothing."""
+
+
 class TestCharacterBlocks:
     """W from one eigensolve per character block against select_eigenspace
     on the whole label-extended matrix."""
@@ -493,8 +497,9 @@ class TestCharacterBlocks:
         floor(k/2) + 1 for Z_k, 2^kappa real ones for (Z_2)^kappa; a pair's
         block is 2n x 2n."""
         ml = regular_maxlin(10, 3, AbelianGroup(factors), seed=1)
-        blocks = character_blocks(ml)
+        blocks = list(character_blocks(ml))
         assert len(blocks) == count
+        assert [j for j, _ in blocks] == sorted(j for j, _ in blocks if j) + [0]  # solve order
         conj = ml.group.shift_table()[:, 0]
         for j, B in blocks:
             assert j <= conj[j] and B.shape[0] == (10 if conj[j] == j else 20)
@@ -511,7 +516,8 @@ class TestCharacterBlocks:
 
     def test_trivial_block_is_the_constraint_graph(self):
         ml = regular_maxlin(400, 4, AbelianGroup((4,)), seed=2, perturbed=True)
-        B = character_blocks(ml)[0][1]
+        j, B = list(character_blocks(ml))[-1]
+        assert j == 0
         A = constraint_graph_adjacency(ml.base)
         assert B.format == A.format == "csr" and (B != A).nnz == 0
 
@@ -530,7 +536,7 @@ class TestCharacterBlocks:
             n = 6 + seed % 11
         ml = regular_maxlin(n, 4, group, seed, perturbed)
         p = MaxLinParams(0.001, gamma, theta=gamma * share, max_dim=10**6)
-        W, S, _ = character_window(ml, p, character_blocks(ml))
+        W, S, _ = character_window(ml, p, skip_lap)
         d = ml.base.average_degree
         R = select_eigenspace(build_label_extended(ml.base).matrix, (1 - p.window) * d,
                               "adjacency-high")
@@ -555,7 +561,7 @@ class TestCharacterBlocks:
         ml = MaxLinInstance(inst, group)
         for theta in (0.2, 0.6, 1.0):
             p = MaxLinParams(0.001, 1.0, theta=theta, max_dim=10**6)
-            W = character_window(ml, p, character_blocks(ml))[0]
+            W = character_window(ml, p, skip_lap)[0]
             M = build_label_extended(inst).matrix
             d = inst.average_degree
             assert_same_window(W, select_eigenspace(M, (1 - theta) * d, "adjacency-high"))
@@ -571,10 +577,10 @@ class TestCharacterBlocks:
         ml = regular_maxlin(n, 4, AbelianGroup((8,)), seed=3)
         p = MaxLinParams(0.001, 0.1, theta=0.05, max_dim=5)
         with pytest.raises(DimensionAbortError, match=message) as err:
-            character_window(ml, p, character_blocks(ml))
+            character_window(ml, p, skip_lap)
         assert err.value.dim > 5 and err.value.max_dim == 5
         p.max_dim = 8
-        assert character_window(ml, p, character_blocks(ml))[0].dim == 8
+        assert character_window(ml, p, skip_lap)[0].dim == 8
 
     def test_oversized_window_aborts_before_wide_s(self, monkeypatch):
         """At gamma = 1 the trivial block's S cut is 0, half its spectrum;
@@ -592,6 +598,45 @@ class TestCharacterBlocks:
         with pytest.raises(DimensionAbortError, match=r"^dim\(W\) >= \d+ exceeds max_dim=5$"):
             solve_maxlin(ml, p)
         assert levels and set(levels) == {(1 - 0.05) * 4}
+
+    def test_one_lap_pair_per_block(self, monkeypatch):
+        """Each block's build is lapped as the operator stage and its solve
+        as the eigensolve stage, in turn: the four non-trivial blocks of Z_8
+        at W's cut, then the trivial block at S's.  A report's eigen_time is
+        the sum of those two stages."""
+        ml = regular_maxlin(400, 4, AbelianGroup((8,)), seed=1, perturbed=True)
+        p = MaxLinParams(0.005, 0.1, theta=0.05, net_step_override=1.0)
+        events = []
+
+        def recorded(A, level, *args):
+            events.append(level)
+            return select_eigenspace(A, level, *args)
+
+        monkeypatch.setattr(maxlin_mod, "select_eigenspace", recorded)
+        character_window(ml, p, events.append)
+        W_cut, S_cut = (1 - 0.05) * 4, (1 - 0.1) * 4
+        assert events == ["operator", W_cut, "eigensolve"] * 4 + ["operator", S_cut, "eigensolve"]
+        rep = solve_maxlin(ml, p)
+        assert rep.stages["operator"] > 0 and rep.stages["eigensolve"] > 0
+        assert rep.stages["operator"] + rep.stages["eigensolve"] == rep.eigen_time
+
+    def test_one_character_table_per_instance(self, monkeypatch):
+        """An instance computes its characters once, keeping -j and the
+        phases read-only, and the solve, character net included, reads them
+        from there."""
+        calls = []
+        characters = AbelianGroup.characters
+        monkeypatch.setattr(AbelianGroup, "characters",
+                            lambda g: calls.append(g) or characters(g))
+        group = AbelianGroup((3, 3))
+        ml = regular_maxlin(60, 4, group, seed=4, perturbed=True)
+        assert len(calls) == 1
+        assert np.array_equal(ml.conj, group.shift_table()[:, 0])
+        assert np.array_equal(ml.phases, 2 * np.pi * characters(group) / 9)
+        assert not ml.conj.flags.writeable and not ml.phases.flags.writeable
+        rep = solve_maxlin(ml, MaxLinParams(0.001, 0.1, theta=0.001, max_dim=100))
+        assert rep.extras["character_candidates"] > 0
+        assert len(calls) == 1
 
 
 class TestSolveBuilds:
@@ -622,11 +667,32 @@ class TestSolveBuilds:
         monkeypatch.setattr(maxlin_mod, "select_eigenspace", counted)
         ml = regular_maxlin(400, 4, AbelianGroup(factors), seed=1, perturbed=True)
         rep = solve_maxlin(ml, MaxLinParams(0.005, 0.1, theta=0.05, net_step_override=1.0))
-        assert len(calls) == len(character_blocks(ml)) == rep.eigensolver["blocks"]
+        assert len(calls) == len(list(character_blocks(ml))) == rep.eigensolver["blocks"]
         assert rep.eigensolver["path"] == "characters"
         assert rep.dim_W == 8 and rep.extras["dim_S"] == 1 and rep.decision == "YES"
         # W holds every character's top line, so its net reads them all.
         assert rep.extras["character_candidates"] == 0
+
+    def test_report_prints_w_solver(self, monkeypatch):
+        """The report's eigensolver is W's own record: the character path,
+        the blocks' passes summed, the widest block and the block count."""
+        spaces = []
+
+        def kept(*args):
+            spaces.append(character_window(*args))
+            return spaces[-1]
+
+        monkeypatch.setattr(maxlin_mod, "character_window", kept)
+        ml = regular_maxlin(400, 4, AbelianGroup((8,)), seed=1, perturbed=True)
+        rep = solve_maxlin(ml, MaxLinParams(0.005, 0.1, theta=0.05, net_step_override=1.0))
+        (W, _, shares), = spaces
+        assert rep.eigensolver == W.solver
+        assert list(rep.eigensolver) == ["path", "passes", "block", "blocks"]
+        solvers = [E.solver for E in shares.values()]
+        assert W.solver == {"path": "characters",
+                            "passes": sum(s["passes"] for s in solvers),
+                            "block": max(s["block"] for s in solvers), "blocks": 5}
+        assert W.solver["passes"] > 0
 
 
 class TestCharacterNet:
@@ -639,7 +705,7 @@ class TestCharacterNet:
         group = AbelianGroup(factors)
         ml = regular_maxlin(60, 4, group, seed=1)
         p = MaxLinParams(0.001, 0.1, theta=0.001, max_dim=100)
-        C, T = character_net(ml, character_window(ml, p, character_blocks(ml))[2])
+        C, T = character_net(ml, character_window(ml, p, skip_lap)[2])
         labels = read_off_batch(C, label_blocks(T, group.order)).astype(np.int64)
         assert value_batch(ml.base, labels).max() == 1.0
 
@@ -649,7 +715,7 @@ class TestCharacterNet:
         them up to a shift (a labeling less its label at vertex 0)."""
         ml = regular_maxlin(40, 4, AbelianGroup((5,)), seed=4, perturbed=True)
         p = MaxLinParams(0.001, 0.1, theta=0.001, max_dim=100)
-        C, T = character_net(ml, character_window(ml, p, character_blocks(ml))[2])
+        C, T = character_net(ml, character_window(ml, p, skip_lap)[2])
         blocks = label_blocks(T, 5)
 
         def unshifted(labels):

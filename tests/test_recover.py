@@ -639,6 +639,34 @@ class TestRecover:
         assert (dense.dim_W, dense.best_value) == (r1["dim_W"], r1["best_value"])
         assert r1["cut_gap"] == pytest.approx(dense.cut_gap, abs=1e-9) and dense.cut_gap > 0
 
+    @pytest.mark.parametrize("path", ["dense", "filtered", "fallback"])
+    def test_report_prints_w_solver(self, monkeypatch, path):
+        """The report's eigensolver is W's own record, keys in order: a dense
+        operator, a CSR one on the filtered path, and a CSR one whose block
+        would pass SPARSE_MAX_SHARE, so that the dense path solves it."""
+        inst, planted, _ = planted_regular_instance(128, 4, 4, seed=1, constraint_family="maxlin")
+        inst = perturb(inst, planted, 0.02, seed=1, constraint_family="maxlin")
+        if path == "dense":
+            monkeypatch.setattr(label_extended_mod, "SPARSE_MIN_DIM", 10**9)
+        if path == "fallback":
+            monkeypatch.setattr(linalg_mod, "SPARSE_MAX_SHARE", 0.0)
+        spaces = []
+
+        def kept(*args):
+            spaces.append(select_eigenspace(*args))
+            return spaces[-1]
+
+        monkeypatch.setattr(recover_mod, "select_eigenspace", kept)
+        rep = recover_solution(inst, SolveParams(0.005, 0.05, max_dim=8, net_step_override=1.0))
+        (W,) = spaces
+        assert rep.eigensolver == W.solver
+        assert list(rep.eigensolver) == ["path", "passes", "block"]
+        if path == "filtered":
+            assert W.solver["path"] == "filtered" and W.solver["passes"] > 0
+        else:
+            assert W.solver == {"path": "dense", "passes": 0, "block": 0}
+        assert scipy.sparse.issparse(build_label_extended(inst).matrix) == (path != "dense")
+
 
 class TestHeldWalk:
     """Adding a multiple of the all-ones vector moves no per-block argmax,
