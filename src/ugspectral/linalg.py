@@ -105,9 +105,10 @@ def select_eigenspace(A, threshold, mode, max_dim=None) -> Eigenspace:
     numerically equal eigenvalues sitting on the threshold is kept whole
     rather than split by rounding, and a dense and a sparse A get the same
     window.  A sparse A takes the filtered path (``_sparse_window``) unless
-    it falls back to the dense one.  With ``max_dim`` either path raises
-    DimensionAbortError once it knows dim W > max_dim: from the Ritz values
-    (filtered) or the kept count, before any residual is computed (dense).
+    it falls back to the dense one, which cuts the full decomposition, a
+    window with nothing dropped, by ``narrow_window``.  With ``max_dim``
+    either path raises DimensionAbortError once it knows dim W > max_dim:
+    from the Ritz values (filtered) or the kept count (dense).
     """
     if mode not in ("adjacency-high", "laplacian-low"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -120,28 +121,26 @@ def select_eigenspace(A, threshold, mode, max_dim=None) -> Eigenspace:
     else:
         A = np.asarray(A, dtype=np.float64)
     vals, vecs = eigendecompose(A)
-    sign, c, cut = _window_cut(A, threshold, mode)
-    keep = sign * vals + c >= cut
+    edge = -np.inf if mode == "adjacency-high" else np.inf  # past every eigenvalue
+    return narrow_window(A, Eigenspace(len(vals), vecs, vals, edge, mode, edge), threshold, max_dim)
+
+
+def narrow_window(A, S: Eigenspace, threshold, max_dim=None) -> Eigenspace:
+    """select_eigenspace(A, threshold, S.mode, max_dim) read off S, a window
+    of A on the same side whose threshold is at or outside this one, its
+    eigenvalues descending as every window's are: S's eigenpairs past the
+    threshold by the same cut, with nearest_dropped (and dropped) the nearest
+    of the rest of S, or S's own if none is left, and S's solver.  Raises
+    DimensionAbortError on more than ``max_dim`` kept, before any residual
+    is computed."""
+    sign, c, cut = _window_cut(A, threshold, S.mode)
+    keep = sign * S.eigenvalues + c >= cut
     count = int(np.count_nonzero(keep))
     if max_dim is not None and count > max_dim:
         raise DimensionAbortError(count, max_dim)
     # The dropped values run descending (high) or ascending (low) from the cut.
     out = np.flatnonzero(~keep)[:: int(sign)]
-    W = _eigenspace(A, vals[keep], np.ascontiguousarray(vecs[:, keep]), threshold, mode,
-                    vals[out[0]] if len(out) else -sign * np.inf)
-    W.dropped = vecs[:, out[0]].copy() if len(out) else None
-    return W
-
-
-def narrow_window(A, S: Eigenspace, threshold) -> Eigenspace:
-    """select_eigenspace(A, threshold, S.mode) read off S, a window of A on
-    the same side whose threshold is at or outside this one: S's eigenpairs
-    past the threshold by the same cut, with nearest_dropped (and dropped)
-    the nearest of the rest of S, or S's own if none is left, and S's solver."""
-    sign, c, cut = _window_cut(A, threshold, S.mode)
-    keep = sign * S.eigenvalues + c >= cut
-    out = np.flatnonzero(~keep)
-    i = out[np.argmax(sign * S.eigenvalues[out])] if len(out) else None  # the nearest of them
+    i = out[0] if len(out) else None  # the nearest of them
     W = _eigenspace(A, S.eigenvalues[keep], np.ascontiguousarray(S.basis[:, keep]), threshold,
                     S.mode, S.nearest_dropped if i is None else S.eigenvalues[i])
     W.dropped = S.dropped if i is None else S.basis[:, i].copy()

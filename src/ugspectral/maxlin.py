@@ -5,7 +5,7 @@ satisfaction is invariant under shifting every label by a group element.
 Supported groups: cyclic Z_k and direct products of cyclic factors (powers
 of Z_2 cover the Khot-Vishnoi XOR constraints).  Includes the lifted
 eigenbasis of a perfectly satisfiable completion, the sin-theta
-perturbation diagnostics, the l-infinity uniformity proxy check, and the
+perturbation diagnostics, the exact l-infinity uniformity check, and the
 Max-Lin solve: the generic solve searching the narrower window (1-theta)d,
 whose W (and the constraint graph's S) is solved one character block at a
 time, plus dim(S), the uniformity check and an expander-regime flag.
@@ -23,7 +23,8 @@ from .core import UGInstance, UGError, shift_image, value
 # wraps it on this module; the solve builds the constraint graph as the
 # trivial character block.
 from .label_extended import build_label_extended, constraint_graph_adjacency, graph_operator
-from .linalg import DimensionAbortError, Eigenspace, narrow_window, project_split, select_eigenspace
+from .linalg import (RESIDUAL_TOL, DimensionAbortError, Eigenspace, narrow_window, project_split,
+                     select_eigenspace)
 from .recover import NonRegularError, SolveParams, SolveReport, finite_degree, recover_solution
 
 
@@ -134,45 +135,28 @@ def block_norm_vector(w, n, k) -> np.ndarray:
 
 
 UNIFORMITY_C = 2.0  # uniformity bound C / sqrt(n) on the l-infinity norm of S
-UNIFORMITY_SAMPLES = 1000  # random unit combinations uniformity_check samples
-UNIFORMITY_SEED = 0  # seed of those samples
 
 
 @dataclass
 class UniformityReport:
     passes: bool
     bound: float            # C / sqrt(n)
-    worst_basis_linf: float
-    sampled_max_linf: float
-    samples: int
+    worst_linf: float       # the largest |x_v| over unit vectors x of the span
 
 
 def uniformity_check(S: Eigenspace, C) -> UniformityReport:
-    """Check the l-infinity uniformity hypothesis on an eigenspace.
+    """Check the l-infinity uniformity hypothesis on an eigenspace exactly.
 
-    Basis vectors are checked exactly; since the hypothesis quantifies over
-    every unit vector of the span, UNIFORMITY_SAMPLES seeded random unit
-    combinations are also sampled and the maximum recorded (a necessary
-    proxy, not a proof).
+    The hypothesis bounds |x_v| over every unit vector x = Bc of the span,
+    B the orthonormal basis.  By Cauchy-Schwarz |(Bc)_v| <= ||B[v]||, with
+    equality at c = B[v] / ||B[v]||, so the supremum is the largest row
+    norm of B (at dim 1, max |B| exactly).
     """
     if S.dim == 0:
         raise UGError("uniformity check needs a nonempty eigenspace")
-    n = S.dim_ambient
-    bound = C / np.sqrt(n)
-    worst_basis = float(np.max(np.abs(S.basis)))
-    sampled = 0.0
-    if S.dim > 1:
-        rng = np.random.default_rng(UNIFORMITY_SEED)
-        coeffs = rng.standard_normal((UNIFORMITY_SAMPLES, S.dim))
-        coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        sampled = float(np.max(np.abs(coeffs @ S.basis.T)))
-    return UniformityReport(
-        passes=bool(max(worst_basis, sampled) <= bound),
-        bound=float(bound),
-        worst_basis_linf=worst_basis,
-        sampled_max_linf=sampled,
-        samples=UNIFORMITY_SAMPLES if S.dim > 1 else 0,
-    )
+    bound = C / np.sqrt(S.dim_ambient)
+    worst = float(np.linalg.norm(S.basis, axis=1).max())
+    return UniformityReport(passes=bool(worst <= bound), bound=float(bound), worst_linf=worst)
 
 
 @dataclass
@@ -202,17 +186,17 @@ class PerturbationReport:
 
 def perturbed_edge_matrix(inst: UGInstance, completion: UGInstance) -> np.ndarray:
     """n x n matrix R carrying the weight of every edge whose constraint
-    differs between the instance and its completion; UGError unless the two
-    share n, k and the edge endpoints."""
+    differs between the instance and its completion, parallel edges summed;
+    UGError unless the two share n, k and the edge endpoints."""
     if (inst.n, inst.k) != (completion.n, completion.k) or not (
         np.array_equal(inst.u, completion.u) and np.array_equal(inst.v, completion.v)
     ):
         raise UGError("instance and completion must share the edge skeleton")
     changed = np.any(inst.perm != completion.perm, axis=1)
     R = np.zeros((inst.n, inst.n))
-    np.maximum.at(R, (inst.u[changed], inst.v[changed]), inst.w[changed])
-    # Both orientations of a vertex pair share one entry: the largest weight.
-    return np.maximum(R, R.T)
+    np.add.at(R, (inst.u[changed], inst.v[changed]), inst.w[changed])
+    # A vertex pair sums its parallel edges in both orientations; a self-loop counts once.
+    return R + R.T - np.diag(np.diag(R))
 
 
 def sin_theta_report(
@@ -334,16 +318,14 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
     used, shares, lifts = 0, {}, []
     for j, B in character_blocks(ml):
         lap("operator")
-        if j == 0:  # the trivial character
-            S = select_eigenspace(B, (1 - params.gamma) * d, "adjacency-high")
-            E = narrow_window(B, S, level)
-            if used + E.dim > params.max_dim:
-                raise DimensionAbortError(used + E.dim, params.max_dim)
-        else:
-            try:
+        try:
+            if j == 0:  # the trivial character
+                S = select_eigenspace(B, (1 - params.gamma) * d, "adjacency-high")
+                E = narrow_window(B, S, level, params.max_dim - used)
+            else:
                 E = select_eigenspace(B, level, "adjacency-high", params.max_dim - used)
-            except DimensionAbortError as e:
-                raise DimensionAbortError(used + e.dim, params.max_dim, e.at_least) from None
+        except DimensionAbortError as e:
+            raise DimensionAbortError(used + e.dim, params.max_dim, e.at_least) from None
         used += E.dim
         shares[j] = E
         lifts.append(_lift(E.basis, ml.phases[j], n, k))
@@ -381,10 +363,12 @@ def character_net(ml: MaxLinInstance, shares) -> tuple[np.ndarray, np.ndarray]:
     2 pi / k_t shifts every digit, which no constraint sees; with
     phi = 2 pi tau / k_t, tau in [0, 1), u's digit changes only at
     tau = 1/2 - arg f(u) k_t / (2 pi) mod 1, and C takes one tau between
-    each two adjacent breakpoints of all factors.  A row turns every factor
-    by that tau (a real block, k_t = 2, takes 1); the read-off of a sum of
-    lifts takes each digit apart, so the rows hold each factor's roundings,
-    but not every combination of two factors of order > 2."""
+    each two adjacent breakpoints of all factors, merging those closer than
+    RESIDUAL_TOL, as f's phases are only accurate to its residual.  A row
+    turns every factor by that tau (a real block, k_t = 2, takes 1); the
+    read-off of a sum of lifts takes each digit apart, so the rows hold each
+    factor's roundings, but not every combination of two factors of order
+    > 2."""
     n, k = ml.base.n, ml.base.k
     places = np.cumprod([1, *ml.group.factors[:-1]])
     cols, turns = [], []
@@ -395,8 +379,9 @@ def character_net(ml: MaxLinInstance, shares) -> tuple[np.ndarray, np.ndarray]:
             f = np.hstack([f, np.roll(f, n) * np.repeat([-1.0, 1.0], n)[:, None]])  # f, i f
             turns.append((0.5 - np.angle(f[:n, 0] + 1j * f[n:, 0]) * kt / (2 * np.pi)) % 1)
         cols.append(_lift(f, ml.phases[j], n, k))
-    b = np.unique(np.concatenate(turns)) if turns else np.zeros(1)
-    tau = (b + np.append(b[1:], b[0] + 1)) / 2 % 1
+    b = np.sort(np.concatenate(turns)) if turns else np.zeros(1)
+    after = np.append(b[1:], b[0] + 1)  # the next breakpoint, circularly
+    tau = (b + after)[after - b >= RESIDUAL_TOL] / 2 % 1
     C = np.hstack([np.column_stack([np.cos(2 * np.pi * tau / kt), np.sin(2 * np.pi * tau / kt)])
                    if kt > 2 else np.ones((len(tau), 1)) for kt in ml.group.factors])
     return C, np.hstack(cols)
@@ -406,7 +391,7 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
     """Gamma-Max-Lin solver: the generic solver searching the label-extended
     high space at (1-theta)d and deciding at gamma, with W and the
     constraint graph's high space S_(1-gamma) solved one character block
-    at a time (``character_window``), then the uniformity proxy on S.
+    at a time (``character_window``), then the exact uniformity check on S.
     Where W misses the top line of a character (its block's share of W is
     empty), W's net cannot read that character, and the roundings of the
     top character lines (``character_net``) are read off after the signed
@@ -439,7 +424,7 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
             "dim_check_ok": bool(report.dim_W <= ml.base.k * S.dim),
             "theta": params.window,
             "uniformity_passes": uni.passes,
-            "uniformity_worst_linf": max(uni.worst_basis_linf, uni.sampled_max_linf),
+            "uniformity_worst_linf": uni.worst_linf,
             "expander_fast_path": bool(S.dim == 1),
             "character_candidates": sum(len(C) for C, _ in spaces["more"]),
         }

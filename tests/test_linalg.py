@@ -1,5 +1,6 @@
 """Eigendecomposition contract, eigenspace selection, projections."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -18,9 +19,12 @@ from ugspectral.label_extended import build_label_extended, build_laplacian
 from ugspectral.linalg import (
     RESIDUAL_TOL,
     SPARSE_BLOCK,
+    DimensionAbortError,
+    Eigenspace,
     NumericError,
     _sparse_window,
     eigendecompose,
+    narrow_window,
     project_split,
     select_eigenspace,
 )
@@ -120,6 +124,26 @@ class TestSelectEigenspace:
         narrow = linalg_mod.narrow_window(A, wide, threshold)
         assert narrow.dim == W.dim and narrow.nearest_dropped == nearest
         assert np.abs(narrow.dropped).tolist() == [0, 0, 1, 0]
+
+    @pytest.mark.parametrize("mode, threshold", [("adjacency-high", 0.5),
+                                                 ("laplacian-low", -0.5)])
+    def test_dense_window_narrows_the_full_decomposition(self, mode, threshold):
+        """The dense window is narrow_window of every eigenpair, a window with
+        nothing dropped, field for field and bit for bit, and aborts on
+        max_dim with the same message."""
+        A = random_symmetric(12, 3)
+        vals, vecs = eigendecompose(A)
+        edge = -np.inf if mode == "adjacency-high" else np.inf
+        full = Eigenspace(12, vecs, vals, edge, mode, edge)
+        W, want = select_eigenspace(A, threshold, mode), narrow_window(A, full, threshold)
+        assert 0 < W.dim < 12
+        for f in dataclasses.fields(Eigenspace):
+            assert np.array_equal(getattr(W, f.name), getattr(want, f.name)), f.name
+        with pytest.raises(DimensionAbortError) as dense:
+            select_eigenspace(A, threshold, mode, max_dim=1)
+        with pytest.raises(DimensionAbortError) as narrow:
+            narrow_window(A, full, threshold, max_dim=1)
+        assert str(dense.value) == str(narrow.value) == f"dim(W)={W.dim} exceeds max_dim=1"
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

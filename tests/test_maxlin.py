@@ -15,7 +15,6 @@ from ugspectral.label_extended import build_label_extended, constraint_graph_adj
 from ugspectral.linalg import DimensionAbortError, Eigenspace, eigendecompose, select_eigenspace
 import ugspectral.maxlin as maxlin_mod
 from ugspectral.maxlin import (
-    UNIFORMITY_SAMPLES,
     AbelianGroup,
     MaxLinInstance,
     MaxLinParams,
@@ -283,7 +282,7 @@ class TestUniformity:
         e0[0] = 1.0
         rep = uniformity_check(self._space([e0]), C=2.0)
         assert not rep.passes
-        assert rep.worst_basis_linf == 1.0
+        assert rep.worst_linf == 1.0
 
     def test_characters_are_exactly_uniform(self):
         """Each +-1/sqrt(n) character vector of F_2^4 meets the bound with
@@ -294,17 +293,37 @@ class TestUniformity:
         for row in H:
             rep = uniformity_check(self._space([row]), C=1.0)
             assert rep.passes
-            assert rep.worst_basis_linf == pytest.approx(1 / np.sqrt(n))
+            assert rep.worst_linf == pytest.approx(1 / np.sqrt(n))
 
-    def test_sampled_combinations_recorded(self):
+    def test_span_of_two_characters_is_exact(self):
+        """Every row of two characters has norm sqrt(2/16): the unit
+        combination (H[0] +- H[1]) / sqrt(2) reaches it, above 1/sqrt(n)."""
         n = 16
         H = np.array([[(-1) ** bin(x & y).count("1") for x in range(n)]
                       for y in range(n)]) / np.sqrt(n)
         rep = uniformity_check(self._space([H[0], H[1]]), C=1.0)
-        assert rep.samples == UNIFORMITY_SAMPLES
-        # random unit combinations of two characters exceed 1/sqrt(n)
-        assert rep.sampled_max_linf > 1 / np.sqrt(n)
+        assert rep.worst_linf == pytest.approx(np.sqrt(2 / 16), rel=1e-15)
         assert not rep.passes
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_worst_is_the_supremum(self, n, dim, seed):
+        """On an orthonormal B (the QR of a random matrix) worst_linf is the
+        largest row norm, no seeded unit combination exceeds it, and it is
+        attained at c = B[v*] / ||B[v*]||; at dim 1 it is max |B| exactly."""
+        dim = min(dim, n)
+        rng = np.random.default_rng(seed)
+        B = np.linalg.qr(rng.standard_normal((n, dim)))[0]
+        rep = uniformity_check(self._space(list(B.T)), C=1.0)
+        rows = np.linalg.norm(B, axis=1)
+        assert rep.worst_linf == rows.max()
+        c = rng.standard_normal((1000, dim))
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        assert np.abs(c @ B.T).max() <= rep.worst_linf * (1 + 1e-12)
+        v = int(np.argmax(rows))
+        assert np.abs(B @ (B[v] / rows[v])).max() == pytest.approx(rep.worst_linf, abs=1e-12)
+        if dim == 1:
+            assert rep.worst_linf == np.abs(B).max()
 
 
 class TestSinTheta:
@@ -354,6 +373,26 @@ class TestSinTheta:
         R = perturbed_edge_matrix(pert_inst, ml.base)
         changed = pert_inst.w[np.any(pert_inst.perm != ml.base.perm, axis=1)].sum()
         assert R[np.triu_indices(8)].sum() == pytest.approx(changed)
+
+    def test_parallel_edges_are_summed(self):
+        """K_8 with every pair doubled, Z_3, both copies of three pairs
+        shifted by 1: R sums parallel weights, so the budget is the six
+        perturbed edges and 2 ||R wbar|| bounds the numerator of each of the
+        top six eigenvectors."""
+        group, pairs = AbelianGroup((3,)), complete_skeleton(8) * 2
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x = rng.integers(0, 3, 8)
+            hit = rng.choice(28, 3, replace=False)
+            c = [x[u] - x[v] for u, v in pairs]
+            shifted = [c[e] + (e % 28 in hit) for e in range(len(pairs))]
+            ml = maxlin_on(8, group, [(u, v, 1.0, s) for (u, v), s in zip(pairs, shifted)])
+            completion = maxlin_on(8, group, [(u, v, 1.0, s) for (u, v), s in zip(pairs, c)])
+            vecs = eigendecompose(build_label_extended(ml.base).matrix)[1]
+            for j in range(6):
+                rep = sin_theta_report(ml, completion, vecs[:, j], gamma=0.5)
+                assert rep.numerator <= rep.r_matrix_bound + 1e-8
+            assert rep.R_row_budget == 6.0
 
     def test_non_finite_values_written_as_null(self):
         """lam <= lambda_s leaves beta_bound undefined (inf); to_dict writes
@@ -725,6 +764,18 @@ class TestCharacterNet:
         tau = np.random.default_rng(0).random(200)
         turned = np.column_stack([np.cos(2 * np.pi * tau / 5), np.sin(2 * np.pi * tau / 5)])
         assert unshifted(read_off_batch(turned, blocks)) <= unshifted(read_off_batch(C, blocks))
+
+    @pytest.mark.parametrize("seed, rows", [(4, 31), (1, 59)])
+    def test_breakpoints_within_tolerance_merge(self, seed, rows):
+        """Z_3 x Z_3: breakpoints closer than RESIDUAL_TOL are one (seed 4:
+        the second factor's 30 all equal 0.75 to ~1e-16; seed 1: two lie
+        within 1e-9), so no row sits in a gap narrower than f's accuracy,
+        and every row reads a distinct labeling."""
+        ml = regular_maxlin(30, 4, AbelianGroup((3, 3)), seed=seed, perturbed=True)
+        p = MaxLinParams(0.001, 0.1, theta=0.001, max_dim=100)
+        C, T = character_net(ml, character_window(ml, p, skip_lap)[2])
+        labels = read_off_batch(C, label_blocks(T, 9))
+        assert len(C) == rows and len({row.tobytes() for row in labels}) == rows
 
     def test_default_theta_reaches_planted(self):
         """The default theta on n = 600, 4-regular, k = 8, 2% perturbed is

@@ -19,7 +19,9 @@ A ``maxlin-expander`` line reads ``eigensolver`` from the Max-Lin
 character-block solve (``path: "characters"``, summed passes, widest
 block, ``blocks``), and since that solve's basis of W is another one of
 the same space, its net may put another labeling of the same value first
-(``best_labeling_sha256``, ``distinct_labelings``).
+(``best_labeling_sha256``, ``distinct_labelings``).  The last field is
+the report's ``extras``, floats as ``float.hex``, so a Max-Lin line also
+diffs ``dim_S``, ``uniformity_worst_linf`` and ``character_candidates``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ def case_line(name, seed, workload, core) -> dict:
         "eigensolver": report.eigensolver,
         "cut_gap": None if report.cut_gap is None else report.cut_gap.hex(),
         "failures": workload.check(case, inst, report),
+        "extras": {key: x.hex() if isinstance(x, float) else x
+                   for key, x in report.extras.items()},
     }
 
 
