@@ -116,12 +116,14 @@ def _params(args, **kwargs):
 def cmd_solve(args, t0):
     params = _params(args, theta=args.theta, max_dim=args.max_dim,
                      net_step_override=args.net_step)
+    t = time.perf_counter()
     inst = load_instance(args.file)
     if args.maxlin:
-        report = maxlin.solve_maxlin(maxlin.MaxLinInstance.from_instance(inst), params)
-    else:
-        report = recover.recover_solution(inst, params)
-    out = report.to_dict()
+        inst = maxlin.MaxLinInstance.from_instance(inst)
+    ingest = time.perf_counter() - t
+    solve = maxlin.solve_maxlin if args.maxlin else recover.recover_solution
+    out = solve(inst, params).to_dict()
+    out["stages"] = {"ingest": ingest, **out["stages"]}
     out["manifest"] = make_manifest(input_path=args.file, t0=t0)
     _emit(out)
     return 0

@@ -13,7 +13,8 @@ entries per matrix entry, and otherwise scipy.sparse CSR of the entry list,
 imported only then.  A dense M is scattered from the instance's pair table.
 A graph operator (``graph_operator``: the constraint graph, and the
 character blocks of a group-difference instance, whose weights may be
-negative) is the k = 1 case, its dense array summed from the entry list.
+negative or complex) is the k = 1 case, its dense array summed from the
+entry list; a complex one is sized as its real embedding.
 """
 
 from __future__ import annotations
@@ -99,19 +100,27 @@ def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
 
 
 def graph_operator(n, u, v, w):
-    """n x n symmetric matrix of a weighted graph: edge by edge, w at (u, v)
-    and then at (v, u), a self-loop's once, summed in edge order and
-    averaged with the transpose, so that it is exactly symmetric.  Weights
-    may be negative.  The storage rule is the label-extended one at k = 1."""
+    """n x n Hermitian matrix of a weighted graph, real symmetric for real
+    weights: edge by edge, w at (u, v) and then its conjugate at (v, u), a
+    self-loop's once, summed in edge order and averaged with the conjugate
+    transpose, so that it is exactly Hermitian (a loop keeps its real part).
+    Weights may be negative.  The storage rule is the label-extended one at
+    k = 1, applied to a complex matrix at the size of its real embedding
+    [[Re, -Im], [Im, Re]]: twice the rows and four times the entries."""
     loop = u == v
     keep = np.stack([np.ones_like(loop), ~loop], axis=1)
     rows, cols = np.stack([u, v], axis=1)[keep], np.stack([v, u], axis=1)[keep]
-    vals = np.repeat(np.asarray(w, dtype=np.float64), 2 - loop)
-    if _dense(n, len(vals)):
-        A = np.bincount(rows * n + cols, vals, minlength=n * n).reshape(n, n)
+    w = np.asarray(w, dtype=np.complex128 if np.iscomplexobj(w) else np.float64)
+    vals = np.stack([w, w.conj()], axis=1)[keep]
+    r = 1 + np.iscomplexobj(w)  # rows of the real embedding per row
+    if _dense(r * n, r * r * len(vals)):
+        A = np.bincount(rows * n + cols, vals.real, minlength=n * n)
+        if r == 2:
+            A = A + 1j * np.bincount(rows * n + cols, vals.imag, minlength=n * n)
+        A = A.reshape(n, n)
     else:
         A = _csr(n, rows, cols, vals)
-    return (A + A.T) / 2
+    return (A + A.conj().T) / 2
 
 
 def constraint_graph_adjacency(inst: UGInstance):

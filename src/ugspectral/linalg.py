@@ -1,7 +1,8 @@
-"""Symmetric eigendecomposition, eigenspace selection and projections.
+"""Symmetric or Hermitian eigendecomposition, eigenspace selection and
+projections.
 
-A dense matrix is decomposed whole by LAPACK's symmetric solver
-(numpy.linalg.eigh), the small-size path and the reference.  For a
+A dense real symmetric or complex Hermitian matrix is decomposed whole by
+LAPACK (numpy.linalg.eigh), the small-size path and the reference.  For a
 scipy.sparse matrix select_eigenspace finds the window by Chebyshev-filtered
 block subspace iteration instead (Zhou, Saad, Tiago and Chelikowsky, J.
 Comput. Phys. 2006), which needs only sparse-times-block products and
@@ -41,7 +42,8 @@ class DimensionAbortError(AbortError):
 
 @dataclass
 class Eigenspace:
-    """Orthonormal basis of a spectral window of a symmetric matrix.
+    """Orthonormal basis of a spectral window of a symmetric or Hermitian
+    matrix, complex for a complex one.
 
     mode 'adjacency-high' keeps eigenvalues >= threshold; 'laplacian-low'
     keeps eigenvalues <= threshold.  ``basis`` has shape (dim_ambient, dim).
@@ -77,14 +79,19 @@ class Eigenspace:
 
 
 def dense_symmetric(A) -> np.ndarray:
-    """A as a float64 array (a sparse matrix densified): NumericError unless
-    it is square, finite and exactly symmetric."""
-    A = np.asarray(A.toarray() if _is_sparse(A) else A, dtype=np.float64)
+    """A as a float64 or, if complex, complex128 array (a sparse matrix
+    densified): NumericError unless square, finite and exactly A == A^H."""
+    A = np.asarray(A.toarray() if _is_sparse(A) else A, dtype=_field(A))
     if not np.all(np.isfinite(A)):
         raise NumericError("matrix has non-finite entries")
-    if A.ndim != 2 or not np.array_equal(A, A.T):  # unequal shapes if not square
+    if A.ndim != 2 or not np.array_equal(A, A.conj().T):  # unequal shapes if not square
         raise NumericError(f"expected an exactly symmetric matrix, got shape {A.shape}")
     return A
+
+
+def _field(A):
+    """The dtype A is solved in: complex128 for a complex A, else float64."""
+    return np.complex128 if np.iscomplexobj(A) else np.float64
 
 
 def eigendecompose(A):
@@ -119,7 +126,7 @@ def select_eigenspace(A, threshold, mode, max_dim=None) -> Eigenspace:
         if W is not None:
             return W
     else:
-        A = np.asarray(A, dtype=np.float64)
+        A = np.asarray(A, dtype=_field(A))
     vals, vecs = eigendecompose(A)
     edge = -np.inf if mode == "adjacency-high" else np.inf  # past every eigenvalue
     return narrow_window(A, Eigenspace(len(vals), vecs, vals, edge, mode, edge), threshold, max_dim)
@@ -201,29 +208,31 @@ def _sparse_window(A, threshold, mode, max_dim=None) -> Eigenspace | None:
     max_dim and raise DimensionAbortError.  None if c = 0, if the block would
     pass SPARSE_MAX_SHARE of dim or after SPARSE_MAX_PASSES passes.  Like a
     Krylov start vector, the seeded block misses an eigenvector inside the
-    window only if it is orthogonal to it.
+    window only if it is orthogonal to it.  A complex Hermitian A iterates
+    on complex columns, each drawn as two real ones and counted as two in
+    block widths, so its first block has SPARSE_BLOCK // 2 of them.
     """
     import scipy.sparse as sp
 
-    A = sp.csr_array(A)
-    dim = A.shape[0]
-    if A.shape != (dim, dim) or (A != A.T).nnz:
+    A = sp.csr_array(A, dtype=_field(A))
+    dim, r = A.shape[0], 1 + np.iscomplexobj(A)  # r: real columns per column
+    if A.shape != (dim, dim) or (A != A.conj().T).nnz:
         raise NumericError(f"expected an exactly symmetric matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.data)):
         raise NumericError("matrix has non-finite entries")
     sign, c, cut = _window_cut(A, threshold, mode)
     op = (sign * A + c * sp.eye_array(dim, format="csr")).tocsr()
     rng = np.random.default_rng(0)
-    X, passes = rng.standard_normal((dim, SPARSE_BLOCK)), 0
+    X, passes = rng.standard_normal((dim, SPARSE_BLOCK)).view(A.dtype), 0
     while c and X.shape[1] <= SPARSE_MAX_SHARE * dim:
         try:  # Cholesky QR, twice, on unit-norm columns
             for _ in range(2):
                 X = X / np.linalg.norm(X, axis=0)
-                X = X @ np.linalg.inv(np.linalg.cholesky(X.T @ X)).T
+                X = X @ np.linalg.inv(np.linalg.cholesky(X.conj().T @ X)).conj().T
         except np.linalg.LinAlgError:  # a numerically singular Gram matrix
             X = np.linalg.qr(X)[0]
         AX = op @ X
-        mu, Y = np.linalg.eigh(X.T @ AX)  # ascending Ritz values
+        mu, Y = np.linalg.eigh(X.conj().T @ AX)  # ascending Ritz values
         X, AX = X @ Y, AX @ Y
         edge = np.searchsorted(mu, cut) - 1  # the nearest dropped; -1 if none
         if max_dim is not None and len(mu) - 1 - edge > max_dim:
@@ -232,7 +241,7 @@ def _sparse_window(A, threshold, mode, max_dim=None) -> Eigenspace | None:
         if edge >= 0 and res[edge:].max() <= RESIDUAL_TOL * max(1.0, np.abs(mu - c).max()):
             break
         if edge < 0 or mu[edge] - mu[0] <= 0.01 * (mu[-1] - mu[0]):
-            X = np.hstack([X, rng.standard_normal(X.shape)])
+            X = np.hstack([X, rng.standard_normal((dim, r * X.shape[1])).view(A.dtype)])
         elif passes < SPARSE_MAX_PASSES:
             X, passes = _chebyshev(op, X, mu[0], mu[-1]), passes + 1
         else:  # the Ritz pairs of the last allowed pass did not converge
@@ -242,7 +251,8 @@ def _sparse_window(A, threshold, mode, max_dim=None) -> Eigenspace | None:
     keep = np.arange(edge + 1, len(mu))[::-int(sign)]  # descending eigenvalue
     W = _eigenspace(A, sign * (mu[keep] - c), np.ascontiguousarray(X[:, keep]), threshold, mode,
                     sign * (mu[edge] - c))
-    W.dropped, W.solver = X[:, edge].copy(), dict(path="filtered", passes=passes, block=X.shape[1])
+    W.dropped = X[:, edge].copy()
+    W.solver = dict(path="filtered", passes=passes, block=r * X.shape[1])
     return W
 
 
@@ -267,11 +277,11 @@ def _chebyshev(op, X, b, top):
 
 def project_split(x, S: Eigenspace) -> tuple[float, float]:
     """(alpha, beta): the norms of the components of x inside and orthogonal
-    to span(S), so alpha^2 + beta^2 = ||x||^2."""
-    x = np.asarray(x, dtype=np.float64)
+    to span(S), so alpha^2 + beta^2 = ||x||^2; x and S real or complex."""
+    x = np.asarray(x, dtype=_field(x))
     if x.shape != (S.dim_ambient,):
         raise NumericError(f"vector shape {x.shape} != ambient dim {S.dim_ambient}")
     if np.linalg.norm(x) == 0:
         raise NumericError("cannot split the zero vector")
-    parallel = S.basis @ (S.basis.T @ x)
+    parallel = S.basis @ (S.basis.conj().T @ x)
     return float(np.linalg.norm(parallel)), float(np.linalg.norm(x - parallel))

@@ -8,7 +8,8 @@ eigenbasis of a perfectly satisfiable completion, the sin-theta
 perturbation diagnostics, the exact l-infinity uniformity check, and the
 Max-Lin solve: the generic solve searching the narrower window (1-theta)d,
 whose W (and the constraint graph's S) is solved one character block at a
-time, plus dim(S), the uniformity check and an expander-regime flag.
+time, a conjugate pair of characters as one complex Hermitian n x n block,
+plus dim(S), the uniformity check and an expander-regime flag.
 """
 
 from __future__ import annotations
@@ -256,43 +257,38 @@ class MaxLinParams(SolveParams):
 
 
 def character_blocks(ml: MaxLinInstance):
-    """The label-extended matrix M split by the group's characters: one real
-    symmetric operator per self-conjugate character and per conjugate pair,
-    built one at a time and yielded as (j, operator) pairs in solve order:
-    by ascending j, the pair's smaller index, with the trivial character last.
+    """The label-extended matrix M split by the group's characters: one n x n
+    operator per self-conjugate character and per conjugate pair, built one
+    at a time and yielded as (j, operator) pairs in solve order: by
+    ascending j, the pair's smaller index, with the trivial character last.
 
     M maps f (x) chi_j, the vector f(u) chi_j(a) at row u*k + a, to
     (H_j f) (x) chi_j: an edge (u, v) of weight w and shift c adds
     w conj(chi_j(c)) to H_j[u, v] and w chi_j(c) to H_j[v, u], a self-loop
     w Re chi_j(c) once, as M's averaged diagonal block does.  A real chi_j
-    (2j = 0) gives the n x n graph operator of weights w chi_j(c); a pair
-    {j, -j} gives the 2n x 2n one [[Re H_j, -Im H_j], [Im H_j, Re H_j]],
-    whose eigenvector [p; q] is H_j's p + iq.  Each is a ``graph_operator``,
-    stored by the label-extended storage rule; the trivial block is the
-    constraint graph's adjacency."""
+    (2j = 0) gives the real symmetric graph operator of weights w chi_j(c);
+    a pair {j, -j} gives the complex Hermitian H_j, whose eigenvalues are
+    each a pair of M's.  Each is a ``graph_operator``, stored by the
+    label-extended storage rule (H_j at the size of its real 2n x 2n
+    embedding); the trivial block is the constraint graph's adjacency."""
     base = ml.base
     n, u, v = base.n, base.u, base.v
     order = np.flatnonzero(np.arange(base.k) <= ml.conj)  # 0 first: conj[0] = 0
     for j in [*order[1:], 0]:
         phase = ml.phases[j, ml.shifts]  # chi_j(c) = exp(i phase)
-        cw = base.w * np.cos(phase)
-        if ml.conj[j] == j:
-            yield int(j), graph_operator(n, u, v, cw)
-        else:
-            sw = np.where(u == v, 0.0, base.w * np.sin(phase))
-            ends = (np.concatenate([u, n + u, u, n + u]), np.concatenate([v, n + v, n + v, v]))
-            yield int(j), graph_operator(2 * n, *ends, np.concatenate([cw, cw, sw, -sw]))
+        chi = np.cos(phase) if ml.conj[j] == j else np.exp(1j * phase)
+        yield int(j), graph_operator(n, u, v, base.w * chi.conj())
 
 
 def _lift(X, phase, n, k) -> np.ndarray:
-    """Block eigenvectors, the columns of X, [f] or [p; q], lifted into
-    R^(n*k) isometrically: f(u) chi(a) / sqrt(k) for a real chi, and
-    Re((p + iq)(u) chi(a)) sqrt(2/k) for a pair; chi(a) = exp(i phase[a])."""
-    X = X.reshape(len(X) // n, n, X.shape[1])
-    lift = X[0][:, None, :] * np.cos(phase)[:, None]
-    if len(X) == 2:
-        lift -= X[1][:, None, :] * np.sin(phase)[:, None]
-    return lift.reshape(n * k, -1) * np.sqrt(len(X) / k)
+    """Block eigenvectors, the columns of X, lifted into R^(n*k)
+    isometrically, chi(a) = exp(i phase[a]): a real f as f(u) chi(a) / sqrt(k),
+    a complex f (a pair's) as the two columns Re(f(u) chi(a)) sqrt(2/k) and
+    Re(i f(u) chi(a)) sqrt(2/k) = -Im(f(u) chi(a)) sqrt(2/k), side by side."""
+    if np.iscomplexobj(X):
+        lift = X[:, None, :] * np.exp(1j * phase)[:, None]
+        return np.stack([lift.real, -lift.imag], axis=3).reshape(n * k, -1) * np.sqrt(2 / k)
+    return (X[:, None, :] * np.cos(phase)[:, None]).reshape(n * k, -1) * np.sqrt(1 / k)
 
 
 def character_window(ml: MaxLinInstance, params: SolveParams,
@@ -308,32 +304,35 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
     trivial block comes last, so that an oversized W aborts before S's
     uncapped solve: it is solved at S's cut and W takes its eigenpairs at or
     above (1-theta)d (``narrow_window``).  A block eigenvector is lifted
-    into R^(n*k) by ``_lift``, so its residual is the block's.  W's columns
-    are sorted by descending eigenvalue, then j (the trivial block's first
-    among equals); its nearest_dropped and max_residual are the largest over
-    the blocks, its solver record sums their passes and takes the widest block."""
+    into R^(n*k) by ``_lift``, so its residual is the block's; a pair's,
+    complex, is two columns of W and charged as two.  W's columns are sorted
+    by descending eigenvalue, then j (the trivial block's first among
+    equals); its nearest_dropped and max_residual are the largest over the
+    blocks, its solver record sums their passes and takes the widest block."""
     base, k = ml.base, ml.base.k
     n, d = base.n, base.average_degree
     level = (1 - params.window) * d
-    used, shares, lifts = 0, {}, []
+    used, shares, lifts, vals = 0, {}, [], []
     for j, B in character_blocks(ml):
         lap("operator")
+        r = 1 + np.iscomplexobj(B)  # columns of W per eigenvalue of B
         try:
             if j == 0:  # the trivial character
                 S = select_eigenspace(B, (1 - params.gamma) * d, "adjacency-high")
                 E = narrow_window(B, S, level, params.max_dim - used)
             else:
-                E = select_eigenspace(B, level, "adjacency-high", params.max_dim - used)
+                E = select_eigenspace(B, level, "adjacency-high", (params.max_dim - used) // r)
         except DimensionAbortError as e:
-            raise DimensionAbortError(used + e.dim, params.max_dim, e.at_least) from None
-        used += E.dim
+            raise DimensionAbortError(used + r * e.dim, params.max_dim, e.at_least) from None
+        used += r * E.dim
         shares[j] = E
         lifts.append(_lift(E.basis, ml.phases[j], n, k))
+        vals.append(np.repeat(E.eigenvalues, r))
         if j:  # the trivial block, the last, laps after W's assembly
             lap("eigensolve")
     Es = shares.values()
-    vals = np.concatenate([E.eigenvalues for E in Es])
-    order = np.lexsort((np.repeat(list(shares), [E.dim for E in Es]), -vals))
+    vals = np.concatenate(vals)
+    order = np.lexsort((np.repeat(list(shares), [L.shape[1] for L in lifts]), -vals))
     W = Eigenspace(
         dim_ambient=n * k,
         basis=np.hstack(lifts)[:, order],
@@ -357,28 +356,27 @@ def character_net(ml: MaxLinInstance, shares) -> tuple[np.ndarray, np.ndarray]:
     The unit character of factor t, chi_t(a) = exp(2 pi i a_t / k_t), has a
     block whose top eigenvector f (the first of its share of W, else the
     nearest dropped) is, on an expander, near chi_t(-x_u) times one phase,
-    x a best labeling.  T holds the lifts of f and, for a pair block, of
-    i f, so a row's (cos phi, sin phi) lifts e^(i phi) f, whose read-off
-    rounds the phase of f(u), turned by phi, into k_t sectors.  A turn by
-    2 pi / k_t shifts every digit, which no constraint sees; with
-    phi = 2 pi tau / k_t, tau in [0, 1), u's digit changes only at
-    tau = 1/2 - arg f(u) k_t / (2 pi) mod 1, and C takes one tau between
-    each two adjacent breakpoints of all factors, merging those closer than
-    RESIDUAL_TOL, as f's phases are only accurate to its residual.  A row
-    turns every factor by that tau (a real block, k_t = 2, takes 1); the
-    read-off of a sum of lifts takes each digit apart, so the rows hold each
-    factor's roundings, but not every combination of two factors of order
-    > 2."""
+    x a best labeling.  T holds the lift of f, for a pair block the lifts
+    of f and i f (``_lift``), so a row's (cos phi, sin phi) lifts
+    e^(i phi) f, whose read-off rounds the phase of f(u), turned by phi,
+    into k_t sectors.  A turn by 2 pi / k_t shifts every digit, which no
+    constraint sees; with phi = 2 pi tau / k_t, tau in [0, 1), u's digit
+    changes only at tau = 1/2 - arg f(u) k_t / (2 pi) mod 1, and C takes
+    one tau between each two adjacent breakpoints of all factors, merging
+    those closer than RESIDUAL_TOL, as f's phases are only accurate to its
+    residual.  A row turns every factor by that tau (a real block, k_t = 2,
+    takes 1); the read-off of a sum of lifts takes each digit apart, so the
+    rows hold each factor's roundings, but not every combination of two
+    factors of order > 2."""
     n, k = ml.base.n, ml.base.k
     places = np.cumprod([1, *ml.group.factors[:-1]])
     cols, turns = [], []
     for j, kt in zip(places, ml.group.factors):
         E = shares[j]
-        f = (E.basis[:, 0] if E.dim else E.dropped)[:, None]
+        f = E.basis[:, 0] if E.dim else E.dropped
         if kt > 2:
-            f = np.hstack([f, np.roll(f, n) * np.repeat([-1.0, 1.0], n)[:, None]])  # f, i f
-            turns.append((0.5 - np.angle(f[:n, 0] + 1j * f[n:, 0]) * kt / (2 * np.pi)) % 1)
-        cols.append(_lift(f, ml.phases[j], n, k))
+            turns.append((0.5 - np.angle(f) * kt / (2 * np.pi)) % 1)
+        cols.append(_lift(f[:, None], ml.phases[j], n, k))
     b = np.sort(np.concatenate(turns)) if turns else np.zeros(1)
     after = np.append(b[1:], b[0] + 1)  # the next breakpoint, circularly
     tau = (b + after)[after - b >= RESIDUAL_TOL] / 2 % 1

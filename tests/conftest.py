@@ -8,6 +8,18 @@ from ugspectral.generators import PlantedSpec, planted_instance
 from ugspectral.maxlin import MaxLinInstance
 
 
+def pytest_configure(config):
+    """Turn numpy's ComplexWarning into an error, so that a complex vector
+    cast to a real array fails a test instead of losing its imaginary part.
+    numpy >= 1.25 has it in numpy.exceptions, older numpy at the top level."""
+    try:
+        from numpy.exceptions import ComplexWarning
+    except ImportError:
+        ComplexWarning = np.ComplexWarning
+    config.addinivalue_line(
+        "filterwarnings", f"error::{ComplexWarning.__module__}.{ComplexWarning.__qualname__}")
+
+
 def from_rows(n, k, rows):
     """Instance from (u, v, weight, images) rows, weights rescaled by their
     maximum when it exceeds 1, as on ingest."""

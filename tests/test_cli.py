@@ -132,6 +132,18 @@ class TestSolve:
         assert rep["mode"] == "adjacency"
         assert rep["cut_gap"] > 0
 
+    @pytest.mark.parametrize("flags", [(), ("--maxlin",)])
+    def test_ingest_stage_timed(self, maxlin_file, flags):
+        """The instance's parse, and under --maxlin its reading as a
+        group-difference instance, is the ingest stage; the stages cover
+        disjoint parts of the run, so they sum to at most its wall clock."""
+        path, _, _ = maxlin_file
+        rep = json.loads(run_cli("solve", path, "--epsilon", 0.03, "--gamma", 0.5,
+                                 *flags, check=True).stdout)
+        validate(rep)
+        assert list(rep["stages"])[0] == "ingest" and rep["stages"]["ingest"] > 0
+        assert sum(rep["stages"].values()) <= rep["manifest"]["wall_clock_s"]
+
     def test_theta_without_maxlin(self, maxlin_file):
         """--theta sets the generic solve's window as it does the Max-Lin
         one: the default net step is sqrt(2*eps/(theta*dim W)), and the YES

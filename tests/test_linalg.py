@@ -158,17 +158,19 @@ class TestSelectEigenspace:
 
 
 class TestProjectSplit:
-    @given(st.integers(0, 10**6))
+    @given(st.integers(0, 10**6), st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_pythagoras(self, seed):
-        A = random_symmetric(14, seed)
+    def test_pythagoras(self, seed, hermitian):
+        """Also for the complex window of a Hermitian matrix, which projects
+        with the conjugate transpose of its basis."""
+        A = random_hermitian(14, seed, 0.5) if hermitian else random_symmetric(14, seed)
         W = select_eigenspace(A, 0.0, "adjacency-high")
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(14)
         alpha, beta = project_split(x, W)
         assert alpha**2 + beta**2 == pytest.approx(np.dot(x, x), rel=1e-12)
         # alpha is the norm of the coefficients in the orthonormal basis.
-        assert alpha == pytest.approx(np.linalg.norm(W.basis.T @ x), rel=1e-12)
+        assert alpha == pytest.approx(np.linalg.norm(W.basis.conj().T @ x), rel=1e-12)
 
     def test_vector_inside_space(self):
         A = random_symmetric(8, 2)
@@ -347,15 +349,23 @@ class TestSparseWindow:
         assert np.abs(sparse.basis.T @ sparse.basis - np.eye(sparse.dim)).max() <= 1e-9
 
     def test_sparse_solve_leaves_scipy_sparse_linalg_unloaded(self):
-        """A solve on the filtered path imports scipy.sparse only; loading
-        scipy.sparse.linalg as well costs about 10 MiB of memory."""
+        """A solve on the filtered path, of a real symmetric matrix or of a
+        Max-Lin pair's complex Hermitian block, imports scipy.sparse only;
+        loading scipy.sparse.linalg as well costs about 10 MiB of memory."""
         code = textwrap.dedent("""
             import sys
+            import numpy as np
             from ugspectral.generators import planted_regular_instance
             from ugspectral.label_extended import build_label_extended
             from ugspectral.linalg import select_eigenspace
             inst, _, _ = planted_regular_instance(64, 4, 8, seed=3, constraint_family="maxlin")
             W = select_eigenspace(build_label_extended(inst).matrix, 3.3, "adjacency-high")
+            assert W.solver["block"] > 0, "expected the filtered path"
+            from ugspectral.maxlin import MaxLinInstance, character_blocks
+            inst, _, _ = planted_regular_instance(400, 4, 8, seed=3, constraint_family="maxlin")
+            j, H = next(character_blocks(MaxLinInstance.from_instance(inst)))
+            W = select_eigenspace(H, 3.6, "adjacency-high")
+            assert H.format == "csr" and np.iscomplexobj(W.basis), "expected a Hermitian block"
             assert W.solver["block"] > 0, "expected the filtered path"
             print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
         """)
@@ -418,3 +428,61 @@ class TestSparseWindow:
         W1, W2 = (_sparse_window(A, 3.0, "adjacency-high") for _ in range(2))
         assert np.array_equal(W1.eigenvalues, W2.eigenvalues)
         assert np.array_equal(W1.basis, W2.basis)
+
+
+def random_hermitian(n, seed, fill):
+    """A random complex Hermitian matrix with about ``fill`` of its entries
+    nonzero, a real diagonal and exactly A == A^H."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A *= rng.random((n, n)) < fill
+    return (A + A.conj().T) / 2
+
+
+class TestHermitian:
+    """select_eigenspace on complex Hermitian matrices, whose dense and
+    filtered paths solve in complex arithmetic, against np.linalg.eigh."""
+
+    @given(seed=st.integers(0, 10**6), n=st.sampled_from([12, 40, 160]), csr=st.booleans(),
+           mode=st.sampled_from(["adjacency-high", "laplacian-low"]), j=st.integers(0, 5),
+           on_value=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_eigh(self, seed, n, csr, mode, j, on_value):
+        """Same dim W, eigenvalues within the residual contract, the same
+        projector B B^H onto W, and an orthonormal complex basis, with the
+        threshold on the j-th eigenvalue from the kept end or midway to the
+        next one."""
+        H = random_hermitian(n, seed, 0.05 if n > 40 else 0.5)
+        vals, vecs = np.linalg.eigh(H)  # ascending
+        if mode == "adjacency-high":
+            vals, vecs = vals[::-1], vecs[:, ::-1]
+        t = vals[j] if on_value else (vals[j] + vals[j + 1]) / 2
+        W = select_eigenspace(scipy.sparse.csr_array(H) if csr else H, t, mode)
+        tol = RESIDUAL_TOL * max(1.0, np.abs(vals).max())
+        assert W.dim == j + 1 and np.iscomplexobj(W.basis)
+        assert np.abs(W.eigenvalues - np.sort(vals[:j + 1])[::-1]).max() <= tol  # descending
+        assert W.max_residual <= tol
+        assert np.abs(W.basis.conj().T @ W.basis - np.eye(W.dim)).max() <= tol
+        P = W.basis @ W.basis.conj().T - vecs[:, :j + 1] @ vecs[:, :j + 1].conj().T
+        assert np.abs(P).max() <= 1e-8
+        assert abs(W.nearest_dropped - vals[j + 1]) <= tol
+
+    def test_block_has_the_real_width(self):
+        """A Hermitian CSR matrix iterates on SPARSE_BLOCK // 2 complex
+        columns, reported as SPARSE_BLOCK real ones, as its real embedding's
+        block would be."""
+        H = scipy.sparse.csr_array(random_hermitian(400, 1, 0.01))
+        W = select_eigenspace(H, np.linalg.eigvalsh(H.toarray())[-2], "adjacency-high")
+        assert W.dim == 2 and W.solver["path"] == "filtered"
+        assert W.solver["block"] == SPARSE_BLOCK
+
+    @pytest.mark.parametrize("csr", [False, True])
+    @pytest.mark.parametrize("bad", [np.array([[0.0, 1j], [1j, 0.0]]),  # A == A^T, not A^H
+                                     np.array([[1j, 0.0], [0.0, 0.0]]),
+                                     np.array([[complex(np.inf, 0), 1j], [-1j, 0.0]]),
+                                     np.array([[0.0, complex(1, np.nan)], [1.0, 0.0]])])
+    def test_rejects_non_hermitian_and_non_finite(self, bad, csr):
+        """Symmetric but not Hermitian, a non-real diagonal, and a
+        non-finite entry: NumericError on the dense and the filtered path."""
+        with pytest.raises(NumericError):
+            select_eigenspace(scipy.sparse.csr_array(bad) if csr else bad, 0.0, "adjacency-high")

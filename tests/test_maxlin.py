@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import ugspectral.core as core_mod
@@ -532,16 +533,28 @@ class TestCharacterBlocks:
     @pytest.mark.parametrize("factors, count", [((8,), 5), ((5,), 3), ((2, 2, 2), 8),
                                                 ((2, 4), 6), ((6,), 4)])
     def test_block_count(self, factors, count):
-        """One block per self-conjugate character and per conjugate pair:
-        floor(k/2) + 1 for Z_k, 2^kappa real ones for (Z_2)^kappa; a pair's
-        block is 2n x 2n."""
+        """One n x n block per self-conjugate character and per conjugate
+        pair: floor(k/2) + 1 for Z_k, 2^kappa real ones for (Z_2)^kappa; a
+        pair's block is complex and exactly Hermitian, a real one exactly
+        symmetric."""
         ml = regular_maxlin(10, 3, AbelianGroup(factors), seed=1)
         blocks = list(character_blocks(ml))
         assert len(blocks) == count
         assert [j for j, _ in blocks] == sorted(j for j, _ in blocks if j) + [0]  # solve order
         conj = ml.group.shift_table()[:, 0]
         for j, B in blocks:
-            assert j <= conj[j] and B.shape[0] == (10 if conj[j] == j else 20)
+            assert j <= conj[j] and B.shape == (10, 10)
+            assert np.iscomplexobj(B) == (conj[j] != j)
+            assert np.array_equal(B, B.conj().T)
+
+    @pytest.mark.parametrize("n, csr", [(191, False), (192, True)])
+    def test_pair_block_stored_as_its_real_embedding(self, n, csr):
+        """A pair block is stored by the label-extended rule at the size of
+        its real 2n x 2n embedding with four times the entries, so on a
+        4-regular graph it is dense below n = 192 (2n < 384) and CSR from
+        there, as that embedding was; a real block is dense below n = 384."""
+        for _, B in character_blocks(regular_maxlin(n, 4, AbelianGroup((8,)), seed=1)):
+            assert scipy.sparse.issparse(B) == (csr and np.iscomplexobj(B))
 
     @pytest.mark.parametrize("factors", GROUPS)
     def test_characters_are_homomorphisms(self, factors):

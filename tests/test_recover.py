@@ -107,6 +107,13 @@ class TestReadOff:
         with pytest.raises(UGError):
             read_off_assignment(np.array([np.nan, 0.0]), 1, 2)
 
+    def test_complex_vector_is_an_error_in_the_suite(self):
+        """The test configuration turns numpy's ComplexWarning into an
+        error, so a complex vector cast to a real one, here a read-off
+        candidate, cannot drop its imaginary part unnoticed."""
+        with pytest.raises(Warning, match="imaginary part"):
+            read_off_assignment(np.array([1j, 0.0]), 1, 2)
+
     def test_inverts_characteristic_vector(self):
         L = np.array([2, 0, 1])
         assert read_off_assignment(characteristic_vector(L, 3), 3, 3).tolist() == L.tolist()

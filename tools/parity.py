@@ -17,9 +17,10 @@ different ``cut_gap`` (with the same ``best_value`` and decision), most
 likely because the dense ``eigh`` basis of its 8-fold eigenspace differs.
 A ``maxlin-expander`` line reads ``eigensolver`` from the Max-Lin
 character-block solve (``path: "characters"``, summed passes, widest
-block, ``blocks``), and since that solve's basis of W is another one of
-the same space, its net may put another labeling of the same value first
-(``best_labeling_sha256``, ``distinct_labelings``).  The last field is
+block in real columns, ``blocks``).  That solve finds each conjugate
+pair's doubled eigenspaces through a complex Hermitian block, so its basis
+of W spans the space a solve of M finds but differs from that basis, and
+its net may put another labeling of the same value first (``best_labeling_sha256``, ``distinct_labelings``).  The last field is
 the report's ``extras``, floats as ``float.hex``, so a Max-Lin line also
 diffs ``dim_S``, ``uniformity_worst_linf`` and ``character_candidates``.
 """
