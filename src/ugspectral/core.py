@@ -171,10 +171,10 @@ class UGInstance:
         u, v, w, k = self.u, self.v, self.w, self.k
         pairs, pair = self._pairs
         P = len(pairs)
-        own = np.broadcast_to(np.arange(k), self.perm.shape)
-        flip = (u > v)[:, None]
-        at_a, at_b = np.where(flip, self.perm, own), np.where(flip, own, self.perm)
-        cells = (pair[:, None] * k + at_a) * k + at_b
+        # Cell (a-label, b-label) of the edge's pair; own is the label at u.
+        own = np.arange(k)
+        cells = np.where((u > v)[:, None], self.perm * k + own, own * k + self.perm)
+        cells += (pair * (k * k))[:, None]
         table = np.bincount(cells.ravel(), np.repeat(w, k), minlength=P * k * k)
         return (*divmod(pairs, self.n), table.reshape(P, k, k), np.bincount(pair, w, minlength=P))
 
@@ -320,10 +320,6 @@ def report_dict(report) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_weight(w):
-    return format(w, ".17g")
-
-
 def parse_instance(text: str) -> UGInstance:
     """Instance from its text form.  Edge lines that are ASCII once their
     comments are cut are parsed as arrays in one ``np.loadtxt`` call; on
@@ -434,9 +430,8 @@ def _parse_lines(lines, fmt, n, k, header_line) -> UGInstance:
 
 
 def serialize_instance(inst: UGInstance) -> str:
-    row = "%d %d %s" + " %d" * inst.k
-    weights = map(_fmt_weight, inst.w.tolist())
-    fields = zip(inst.u.tolist(), inst.v.tolist(), weights, *inst.perm.T.tolist())
+    row = "%d %d %.17g" + " %d" * inst.k
+    fields = zip(inst.u.tolist(), inst.v.tolist(), inst.w.tolist(), *inst.perm.T.tolist())
     return "\n".join([f"ug {inst.n} {inst.k}", *(row % f for f in fields)]) + "\n"
 
 

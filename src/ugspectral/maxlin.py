@@ -15,14 +15,11 @@ plus dim(S), the uniformity check and an expander-regime flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import UGInstance, UGError, shift_image, value
-# constraint_graph_adjacency is imported for perfbench/tracing.py, which
-# wraps it on this module; the solve builds the constraint graph as the
-# trivial character block.
 from .label_extended import build_label_extended, constraint_graph_adjacency, graph_operator
 from .linalg import (RESIDUAL_TOL, DimensionAbortError, Eigenspace, narrow_window, project_split,
                      select_eigenspace)
@@ -171,33 +168,23 @@ class PerturbationReport:
     R_row_budget: float     # total weight of perturbed edges
 
     def to_dict(self):
-        """The fields as JSON numbers, null where one is not finite (JSON
-        has no infinity)."""
-        d = {
-            "lambda": self.lam,
-            "lambda_s": self.lambda_s,
-            "numerator": self.numerator,
-            "beta_bound": self.beta_bound,
-            "beta_measured": self.beta_measured,
-            "r_matrix_bound": self.r_matrix_bound,
-            "R_row_budget": self.R_row_budget,
-        }
+        """The fields in order, ``lam`` as "lambda", as JSON numbers, null
+        where one is not finite (JSON has no infinity)."""
+        d = {"lambda" if f.name == "lam" else f.name: getattr(self, f.name) for f in fields(self)}
         return {key: x if math.isfinite(x) else None for key, x in d.items()}
 
 
-def perturbed_edge_matrix(inst: UGInstance, completion: UGInstance) -> np.ndarray:
+def perturbed_edge_matrix(inst: UGInstance, completion: UGInstance):
     """n x n matrix R carrying the weight of every edge whose constraint
-    differs between the instance and its completion, parallel edges summed;
-    UGError unless the two share n, k and the edge endpoints."""
+    differs between the instance and its completion, parallel edges summed:
+    the ``graph_operator`` of those edges, stored by its rule; UGError
+    unless the two share n, k and the edge endpoints."""
     if (inst.n, inst.k) != (completion.n, completion.k) or not (
         np.array_equal(inst.u, completion.u) and np.array_equal(inst.v, completion.v)
     ):
         raise UGError("instance and completion must share the edge skeleton")
     changed = np.any(inst.perm != completion.perm, axis=1)
-    R = np.zeros((inst.n, inst.n))
-    np.add.at(R, (inst.u[changed], inst.v[changed]), inst.w[changed])
-    # A vertex pair sums its parallel edges in both orientations; a self-loop counts once.
-    return R + R.T - np.diag(np.diag(R))
+    return graph_operator(inst.n, inst.u[changed], inst.v[changed], inst.w[changed])
 
 
 def sin_theta_report(
@@ -229,7 +216,7 @@ def sin_theta_report(
         beta_bound=float(beta_bound),
         beta_measured=float(beta_measured),
         r_matrix_bound=float(2 * np.linalg.norm(R @ wbar)),
-        R_row_budget=float(R[np.triu_indices(ml.base.n)].sum()),
+        R_row_budget=float((R.sum() + R.diagonal().sum()) / 2),  # each edge once
     )
 
 
@@ -270,14 +257,15 @@ def character_blocks(ml: MaxLinInstance):
     a pair {j, -j} gives the complex Hermitian H_j, whose eigenvalues are
     each a pair of M's.  Each is a ``graph_operator``, stored by the
     label-extended storage rule (H_j at the size of its real 2n x 2n
-    embedding); the trivial block is the constraint graph's adjacency."""
+    embedding); the trivial block is ``constraint_graph_adjacency``, the
+    same matrix, as w cos 0 = w."""
     base = ml.base
     n, u, v = base.n, base.u, base.v
-    order = np.flatnonzero(np.arange(base.k) <= ml.conj)  # 0 first: conj[0] = 0
-    for j in [*order[1:], 0]:
+    for j in np.flatnonzero(np.arange(base.k) <= ml.conj)[1:]:  # 0 first: conj[0] = 0
         phase = ml.phases[j, ml.shifts]  # chi_j(c) = exp(i phase)
         chi = np.cos(phase) if ml.conj[j] == j else np.exp(1j * phase)
         yield int(j), graph_operator(n, u, v, base.w * chi.conj())
+    yield 0, constraint_graph_adjacency(base)
 
 
 def _lift(X, phase, n, k) -> np.ndarray:
@@ -293,9 +281,10 @@ def _lift(X, phase, n, k) -> np.ndarray:
 
 def character_window(ml: MaxLinInstance, params: SolveParams,
                      lap) -> tuple[Eigenspace, Eigenspace, dict]:
-    """(W, S, shares) of a d-regular instance, its ``character_blocks`` built
-    and solved by select_eigenspace one at a time, each build and solve lapped
-    as the operator and eigensolve stages: W the label-extended window at
+    """(W, S, shares) of a d-regular instance (NonRegularError otherwise),
+    its ``character_blocks`` built and solved by select_eigenspace one at a
+    time, each build lapped as the operator stage and each solve, then W's
+    assembly, as the eigensolve stage: W the label-extended window at
     (1-theta)d, S the constraint graph's at (1-gamma)d, and shares[j] block
     j's share of W, the window of the block itself, in solve order.
 
@@ -310,7 +299,9 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
     equals); its nearest_dropped and max_residual are the largest over the
     blocks, its solver record sums their passes and takes the widest block."""
     base, k = ml.base, ml.base.k
-    n, d = base.n, base.average_degree
+    n, d = base.n, finite_degree(base)
+    if not base.is_regular():
+        raise NonRegularError("Max-Lin needs a d-regular constraint graph")
     level = (1 - params.window) * d
     used, shares, lifts, vals = 0, {}, [], []
     for j, B in character_blocks(ml):
@@ -328,8 +319,7 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
         shares[j] = E
         lifts.append(_lift(E.basis, ml.phases[j], n, k))
         vals.append(np.repeat(E.eigenvalues, r))
-        if j:  # the trivial block, the last, laps after W's assembly
-            lap("eigensolve")
+        lap("eigensolve")
     Es = shares.values()
     vals = np.concatenate(vals)
     order = np.lexsort((np.repeat(list(shares), [L.shape[1] for L in lifts]), -vals))
@@ -389,42 +379,35 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
     """Gamma-Max-Lin solver: the generic solver searching the label-extended
     high space at (1-theta)d and deciding at gamma, with W and the
     constraint graph's high space S_(1-gamma) solved one character block
-    at a time (``character_window``), then the exact uniformity check on S.
+    at a time (``character_window``), then the exact uniformity check on S,
+    timed with them as the eigensolve stage.
     Where W misses the top line of a character (its block's share of W is
     empty), W's net cannot read that character, and the roundings of the
     top character lines (``character_net``) are read off after the signed
     basis vectors.
 
-    The report records dim(S), the dimension check dim(W) <= k * dim(S)
-    (a warning, not fatal, when violated), the expander regime flag
-    (dim(S) = 1, the polynomial-time regime) and the number of character
-    roundings read off.
+    The window returns the report's extras: dim(S), the dimension check
+    dim(W) <= k * dim(S) (a warning, not fatal, when violated), the
+    expander regime flag (dim(S) = 1, the polynomial-time regime) and the
+    number of character roundings read off.
     """
-    spaces = {}
 
     def window(inst, params, lap):
-        finite_degree(inst)
-        if not inst.is_regular():
-            raise NonRegularError("Max-Lin needs a d-regular constraint graph")
-        W, spaces["S"], shares = character_window(ml, params, lap)
+        W, S, shares = character_window(ml, params, lap)
+        uni = uniformity_check(S, UNIFORMITY_C)
+        lap("eigensolve")
         missed = not all(E.dim for E in shares.values())
-        spaces["more"] = [character_net(ml, shares)] if missed else []
+        more = [character_net(ml, shares)] if missed else []
         lap("walk")
-        return W, spaces["more"]
-
-    report = recover_solution(ml.base, params, window)
-    S = spaces["S"]
-    uni = uniformity_check(S, UNIFORMITY_C)
-    report.extras.update(
-        {
+        return W, more, {
             "dim_S": S.dim,
-            "k_times_dim_S": ml.base.k * S.dim,
-            "dim_check_ok": bool(report.dim_W <= ml.base.k * S.dim),
+            "k_times_dim_S": inst.k * S.dim,
+            "dim_check_ok": bool(W.dim <= inst.k * S.dim),
             "theta": params.window,
             "uniformity_passes": uni.passes,
             "uniformity_worst_linf": uni.worst_linf,
             "expander_fast_path": bool(S.dim == 1),
-            "character_candidates": sum(len(C) for C, _ in spaces["more"]),
+            "character_candidates": sum(len(C) for C, _ in more),
         }
-    )
-    return report
+
+    return recover_solution(ml.base, params, window)

@@ -250,7 +250,10 @@ def _lattice_chunks(dim, step, rows, hold=None) -> Iterator[np.ndarray]:
     coordinate, whatever the size of the net.  Its numpy work is paid per
     block, so the walk takes the widest blocks whose stack of int64
     prefixes fits core.BATCH_BYTES, and no fewer than ``rows``."""
-    r2 = int(np.floor(_net_radius2(dim, step)))
+    r2 = _net_radius2(dim, step)
+    if not math.isfinite(r2):
+        raise NetTooLargeError(f"net at dim={dim}, step={step} has an infinite radius")
+    r2 = int(np.floor(r2))
     width = max(rows, core.BATCH_BYTES // (8 * dim * dim))
     stack = [(np.zeros((1, 0), dtype=np.int64), 0)]  # (prefix block, first child)
     out = np.zeros((0, dim), dtype=np.int64)
@@ -332,25 +335,25 @@ def default_yes_threshold(params: SolveParams) -> float:
 
 
 def solve_window(inst: UGInstance, params: SolveParams, lap):
-    """(W, []): the generic W, select_eigenspace on search_operator's
+    """(W, [], {}): the generic W, select_eigenspace on search_operator's
     matrix, its build timed as the operator stage and its solve as the
     eigensolve stage (``lap(stage)`` charges the seconds since the last lap
-    to the stage), and no further candidates."""
+    to the stage), no further candidates and no report extras."""
     A, level, side = search_operator(inst, params)
     lap("operator")
     W = select_eigenspace(A, level, side, params.max_dim)
     lap("eigensolve")
-    return W, []
+    return W, [], {}
 
 
 def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window) -> SolveReport:
     """The main solver: read off a labeling from every candidate vector (the
     epsilon-net of W, the signed basis vectors, then any further candidates)
     and return the first labeling of maximum value.  ``window(inst, params,
-    lap)`` returns W and the further candidates, a list of (coefficient
-    rows, basis) pairs, and laps the operator and eigensolve stages as
-    ``solve_window`` does; solve_maxlin passes its character-block solve
-    and character net."""
+    lap)`` returns W, the further candidates, a list of (coefficient rows,
+    basis) pairs, and the report's extras, and laps the operator and
+    eigensolve stages as ``solve_window`` does; solve_maxlin passes its
+    character-block solve, character net and diagnostics."""
     params.validate()
     threshold = default_yes_threshold(params)
     stages = dict.fromkeys(("operator", "eigensolve", "walk", "readoff", "dedupe", "scoring"), 0.0)
@@ -365,7 +368,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window)
         # Without edges every eigenvalue is 0, so W is the whole space: its
         # dimension is checked before the n*k x n*k operator is built.
         raise DimensionAbortError(inst.n * inst.k, params.max_dim)
-    W, more = window(inst, params, lap)
+    W, more, extras = window(inst, params, lap)
     dim = W.dim
     if dim == 0:
         raise DegenerateSpectrumError(
@@ -395,7 +398,8 @@ def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window)
         ((C[i:i + rows], L) for C, L in more for i in range(0, len(C), rows)))
     others = len(signed) + sum(len(C) for C, _ in more)
     if not len(inst.w):  # every labeling scores 1.0, so the first net point wins
-        chunks, signed, others = ((C[:1], B) for C, B in itertools.islice(chunks, 1)), signed[:0], 0
+        first = next(_lattice_chunks(dim, step, 1, hold)) * step  # not counting the net
+        chunks, signed, others = [(first, blocks)], signed[:0], 0
     narrow = np.min_scalar_type(k - 1)
     row = np.dtype((np.void, n * narrow.itemsize))
     distinct, candidates = {}, 0
@@ -435,6 +439,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window)
         signed_candidates=len(signed),
         stages=stages,
         eigensolver=W.solver,
+        extras=extras,
     )
 
 

@@ -195,6 +195,20 @@ class TestSolve:
         rep = json.loads(proc.stdout)
         assert rep["dim_W"] == 6 and rep["best_value"] == 1.0
 
+    def test_edgeless_maxlin_over_net_cap_solves(self, tmp_path):
+        """A 4-vertex Z_3 instance without edges searches all 12
+        dimensions, whose net is over the cap: the solve reads off its first
+        point alone, and a step whose radius overflows still exits 2."""
+        path = tmp_path / "edgeless.ml"
+        path.write_text("maxlin 4 3\n")
+        args = ("solve", path, "--epsilon", 0.01, "--gamma", 0.5, "--maxlin", "--max-dim", 12)
+        rep = json.loads(run_cli(*args, check=True).stdout)
+        validate(rep)
+        assert rep["dim_W"] == 12 and rep["best_value"] == 1.0
+        proc = run_cli(*args, "--net-step", 1e-200)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: net at dim=12")
+
     def test_missing_file_exit_1(self):
         proc = run_cli("solve", "/nonexistent.ug", "--epsilon", 0.01,
                        "--gamma", 0.5)

@@ -3,6 +3,7 @@ and the specialized solver."""
 
 import dataclasses
 import re
+import time
 
 import numpy as np
 import pytest
@@ -404,6 +405,21 @@ class TestSinTheta:
             "beta_measured": 0.1, "r_matrix_bound": 1.0, "R_row_budget": 2.0,
         }
 
+    def test_r_stored_by_the_storage_rule(self):
+        """R is the changed edges' graph_operator: CSR on a 4-regular
+        n = 400 instance, so no n x n array is made, and the budget reads
+        each perturbed edge's weight once from it."""
+        group = AbelianGroup((4,))
+        ml = regular_maxlin(400, 4, group, seed=2, perturbed=True)
+        completion = regular_maxlin(400, 4, group, seed=2)
+        R = perturbed_edge_matrix(ml.base, completion.base)
+        assert scipy.sparse.issparse(R) and R.format == "csr"
+        changed = ml.base.w[np.any(ml.base.perm != completion.base.perm, axis=1)].sum()
+        assert changed > 0
+        w = np.ones(400 * 4) / np.sqrt(400 * 4)
+        rep = sin_theta_report(ml, completion, w, gamma=0.1)
+        assert rep.R_row_budget == changed
+
     def test_skeleton_mismatch_rejected(self):
         ml, _ = self._planted()
         other = from_rows(ml.base.n, 2, [(0, 1, 1.0, (0, 1))])
@@ -503,6 +519,21 @@ class TestParamsAndSolver:
         ml = maxlin_on(3, g, [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 0.5, 0)])
         with pytest.raises(NonRegularError):
             solve_maxlin(ml, MaxLinParams(0.01, 0.5))
+
+    def test_uniformity_check_timed_as_eigensolve(self, monkeypatch):
+        """The uniformity check on S runs inside the window, so its time is
+        in the eigensolve stage and the stages still add up."""
+
+        def slow(S, C):
+            time.sleep(0.2)
+            return uniformity_check(S, C)
+
+        monkeypatch.setattr(maxlin_mod, "uniformity_check", slow)
+        ml = regular_maxlin(30, 4, AbelianGroup((4,)), seed=1, perturbed=True)
+        rep = solve_maxlin(ml, MaxLinParams(0.005, 0.1, theta=0.05, net_step_override=1.0))
+        assert rep.stages["eigensolve"] >= 0.2
+        assert rep.eigen_time == rep.stages["operator"] + rep.stages["eigensolve"]
+        assert rep.extras["uniformity_passes"] is True
 
     def test_regularity_tolerance_from_config(self, monkeypatch):
         """core.REGULARITY_REL_TOL holds on the Max-Lin path as in
@@ -651,11 +682,20 @@ class TestCharacterBlocks:
             solve_maxlin(ml, p)
         assert levels and set(levels) == {(1 - 0.05) * 4}
 
+    def test_window_requires_regular(self):
+        """character_window checks the d-regularity it assumes, so a
+        direct caller on a non-regular instance gets the error, not a
+        window cut at the average degree."""
+        ml = maxlin_on(3, AbelianGroup((2,)), [(0, 1, 1.0, 0), (1, 2, 1.0, 0), (0, 2, 0.5, 0)])
+        with pytest.raises(NonRegularError, match="^Max-Lin needs a d-regular constraint graph$"):
+            character_window(ml, MaxLinParams(0.01, 0.5), skip_lap)
+
     def test_one_lap_pair_per_block(self, monkeypatch):
         """Each block's build is lapped as the operator stage and its solve
         as the eigensolve stage, in turn: the four non-trivial blocks of Z_8
-        at W's cut, then the trivial block at S's.  A report's eigen_time is
-        the sum of those two stages."""
+        at W's cut, then the trivial block at S's, then W's assembly as
+        eigensolve too.  A report's eigen_time is the sum of those two
+        stages."""
         ml = regular_maxlin(400, 4, AbelianGroup((8,)), seed=1, perturbed=True)
         p = MaxLinParams(0.005, 0.1, theta=0.05, net_step_override=1.0)
         events = []
@@ -667,7 +707,8 @@ class TestCharacterBlocks:
         monkeypatch.setattr(maxlin_mod, "select_eigenspace", recorded)
         character_window(ml, p, events.append)
         W_cut, S_cut = (1 - 0.05) * 4, (1 - 0.1) * 4
-        assert events == ["operator", W_cut, "eigensolve"] * 4 + ["operator", S_cut, "eigensolve"]
+        assert events == (["operator", W_cut, "eigensolve"] * 4
+                          + ["operator", S_cut, "eigensolve", "eigensolve"])
         rep = solve_maxlin(ml, p)
         assert rep.stages["operator"] > 0 and rep.stages["eigensolve"] > 0
         assert rep.stages["operator"] + rep.stages["eigensolve"] == rep.eigen_time
@@ -693,23 +734,22 @@ class TestCharacterBlocks:
 
 class TestSolveBuilds:
     """What solve_maxlin computes: the character blocks and one eigensolve
-    of each, and neither the n*k operator nor a second constraint-graph
-    solve."""
+    of each, the constraint graph built once as the trivial block, and
+    neither the n*k operator nor a second constraint-graph solve."""
 
     @pytest.mark.parametrize("factors", [(8,), (2, 2, 2)])
     def test_one_eigensolve_per_block(self, monkeypatch, factors):
         def unreachable(*args, **kwargs):
             raise AssertionError("solve_maxlin built or solved the n*k operator")
 
-        # maxlin imports constraint_graph_adjacency only for the benchmark's
-        # tracer and the solve has no call to it (the trivial block is that
-        # graph), so patching it only guards against a call coming back.
         for module, name in [(maxlin_mod, "build_label_extended"),
-                             (maxlin_mod, "constraint_graph_adjacency"),
                              (recover_mod, "build_label_extended"),
                              (recover_mod, "search_operator"),
                              (recover_mod, "select_eigenspace")]:
             monkeypatch.setattr(module, name, unreachable)
+        graphs = []
+        monkeypatch.setattr(maxlin_mod, "constraint_graph_adjacency",
+                            lambda inst: graphs.append(inst) or constraint_graph_adjacency(inst))
         calls = []
 
         def counted(*args, **kwargs):
@@ -719,6 +759,7 @@ class TestSolveBuilds:
         monkeypatch.setattr(maxlin_mod, "select_eigenspace", counted)
         ml = regular_maxlin(400, 4, AbelianGroup(factors), seed=1, perturbed=True)
         rep = solve_maxlin(ml, MaxLinParams(0.005, 0.1, theta=0.05, net_step_override=1.0))
+        assert graphs == [ml.base]
         assert len(calls) == len(list(character_blocks(ml))) == rep.eigensolver["blocks"]
         assert rep.eigensolver["path"] == "characters"
         assert rep.dim_W == 8 and rep.extras["dim_S"] == 1 and rep.decision == "YES"

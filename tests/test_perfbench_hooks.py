@@ -59,6 +59,22 @@ def test_traced_solve_of_every_workload(monkeypatch):
         assert layers[0]["trace.coverage"] >= 1 - run.COVERAGE_TOL, name
 
 
+def test_traced_maxlin_solve_times_the_trivial_block(monkeypatch):
+    """The Max-Lin solve builds its trivial character block with
+    ``constraint_graph_adjacency``, looked up on ``ugspectral.maxlin``, so
+    a traced ``maxlin-expander`` solve times that build once as
+    ``label_extended.build``."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    workload = workloads.WORKLOADS["maxlin-expander"]
+    inst = parse_instance(workload.make(1).text)
+    with tracing.Tracer() as tr:
+        workload.solve(inst)
+    assert [s.name for s in tr.spans].count("label_extended.build") == 1
+
+
 def test_readoff_called_once_per_chunk(monkeypatch):
     """perfbench's ``recover.readoff_s`` times the wrapper on
     ``recover.read_off_batch``, so a solve must call it, looked up on the

@@ -555,6 +555,23 @@ class TestRecover:
         assert (rep.net_points_evaluated, rep.signed_candidates) == (1, 0)
         assert rep.distinct_labelings == 1 and rep.dim_W == n * k
 
+    @pytest.mark.parametrize("n, k", [(4, 2), (7, 1)])
+    def test_edgeless_net_over_cap_reads_first_point(self, n, k):
+        """At dim 8 (and 7) this net is over NET_CAP; the solve reads off
+        its first point alone and never counts the rest."""
+        params = SolveParams(0.01, 0.5)
+        step = float(np.sqrt(2 * 0.01 / (0.5 * n * k)))
+        assert net_size(n * k, step, recover_mod.NET_CAP) > recover_mod.NET_CAP
+        rep = recover_solution(from_rows(n, k, []), params)
+        assert rep.best_value == 1.0 and rep.dim_W == n * k
+        assert (rep.net_points_evaluated, rep.distinct_labelings) == (1, 1)
+
+    def test_edgeless_overflowing_radius_too_large(self):
+        """A step whose net radius overflows stays a net over the cap, also
+        where only the first point is read off."""
+        with pytest.raises(NetTooLargeError):
+            recover_solution(from_rows(3, 2, []), SolveParams(0.01, 0.5, net_step_override=1e-200))
+
     def test_table_and_degrees_built_once_per_solve(self, monkeypatch):
         """A solve of a dense pair-table instance finds its pairs once (one
         np.unique) and calls np.bincount three times: twice for the pair
