@@ -107,7 +107,7 @@ class UGInstance:
         """Build an instance from UGEdge records, without rescaling."""
         edges = list(edges)
         # A row of another arity is left out, so that the shape check rejects it.
-        perm = np.array([e.perm for e in edges if len(e.perm) == k], dtype=np.int64)
+        perm = np.array([e.perm for e in edges if len(e.perm) == k])
         u, v, w = [e.u for e in edges], [e.v for e in edges], [e.weight for e in edges]
         self._store(n, k, u, v, w, perm.reshape(-1, k), scale)
 
@@ -122,7 +122,7 @@ class UGInstance:
         """Validate and store the arrays; every constructor ends here."""
         self.n, self.k, self.scale = int(n), int(k), float(scale)
         # Copies, made read-only: the instance owns its arrays.
-        self.u, self.v, self.perm = (np.array(a, dtype=np.int64) for a in (u, v, perm))
+        self.u, self.v, self.perm = (_int64(a, UGError, "vertex or label") for a in (u, v, perm))
         self.w = np.array(w, dtype=np.float64)
         for a in (self.u, self.v, self.w, self.perm):
             a.flags.writeable = False
@@ -206,13 +206,31 @@ class UGInstance:
         return bool(np.max(np.abs(deg - d)) <= REGULARITY_REL_TOL * max(1.0, d))
 
 
+def _int64(a, error, what) -> np.ndarray:
+    """a as a new int64 array; ``error`` unless a holds real numbers that the cast keeps."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise error(f"{what} values must be integers, got {a.dtype}")
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+        out = a.astype(np.int64)
+    if np.any(out != a):
+        raise error(f"{what} {a[out != a][0]} is not an integer")
+    return out
+
+
+def _labels(labels, k) -> np.ndarray:
+    """labels as int64; InvalidLabelingError unless every one is an integer in [0, k)."""
+    L = _int64(labels, InvalidLabelingError, "label")
+    if L.size and (L.min() < 0 or L.max() >= k):
+        raise InvalidLabelingError(f"label out of range [0, {k})")
+    return L
+
+
 def validate_labeling(inst: UGInstance, labels: Sequence[int]) -> np.ndarray:
-    L = np.asarray(labels, dtype=np.int64)
+    L = np.asarray(labels)
     if L.shape != (inst.n,):
         raise InvalidLabelingError(f"labeling length {L.shape} != n={inst.n}")
-    if L.size and (L.min() < 0 or L.max() >= inst.k):
-        raise InvalidLabelingError(f"label out of range [0, {inst.k})")
-    return L
+    return _labels(L, inst.k)
 
 
 def value(inst: UGInstance, labels: Sequence[int]) -> float:
@@ -288,10 +306,8 @@ def characteristic_vector(labels: Sequence[int], k: int, normalized=False) -> np
     Block u holds indices u*k ... u*k + k - 1; the entry at the vertex's
     label is 1 (or 1/sqrt(n) when normalized).
     """
-    L = np.asarray(labels, dtype=np.int64)
+    L = _labels(labels, k)
     n = len(L)
-    if L.size and (L.min() < 0 or L.max() >= k):
-        raise InvalidLabelingError(f"label out of range [0, {k})")
     y = np.zeros(n * k)
     y[np.arange(n) * k + L] = 1.0 / np.sqrt(n) if normalized else 1.0
     return y

@@ -155,8 +155,7 @@ def random_regular_graph(n, d, seed=0):
     keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))  # sorted, one per pair
     # The top eigenvalue of a d-regular graph is d, so lambda_2 is the
     # second eigenvalue of the window at d, or the first one below it.
-    W = select_eigenspace(graph_operator(n, keys // n, keys % n, np.ones(len(keys))), d,
-                          "adjacency-high")
+    W = select_eigenspace(graph_operator(n, keys // n, keys % n, np.ones(len(keys))), d)
     lambda2 = float(W.eigenvalues[1] if W.dim > 1 else W.nearest_dropped)
     return [(int(key // n), int(key % n)) for key in keys], lambda2 if n > 1 else 0.0
 

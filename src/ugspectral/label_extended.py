@@ -9,12 +9,12 @@ perfectly satisfying labelings are eigenvectors of M with eigenvalue d
 Every operator built here has one source per container, chosen by one
 storage rule on its entry list (2*E*k entries, a self-loop's k once): a
 dense array below SPARSE_MIN_DIM rows or above SPARSE_MAX_FILL stored
-entries per matrix entry, and otherwise scipy.sparse CSR of the entry list,
-imported only then.  A dense M is scattered from the instance's pair table.
-A graph operator (``graph_operator``: the constraint graph, and the
-character blocks of a group-difference instance, whose weights may be
-negative or complex) is the k = 1 case, its dense array summed from the
-entry list; a complex one is sized as its real embedding.
+entries per matrix entry, and otherwise scipy.sparse CSR, imported only
+then.  One builder (``_operator``) sums the entry list into either.  A
+dense M is scattered from the instance's pair table instead.  A graph
+operator (``graph_operator``: the constraint graph, and the character
+blocks of a group-difference instance, whose weights may be negative or
+complex) is the builder at k = 1, a complex one sized as its real embedding.
 """
 
 from __future__ import annotations
@@ -51,18 +51,35 @@ def _dense(dim, stored):
     return dim < SPARSE_MIN_DIM or stored > SPARSE_MAX_FILL * dim * dim
 
 
-def _csr(dim, rows, cols, vals):
-    """The dim x dim CSR array summing an entry list, in its order."""
-    import scipy.sparse as sp
+def _operator(dim, rows, cols, vals, loop):
+    """The dim x dim Hermitian matrix of an entry list given as E x m arrays:
+    edge by edge, its m values at (rows, cols) and then their conjugates at
+    (cols, rows), a loop's (``loop``) once, summed in that order and averaged with
+    the conjugate transpose, so that it is exactly Hermitian whatever order
+    scipy sums duplicates in (a loop keeps its real part).  The storage rule
+    sizes a complex matrix as its real embedding [[Re, -Im], [Im, Re]]:
+    twice the rows and four times the entries."""
+    keep = np.repeat(np.stack([np.ones_like(loop), ~loop], axis=1).ravel(), rows.shape[1])
+    rows, cols = (np.stack(ends, axis=1).ravel()[keep] for ends in ((rows, cols), (cols, rows)))
+    vals = np.asarray(vals, dtype=np.complex128 if np.iscomplexobj(vals) else np.float64)
+    vals = np.stack([vals, vals.conj()], axis=1).ravel()[keep]
+    r = 1 + np.iscomplexobj(vals)  # rows of the real embedding per row
+    if _dense(r * dim, r * r * len(vals)):
+        A = np.bincount(rows * dim + cols, vals.real, minlength=dim * dim)
+        if r == 2:
+            A = A + 1j * np.bincount(rows * dim + cols, vals.imag, minlength=dim * dim)
+        A = A.reshape(dim, dim)
+    else:
+        import scipy.sparse as sp
 
-    return sp.csr_array((vals, (rows, cols)), shape=(dim, dim))
+        A = sp.csr_array((vals, (rows, cols)), shape=(dim, dim))
+    return (A + A.conj().T) / 2
 
 
 def build_label_extended(inst: UGInstance) -> LabelExtendedMatrix:
     """Adjacency matrix M of the label-extended graph; parallel edges
     accumulate additively into the block.  Either build is averaged with its
-    transpose, which makes a self-loop's block symmetric, and the CSR exactly
-    symmetric whatever order scipy sums duplicates in."""
+    transpose, which makes a self-loop's block symmetric."""
     # Edge e puts w * Pi_e in block (u, v) and its transpose in block (v, u);
     # a self-loop puts w * Pi_e once on its diagonal block, so that it
     # contributes its weight (not twice) to the row sum.
@@ -76,13 +93,10 @@ def build_label_extended(inst: UGInstance) -> LabelExtendedMatrix:
         A[b, :, a, :] = table.transpose(0, 2, 1)
         A[a, :, b, :] = table  # T in block (a, b) and T^T in (b, a), T when a = b
         A = A.reshape(n * k, n * k)
-    else:
-        # Edge by edge, its k entries and then their transposes.
-        keep = np.stack([np.ones_like(loop), ~loop], axis=1)
-        ends = np.stack([inst.u[:, None] * k + np.arange(k), inst.v[:, None] * k + inst.perm], 1)
-        A = _csr(n * k, ends[keep].ravel(), ends[:, ::-1][keep].ravel(),
-                 np.repeat(inst.w, (2 - loop) * k))
-    return LabelExtendedMatrix((A + A.T) / 2)
+        return LabelExtendedMatrix((A + A.T) / 2)
+    return LabelExtendedMatrix(_operator(n * k, inst.u[:, None] * k + np.arange(k),
+                                         inst.v[:, None] * k + inst.perm,
+                                         np.broadcast_to(inst.w[:, None], inst.perm.shape), loop))
 
 
 def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
@@ -101,26 +115,9 @@ def build_laplacian(inst: UGInstance) -> LabelExtendedMatrix:
 
 def graph_operator(n, u, v, w):
     """n x n Hermitian matrix of a weighted graph, real symmetric for real
-    weights: edge by edge, w at (u, v) and then its conjugate at (v, u), a
-    self-loop's once, summed in edge order and averaged with the conjugate
-    transpose, so that it is exactly Hermitian (a loop keeps its real part).
-    Weights may be negative.  The storage rule is the label-extended one at
-    k = 1, applied to a complex matrix at the size of its real embedding
-    [[Re, -Im], [Im, Re]]: twice the rows and four times the entries."""
-    loop = u == v
-    keep = np.stack([np.ones_like(loop), ~loop], axis=1)
-    rows, cols = np.stack([u, v], axis=1)[keep], np.stack([v, u], axis=1)[keep]
-    w = np.asarray(w, dtype=np.complex128 if np.iscomplexobj(w) else np.float64)
-    vals = np.stack([w, w.conj()], axis=1)[keep]
-    r = 1 + np.iscomplexobj(w)  # rows of the real embedding per row
-    if _dense(r * n, r * r * len(vals)):
-        A = np.bincount(rows * n + cols, vals.real, minlength=n * n)
-        if r == 2:
-            A = A + 1j * np.bincount(rows * n + cols, vals.imag, minlength=n * n)
-        A = A.reshape(n, n)
-    else:
-        A = _csr(n, rows, cols, vals)
-    return (A + A.conj().T) / 2
+    weights: ``_operator`` at one entry per edge, w at (u, v) and its
+    conjugate at (v, u).  Weights may be negative."""
+    return _operator(n, u[:, None], v[:, None], np.asarray(w)[:, None], u == v)
 
 
 def constraint_graph_adjacency(inst: UGInstance):

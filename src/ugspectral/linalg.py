@@ -42,19 +42,15 @@ class DimensionAbortError(AbortError):
 
 @dataclass
 class Eigenspace:
-    """Orthonormal basis of a spectral window of a symmetric or Hermitian
-    matrix, complex for a complex one.
-
-    mode 'adjacency-high' keeps eigenvalues >= threshold; 'laplacian-low'
-    keeps eigenvalues <= threshold.  ``basis`` has shape (dim_ambient, dim).
-    """
+    """Orthonormal basis of the eigenvalues >= threshold of a symmetric or
+    Hermitian matrix, complex for a complex one; a low window of A is the
+    top of -A.  ``basis`` has shape (dim_ambient, dim)."""
 
     dim_ambient: int
     basis: np.ndarray
     eigenvalues: np.ndarray
     threshold: float
-    mode: str
-    # Nearest eigenvalue outside the window; -inf/+inf (high/low) if none.
+    # Nearest eigenvalue outside the window; -inf if none.
     nearest_dropped: float = float("nan")
     dropped: np.ndarray | None = None  # an eigenvector of nearest_dropped; None if none
     # Largest eigenpair residual ||A x - lambda x|| over the basis.
@@ -68,14 +64,11 @@ class Eigenspace:
 
     @property
     def cut_gap(self) -> float | None:
-        """Distance from the kept eigenvalue nearest the threshold to
-        ``nearest_dropped``, positive for a clean cut; None if nothing was
-        kept or nothing dropped."""
+        """The least kept eigenvalue minus ``nearest_dropped``, positive for
+        a clean cut; None if nothing was kept or nothing dropped."""
         if self.dim == 0 or not np.isfinite(self.nearest_dropped):
             return None
-        if self.mode == "adjacency-high":
-            return float(self.eigenvalues.min() - self.nearest_dropped)
-        return float(self.nearest_dropped - self.eigenvalues.max())
+        return float(self.eigenvalues.min() - self.nearest_dropped)
 
 
 def dense_symmetric(A) -> np.ndarray:
@@ -102,79 +95,63 @@ def eigendecompose(A):
     return vals[::-1], vecs[:, ::-1]
 
 
-def select_eigenspace(A, threshold, mode, max_dim=None) -> Eigenspace:
-    """Maximal eigenspace of A on one side of a threshold.
-
-    mode 'adjacency-high': eigenvalues >= threshold (the high window W of an
-    adjacency matrix); 'laplacian-low': eigenvalues <= threshold.  Values
-    within RESIDUAL_TOL * max(1, c) of the threshold, c the Gershgorin bound
-    of A (``_window_cut``), count as on the kept side, so a cluster of
-    numerically equal eigenvalues sitting on the threshold is kept whole
-    rather than split by rounding, and a dense and a sparse A get the same
-    window.  A sparse A takes the filtered path (``_sparse_window``) unless
-    it falls back to the dense one, which cuts the full decomposition, a
-    window with nothing dropped, by ``narrow_window``.  With ``max_dim``
-    either path raises DimensionAbortError once it knows dim W > max_dim:
-    from the Ritz values (filtered) or the kept count (dense).
+def select_eigenspace(A, threshold, max_dim=None) -> Eigenspace:
+    """Maximal eigenspace of A with eigenvalues >= threshold (the high window
+    W of an adjacency matrix; the low window of a Laplacian L is this window
+    of -L at the negated threshold).  Values within RESIDUAL_TOL * max(1, c)
+    below the threshold, c the Gershgorin bound of A (``_window_cut``), are
+    kept, so a cluster of numerically equal eigenvalues sitting on the
+    threshold is kept whole rather than split by rounding, and a dense and a
+    sparse A get the same window.  A sparse A takes the filtered path
+    (``_sparse_window``) unless it falls back to the dense one, which cuts
+    the full decomposition, a window with nothing dropped, by
+    ``narrow_window``.  With ``max_dim`` either path raises
+    DimensionAbortError once it knows dim W > max_dim: from the Ritz values
+    (filtered) or the kept count (dense).
     """
-    if mode not in ("adjacency-high", "laplacian-low"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not np.isfinite(threshold):
         raise NumericError("threshold must be finite")
     if _is_sparse(A):
-        W = _sparse_window(A, float(threshold), mode, max_dim)
+        W = _sparse_window(A, float(threshold), max_dim)
         if W is not None:
             return W
     else:
         A = np.asarray(A, dtype=_field(A))
     vals, vecs = eigendecompose(A)
-    edge = -np.inf if mode == "adjacency-high" else np.inf  # past every eigenvalue
-    return narrow_window(A, Eigenspace(len(vals), vecs, vals, edge, mode, edge), threshold, max_dim)
+    return narrow_window(A, Eigenspace(len(vals), vecs, vals, -np.inf, -np.inf), threshold, max_dim)
 
 
 def narrow_window(A, S: Eigenspace, threshold, max_dim=None) -> Eigenspace:
-    """select_eigenspace(A, threshold, S.mode, max_dim) read off S, a window
-    of A on the same side whose threshold is at or outside this one, its
-    eigenvalues descending as every window's are: S's eigenpairs past the
-    threshold by the same cut, with nearest_dropped (and dropped) the nearest
-    of the rest of S, or S's own if none is left, and S's solver.  Raises
-    DimensionAbortError on more than ``max_dim`` kept, before any residual
-    is computed."""
-    sign, c, cut = _window_cut(A, threshold, S.mode)
-    keep = sign * S.eigenvalues + c >= cut
+    """select_eigenspace(A, threshold, max_dim) read off S, a window of A whose
+    threshold is at or below this one, its eigenvalues descending as every
+    window's are: S's eigenpairs at or above the threshold by the same cut,
+    with nearest_dropped (and dropped) the nearest of the rest of S, or S's
+    own if none is left, and S's solver.  Raises DimensionAbortError on
+    more than ``max_dim`` kept, before any residual is computed."""
+    c, cut = _window_cut(A, threshold)
+    keep = S.eigenvalues + c >= cut
     count = int(np.count_nonzero(keep))
     if max_dim is not None and count > max_dim:
         raise DimensionAbortError(count, max_dim)
-    # The dropped values run descending (high) or ascending (low) from the cut.
-    out = np.flatnonzero(~keep)[:: int(sign)]
-    i = out[0] if len(out) else None  # the nearest of them
+    i = count if count < len(keep) else None  # the nearest dropped, as S's values descend
     W = _eigenspace(A, S.eigenvalues[keep], np.ascontiguousarray(S.basis[:, keep]), threshold,
-                    S.mode, S.nearest_dropped if i is None else S.eigenvalues[i])
+                    S.nearest_dropped if i is None else S.eigenvalues[i])
     W.dropped = S.dropped if i is None else S.basis[:, i].copy()
     W.solver = S.solver
     return W
 
 
-def _window_cut(A, threshold, mode):
-    """(sign, c, cut): the window is the top of the operator sign*A + cI,
-    c = max_i sum_j |A_ij| >= max|lambda| the Gershgorin bound, and keeps
-    the eigenvalues mu of that operator with mu >= cut."""
-    sign = 1.0 if mode == "adjacency-high" else -1.0
+def _window_cut(A, threshold):
+    """(c, cut): the window keeps the eigenvalues mu >= cut of the operator
+    A + cI, c = max_i sum_j |A_ij| >= max|lambda| the Gershgorin bound."""
     c = float(abs(A).sum(axis=1).max(initial=0.0))
-    return sign, c, sign * threshold + c - RESIDUAL_TOL * max(1.0, c)
+    return c, threshold + c - RESIDUAL_TOL * max(1.0, c)
 
 
-def _eigenspace(A, vals, basis, threshold, mode, nearest) -> Eigenspace:
+def _eigenspace(A, vals, basis, threshold, nearest) -> Eigenspace:
     residual = np.linalg.norm(A @ basis - basis * vals, axis=0).max(initial=0.0)
-    return Eigenspace(
-        dim_ambient=basis.shape[0],
-        basis=basis,
-        eigenvalues=vals,
-        threshold=float(threshold),
-        mode=mode,
-        nearest_dropped=float(nearest),
-        max_residual=float(residual),
-    )
+    return Eigenspace(basis.shape[0], basis, vals, float(threshold), float(nearest),
+                      max_residual=float(residual))
 
 
 def _is_sparse(A) -> bool:
@@ -189,17 +166,17 @@ SPARSE_MAX_SHARE = 0.25  # densify once the block would exceed this share of dim
 SPARSE_MAX_PASSES = 50   # densify after this many filter passes
 
 
-def _sparse_window(A, threshold, mode, max_dim=None) -> Eigenspace | None:
+def _sparse_window(A, threshold, max_dim=None) -> Eigenspace | None:
     """select_eigenspace for a sparse A by Chebyshev-filtered subspace
     iteration, or None where the dense path should take over.
 
-    Both modes search the top of op = A + cI (adjacency-high) or cI - A
-    (laplacian-low), c and cut from ``_window_cut``, whose spectrum lies in
-    [0, 2c].  Each pass filters a seeded random block, damping [0, b] for b
-    its smallest Ritz value, and runs Rayleigh-Ritz.  It stops once every
-    Ritz pair inside the window and the largest below it (``nearest_dropped``)
-    has residual at most RESIDUAL_TOL * max(1, r), r the largest |Ritz value|
-    as an eigenvalue of A, so r <= max|lambda| as in the dense contract.
+    It searches the top of op = A + cI, c and cut from ``_window_cut``,
+    whose spectrum lies in [0, 2c].  Each pass filters a seeded random
+    block, damping [0, b] for b its smallest Ritz value, and runs
+    Rayleigh-Ritz.  It stops once every Ritz pair inside the window and the
+    largest below it (``nearest_dropped``) has residual at most
+    RESIDUAL_TOL * max(1, r), r the largest |Ritz value| as an eigenvalue
+    of A, so r <= max|lambda| as in the dense contract.
     The block doubles while every Ritz value is kept or the nearest dropped
     one lies within 1% of the Ritz spread above b, where the filter cannot
     part its cluster from those below.  By Cauchy interlacing the i-th
@@ -220,8 +197,8 @@ def _sparse_window(A, threshold, mode, max_dim=None) -> Eigenspace | None:
         raise NumericError(f"expected an exactly symmetric matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.data)):
         raise NumericError("matrix has non-finite entries")
-    sign, c, cut = _window_cut(A, threshold, mode)
-    op = (sign * A + c * sp.eye_array(dim, format="csr")).tocsr()
+    c, cut = _window_cut(A, threshold)
+    op = (A + c * sp.eye_array(dim, format="csr")).tocsr()
     rng = np.random.default_rng(0)
     X, passes = rng.standard_normal((dim, SPARSE_BLOCK)).view(A.dtype), 0
     while c and X.shape[1] <= SPARSE_MAX_SHARE * dim:
@@ -248,9 +225,8 @@ def _sparse_window(A, threshold, mode, max_dim=None) -> Eigenspace | None:
             return None
     else:
         return None
-    keep = np.arange(edge + 1, len(mu))[::-int(sign)]  # descending eigenvalue
-    W = _eigenspace(A, sign * (mu[keep] - c), np.ascontiguousarray(X[:, keep]), threshold, mode,
-                    sign * (mu[edge] - c))
+    keep = np.arange(len(mu) - 1, edge, -1)  # descending eigenvalue
+    W = _eigenspace(A, mu[keep] - c, np.ascontiguousarray(X[:, keep]), threshold, mu[edge] - c)
     W.dropped = X[:, edge].copy()
     W.solver = dict(path="filtered", passes=passes, block=r * X.shape[1])
     return W

@@ -34,7 +34,8 @@ class AbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.factors or any(f < 2 for f in self.factors):
+        f = np.asarray(self.factors)
+        if not f.size or f.dtype.kind not in "iu" or f.min() < 2:
             raise UGError(f"bad group factors {self.factors}")
 
     @property
@@ -199,11 +200,11 @@ def sin_theta_report(
     M = build_label_extended(ml.base).matrix
     Mt = build_label_extended(completion.base).matrix
     if w is None:
-        w = select_eigenspace(M, (1 - gamma) * ml.base.average_degree, "adjacency-high").basis[:, 0]
+        w = select_eigenspace(M, (1 - gamma) * ml.base.average_degree).basis[:, 0]
     w = np.asarray(w, dtype=np.float64)
     lam = float(w @ (M @ w))
     # One decomposition gives Y and lambda_s, the largest eigenvalue it cuts.
-    Y = select_eigenspace(Mt, (1 - gamma) * completion.base.average_degree, "adjacency-high")
+    Y = select_eigenspace(Mt, (1 - gamma) * completion.base.average_degree)
     lambda_s = Y.nearest_dropped
     numerator = float(np.linalg.norm((Mt - M) @ w))
     beta_bound = numerator / (lam - lambda_s) if lam > lambda_s else np.inf
@@ -309,10 +310,10 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
         r = 1 + np.iscomplexobj(B)  # columns of W per eigenvalue of B
         try:
             if j == 0:  # the trivial character
-                S = select_eigenspace(B, (1 - params.gamma) * d, "adjacency-high")
+                S = select_eigenspace(B, (1 - params.gamma) * d)
                 E = narrow_window(B, S, level, params.max_dim - used)
             else:
-                E = select_eigenspace(B, level, "adjacency-high", (params.max_dim - used) // r)
+                E = select_eigenspace(B, level, (params.max_dim - used) // r)
         except DimensionAbortError as e:
             raise DimensionAbortError(used + r * e.dim, params.max_dim, e.at_least) from None
         used += r * E.dim
@@ -328,7 +329,6 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
         basis=np.hstack(lifts)[:, order],
         eigenvalues=vals[order],
         threshold=float(level),
-        mode="adjacency-high",
         nearest_dropped=max(E.nearest_dropped for E in Es),
         max_residual=max(E.max_residual for E in Es),
         solver=dict(path="characters", passes=sum(E.solver["passes"] for E in Es),

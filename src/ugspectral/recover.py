@@ -1,8 +1,8 @@
 """Eigenspace enumeration and assignment recovery.
 
 The solver selects the high eigenspace W of the label-extended adjacency
-matrix (eigenvalues >= (1-theta)d) or the low eigenspace of its Laplacian
-(eigenvalues <= theta*d_avg), where the window theta defaults to gamma, and
+matrix (eigenvalues >= (1-theta)d) or of its negated Laplacian -L (>=
+-theta*d_avg, the low window of L), where theta defaults to gamma, and
 streams candidates as coefficient rows over the basis of W: the lattice
 epsilon-net of the unit ball of W (step*Z^dim points of coefficient step
 sqrt(2*eps/(theta*dim W)), only those with coefficient 0 on the all-ones
@@ -89,7 +89,7 @@ class SolveParams:
             raise UGError(f"gamma must be finite, got {self.gamma}")
         if not (0 < self.window <= self.gamma):
             raise UGError(f"need 0 < theta <= gamma, got theta={self.theta}, gamma={self.gamma}")
-        if self.max_dim < 1:
+        if not isinstance(self.max_dim, (int, np.integer)) or self.max_dim < 1:
             raise UGError("max_dim must be >= 1")
         if self.mode not in ("adjacency", "laplacian"):
             raise UGError(f"unknown mode {self.mode!r}")
@@ -190,7 +190,7 @@ def net_size(dim, step, cap=None) -> int:
     0..r2, whose entries are clipped where a sum of 2m+1 of them would
     overflow.
     """
-    if dim < 1 or step <= 0:
+    if dim < 1 or not step > 0:
         raise UGError("net requires dim >= 1 and step > 0")
     r2 = _net_radius2(dim, step)
     if not math.isfinite(r2):
@@ -312,18 +312,18 @@ def finite_degree(inst: UGInstance) -> float:
 
 
 def search_operator(inst: UGInstance, params: SolveParams):
-    """(matrix, threshold, side): W is select_eigenspace(matrix, threshold,
-    side) for the requested mode, the threshold scaled by the regular degree
-    in adjacency mode and by the average degree in laplacian mode."""
+    """(matrix, threshold): W is select_eigenspace(matrix, threshold), the
+    top of M at (1 - window) d in adjacency mode, d the regular degree, and
+    in laplacian mode the top of -L at -window * d, d the average degree."""
     d = finite_degree(inst)
     if params.mode == "laplacian":
-        return build_laplacian(inst).matrix, params.window * d, "laplacian-low"
+        return -build_laplacian(inst).matrix, -params.window * d
     if not inst.is_regular():
         raise NonRegularError(
             "adjacency mode requires a d-regular constraint graph; "
             "use laplacian mode for non-regular instances"
         )
-    return build_label_extended(inst).matrix, (1 - params.window) * d, "adjacency-high"
+    return build_label_extended(inst).matrix, (1 - params.window) * d
 
 
 def default_yes_threshold(params: SolveParams) -> float:
@@ -339,9 +339,9 @@ def solve_window(inst: UGInstance, params: SolveParams, lap):
     matrix, its build timed as the operator stage and its solve as the
     eigensolve stage (``lap(stage)`` charges the seconds since the last lap
     to the stage), no further candidates and no report extras."""
-    A, level, side = search_operator(inst, params)
+    A, level = search_operator(inst, params)
     lap("operator")
-    W = select_eigenspace(A, level, side, params.max_dim)
+    W = select_eigenspace(A, level, params.max_dim)
     lap("eigensolve")
     return W, [], {}
 

@@ -64,7 +64,7 @@ def announce(capsys, num, ok, detail):
 def random_orthonormal(ambient, dim, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((ambient, dim)))
-    return Eigenspace(ambient, Q[:, :dim], np.zeros(dim), 0.0, "adjacency-high")
+    return Eigenspace(ambient, Q[:, :dim], np.zeros(dim), 0.0)
 
 
 def test_criterion_01_assignment_eigenvector_identity(capsys):
@@ -361,7 +361,7 @@ def test_criterion_10_maxlin_diagnostics(capsys):
         ml = MaxLinInstance.from_instance(inst)
         d = inst.average_degree
         A = constraint_graph_adjacency(inst)
-        phi = select_eigenspace(A, -1e18, "adjacency-high")
+        phi = select_eigenspace(A, -1e18)
         M0 = build_label_extended(inst).matrix
         lifted = lift_eigenbasis(phi, ml, planted)
         for s in range(phi.dim):
@@ -371,7 +371,7 @@ def test_criterion_10_maxlin_diagnostics(capsys):
                     worst_res,
                     np.linalg.norm(M0 @ v - phi.eigenvalues[s] * v) / d,
                 )
-        S = select_eigenspace(A, (1 - gamma) * d, "adjacency-high")
+        S = select_eigenspace(A, (1 - gamma) * d)
         perm = inst.perm.copy()
         perm[0] = shift_image(np.arange(3), ml.shifts[0] + 1, 3)
         single = UGInstance.from_arrays(inst.n, inst.k, inst.u, inst.v, inst.w, perm, inst.scale)
@@ -391,7 +391,7 @@ def test_criterion_10_maxlin_diagnostics(capsys):
                 wb = block_norm_vector(Mvecs[:, j], inst.n, inst.k)
                 if project_split(wb, S)[1] > np.sqrt(theta / gamma) + 1e-8:
                     fails["block_norm"] += 1
-            W = select_eigenspace(M.matrix, (1 - theta) * d, "adjacency-high")
+            W = select_eigenspace(M.matrix, (1 - theta) * d)
             if W.dim > inst.k * S.dim:
                 fails["dim"] += 1
     ok = worst_res <= 1e-9 and not any(fails.values())

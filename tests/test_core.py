@@ -157,6 +157,17 @@ class TestInstance:
             build(2, 3, 0, 1, 1.0, (0, 0, 1))
 
     @both_constructors
+    @pytest.mark.parametrize("u, v, perm", [(0.5, 1.7, (0, 1)), (0, 1, (0.0, 1.5)),
+                                            (float("nan"), 1, (0, 1))])
+    def test_rejects_non_integral_endpoints_and_images(self, build, u, v, perm):
+        """An endpoint or image that the int64 cast would change is an error,
+        not truncated: (0.5, 1.7) is not the edge (0, 1).  Integral floats
+        are the integers they equal."""
+        with pytest.raises(UGError, match="integer"):
+            build(2, 2, u, v, 1.0, perm)
+        assert build(2, 2, 0.0, 1.0, 1.0, (1.0, 0.0)).u.tolist() == [0]
+
+    @both_constructors
     def test_keeps_weights(self, build):
         inst = build(2, 2, 0, 1, 4.0, (0, 1))
         assert (inst.scale, inst.w.tolist()) == (1.0, [4.0])
@@ -241,6 +252,19 @@ class TestValue:
             value(small_instance, [0, 1, 2])
         with pytest.raises(InvalidLabelingError):
             value(small_instance, [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("labels", [[0.7, 0.2], [0, 1.5], [0, float("nan")], [0, np.inf],
+                                        [1 + 0j, 0], ["0", "1"]])
+    def test_rejects_non_integral_labels(self, labels):
+        """A label that is not an integer is an error, not truncated: [0.7,
+        0.2] is not the labeling [0, 0], which satisfies the edge.  Nor is a
+        complex number or a string read as one."""
+        inst = UGInstance.from_arrays(2, 2, [0], [1], [1.0], [[0, 1]])
+        with pytest.raises(InvalidLabelingError, match="integer"):
+            value(inst, labels)
+        with pytest.raises(InvalidLabelingError, match="integer"):
+            validate_labeling(inst, labels)
+        assert value(inst, [1.0, 1.0]) == 1.0
 
     def test_batch_matches_scalar(self):
         """Also on the pair-table path, and from uint8 labels with k = 17,
@@ -408,6 +432,11 @@ class TestCharacteristicVector:
     def test_rejects_bad_labels(self):
         with pytest.raises(InvalidLabelingError):
             characteristic_vector([0, 3], 3)
+
+    def test_rejects_non_integral_labels(self):
+        """[0.5, 1.5] is not read as the labeling [0, 1]."""
+        with pytest.raises(InvalidLabelingError, match="integer"):
+            characteristic_vector([0.5, 1.5], 2)
 
 
 class TestSerialization:

@@ -85,6 +85,33 @@ def loop_operators(inst):
     return M, np.diag(np.repeat(deg, k)) - M, (G + G.T) / 2, deg
 
 
+def loop_graph(n, u, v, w):
+    """graph_operator summed edge by edge in edge order: w at (u, v), then
+    its conjugate at (v, u) unless a self-loop; averaged with the conjugate
+    transpose.  For real weights, loop_operators' constraint graph."""
+    G = np.zeros((n, n), dtype=w.dtype)
+    for a, b, x in zip(u, v, w):
+        G[a, b] += x
+        if a != b:
+            G[b, a] += np.conj(x)
+    return (G + G.conj().T) / 2
+
+
+@st.composite
+def simple_graphs(draw):
+    """(instance, complex weights): each vertex pair, self-loops included,
+    carries at most one edge, stored in either orientation."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(ends, max_size=8, unique_by=lambda e: (min(e), max(e))))
+    E = len(pairs)
+    w = draw(st.lists(st.floats(0.01, 1.0), min_size=E, max_size=E))
+    z = draw(st.lists(st.complex_numbers(max_magnitude=1.0), min_size=E, max_size=E))
+    perm = [draw(st.permutations(range(k))) for _ in range(E)]
+    u, v = np.reshape(np.array(pairs, dtype=np.int64), (E, 2)).T
+    return UGInstance.from_arrays(n, k, u, v, w, np.reshape(perm, (E, k))), np.array(z, complex)
+
+
 _K17 = np.random.default_rng(17).permuted(np.tile(np.arange(17), (18, 1)), axis=1)
 
 # Instances on value_batch's pair-table path (P*k <= E), whose dense
@@ -233,6 +260,25 @@ class TestStorageRule:
         M = build_label_extended(inst).matrix
         assert scipy.sparse.issparse(M) and M.format == "csr"
         assert M.nnz == 2 * len(inst.u) * inst.k
+
+    @given(simple_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_csr_builds_equal_edge_loop(self, case):
+        """Built as CSR (the rule patched to always choose it), M and the
+        graph operator of real and of complex weights are bitwise the sums
+        of the edge loop where no cell sums two edges: the one builder lays
+        each edge's entries out in the loop's order, conjugates included."""
+        inst, z = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(label_extended, "SPARSE_MIN_DIM", 0)
+            mp.setattr(label_extended, "SPARSE_MAX_FILL", np.inf)
+            built = (build_label_extended(inst).matrix, constraint_graph_adjacency(inst),
+                     label_extended.graph_operator(inst.n, inst.u, inst.v, z))
+        M, _, G, _ = loop_operators(inst)
+        for got, want in zip(built, (M, G, loop_graph(inst.n, inst.u, inst.v, z))):
+            assert scipy.sparse.issparse(got) and got.format == "csr"
+            assert got.dtype == want.dtype and got.toarray().tobytes() == want.tobytes()
+        assert G.tobytes() == loop_graph(inst.n, inst.u, inst.v, inst.w).tobytes()
 
     @pytest.mark.parametrize("make", [
         lambda: random_instance(9, 3, seed=4),

@@ -33,6 +33,9 @@ from ugspectral.linalg import (
 # Largest entry of V diag(lambda) V^T - A for a 12 x 12 reconstruction.
 RECONSTRUCTION_TOL = 1e-8
 
+# A window side's sign: the low window of A is the window of -A.
+SIGN = {"adjacency-high": 1.0, "laplacian-low": -1.0}
+
 
 def random_symmetric(n, seed):
     rng = np.random.default_rng(seed)
@@ -76,19 +79,19 @@ class TestSelectEigenspace:
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
     def test_non_finite_threshold_rejected(self, threshold):
         with pytest.raises(NumericError, match="threshold must be finite"):
-            select_eigenspace(np.eye(3), threshold, "adjacency-high")
+            select_eigenspace(np.eye(3), threshold)
 
     def test_high_window_boundary_inclusive(self):
         A = np.diag([3.0, 2.0, 1.0])
-        W = select_eigenspace(A, 2.0, "adjacency-high")
+        W = select_eigenspace(A, 2.0)
         assert W.dim == 2
         assert set(np.round(W.eigenvalues, 12)) == {3.0, 2.0}
 
     def test_low_window_boundary_inclusive(self):
         A = np.diag([3.0, 2.0, 1.0])
-        W = select_eigenspace(A, 2.0, "laplacian-low")
+        W = select_eigenspace(-A, -2.0)
         assert W.dim == 2
-        assert set(np.round(W.eigenvalues, 12)) == {1.0, 2.0}
+        assert set(np.round(W.eigenvalues, 12)) == {-1.0, -2.0}
 
     @pytest.mark.parametrize("mode,offset,dropped", [("adjacency-high", -1e-12, 1.0),
                                                      ("laplacian-low", 1e-12, 3.0)])
@@ -96,18 +99,19 @@ class TestSelectEigenspace:
         """An eigenvalue a rounding error past the threshold is kept, and
         the nearest eigenvalue outside the window is reported, one cut gap
         past the kept eigenvalue nearest the threshold."""
-        W = select_eigenspace(np.diag([3.0, 2.0 + offset, 1.0]), 2.0, mode)
+        s = SIGN[mode]
+        W = select_eigenspace(s * np.diag([3.0, 2.0 + offset, 1.0]), s * 2.0)
         assert W.dim == 2
-        assert W.nearest_dropped == dropped
+        assert W.nearest_dropped == s * dropped
         assert W.cut_gap == pytest.approx(1.0, abs=1e-11)
 
     def test_nothing_dropped(self):
-        W = select_eigenspace(np.diag([3.0, 2.0]), 1.0, "adjacency-high")
+        W = select_eigenspace(np.diag([3.0, 2.0]), 1.0)
         assert W.dim == 2 and W.nearest_dropped == -np.inf
         assert W.cut_gap is None and W.dropped is None
 
     def test_empty_window(self):
-        W = select_eigenspace(np.diag([1.0, 0.5]), 5.0, "adjacency-high")
+        W = select_eigenspace(np.diag([1.0, 0.5]), 5.0)
         assert W.dim == 0
         assert W.cut_gap is None
         assert W.nearest_dropped == 1.0 and np.abs(W.dropped).tolist() == [1.0, 0.0]
@@ -117,12 +121,13 @@ class TestSelectEigenspace:
     def test_dropped_is_the_nearest_eigenvector(self, mode, threshold, nearest):
         """On both sides the eigenvector of the dropped value nearest the
         cut, also where a narrower window is read off a wider one."""
-        A = np.diag([3.0, 1.0, 2.0, 0.5])
-        W = select_eigenspace(A, threshold, mode)
-        assert W.nearest_dropped == nearest and np.abs(W.dropped).tolist() == [0, 0, 1, 0]
-        wide = select_eigenspace(A, 0.0 if mode == "adjacency-high" else 4.0, mode)
-        narrow = linalg_mod.narrow_window(A, wide, threshold)
-        assert narrow.dim == W.dim and narrow.nearest_dropped == nearest
+        s = SIGN[mode]
+        A = s * np.diag([3.0, 1.0, 2.0, 0.5])
+        W = select_eigenspace(A, s * threshold)
+        assert W.nearest_dropped == s * nearest and np.abs(W.dropped).tolist() == [0, 0, 1, 0]
+        wide = select_eigenspace(A, s * (0.0 if mode == "adjacency-high" else 4.0))
+        narrow = linalg_mod.narrow_window(A, wide, s * threshold)
+        assert narrow.dim == W.dim and narrow.nearest_dropped == s * nearest
         assert np.abs(narrow.dropped).tolist() == [0, 0, 1, 0]
 
     @pytest.mark.parametrize("mode, threshold", [("adjacency-high", 0.5),
@@ -131,27 +136,22 @@ class TestSelectEigenspace:
         """The dense window is narrow_window of every eigenpair, a window with
         nothing dropped, field for field and bit for bit, and aborts on
         max_dim with the same message."""
-        A = random_symmetric(12, 3)
+        A, threshold = SIGN[mode] * random_symmetric(12, 3), SIGN[mode] * threshold
         vals, vecs = eigendecompose(A)
-        edge = -np.inf if mode == "adjacency-high" else np.inf
-        full = Eigenspace(12, vecs, vals, edge, mode, edge)
-        W, want = select_eigenspace(A, threshold, mode), narrow_window(A, full, threshold)
+        full = Eigenspace(12, vecs, vals, -np.inf, -np.inf)
+        W, want = select_eigenspace(A, threshold), narrow_window(A, full, threshold)
         assert 0 < W.dim < 12
         for f in dataclasses.fields(Eigenspace):
             assert np.array_equal(getattr(W, f.name), getattr(want, f.name)), f.name
         with pytest.raises(DimensionAbortError) as dense:
-            select_eigenspace(A, threshold, mode, max_dim=1)
+            select_eigenspace(A, threshold, max_dim=1)
         with pytest.raises(DimensionAbortError) as narrow:
             narrow_window(A, full, threshold, max_dim=1)
         assert str(dense.value) == str(narrow.value) == f"dim(W)={W.dim} exceeds max_dim=1"
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            select_eigenspace(np.eye(2), 0.5, "sideways")
-
     def test_basis_spans_invariant_subspace(self):
         A = random_symmetric(10, 11)
-        W = select_eigenspace(A, 0.0, "adjacency-high")
+        W = select_eigenspace(A, 0.0)
         # A maps span(W) into itself: A B = B (B^T A B)
         B = W.basis
         assert np.abs(A @ B - B @ (B.T @ A @ B)).max() <= 1e-9
@@ -164,7 +164,7 @@ class TestProjectSplit:
         """Also for the complex window of a Hermitian matrix, which projects
         with the conjugate transpose of its basis."""
         A = random_hermitian(14, seed, 0.5) if hermitian else random_symmetric(14, seed)
-        W = select_eigenspace(A, 0.0, "adjacency-high")
+        W = select_eigenspace(A, 0.0)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(14)
         alpha, beta = project_split(x, W)
@@ -174,7 +174,7 @@ class TestProjectSplit:
 
     def test_vector_inside_space(self):
         A = random_symmetric(8, 2)
-        W = select_eigenspace(A, 0.0, "adjacency-high")
+        W = select_eigenspace(A, 0.0)
         x = W.basis[:, 0]
         alpha, beta = project_split(x, W)
         assert alpha == pytest.approx(1.0)
@@ -182,20 +182,20 @@ class TestProjectSplit:
 
     def test_zero_vector_rejected(self):
         A = random_symmetric(4, 0)
-        W = select_eigenspace(A, 0.0, "adjacency-high")
+        W = select_eigenspace(A, 0.0)
         with pytest.raises(NumericError):
             project_split(np.zeros(4), W)
 
     def test_shape_mismatch(self):
         A = random_symmetric(4, 0)
-        W = select_eigenspace(A, 0.0, "adjacency-high")
+        W = select_eigenspace(A, 0.0)
         with pytest.raises(NumericError):
             project_split(np.zeros(5), W)
 
     def test_basis_invariance(self):
         """alpha/beta depend only on the span, not on the basis chosen."""
         A = random_symmetric(10, 5)
-        W = select_eigenspace(A, 0.0, "adjacency-high")
+        W = select_eigenspace(A, 0.0)
         rng = np.random.default_rng(9)
         Q, _ = np.linalg.qr(rng.standard_normal((W.dim, W.dim)))
         W2 = type(W)(
@@ -203,7 +203,6 @@ class TestProjectSplit:
             basis=W.basis @ Q,
             eigenvalues=W.eigenvalues,
             threshold=W.threshold,
-            mode=W.mode,
         )
         x = rng.standard_normal(10)
         assert project_split(x, W) == pytest.approx(project_split(x, W2), abs=1e-10)
@@ -215,13 +214,14 @@ def _maxlin_operator(n, k, frac, seed):
     degenerate eigenvalue pairs."""
     inst, planted, _ = planted_regular_instance(n, 4, k, seed=seed, constraint_family="maxlin")
     inst = perturb(inst, planted, frac, seed=seed + 1, constraint_family="maxlin")
-    return build_label_extended(inst).matrix, "adjacency-high"
+    return build_label_extended(inst).matrix
 
 
 def _components_operator(n, k, frac, seed):
-    """Laplacian of three disjoint planted instances on random 3-regular
-    graphs with random permutations: one zero eigenvalue per component of
-    the label-extended graph, k of them per unperturbed component."""
+    """Negated Laplacian of three disjoint planted instances on random
+    3-regular graphs with random permutations: one zero eigenvalue per
+    component of the label-extended graph, k of them per unperturbed
+    component."""
     parts = []
     for c in range(3):
         inst, planted, _ = planted_regular_instance(n // 6 * 2, 3, k, seed=seed + c)
@@ -236,7 +236,7 @@ def _components_operator(n, k, frac, seed):
         np.concatenate([p.w for p in parts]),
         np.concatenate([p.perm for p in parts]),
     )
-    return build_laplacian(inst).matrix, "laplacian-low"
+    return -build_laplacian(inst).matrix
 
 
 class TestSparseWindow:
@@ -259,16 +259,14 @@ class TestSparseWindow:
         residual_tol, same cut_gap sign and the same projector, with the
         threshold either on the j-th eigenvalue (its cluster sits on the
         threshold) or midway to the next distinct one."""
-        A, mode = family(*size, frac, seed)
-        vals = np.sort(np.linalg.eigvalsh(A))
-        if mode == "adjacency-high":
-            vals = vals[::-1]
+        A = family(*size, frac, seed)
+        vals = np.sort(np.linalg.eigvalsh(A))[::-1]
         tol = RESIDUAL_TOL * max(1.0, np.abs(vals).max())
         t = vals[j]
         if not on_cluster:
             t = (t + vals[j:][np.abs(vals[j:] - t) > 1e-6][0]) / 2
-        dense = select_eigenspace(A, t, mode)
-        sparse = _sparse_window(scipy.sparse.csr_array(A), t, mode)
+        dense = select_eigenspace(A, t)
+        sparse = _sparse_window(scipy.sparse.csr_array(A), t)
         assert sparse is not None
         assert sparse.dim == dense.dim >= j + 1
         assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= tol
@@ -286,8 +284,8 @@ class TestSparseWindow:
 
     def test_narrow_window_keeps_the_solver_record(self):
         """A window read off a filtered solve carries that solve's record."""
-        A, _ = _maxlin_operator(64, 8, 0.0, 3)
-        wide = select_eigenspace(A, 3.3, "adjacency-high")
+        A = _maxlin_operator(64, 8, 0.0, 3)
+        wide = select_eigenspace(A, 3.3)
         narrow = linalg_mod.narrow_window(A, wide, 3.9)
         assert wide.solver["path"] == "filtered" and wide.solver["passes"] > 0
         assert narrow.dim < wide.dim and narrow.solver == wide.solver
@@ -296,9 +294,9 @@ class TestSparseWindow:
         """The window at 3.3 holds 16 eigenvalues, the width of the first
         block, so every Ritz value is kept and nothing certifies the cut:
         the block grows, and every copy is found with the dense eigenvalues."""
-        A, _ = _maxlin_operator(64, 8, 0.0, 3)
-        sparse = _sparse_window(A, 3.3, "adjacency-high")
-        dense = select_eigenspace(A.toarray(), 3.3, "adjacency-high")
+        A = _maxlin_operator(64, 8, 0.0, 3)
+        sparse = _sparse_window(A, 3.3)
+        dense = select_eigenspace(A.toarray(), 3.3)
         assert sparse.dim == dense.dim == SPARSE_BLOCK
         assert sparse.solver["block"] > SPARSE_BLOCK and sparse.solver["passes"] > 0
         assert (dense.solver["passes"], dense.solver["block"]) == (0, 0)
@@ -310,16 +308,16 @@ class TestSparseWindow:
         """One filter pass does not converge this window, so the capped solve
         gives up after exactly that pass and select_eigenspace answers as the
         dense path does."""
-        A = _maxlin_operator(64, 8, 0.04, 7)[0]
+        A = _maxlin_operator(64, 8, 0.04, 7)
         monkeypatch.setattr(linalg_mod, "SPARSE_MAX_PASSES", 1)
         filters = []
         chebyshev = linalg_mod._chebyshev
         monkeypatch.setattr(linalg_mod, "_chebyshev",
                             lambda *args: filters.append(1) or chebyshev(*args))
-        assert _sparse_window(A, 3.0, "adjacency-high") is None
+        assert _sparse_window(A, 3.0) is None
         assert len(filters) == 1
-        W = select_eigenspace(A, 3.0, "adjacency-high")
-        dense = select_eigenspace(A.toarray(), 3.0, "adjacency-high")
+        W = select_eigenspace(A, 3.0)
+        dense = select_eigenspace(A.toarray(), 3.0)
         assert np.array_equal(W.eigenvalues, dense.eigenvalues)
         assert np.array_equal(W.basis, dense.basis)
 
@@ -327,7 +325,7 @@ class TestSparseWindow:
         """Where Cholesky QR fails on a numerically singular Gram matrix, the
         block is orthonormalised by np.linalg.qr and the window still matches
         the dense one."""
-        A, _ = _maxlin_operator(64, 4, 0.04, 7)
+        A = _maxlin_operator(64, 4, 0.04, 7)
         failed = []
         cholesky = np.linalg.cholesky
 
@@ -338,9 +336,9 @@ class TestSparseWindow:
             return cholesky(G)
 
         monkeypatch.setattr(np.linalg, "cholesky", fail_once)
-        sparse = _sparse_window(scipy.sparse.csr_array(A), 3.0, "adjacency-high")
+        sparse = _sparse_window(scipy.sparse.csr_array(A), 3.0)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-        dense = select_eigenspace(A, 3.0, "adjacency-high")
+        dense = select_eigenspace(A, 3.0)
         assert failed and sparse is not None
         assert sparse.dim == dense.dim > 0
         assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-9
@@ -359,12 +357,12 @@ class TestSparseWindow:
             from ugspectral.label_extended import build_label_extended
             from ugspectral.linalg import select_eigenspace
             inst, _, _ = planted_regular_instance(64, 4, 8, seed=3, constraint_family="maxlin")
-            W = select_eigenspace(build_label_extended(inst).matrix, 3.3, "adjacency-high")
+            W = select_eigenspace(build_label_extended(inst).matrix, 3.3)
             assert W.solver["block"] > 0, "expected the filtered path"
             from ugspectral.maxlin import MaxLinInstance, character_blocks
             inst, _, _ = planted_regular_instance(400, 4, 8, seed=3, constraint_family="maxlin")
             j, H = next(character_blocks(MaxLinInstance.from_instance(inst)))
-            W = select_eigenspace(H, 3.6, "adjacency-high")
+            W = select_eigenspace(H, 3.6)
             assert H.format == "csr" and np.iscomplexobj(W.basis), "expected a Hermitian block"
             assert W.solver["block"] > 0, "expected the filtered path"
             print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
@@ -378,9 +376,9 @@ class TestSparseWindow:
 
     def test_large_window_falls_back_to_dense(self):
         A = scipy.sparse.csr_array(random_symmetric(40, 1))
-        assert _sparse_window(A, 0.0, "adjacency-high") is None
-        W = select_eigenspace(A, 0.0, "adjacency-high")
-        dense = select_eigenspace(A.toarray(), 0.0, "adjacency-high")
+        assert _sparse_window(A, 0.0) is None
+        W = select_eigenspace(A, 0.0)
+        dense = select_eigenspace(A.toarray(), 0.0)
         assert np.array_equal(W.eigenvalues, dense.eigenvalues)
         assert np.array_equal(W.basis, dense.basis)
 
@@ -389,22 +387,22 @@ class TestSparseWindow:
         """The zero matrix has Gershgorin bound c = 0, so op = A + cI carries
         no spectrum to filter; the dense path answers."""
         A = scipy.sparse.csr_array((600, 600))
-        assert _sparse_window(A, threshold, "adjacency-high") is None
-        assert select_eigenspace(A, threshold, "adjacency-high").dim == dim
+        assert _sparse_window(A, threshold) is None
+        assert select_eigenspace(A, threshold).dim == dim
 
     def test_rejects_non_symmetric_and_non_finite(self):
         A = scipy.sparse.csr_array(np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]))
         with pytest.raises(NumericError):
-            select_eigenspace(A, 0.0, "adjacency-high")
+            select_eigenspace(A, 0.0)
         A = scipy.sparse.csr_array(np.array([[np.nan, 0.0], [0.0, 0.0]]))
         with pytest.raises(NumericError):
-            select_eigenspace(A, 0.0, "adjacency-high")
+            select_eigenspace(A, 0.0)
         # nan != nan fails the symmetry check first; inf reaches the finiteness
         # check, which the filtered path runs itself rather than leaving to
         # the dense fallback.
         A = scipy.sparse.csr_array(np.array([[np.inf, 0.0], [0.0, 0.0]]))
         with pytest.raises(NumericError, match="non-finite"):
-            _sparse_window(A, 0.0, "adjacency-high")
+            _sparse_window(A, 0.0)
 
     def test_dense_and_sparse_storage_share_the_window(self):
         """Both paths widen the cut by RESIDUAL_TOL * max(1, c), c the
@@ -417,15 +415,15 @@ class TestSparseWindow:
                                       [-1, 0, 1, 0], [-1, 0, 0, 1]])
         assert np.abs(A).sum(axis=1).max() == 600.0
         t = 10 - 5e-7
-        dense = select_eigenspace(A, t, "laplacian-low")
-        sparse = select_eigenspace(scipy.sparse.csr_array(A), t, "laplacian-low")
+        dense = select_eigenspace(-A, -t)
+        sparse = select_eigenspace(scipy.sparse.csr_array(-A), -t)
         assert dense.dim == sparse.dim == 11
-        assert dense.nearest_dropped == 11.0
-        assert sparse.nearest_dropped == pytest.approx(11.0, abs=1e-9)
+        assert dense.nearest_dropped == -11.0
+        assert sparse.nearest_dropped == pytest.approx(-11.0, abs=1e-9)
 
     def test_deterministic(self):
-        A = scipy.sparse.csr_array(_maxlin_operator(64, 4, 0.04, 7)[0])
-        W1, W2 = (_sparse_window(A, 3.0, "adjacency-high") for _ in range(2))
+        A = scipy.sparse.csr_array(_maxlin_operator(64, 4, 0.04, 7))
+        W1, W2 = (_sparse_window(A, 3.0) for _ in range(2))
         assert np.array_equal(W1.eigenvalues, W2.eigenvalues)
         assert np.array_equal(W1.basis, W2.basis)
 
@@ -457,22 +455,23 @@ class TestHermitian:
         if mode == "adjacency-high":
             vals, vecs = vals[::-1], vecs[:, ::-1]
         t = vals[j] if on_value else (vals[j] + vals[j + 1]) / 2
-        W = select_eigenspace(scipy.sparse.csr_array(H) if csr else H, t, mode)
+        s = SIGN[mode]
+        W = select_eigenspace(scipy.sparse.csr_array(s * H) if csr else s * H, s * t)
         tol = RESIDUAL_TOL * max(1.0, np.abs(vals).max())
         assert W.dim == j + 1 and np.iscomplexobj(W.basis)
-        assert np.abs(W.eigenvalues - np.sort(vals[:j + 1])[::-1]).max() <= tol  # descending
+        assert np.abs(W.eigenvalues - np.sort(s * vals[:j + 1])[::-1]).max() <= tol  # descending
         assert W.max_residual <= tol
         assert np.abs(W.basis.conj().T @ W.basis - np.eye(W.dim)).max() <= tol
         P = W.basis @ W.basis.conj().T - vecs[:, :j + 1] @ vecs[:, :j + 1].conj().T
         assert np.abs(P).max() <= 1e-8
-        assert abs(W.nearest_dropped - vals[j + 1]) <= tol
+        assert abs(W.nearest_dropped - s * vals[j + 1]) <= tol
 
     def test_block_has_the_real_width(self):
         """A Hermitian CSR matrix iterates on SPARSE_BLOCK // 2 complex
         columns, reported as SPARSE_BLOCK real ones, as its real embedding's
         block would be."""
         H = scipy.sparse.csr_array(random_hermitian(400, 1, 0.01))
-        W = select_eigenspace(H, np.linalg.eigvalsh(H.toarray())[-2], "adjacency-high")
+        W = select_eigenspace(H, np.linalg.eigvalsh(H.toarray())[-2])
         assert W.dim == 2 and W.solver["path"] == "filtered"
         assert W.solver["block"] == SPARSE_BLOCK
 
@@ -485,4 +484,4 @@ class TestHermitian:
         """Symmetric but not Hermitian, a non-real diagonal, and a
         non-finite entry: NumericError on the dense and the filtered path."""
         with pytest.raises(NumericError):
-            select_eigenspace(scipy.sparse.csr_array(bad) if csr else bad, 0.0, "adjacency-high")
+            select_eigenspace(scipy.sparse.csr_array(bad) if csr else bad, 0.0)

@@ -83,6 +83,15 @@ class TestAbelianGroup:
         with pytest.raises(UGError):
             AbelianGroup((1,))
 
+    @pytest.mark.parametrize("factors", [(2, 3.0), (6.0,), (2.5, 2)])
+    def test_rejects_non_integer_factors(self, factors):
+        """A float factor is an error when the group is made, not later: on
+        this Z_6 shift game (6.0,) used to be accepted as Z_6."""
+        inst, _, _ = planted_regular_instance(30, 4, 6, seed=1, constraint_family="maxlin")
+        with pytest.raises(UGError, match="^bad group factors"):
+            MaxLinInstance.from_instance(inst, AbelianGroup(factors))
+        assert MaxLinInstance.from_instance(inst, AbelianGroup((6,))).group.order == 6
+
 
 def regular_maxlin(n, d, group, seed, perturbed=False):
     """Max-Lin over the group on a random d-regular graph, every constraint
@@ -196,8 +205,7 @@ class TestLiftEigenbasis:
         the label-extended matrix with eigenvalue d."""
         g = AbelianGroup((2,))
         ml = maxlin_on(2, g, [(0, 1, 1.0, 0)])
-        phi = Eigenspace(2, np.full((2, 1), 1 / np.sqrt(2)), np.array([1.0]),
-                         0.0, "adjacency-high")
+        phi = Eigenspace(2, np.full((2, 1), 1 / np.sqrt(2)), np.array([1.0]), 0.0)
         lifted = lift_eigenbasis(phi, ml, [0, 0])
         expect0 = np.array([1, 0, 1, 0]) / np.sqrt(2)
         expect1 = np.array([0, 1, 0, 1]) / np.sqrt(2)
@@ -211,7 +219,7 @@ class TestLiftEigenbasis:
         inst, planted = planted_on(6, 3, complete_skeleton(6), seed=1, family="maxlin")
         ml = MaxLinInstance.from_instance(inst)
         A = constraint_graph_adjacency(inst)
-        phi = select_eigenspace(A, -1e18, "adjacency-high")  # full basis
+        phi = select_eigenspace(A, -1e18)  # full basis
         lifted = lift_eigenbasis(phi, ml, planted)
         assert lifted.shape == (3 * phi.dim, 18)
         G = lifted @ lifted.T
@@ -231,7 +239,7 @@ class TestLiftEigenbasis:
         inst, planted, _ = planted_regular_instance(18, 4, 3, seed=seed,
                                                     constraint_family="maxlin")
         ml = MaxLinInstance.from_instance(inst)
-        phi = select_eigenspace(constraint_graph_adjacency(inst), -1e18, "adjacency-high")
+        phi = select_eigenspace(constraint_graph_adjacency(inst), -1e18)
         table = ml.group.shift_table()
         ref = np.zeros((3 * phi.dim, 18 * 3))
         for s in range(phi.dim):
@@ -243,7 +251,7 @@ class TestLiftEigenbasis:
     def test_requires_perfect_labeling(self):
         inst, planted = planted_on(6, 3, complete_skeleton(6), seed=1, family="maxlin")
         ml = MaxLinInstance.from_instance(inst)
-        phi = select_eigenspace(constraint_graph_adjacency(inst), -1e18, "adjacency-high")
+        phi = select_eigenspace(constraint_graph_adjacency(inst), -1e18)
         bad = (np.asarray(planted) + 1) % 3
         bad[0] = planted[0]  # breaks shift structure, value < 1
         with pytest.raises(UGError):
@@ -267,10 +275,10 @@ class TestBlockNorm:
 class TestUniformity:
     def _space(self, vecs):
         B = np.column_stack(vecs)
-        return Eigenspace(B.shape[0], B, np.zeros(B.shape[1]), 0.0, "adjacency-high")
+        return Eigenspace(B.shape[0], B, np.zeros(B.shape[1]), 0.0)
 
     def test_empty_space_rejected(self):
-        empty = Eigenspace(4, np.zeros((4, 0)), np.zeros(0), 0.0, "adjacency-high")
+        empty = Eigenspace(4, np.zeros((4, 0)), np.zeros(0), 0.0)
         with pytest.raises(UGError, match="nonempty eigenspace"):
             uniformity_check(empty, C=1.0)
 
@@ -621,12 +629,10 @@ class TestCharacterBlocks:
         p = MaxLinParams(0.001, gamma, theta=gamma * share, max_dim=10**6)
         W, S, _ = character_window(ml, p, skip_lap)
         d = ml.base.average_degree
-        R = select_eigenspace(build_label_extended(ml.base).matrix, (1 - p.window) * d,
-                              "adjacency-high")
+        R = select_eigenspace(build_label_extended(ml.base).matrix, (1 - p.window) * d)
         assert_same_window(W, R)
         assert W.max_residual <= 1e-8
-        S0 = select_eigenspace(constraint_graph_adjacency(ml.base), (1 - gamma) * d,
-                               "adjacency-high")
+        S0 = select_eigenspace(constraint_graph_adjacency(ml.base), (1 - gamma) * d)
         assert S.dim == S0.dim and np.array_equal(S.basis, S0.basis)
         assert np.array_equal(S.eigenvalues, S0.eigenvalues)
 
@@ -647,7 +653,7 @@ class TestCharacterBlocks:
             W = character_window(ml, p, skip_lap)[0]
             M = build_label_extended(inst).matrix
             d = inst.average_degree
-            assert_same_window(W, select_eigenspace(M, (1 - theta) * d, "adjacency-high"))
+            assert_same_window(W, select_eigenspace(M, (1 - theta) * d))
 
     @pytest.mark.parametrize("n, message", [(16, r"^dim\(W\)=6 exceeds max_dim=5$"),
                                             (400, r"^dim\(W\) >= \d+ exceeds max_dim=5$")])

@@ -68,7 +68,6 @@ def orthonormal_space(dim_ambient, dim, seed=0):
         basis=Q[:, :dim],
         eigenvalues=np.zeros(dim),
         threshold=0.0,
-        mode="adjacency-high",
     )
 
 
@@ -87,7 +86,8 @@ class TestParams:
                                      dict(epsilon=0.01, gamma=0.5, theta=0.0),
                                      dict(epsilon=0.01, gamma=0.5, theta=0.6),
                                      dict(epsilon=0.01, gamma=0.5, theta=float("nan")),
-                                     dict(epsilon=0.01, gamma=float("inf"))])
+                                     dict(epsilon=0.01, gamma=float("inf")),
+                                     dict(epsilon=0.01, gamma=0.5, max_dim=2.5)])
     def test_invalid(self, bad):
         with pytest.raises(UGError):
             SolveParams(**bad).validate()
@@ -264,6 +264,13 @@ class TestNet:
             net_size(0, 0.5)
         with pytest.raises(UGError):
             net_size(2, 0.0)
+
+    def test_nan_step_rejected(self):
+        """NaN fails the step test as a step <= 0 does, with or without a
+        cap, rather than counting as an infinite net."""
+        for cap in (None, 10):
+            with pytest.raises(UGError, match="step > 0"):
+                net_size(2, float("nan"), cap)
 
 
 def python_int_net_size(dim, step):
@@ -444,9 +451,9 @@ class TestRecover:
         inst, planted = planted_on(120, 4, skeleton, seed=0)
         params = SolveParams(0.01, 0.5, mode="laplacian")
         if solver == "diagnose":
-            A, threshold, side = search_operator(inst, params)
+            A, threshold = search_operator(inst, params)
             assert scipy.sparse.issparse(A)
-            reference = select_eigenspace(A.toarray(), threshold, side)
+            reference = select_eigenspace(A.toarray(), threshold)
             assert reference.dim > params.max_dim
             y = characteristic_vector(planted, 4, normalized=True)
             split = closeness_diagnostic(inst, planted, params)
@@ -477,9 +484,9 @@ class TestRecover:
         skeleton = [(6 * c + u, 6 * c + (u + 1) % 6) for c in range(5) for u in range(6)]
         inst, planted = planted_on(30, 4, skeleton, seed=0)
         params = SolveParams(0.01, 0.5, mode="laplacian")
-        A, threshold, side = search_operator(inst, params)
+        A, threshold = search_operator(inst, params)
         assert isinstance(A, np.ndarray)
-        reference = select_eigenspace(A, threshold, side)
+        reference = select_eigenspace(A, threshold)
         assert reference.dim == 54
         y = characteristic_vector(planted, 4, normalized=True)
         split = closeness_diagnostic(inst, planted, params)
@@ -509,8 +516,8 @@ class TestRecover:
         from ugspectral.linalg import Eigenspace, select_eigenspace
 
         inst, _ = planted_on(6, 3, complete_skeleton(6), seed=6, family="maxlin")
-        empty = Eigenspace(18, np.zeros((18, 0)), np.zeros(0), 0.0, "adjacency-high")
-        monkeypatch.setattr(recover_mod, "select_eigenspace", lambda A, t, side, max_dim: empty)
+        empty = Eigenspace(18, np.zeros((18, 0)), np.zeros(0), 0.0)
+        monkeypatch.setattr(recover_mod, "select_eigenspace", lambda A, t, max_dim: empty)
         with pytest.raises(DegenerateSpectrumError):
             recover_mod.recover_solution(
                 inst, SolveParams(epsilon=0.01, gamma=0.5, max_dim=8)
