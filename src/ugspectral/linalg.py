@@ -9,8 +9,8 @@ Comput. Phys. 2006), which needs only sparse-times-block products and
 numpy.linalg, and certifies the cut by the nearest eigenpair past its edge.
 It falls back to eigh on the densified matrix when the window is a large
 share of the spectrum or the iteration does not converge.  Both paths meet
-the residual/orthonormality contract below and are deterministic for a
-fixed input.
+the residual/orthonormality contract below, are deterministic for a fixed
+input, and return the window as a frozen Eigenspace built in one step.
 """
 
 from __future__ import annotations
@@ -40,16 +40,15 @@ class DimensionAbortError(AbortError):
         super().__init__(f"dim(W){' >= ' if at_least else '='}{dim} exceeds max_dim={max_dim}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Eigenspace:
-    """Orthonormal basis of the eigenvalues >= threshold of a symmetric or
+    """Orthonormal basis of the eigenvalues >= a threshold of a symmetric or
     Hermitian matrix, complex for a complex one; a low window of A is the
-    top of -A.  ``basis`` has shape (dim_ambient, dim)."""
+    top of -A.  ``basis`` has shape (dim_ambient, dim).  A frozen record,
+    built whole by the solve that finds its eigenpairs (``_eigenspace``)."""
 
-    dim_ambient: int
     basis: np.ndarray
     eigenvalues: np.ndarray
-    threshold: float
     # Nearest eigenvalue outside the window; -inf if none.
     nearest_dropped: float = float("nan")
     dropped: np.ndarray | None = None  # an eigenvector of nearest_dropped; None if none
@@ -57,6 +56,10 @@ class Eigenspace:
     max_residual: float = float("nan")
     # Its solve, as SolveReport.eigensolver prints it; dense by default.
     solver: dict = field(default_factory=lambda: dict(path="dense", passes=0, block=0))
+
+    @property
+    def dim_ambient(self):
+        return self.basis.shape[0]
 
     @property
     def dim(self):
@@ -118,7 +121,7 @@ def select_eigenspace(A, threshold, max_dim=None) -> Eigenspace:
     else:
         A = np.asarray(A, dtype=_field(A))
     vals, vecs = eigendecompose(A)
-    return narrow_window(A, Eigenspace(len(vals), vecs, vals, -np.inf, -np.inf), threshold, max_dim)
+    return narrow_window(A, Eigenspace(vecs, vals, -np.inf), threshold, max_dim)
 
 
 def narrow_window(A, S: Eigenspace, threshold, max_dim=None) -> Eigenspace:
@@ -134,11 +137,9 @@ def narrow_window(A, S: Eigenspace, threshold, max_dim=None) -> Eigenspace:
     if max_dim is not None and count > max_dim:
         raise DimensionAbortError(count, max_dim)
     i = count if count < len(keep) else None  # the nearest dropped, as S's values descend
-    W = _eigenspace(A, S.eigenvalues[keep], np.ascontiguousarray(S.basis[:, keep]), threshold,
-                    S.nearest_dropped if i is None else S.eigenvalues[i])
-    W.dropped = S.dropped if i is None else S.basis[:, i].copy()
-    W.solver = S.solver
-    return W
+    return _eigenspace(A, S.eigenvalues[keep], np.ascontiguousarray(S.basis[:, keep]),
+                       S.nearest_dropped if i is None else S.eigenvalues[i],
+                       S.dropped if i is None else S.basis[:, i].copy(), S.solver)
 
 
 def _window_cut(A, threshold):
@@ -148,10 +149,10 @@ def _window_cut(A, threshold):
     return c, threshold + c - RESIDUAL_TOL * max(1.0, c)
 
 
-def _eigenspace(A, vals, basis, threshold, nearest) -> Eigenspace:
+def _eigenspace(A, vals, basis, nearest, dropped, solver) -> Eigenspace:
+    """The window of A a solve found, with the largest residual over it."""
     residual = np.linalg.norm(A @ basis - basis * vals, axis=0).max(initial=0.0)
-    return Eigenspace(basis.shape[0], basis, vals, float(threshold), float(nearest),
-                      max_residual=float(residual))
+    return Eigenspace(basis, vals, float(nearest), dropped, float(residual), solver)
 
 
 def _is_sparse(A) -> bool:
@@ -226,10 +227,9 @@ def _sparse_window(A, threshold, max_dim=None) -> Eigenspace | None:
     else:
         return None
     keep = np.arange(len(mu) - 1, edge, -1)  # descending eigenvalue
-    W = _eigenspace(A, mu[keep] - c, np.ascontiguousarray(X[:, keep]), threshold, mu[edge] - c)
-    W.dropped = X[:, edge].copy()
-    W.solver = dict(path="filtered", passes=passes, block=r * X.shape[1])
-    return W
+    solver = dict(path="filtered", passes=passes, block=r * X.shape[1])
+    return _eigenspace(A, mu[keep] - c, np.ascontiguousarray(X[:, keep]), mu[edge] - c,
+                       X[:, edge].copy(), solver)
 
 
 def _chebyshev(op, X, b, top):

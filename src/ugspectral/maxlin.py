@@ -5,11 +5,12 @@ satisfaction is invariant under shifting every label by a group element.
 Supported groups: cyclic Z_k and direct products of cyclic factors (powers
 of Z_2 cover the Khot-Vishnoi XOR constraints).  Includes the lifted
 eigenbasis of a perfectly satisfiable completion, the sin-theta
-perturbation diagnostics, the exact l-infinity uniformity check, and the
-Max-Lin solve: the generic solve searching the narrower window (1-theta)d,
-whose W (and the constraint graph's S) is solved one character block at a
-time, a conjugate pair of characters as one complex Hermitian n x n block,
-plus dim(S), the uniformity check and an expander-regime flag.
+perturbation diagnostics of a d-regular instance, the exact l-infinity
+uniformity supremum of an eigenspace, and the Max-Lin solve: the generic
+solve searching the narrower window (1-theta)d, whose W (and the constraint
+graph's S) is solved one character block at a time, a conjugate pair of
+characters as one complex Hermitian n x n block, plus dim(S), S's
+uniformity against C / sqrt(n) and an expander-regime flag.
 """
 
 from __future__ import annotations
@@ -136,26 +137,15 @@ def block_norm_vector(w, n, k) -> np.ndarray:
 UNIFORMITY_C = 2.0  # uniformity bound C / sqrt(n) on the l-infinity norm of S
 
 
-@dataclass
-class UniformityReport:
-    passes: bool
-    bound: float            # C / sqrt(n)
-    worst_linf: float       # the largest |x_v| over unit vectors x of the span
-
-
-def uniformity_check(S: Eigenspace, C) -> UniformityReport:
-    """Check the l-infinity uniformity hypothesis on an eigenspace exactly.
-
-    The hypothesis bounds |x_v| over every unit vector x = Bc of the span,
-    B the orthonormal basis.  By Cauchy-Schwarz |(Bc)_v| <= ||B[v]||, with
-    equality at c = B[v] / ||B[v]||, so the supremum is the largest row
-    norm of B (at dim 1, max |B| exactly).
-    """
+def uniformity_check(S: Eigenspace) -> float:
+    """The l-infinity uniformity of an eigenspace, exactly: the supremum of
+    |x_v| over every unit vector x = Bc of the span, B the orthonormal basis.
+    By Cauchy-Schwarz |(Bc)_v| <= ||B[v]||, with equality at
+    c = B[v] / ||B[v]||, so it is the largest row norm of B (at dim 1,
+    max |B| exactly)."""
     if S.dim == 0:
         raise UGError("uniformity check needs a nonempty eigenspace")
-    bound = C / np.sqrt(S.dim_ambient)
-    worst = float(np.linalg.norm(S.basis, axis=1).max())
-    return UniformityReport(passes=bool(worst <= bound), bound=float(bound), worst_linf=worst)
+    return float(np.linalg.norm(S.basis, axis=1).max())
 
 
 @dataclass
@@ -194,9 +184,12 @@ def sin_theta_report(
     """Davis-Kahan style diagnostics for one unit eigenvector w of the
     perturbed label-extended matrix against the completion's high space Y.
     With w None, the top eigenvector: the first of the window at
-    (1-gamma)*d, d the average degree, never empty since the top eigenvalue
-    is at least the Rayleigh quotient d of the all-ones vector."""
+    (1-gamma)*d, never empty since the top eigenvalue is at least the
+    Rayleigh quotient d of the all-ones vector.  Both windows are cut at the
+    degree d, so NonRegularError unless both graphs are d-regular."""
     R = perturbed_edge_matrix(ml.base, completion.base)  # checks the skeletons first
+    if not (ml.base.is_regular() and completion.base.is_regular()):
+        raise NonRegularError("Max-Lin needs a d-regular constraint graph")
     M = build_label_extended(ml.base).matrix
     Mt = build_label_extended(completion.base).matrix
     if w is None:
@@ -324,16 +317,10 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
     Es = shares.values()
     vals = np.concatenate(vals)
     order = np.lexsort((np.repeat(list(shares), [L.shape[1] for L in lifts]), -vals))
-    W = Eigenspace(
-        dim_ambient=n * k,
-        basis=np.hstack(lifts)[:, order],
-        eigenvalues=vals[order],
-        threshold=float(level),
-        nearest_dropped=max(E.nearest_dropped for E in Es),
-        max_residual=max(E.max_residual for E in Es),
-        solver=dict(path="characters", passes=sum(E.solver["passes"] for E in Es),
-                    block=max(E.solver["block"] for E in Es), blocks=len(Es)),
-    )
+    W = Eigenspace(np.hstack(lifts)[:, order], vals[order],
+                   max(E.nearest_dropped for E in Es), max_residual=max(E.max_residual for E in Es),
+                   solver=dict(path="characters", passes=sum(E.solver["passes"] for E in Es),
+                               block=max(E.solver["block"] for E in Es), blocks=len(Es)))
     lap("eigensolve")
     return W, S, shares
 
@@ -394,7 +381,7 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
 
     def window(inst, params, lap):
         W, S, shares = character_window(ml, params, lap)
-        uni = uniformity_check(S, UNIFORMITY_C)
+        worst = uniformity_check(S)
         lap("eigensolve")
         missed = not all(E.dim for E in shares.values())
         more = [character_net(ml, shares)] if missed else []
@@ -404,8 +391,8 @@ def solve_maxlin(ml: MaxLinInstance, params: MaxLinParams) -> SolveReport:
             "k_times_dim_S": inst.k * S.dim,
             "dim_check_ok": bool(W.dim <= inst.k * S.dim),
             "theta": params.window,
-            "uniformity_passes": uni.passes,
-            "uniformity_worst_linf": uni.worst_linf,
+            "uniformity_passes": bool(worst <= UNIFORMITY_C / np.sqrt(inst.n)),
+            "uniformity_worst_linf": worst,
             "expander_fast_path": bool(S.dim == 1),
             "character_candidates": sum(len(C) for C, _ in more),
         }

@@ -249,10 +249,11 @@ def _lattice_chunks(dim, step, rows, hold=None) -> Iterator[np.ndarray]:
     the stack holds at most one block of at most ``width`` prefixes per
     coordinate, whatever the size of the net.  Its numpy work is paid per
     block, so the walk takes the widest blocks whose stack of int64
-    prefixes fits core.BATCH_BYTES, and no fewer than ``rows``."""
+    prefixes fits core.BATCH_BYTES, and no fewer than ``rows``.  Raises
+    NetTooLargeError where r2 >= 2**52 (an infinite radius too)."""
     r2 = _net_radius2(dim, step)
-    if not math.isfinite(r2):
-        raise NetTooLargeError(f"net at dim={dim}, step={step} has an infinite radius")
+    if not r2 < 2**52:  # as in net_size: the walk's square roots are exact below 2**52
+        raise NetTooLargeError(f"net at dim={dim}, step={step} is beyond exact counting")
     r2 = int(np.floor(r2))
     width = max(rows, core.BATCH_BYTES // (8 * dim * dim))
     stack = [(np.zeros((1, 0), dtype=np.int64), 0)]  # (prefix block, first child)

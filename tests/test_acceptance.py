@@ -64,7 +64,7 @@ def announce(capsys, num, ok, detail):
 def random_orthonormal(ambient, dim, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((ambient, dim)))
-    return Eigenspace(ambient, Q[:, :dim], np.zeros(dim), 0.0)
+    return Eigenspace(Q[:, :dim], np.zeros(dim))
 
 
 def test_criterion_01_assignment_eigenvector_identity(capsys):

@@ -209,6 +209,22 @@ class TestSolve:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: net at dim=12")
 
+    @pytest.mark.parametrize("header, args", [
+        ("ug 2 1", ("--net-step", 1e-10)),
+        ("ug 2 1", ("--mode", "laplacian", "--net-step", 1e-12)),
+        ("maxlin 2 2", ("--maxlin", "--max-dim", 4, "--net-step", 1e-12)),
+    ], ids=["adjacency", "laplacian", "maxlin"])
+    def test_edgeless_radius_beyond_exact_walk_exit_2(self, tmp_path, header, args):
+        """Without edges only the first net point is read off, but a radius
+        too large for the exact walk is still a net too large: exit 2."""
+        path = tmp_path / "edgeless.ug"
+        path.write_text(f"{header}\n")
+        proc = run_cli("solve", path, "--epsilon", 0.01, "--gamma", 0.5, *args)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: net at dim=")
+        assert "beyond exact counting" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_exit_1(self):
         proc = run_cli("solve", "/nonexistent.ug", "--epsilon", 0.01,
                        "--gamma", 0.5)
@@ -410,6 +426,15 @@ class TestDiagnose:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: instance and completion must share")
         assert "Traceback" not in proc.stderr
+
+    def test_maxlin_non_regular_exit_1(self, tmp_path):
+        """A 4-cycle with a self-loop and a parallel edge is not regular, so
+        the perturbation diagnosis refuses it, as solve --maxlin does."""
+        path = tmp_path / "loops.ug"
+        path.write_text("maxlin 4 3\n0 1 1 1\n1 2 1 2\n2 3 1 0\n3 0 1 1\n0 0 1 1\n0 1 1 1\n")
+        proc = run_cli("diagnose", "--maxlin", "--completion", path, path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: Max-Lin needs a d-regular constraint graph")
 
     def test_maxlin_rejects_laplacian_mode(self, maxlin_file, tmp_path):
         path, completion, _ = maxlin_file

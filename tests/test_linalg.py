@@ -138,7 +138,7 @@ class TestSelectEigenspace:
         max_dim with the same message."""
         A, threshold = SIGN[mode] * random_symmetric(12, 3), SIGN[mode] * threshold
         vals, vecs = eigendecompose(A)
-        full = Eigenspace(12, vecs, vals, -np.inf, -np.inf)
+        full = Eigenspace(vecs, vals, -np.inf)
         W, want = select_eigenspace(A, threshold), narrow_window(A, full, threshold)
         assert 0 < W.dim < 12
         for f in dataclasses.fields(Eigenspace):
@@ -198,12 +198,7 @@ class TestProjectSplit:
         W = select_eigenspace(A, 0.0)
         rng = np.random.default_rng(9)
         Q, _ = np.linalg.qr(rng.standard_normal((W.dim, W.dim)))
-        W2 = type(W)(
-            dim_ambient=W.dim_ambient,
-            basis=W.basis @ Q,
-            eigenvalues=W.eigenvalues,
-            threshold=W.threshold,
-        )
+        W2 = type(W)(basis=W.basis @ Q, eigenvalues=W.eigenvalues)
         x = rng.standard_normal(10)
         assert project_split(x, W) == pytest.approx(project_split(x, W2), abs=1e-10)
 

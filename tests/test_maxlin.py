@@ -205,7 +205,7 @@ class TestLiftEigenbasis:
         the label-extended matrix with eigenvalue d."""
         g = AbelianGroup((2,))
         ml = maxlin_on(2, g, [(0, 1, 1.0, 0)])
-        phi = Eigenspace(2, np.full((2, 1), 1 / np.sqrt(2)), np.array([1.0]), 0.0)
+        phi = Eigenspace(np.full((2, 1), 1 / np.sqrt(2)), np.array([1.0]))
         lifted = lift_eigenbasis(phi, ml, [0, 0])
         expect0 = np.array([1, 0, 1, 0]) / np.sqrt(2)
         expect1 = np.array([0, 1, 0, 1]) / np.sqrt(2)
@@ -275,24 +275,23 @@ class TestBlockNorm:
 class TestUniformity:
     def _space(self, vecs):
         B = np.column_stack(vecs)
-        return Eigenspace(B.shape[0], B, np.zeros(B.shape[1]), 0.0)
+        return Eigenspace(B, np.zeros(B.shape[1]))
 
     def test_empty_space_rejected(self):
-        empty = Eigenspace(4, np.zeros((4, 0)), np.zeros(0), 0.0)
+        empty = Eigenspace(np.zeros((4, 0)), np.zeros(0))
         with pytest.raises(UGError, match="nonempty eigenspace"):
-            uniformity_check(empty, C=1.0)
+            uniformity_check(empty)
 
     def test_all_ones_passes_c1(self):
         n = 16
-        rep = uniformity_check(self._space([np.full(n, 1 / np.sqrt(n))]), C=1.0)
-        assert rep.passes
+        assert uniformity_check(self._space([np.full(n, 1 / np.sqrt(n))])) <= 1.0 / np.sqrt(n)
 
     def test_standard_basis_fails(self):
         e0 = np.zeros(9)
         e0[0] = 1.0
-        rep = uniformity_check(self._space([e0]), C=2.0)
-        assert not rep.passes
-        assert rep.worst_linf == 1.0
+        worst = uniformity_check(self._space([e0]))
+        assert not worst <= 2.0 / np.sqrt(9)
+        assert worst == 1.0
 
     def test_characters_are_exactly_uniform(self):
         """Each +-1/sqrt(n) character vector of F_2^4 meets the bound with
@@ -301,9 +300,9 @@ class TestUniformity:
         H = np.array([[(-1) ** bin(x & y).count("1") for x in range(n)]
                       for y in range(n)]) / np.sqrt(n)
         for row in H:
-            rep = uniformity_check(self._space([row]), C=1.0)
-            assert rep.passes
-            assert rep.worst_linf == pytest.approx(1 / np.sqrt(n))
+            worst = uniformity_check(self._space([row]))
+            assert worst <= 1.0 / np.sqrt(n)
+            assert worst == pytest.approx(1 / np.sqrt(n))
 
     def test_span_of_two_characters_is_exact(self):
         """Every row of two characters has norm sqrt(2/16): the unit
@@ -311,35 +310,44 @@ class TestUniformity:
         n = 16
         H = np.array([[(-1) ** bin(x & y).count("1") for x in range(n)]
                       for y in range(n)]) / np.sqrt(n)
-        rep = uniformity_check(self._space([H[0], H[1]]), C=1.0)
-        assert rep.worst_linf == pytest.approx(np.sqrt(2 / 16), rel=1e-15)
-        assert not rep.passes
+        worst = uniformity_check(self._space([H[0], H[1]]))
+        assert worst == pytest.approx(np.sqrt(2 / 16), rel=1e-15)
+        assert not worst <= 1.0 / np.sqrt(n)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_worst_is_the_supremum(self, n, dim, seed):
-        """On an orthonormal B (the QR of a random matrix) worst_linf is the
+        """On an orthonormal B (the QR of a random matrix) the supremum is the
         largest row norm, no seeded unit combination exceeds it, and it is
         attained at c = B[v*] / ||B[v*]||; at dim 1 it is max |B| exactly."""
         dim = min(dim, n)
         rng = np.random.default_rng(seed)
         B = np.linalg.qr(rng.standard_normal((n, dim)))[0]
-        rep = uniformity_check(self._space(list(B.T)), C=1.0)
+        worst = uniformity_check(self._space(list(B.T)))
         rows = np.linalg.norm(B, axis=1)
-        assert rep.worst_linf == rows.max()
+        assert worst == rows.max()
         c = rng.standard_normal((1000, dim))
         c /= np.linalg.norm(c, axis=1, keepdims=True)
-        assert np.abs(c @ B.T).max() <= rep.worst_linf * (1 + 1e-12)
+        assert np.abs(c @ B.T).max() <= worst * (1 + 1e-12)
         v = int(np.argmax(rows))
-        assert np.abs(B @ (B[v] / rows[v])).max() == pytest.approx(rep.worst_linf, abs=1e-12)
+        assert np.abs(B @ (B[v] / rows[v])).max() == pytest.approx(worst, abs=1e-12)
         if dim == 1:
-            assert rep.worst_linf == np.abs(B).max()
+            assert worst == np.abs(B).max()
 
 
 class TestSinTheta:
     def _planted(self, seed=0, k=2):
         inst, planted = planted_on(8, k, complete_skeleton(8), seed=seed, family="maxlin")
         return MaxLinInstance.from_instance(inst), planted
+
+    def test_non_regular_rejected(self):
+        """Both windows are cut at (1-gamma) times the average degree, which
+        is the degree only on a d-regular graph: a 4-cycle with a self-loop
+        and a parallel edge is rejected as character_window rejects it."""
+        ml = maxlin_on(4, AbelianGroup((3,)), [(0, 1, 1.0, 1), (1, 2, 1.0, 2), (2, 3, 1.0, 0),
+                                               (3, 0, 1.0, 1), (0, 0, 1.0, 1), (0, 1, 1.0, 1)])
+        with pytest.raises(NonRegularError, match="^Max-Lin needs a d-regular constraint graph$"):
+            sin_theta_report(ml, ml, None, gamma=0.5)
 
     def test_unperturbed_is_exact(self):
         ml, planted = self._planted()
@@ -532,9 +540,9 @@ class TestParamsAndSolver:
         """The uniformity check on S runs inside the window, so its time is
         in the eigensolve stage and the stages still add up."""
 
-        def slow(S, C):
+        def slow(S):
             time.sleep(0.2)
-            return uniformity_check(S, C)
+            return uniformity_check(S)
 
         monkeypatch.setattr(maxlin_mod, "uniformity_check", slow)
         ml = regular_maxlin(30, 4, AbelianGroup((4,)), seed=1, perturbed=True)

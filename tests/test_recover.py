@@ -4,6 +4,7 @@ import itertools
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from ugspectral.generators import (
 )
 from ugspectral.label_extended import build_label_extended
 from ugspectral.linalg import Eigenspace, project_split, select_eigenspace
+from ugspectral.maxlin import MaxLinInstance, MaxLinParams, solve_maxlin
 from ugspectral.oracle import brute_force
 from ugspectral.recover import (
     DegenerateSpectrumError,
@@ -63,12 +65,7 @@ def enumerate_net(basis, step):
 def orthonormal_space(dim_ambient, dim, seed=0):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((dim_ambient, dim)))
-    return Eigenspace(
-        dim_ambient=dim_ambient,
-        basis=Q[:, :dim],
-        eigenvalues=np.zeros(dim),
-        threshold=0.0,
-    )
+    return Eigenspace(basis=Q[:, :dim], eigenvalues=np.zeros(dim))
 
 
 class TestParams:
@@ -516,7 +513,7 @@ class TestRecover:
         from ugspectral.linalg import Eigenspace, select_eigenspace
 
         inst, _ = planted_on(6, 3, complete_skeleton(6), seed=6, family="maxlin")
-        empty = Eigenspace(18, np.zeros((18, 0)), np.zeros(0), 0.0)
+        empty = Eigenspace(np.zeros((18, 0)), np.zeros(0))
         monkeypatch.setattr(recover_mod, "select_eigenspace", lambda A, t, max_dim: empty)
         with pytest.raises(DegenerateSpectrumError):
             recover_mod.recover_solution(
@@ -578,6 +575,18 @@ class TestRecover:
         where only the first point is read off."""
         with pytest.raises(NetTooLargeError):
             recover_solution(from_rows(3, 2, []), SolveParams(0.01, 0.5, net_step_override=1e-200))
+
+    @pytest.mark.parametrize("mode, step", [("adjacency", 1e-10), ("adjacency", 1e-9),
+                                            ("laplacian", 1e-12)])
+    def test_edgeless_radius_beyond_exact_walk_too_large(self, mode, step):
+        """A finite radius with r2 >= 2**52, where the walk's float square
+        roots are no longer exact (below a step of about 3e-10, past int64), is a net too
+        large, as net_size has it; a step just inside still solves."""
+        inst = from_rows(2, 1, [])
+        with pytest.raises(NetTooLargeError, match="beyond exact counting"):
+            recover_solution(inst, SolveParams(0.01, 0.5, mode=mode, net_step_override=step))
+        rep = recover_solution(inst, SolveParams(0.01, 0.5, mode=mode, net_step_override=3e-8))
+        assert rep.best_value == 1.0 and rep.net_points_evaluated == 1
 
     def test_table_and_degrees_built_once_per_solve(self, monkeypatch):
         """A solve of a dense pair-table instance finds its pairs once (one
@@ -950,3 +959,48 @@ class TestYesConstant:
             solves += 1
         assert solves == 90
         assert worst <= recover_mod.YES_CONSTANT
+
+
+def _robustness_instance(kind, n, k, seed):
+    """A small instance: general permutations on random endpoints, self-loops
+    and parallel edges included; no edges; or a planted Z_k shift game on a
+    cycle, once or twice over, which is regular."""
+    rng = np.random.default_rng(seed)
+    pairs = [tuple(e) for e in rng.integers(0, n, (int(rng.integers(1, 3 * n + 1)), 2))]
+    if kind == "edgeless":
+        return from_rows(n, k, [])
+    if kind == "shift":
+        skeleton = cycle_skeleton(n) * int(rng.integers(1, 3))
+        return planted_on(n, k, skeleton, seed=seed, family="maxlin")[0]
+    return from_rows(n, k, [(u, v, float(rng.uniform(0.1, 1.0)), rng.permutation(k))
+                            for u, v in pairs])
+
+
+@given(kind=st.sampled_from(["general", "edgeless", "shift"]), n=st.integers(1, 6),
+       k=st.integers(1, 4), seed=st.integers(0, 2**16), epsilon=st.floats(1e-3, 1.2),
+       gamma=st.floats(0.01, 1.0), theta=st.none() | st.floats(0.01, 1.0),
+       max_dim=st.integers(1, 20), step=st.sampled_from([None, 1e-12, 1e-3, 0.5, 2.0, 1e6]))
+@example(kind="edgeless", n=5, k=3, seed=0, epsilon=0.16, gamma=0.5, theta=None, max_dim=20,
+         step=1e-12)
+@settings(max_examples=100, deadline=None)
+def test_solvers_answer_or_raise_ug_errors(kind, n, k, seed, epsilon, gamma, theta, max_dim,
+                                           step):
+    """recover_solution in both modes and solve_maxlin either return a report
+    whose best_value is the value of its best_labeling, or raise a UGError
+    (an AbortError is one).  epsilon is drawn as a share of gamma / 8, theta
+    as a share of gamma, so that most draws pass validation.  NET_CAP is
+    lowered so that no example walks a net of millions of points: a net
+    over it raises NetTooLargeError, one of the allowed outcomes."""
+    inst = _robustness_instance(kind, n, k, seed)
+    epsilon, theta = epsilon * gamma / 8, None if theta is None else theta * gamma
+    calls = [(recover_solution, inst, SolveParams(epsilon, gamma, max_dim, mode, step, theta))
+             for mode in ("adjacency", "laplacian")]
+    calls.append((lambda i, p: solve_maxlin(MaxLinInstance.from_instance(i), p), inst,
+                  MaxLinParams(epsilon, gamma, max_dim, "adjacency", step, theta)))
+    with mock.patch.object(recover_mod, "NET_CAP", 20_000):
+        for solve, instance, params in calls:
+            try:
+                rep = solve(instance, params)
+            except UGError:
+                continue
+            assert value(instance, rep.best_labeling) == rep.best_value
