@@ -284,13 +284,17 @@ def value_batch(inst: UGInstance, labels_batch: np.ndarray) -> np.ndarray:
 
         total = pair_total[None, :].sum(axis=1)[0]
     else:
-        edge_idx, width = np.arange(E)[None, :], E
+        # perm flat, in the narrowest dtype holding k - 1, so that
+        # perm[e, L[u_e]] is one gather at e*k + L[u_e] of one byte per
+        # entry where k <= 256.
+        flat = inst.perm.ravel().astype(np.min_scalar_type(inst.k - 1))
+        base, width = np.arange(E) * inst.k, E
 
         def weigh(sat):
             return np.einsum("re,e->r", np.ascontiguousarray(sat), w)
 
         def satisfied(L):
-            return weigh(inst.perm[edge_idx, L[:, u]] == L[:, v])
+            return weigh(flat[base + L[:, u]] == L[:, v])
 
         total = weigh(np.ones((1, width), dtype=bool))[0]
     out = np.empty(len(labels_batch))

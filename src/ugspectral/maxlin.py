@@ -291,7 +291,9 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
     complex, is two columns of W and charged as two.  W's columns are sorted
     by descending eigenvalue, then j (the trivial block's first among
     equals); its nearest_dropped and max_residual are the largest over the
-    blocks, its solver record sums their passes and takes the widest block."""
+    blocks, its dropped the first ``_lift`` column of the dropped vector of
+    the first block attaining that nearest_dropped, and its solver record
+    sums their passes and takes the widest block."""
     base, k = ml.base, ml.base.k
     n, d = base.n, finite_degree(base)
     if not base.is_regular():
@@ -317,10 +319,14 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
     Es = shares.values()
     vals = np.concatenate(vals)
     order = np.lexsort((np.repeat(list(shares), [L.shape[1] for L in lifts]), -vals))
-    W = Eigenspace(np.hstack(lifts)[:, order], vals[order],
-                   max(E.nearest_dropped for E in Es), max_residual=max(E.max_residual for E in Es),
-                   solver=dict(path="characters", passes=sum(E.solver["passes"] for E in Es),
-                               block=max(E.solver["block"] for E in Es), blocks=len(Es)))
+    j, near = max(shares.items(), key=lambda share: share[1].nearest_dropped)
+    dropped = near.dropped  # None where no block dropped an eigenvalue
+    if dropped is not None:
+        dropped = _lift(dropped[:, None], ml.phases[j], n, k)[:, 0]
+    W = Eigenspace(np.hstack(lifts)[:, order], vals[order], near.nearest_dropped, dropped,
+                   max(E.max_residual for E in Es),
+                   dict(path="characters", passes=sum(E.solver["passes"] for E in Es),
+                        block=max(E.solver["block"] for E in Es), blocks=len(Es)))
     lap("eigensolve")
     return W, S, shares
 

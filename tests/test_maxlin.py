@@ -14,7 +14,8 @@ import ugspectral.core as core_mod
 from ugspectral.core import UGInstance, UGError, shift_image, value, value_batch
 from ugspectral.generators import perturb, planted_regular_instance, random_regular_graph
 from ugspectral.label_extended import build_label_extended, constraint_graph_adjacency
-from ugspectral.linalg import DimensionAbortError, Eigenspace, eigendecompose, select_eigenspace
+from ugspectral.linalg import (RESIDUAL_TOL, DimensionAbortError, Eigenspace, eigendecompose,
+                               select_eigenspace)
 import ugspectral.maxlin as maxlin_mod
 from ugspectral.maxlin import (
     AbelianGroup,
@@ -36,7 +37,7 @@ import ugspectral.recover as recover_mod
 from ugspectral.recover import (NonRegularError, SolveParams, label_blocks, read_off_batch,
                                 recover_solution)
 
-from conftest import complete_skeleton, from_rows, maxlin_on, planted_on
+from conftest import complete_skeleton, cycle_skeleton, from_rows, maxlin_on, planted_on
 
 
 class TestAbelianGroup:
@@ -643,6 +644,22 @@ class TestCharacterBlocks:
         S0 = select_eigenspace(constraint_graph_adjacency(ml.base), (1 - gamma) * d)
         assert S.dim == S0.dim and np.array_equal(S.basis, S0.basis)
         assert np.array_equal(S.eigenvalues, S0.eigenvalues)
+
+    def test_dropped_is_an_eigenvector_of_nearest_dropped(self):
+        """W's dropped is the lift of the dropped vector of the block that
+        attains W's nearest_dropped: a real unit eigenvector of M with that
+        eigenvalue, orthogonal to W.  On the 8-cycle over Z_3 the nearest
+        dropped eigenvalue is sqrt(2)."""
+        inst, _ = planted_on(8, 3, cycle_skeleton(8), seed=1, family="maxlin")
+        W = character_window(MaxLinInstance.from_instance(inst), MaxLinParams(0.01, 0.5),
+                             skip_lap)[0]
+        x, lam = W.dropped, W.nearest_dropped
+        assert lam == pytest.approx(np.sqrt(2), abs=1e-12)
+        assert x.dtype == np.float64 and x.shape == (24,)
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        M = build_label_extended(inst).matrix
+        assert np.linalg.norm(M @ x - lam * x) <= RESIDUAL_TOL
+        assert np.abs(W.basis.T @ x).max() <= 1e-12
 
     @pytest.mark.parametrize("factors", [(5,), (2, 4)])
     def test_parallel_edges_and_loops(self, factors):

@@ -79,9 +79,11 @@ def test_readoff_called_once_per_chunk(monkeypatch):
     """perfbench's ``recover.readoff_s`` times the wrapper on
     ``recover.read_off_batch``, so a solve must call it, looked up on the
     module, once per coefficient chunk of the net and once for the signed
-    basis, on every candidate row.  KV's top eigenvalue d is simple, so its
-    all-ones basis column is held at 0: the net read off is the points of
-    the full net with one coordinate 0, as many whichever it is."""
+    basis, on every candidate row.  W holds two lifts, the all-ones vector
+    of KV's simple top eigenvalue d and one of the four eigenvectors of its
+    second, which the split re-bases out of eigh's mixed basis: the net read
+    off is the points of the full net with two coordinates 0, as many
+    whichever they are."""
     import ugspectral.core as core_mod
     import ugspectral.recover as recover_mod
     from ugspectral.generators import KVSpec, kv_instance
@@ -94,14 +96,15 @@ def test_readoff_called_once_per_chunk(monkeypatch):
         calls.append(len(C))
         return read_off_batch(C, blocks)
 
-    rows = 50
+    rows = 10
     monkeypatch.setattr(core_mod, "BATCH_BYTES", rows * 8 * inst.n * inst.k)
     monkeypatch.setattr(recover_mod, "read_off_batch", counting)
     rep = recover_mod.recover_solution(inst, params)
     net = rep.net_points_evaluated
     full = np.concatenate(list(recover_mod._lattice_chunks(rep.dim_W, rep.net_step, 8192)))
     assert len(full) == recover_mod.net_size(rep.dim_W, rep.net_step) == 221
-    assert net == np.count_nonzero(full[:, 0] == 0) == 89 > rows
+    assert rep.held_dims == 2
+    assert net == np.count_nonzero(~full[:, :2].any(axis=1)) == 33 > rows
     assert len(calls) == -(-net // rows) + 1
     assert calls[-1] == rep.signed_candidates == 2 * rep.dim_W
     assert sum(calls) == net + 2 * rep.dim_W

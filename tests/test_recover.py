@@ -19,13 +19,15 @@ import ugspectral.recover as recover_mod
 from ugspectral.core import UGError, characteristic_vector, value, value_batch
 from ugspectral.generators import (
     KVSpec,
+    PlantedSpec,
     kv_eigenspace_dimension,
     kv_instance,
     kv_spectrum,
     perturb,
+    planted_instance,
     planted_regular_instance,
 )
-from ugspectral.label_extended import build_label_extended
+from ugspectral.label_extended import build_label_extended, constraint_graph_adjacency
 from ugspectral.linalg import Eigenspace, project_split, select_eigenspace
 from ugspectral.maxlin import MaxLinInstance, MaxLinParams, solve_maxlin
 from ugspectral.oracle import brute_force
@@ -46,6 +48,7 @@ from ugspectral.recover import (
     read_off_batch,
     recover_solution,
     search_operator,
+    split_lifted,
 )
 
 from conftest import complete_skeleton, cycle_skeleton, from_rows, planted_on, random_instance
@@ -194,27 +197,30 @@ class TestNet:
     @pytest.mark.parametrize("dim,step", [(1, 0.3), (1, 2.5), (2, 0.4), (3, 0.4), (4, 0.7)])
     @pytest.mark.parametrize("rows", [1, 7, 8192])
     def test_held_walk_is_the_full_nets_zero_slice(self, dim, step, rows):
-        """Holding coordinate c walks exactly the full net's points with
-        z_c = 0, at the full net's radius, in lexicographic order and in
-        chunks of ``rows``; at dim 1 that is the origin alone."""
+        """Holding a set of coordinates walks exactly the full net's points
+        that are 0 on all of them, at the full net's radius, in
+        lexicographic order and in chunks of ``rows``; holding none walks
+        the full net, and holding all of them the origin alone."""
         r2 = _net_radius2(dim, step)
         m = int(np.floor(np.sqrt(r2)))
         full = [z for z in itertools.product(range(-m, m + 1), repeat=dim)
                 if sum(x * x for x in z) <= r2]
-        for c in range(dim):
-            chunks = list(_lattice_chunks(dim, step, rows, hold=c))
-            assert all(len(Z) == rows for Z in chunks[:-1]) and 1 <= len(chunks[-1]) <= rows
-            assert np.concatenate(chunks).tolist() == [list(z) for z in full if z[c] == 0]
+        for size in range(dim + 1):
+            for held in map(set, itertools.combinations(range(dim), size)):
+                chunks = list(_lattice_chunks(dim, step, rows, held))
+                assert all(len(Z) == rows for Z in chunks[:-1]) and 1 <= len(chunks[-1]) <= rows
+                assert np.concatenate(chunks).tolist() == [
+                    list(z) for z in full if not any(z[c] for c in held)]
 
     def test_held_net_keeps_the_full_cap(self, monkeypatch):
-        """NET_CAP counts the full net, so holding a coordinate aborts
+        """NET_CAP counts the full net, so holding coordinates aborts
         wherever the full net would, also when the held points fit the cap."""
         basis = orthonormal_space(6, 3, seed=3)
-        held = sum(len(C) for C in net_coefficients(basis, 0.4, hold=1))
+        held = sum(len(C) for C in net_coefficients(basis, 0.4, {0, 2}))
         assert held < net_size(3, 0.4)
         monkeypatch.setattr(recover_mod, "NET_CAP", held)
         with pytest.raises(NetTooLargeError):
-            next(net_coefficients(basis, 0.4, hold=1))
+            next(net_coefficients(basis, 0.4, {0, 2}))
 
     @pytest.mark.parametrize("budget", [1, 8 * 6 * 5 + 7, 8 * 6 * 64, core_mod.BATCH_BYTES])
     def test_net_chunks_within_byte_budget(self, budget, monkeypatch):
@@ -542,8 +548,9 @@ class TestRecover:
         inst, params = from_rows(n, k, []), SolveParams(0.01, 0.5)
         W, _ = select_search_space(inst, params)
         step = float(np.sqrt(2 * 0.01 / (0.5 * W.dim)))
-        first = next(recover_mod.net_coefficients(W, step))[:1]
-        expected = read_off_batch(first, label_blocks(W.basis, k))[0].tolist()
+        basis, held = split_lifted(W.basis, k)
+        first = next(recover_mod.net_coefficients(W, step, held))[:1]
+        expected = read_off_batch(first, label_blocks(basis, k))[0].tolist()
         calls = []
 
         def counting(C, blocks):
@@ -557,7 +564,7 @@ class TestRecover:
         assert rep.best_value == value(inst, expected) == 1.0
         assert rep.decision == ("YES" if 1.0 >= rep.yes_threshold else "NO")
         assert (rep.net_points_evaluated, rep.signed_candidates) == (1, 0)
-        assert rep.distinct_labelings == 1 and rep.dim_W == n * k
+        assert rep.distinct_labelings == 1 and rep.dim_W == n * k and rep.held_dims == n
 
     @pytest.mark.parametrize("n, k", [(4, 2), (7, 1)])
     def test_edgeless_net_over_cap_reads_first_point(self, n, k):
@@ -635,7 +642,7 @@ class TestRecover:
                            "dim_W", "net_points_evaluated", "eigen_time",
                            "enumeration_time", "net_step", "mode", "cut_gap",
                            "max_residual", "distinct_labelings", "value_path",
-                           "signed_candidates", "stages", "eigensolver"]
+                           "signed_candidates", "held_dims", "stages", "eigensolver"]
         assert all(type(x) is int for x in d["best_labeling"])
         stages = d["stages"]
         assert list(stages) == ["operator", "eigensolve", "walk", "readoff", "dedupe", "scoring"]
@@ -645,6 +652,7 @@ class TestRecover:
         assert d["enumeration_time"] == (stages["walk"] + stages["readoff"] + stages["dedupe"]
                                          + stages["scoring"])
         assert d["signed_candidates"] == 2 * d["dim_W"]
+        assert d["held_dims"] == 1  # the constant's lift, in d's 3-fold eigenspace
         assert d["value_path"] == "edge"  # 15 pairs, one edge each
         assert 1 <= d["distinct_labelings"] <= d["net_points_evaluated"] + 2 * d["dim_W"]
         assert 0 <= d["max_residual"] <= linalg_mod.RESIDUAL_TOL * 5  # d = 5
@@ -709,9 +717,11 @@ class TestRecover:
 
 
 class TestHeldWalk:
-    """Adding a multiple of the all-ones vector moves no per-block argmax,
-    so where it is a basis column of W (its eigenvalue is simple) the solve
-    reads off only the net points whose coefficient on it is 0."""
+    """M and L_M commute with P1 = I_n (x) J_k/k, so W splits exactly into
+    the lift f (x) 1 of the constraint graph's window at the same threshold
+    and a twisted part orthogonal to it.  Adding a lift moves no per-block
+    argmax, so the solve reads off only the net points whose coefficients
+    on the lifted columns of the split basis (``split_lifted``) are 0."""
 
     def test_one_dimensional_window_reads_the_origin(self):
         """KV kappa = 2 at gamma 0.25 keeps only the simple top eigenvalue d,
@@ -726,44 +736,123 @@ class TestHeldWalk:
         assert rep.best_value == max(value(inst, read_off_assignment(x, inst.n, inst.k))
                                      for x in (0 * col, col, -col))
 
-    def test_repeated_top_eigenvalue_walks_the_full_net(self):
+    def test_repeated_top_eigenvalue_is_rebased_and_held(self):
         """A perfectly satisfiable Max-Lin instance has the top eigenvalue d
-        k times over, so no basis column is the all-ones vector."""
+        k times over, so eigh's basis of W mixes the all-ones vector into
+        every column: the split re-bases the three columns, holds the one
+        along it and walks 293 of the full net's 3,695 points."""
         inst, _ = planted_on(7, 3, complete_skeleton(7), seed=4, family="maxlin")
+        W = select_search_space(inst, SolveParams(0.01, 0.5))[0]
+        mass = 3 * (W.basis.reshape(7, 3, 3).mean(axis=1) ** 2).sum(axis=0)
+        assert np.all((mass > 0.01) & (mass < 0.99))
         rep = recover_solution(inst, SolveParams(0.01, 0.5))
-        assert rep.dim_W == 3
-        assert rep.net_points_evaluated == net_size(rep.dim_W, rep.net_step)
+        assert (rep.dim_W, rep.held_dims) == (3, 1)
+        assert net_size(rep.dim_W, rep.net_step) == 3695
+        assert rep.net_points_evaluated == 293
 
     def test_laplacian_clustered_count(self, monkeypatch):
-        """The benchmark's laplacian-clustered seed 1 reads 16,859 of its
-        47,921 net points."""
+        """The benchmark's laplacian-clustered seed 1 holds the lifts of its
+        four clusters, 4 of its 8 dimensions, and reads 569 of its 47,921
+        net points."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         import workloads
 
         workload = workloads.WORKLOADS["laplacian-clustered"]
         rep = workload.solve(core_mod.parse_instance(workload.make(1).text))
         assert net_size(rep.dim_W, rep.net_step) == 47921
-        assert rep.net_points_evaluated == 16859
+        assert (rep.dim_W, rep.held_dims) == (8, 4)
+        assert rep.net_points_evaluated == 569
 
 
 def reference_labelings(inst, params):
     """Every candidate in stream order (the net, then the signed basis
-    vectors), each read off by per-block argmax.  Where a basis column w is
-    the normalised all-ones vector 1^ up to sign, |<w, 1^>| >= 1 -
-    RESIDUAL_TOL or ||w -+ 1^||^2 <= 2 RESIDUAL_TOL, the net is the full
-    net's points with coefficient 0 on it, in the full net's order."""
+    vectors) over the split basis of W (``split_lifted``), each read off by
+    per-block argmax: the net is the full net's points that are 0 on every
+    held column, in the full net's order."""
     W, _ = select_search_space(inst, params)
     step = params.net_step_override
     if step is None:
         step = float(np.sqrt(2 * params.epsilon / (params.gamma * W.dim)))
+    B, held = split_lifted(W.basis, inst.k)
     C = np.concatenate(list(net_coefficients(W, step)))
-    ones = np.full(inst.n * inst.k, 1 / np.sqrt(inst.n * inst.k))
-    held = [j for j, w in enumerate(W.basis.T)
-            if min(np.sum((w - ones) ** 2), np.sum((w + ones) ** 2)) <= 2 * linalg_mod.RESIDUAL_TOL]
-    if held:
-        C = C[C[:, held[0]] == 0]
-    cands = np.concatenate([C @ W.basis.T, W.basis.T, -W.basis.T])
+    C = C[~C[:, list(held)].any(axis=1)]
+    cands = np.concatenate([C @ B.T, B.T, -B.T])
     return [np.argmax(x.reshape(inst.n, inst.k), axis=1) for x in cands]
+
+
+@st.composite
+def clustered_instances(draw):
+    """(instance, Laplacian-mode params, parts, bridged): a planted
+    general-permutation or Max-Lin instance, perturbed or not, on 2-4
+    complete graphs of 3-5 vertices, as components or, bridged, as
+    clusters joined by one edge between consecutive ones.  The weights are
+    random: unit weights give eigenvectors that vanish on most vertices,
+    where every read-off is a tie broken by rounding."""
+    family = draw(st.sampled_from(["general-permutation", "maxlin"]))
+    sizes = draw(st.lists(st.integers(3, 5), min_size=2, max_size=4))
+    bridged, k = draw(st.booleans()), draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 2**31 - 1))
+    starts = np.cumsum([0, *sizes])
+    skeleton = [(a + u, a + v) for a, size in zip(starts, sizes) for u, v in complete_skeleton(size)]
+    if bridged:
+        skeleton += [(a, b + 1) for a, b in zip(starts[:-2], starts[1:-1])]
+    n, rng = int(starts[-1]), np.random.default_rng(seed)
+    labels, weights = rng.integers(0, k, n), rng.uniform(0.1, 1.0, len(skeleton))
+    skeleton = [(u, v, w) for (u, v), w in zip(skeleton, weights)]
+    inst, planted = planted_instance(PlantedSpec(n, k, skeleton, labels, family, seed))
+    inst = perturb(inst, planted, draw(st.sampled_from([0.0, 0.2, 0.5])), seed=seed,
+                   constraint_family=family)
+    params = SolveParams(0.001, draw(st.sampled_from([0.02, 0.1, 0.3])), mode="laplacian",
+                         max_dim=6, net_step_override=draw(st.sampled_from([0.6, 0.9])))
+    return inst, params, len(sizes), bridged
+
+
+class TestLiftedSplit:
+    @given(clustered_instances())
+    @settings(max_examples=80, deadline=None)
+    def test_held_part_is_the_lifted_window(self, case):
+        """On instances of 2-4 components or clusters, whose windows hold at
+        least as many lifts (a perfectly satisfiable one shares each of their
+        eigenvalues with k - 1 twisted vectors, so its basis is mixed): the
+        held columns of the split basis span the lift of the constraint
+        graph's window at the same threshold; adding any vector of that span
+        moves no label whose top-two margin exceeds 1e-9; and the held walk
+        finds the best value of the full net over the split basis.  That
+        net's held columns are taken as their exact lifts (block means): a
+        lift known to rounding, read off alone, breaks every tie by its
+        rounding."""
+        inst, params, parts, bridged = case
+        n, k = inst.n, inst.k
+        A, level = search_operator(inst, params)
+        W = select_eigenspace(A, level)
+        assume(W.dim <= params.max_dim)
+        B, held = split_lifted(W.basis, k)
+        H = B[:, list(held)]
+        S = select_eigenspace(constraint_graph_adjacency(inst) - np.diag(inst.degrees()), level)
+        lift = np.repeat(S.basis, k, axis=0) / np.sqrt(k)
+        assert len(held) == S.dim >= (1 if bridged else parts)
+        assert np.abs(H @ H.T - lift @ lift.T).max() <= 1e-8
+
+        rng = np.random.default_rng(0)
+        C = rng.standard_normal((200, W.dim))
+        C[:, list(held)] = 0
+        moved = C.copy()
+        moved[:, list(held)] = rng.standard_normal((200, len(held)))
+        x = np.sort((C @ B.T).reshape(200, n, k), axis=2)
+        clear = x[:, :, -1] - x[:, :, -2] > 1e-9
+        blocks = label_blocks(B, k)
+        assert np.array_equal(read_off_batch(C, blocks)[clear],
+                              read_off_batch(moved, blocks)[clear])
+
+        rep = recover_solution(inst, params)
+        assert rep.held_dims == len(held)
+        exact = B.copy()
+        exact[:, list(held)] = np.repeat(H.reshape(n, k, -1).mean(axis=1), k, axis=0)
+        exact[:, list(held)] /= np.linalg.norm(exact[:, list(held)], axis=0)
+        Z = np.concatenate(list(net_coefficients(W, params.net_step_override)))
+        cands = np.concatenate([Z @ exact.T, B.T, -B.T])
+        assert rep.best_value == max(value(inst, np.argmax(x.reshape(n, k), axis=1))
+                                     for x in cands)
 
 
 def reference_search(inst, params):
