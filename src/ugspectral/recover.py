@@ -3,10 +3,10 @@
 The solver selects the high eigenspace W of the label-extended adjacency
 matrix (eigenvalues >= (1-theta)d) or of its negated Laplacian -L (>=
 -theta*d_avg, the low window of L), where theta defaults to gamma, and
-streams candidates as coefficient rows over the basis of W: the lattice
-epsilon-net of the unit ball of W (step*Z^dim points of coefficient step
-sqrt(2*eps/(theta*dim W)), only those with coefficient 0 on W's lifted
-part, ``split_lifted``), then the +-identity rows, the signed basis
+streams candidates as coefficient rows: the lattice epsilon-net of the
+unit ball of W's twisted part (step*Z^t points over the t twisted columns
+of W's split basis, ``split_lifted``, step sqrt(2*eps/(theta*dim W))),
+then the +-identity rows over the whole split basis, the signed basis
 vectors, then any further candidates the window solve supplies as rows over
 a basis of their own (Max-Lin's character net).  One coefficient stream owns
 the net cap and the chunking, at most core.BATCH_BYTES bytes of ambient
@@ -43,7 +43,7 @@ from .core import (
     value_batch,
 )
 from .label_extended import build_label_extended, build_laplacian
-from .linalg import (RESIDUAL_TOL, DimensionAbortError, Eigenspace, NumericError, project_split,
+from .linalg import (RESIDUAL_TOL, DimensionAbortError, NumericError, project_split,
                      select_eigenspace)
 
 
@@ -115,7 +115,7 @@ class SolveReport:
     distinct_labelings: int = 0  # distinct candidate labelings scored
     value_path: str | None = None  # UGInstance.value_path: 'pair-table' | 'edge'
     signed_candidates: int = 0  # signed basis vectors read off after the net
-    held_dims: int = 0  # dimension of W's lifted part, held at 0 by the walk
+    held_dims: int = 0  # dimension of W's lifted part, which the net leaves out
     # Seconds per stage: operator (its build) and eigensolve, whose sum is
     # eigen_time, then walk (the net's coefficient stream), readoff, dedupe
     # and scoring, whose sum is enumeration_time.
@@ -145,25 +145,24 @@ def label_blocks(basis, k) -> np.ndarray:
     return np.ascontiguousarray(basis.reshape(nk // k, k, dim).transpose(1, 2, 0))
 
 
-def split_lifted(basis, k) -> tuple[np.ndarray, tuple]:
-    """(B, held): an (n*k, dim) orthonormal basis of W with its lifted part
-    split off, and the columns of B in it.  Column s's lifted mass
+def split_lifted(basis, k) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T): an (n*k, dim) orthonormal basis of W with its lifted part
+    split off, and a copy of its t twisted columns.  Column s's lifted mass
     K_ss = ||P1 b_s||^2 = k ||block means of b_s||^2, P1 = I_n (x) J_k/k,
     is 1 for a lift f (x) 1 and 0 for a twisted vector.  Columns with
-    K_ss >= 1 - 2 RESIDUAL_TOL are held and those with K_ss <= 2 RESIDUAL_TOL
-    stay free; the columns between, which mix a lifted and a twisted
-    eigenvector of a shared eigenvalue, are re-based in place by the
-    eigenvectors of their block of K = B^T P1 B, ascending, and held where
-    that eigenvalue is.  A basis already split is returned as it is."""
-    dim = basis.shape[1]
-    means = basis.reshape(-1, k, dim).mean(axis=1)
+    K_ss >= 1 - 2 RESIDUAL_TOL are lifted and the others twisted; those
+    above 2 RESIDUAL_TOL and below 1 - 2 RESIDUAL_TOL, which mix a lifted
+    and a twisted eigenvector of a shared eigenvalue, are first re-based in
+    place by the eigenvectors of their block of K = B^T P1 B, ascending.
+    A basis already split is returned as it is."""
+    means = basis.reshape(-1, k, basis.shape[1]).mean(axis=1)
     mass = k * np.einsum("vs,vs->s", means, means)
     mixed = (mass > 2 * RESIDUAL_TOL) & (mass < 1 - 2 * RESIDUAL_TOL)
     if mixed.any():
         mass[mixed], V = np.linalg.eigh(k * means[:, mixed].T @ means[:, mixed])
         basis = basis.copy()
         basis[:, mixed] = basis[:, mixed] @ V
-    return basis, tuple(np.flatnonzero(mass >= 1 - 2 * RESIDUAL_TOL).tolist())
+    return basis, basis[:, mass < 1 - 2 * RESIDUAL_TOL]
 
 
 def read_off_batch(C, blocks) -> np.ndarray:
@@ -212,8 +211,10 @@ def net_size(dim, step, cap=None) -> int:
     0..r2, whose entries are clipped where a sum of 2m+1 of them would
     overflow.
     """
-    if dim < 1 or not step > 0:
-        raise UGError("net requires dim >= 1 and step > 0")
+    if dim < 0 or not step > 0:
+        raise UGError("net requires dim >= 0 and step > 0")
+    if dim == 0:  # Z^0 is the origin alone, whatever the radius
+        return 1
     r2 = _net_radius2(dim, step)
     if not math.isfinite(r2):
         if cap is None:
@@ -260,11 +261,10 @@ def net_size(dim, step, cap=None) -> int:
     return count if cap is None or count <= cap else cap + 1
 
 
-def _lattice_chunks(dim, step, rows, held=()) -> Iterator[np.ndarray]:
+def _lattice_chunks(dim, step, rows) -> Iterator[np.ndarray]:
     """Integer lattice points z with ||z||^2 <= r2, the integer radius that
     net_size counts, in lexicographic order over coordinate tuples, yielded
-    as (rows, dim) arrays (the last may be shorter).  With ``held`` a set of
-    coordinates, only the points that are 0 on all of them, at the same r2.
+    as (rows, dim) arrays (the last may be shorter).
 
     A depth-first walk over blocks of coordinate prefixes: each step takes
     the next at most ``width`` children of the block on top of the stack, so
@@ -273,6 +273,9 @@ def _lattice_chunks(dim, step, rows, held=()) -> Iterator[np.ndarray]:
     block, so the walk takes the widest blocks whose stack of int64
     prefixes fits core.BATCH_BYTES, and no fewer than ``rows``.  Raises
     NetTooLargeError where r2 >= 2**52 (an infinite radius too)."""
+    if dim == 0:  # the origin alone, whatever the radius
+        yield np.zeros((1, 0), dtype=np.int64)
+        return
     r2 = _net_radius2(dim, step)
     if not r2 < 2**52:  # as in net_size: the walk's square roots are exact below 2**52
         raise NetTooLargeError(f"net at dim={dim}, step={step} is beyond exact counting")
@@ -288,11 +291,10 @@ def _lattice_chunks(dim, step, rows, held=()) -> Iterator[np.ndarray]:
                 yield out[:rows]
                 out = out[rows:]
             continue
-        # Prefix p has 2m+1 children p + (z,), -m <= z <= m, m = isqrt(r2 - |p|^2)
-        # (0 at a held coordinate); the float square root truncates to isqrt
-        # exactly below 2**52.
+        # Prefix p has 2m+1 children p + (z,), -m <= z <= m, m = isqrt(r2 - |p|^2);
+        # the float square root truncates to isqrt exactly below 2**52.
         rest = r2 - np.einsum("ij,ij->i", prefixes, prefixes)
-        m = np.sqrt(rest).astype(np.int64) * (prefixes.shape[1] not in held)
+        m = np.sqrt(rest).astype(np.int64)
         end = np.cumsum(2 * m + 1)
         hi = min(lo + width, int(end[-1]))
         if hi < end[-1]:
@@ -305,25 +307,22 @@ def _lattice_chunks(dim, step, rows, held=()) -> Iterator[np.ndarray]:
         yield out
 
 
-def net_coefficients(basis: Eigenspace, step: float, held=()) -> Iterator[np.ndarray]:
+def net_coefficients(basis: np.ndarray, step: float) -> Iterator[np.ndarray]:
     """The coefficients alpha in step*Z^dim of every net vector
-    sum_s alpha_s w(s): coefficient norm at most 1 + step*sqrt(dim)/2, each
+    sum_s alpha_s b_s, b_s the columns of an (ambient, dim) basis (at dim 0,
+    the origin alone): coefficient norm at most 1 + step*sqrt(dim)/2, each
     point once, in lexicographic order, as (rows, dim) float64 arrays whose
     ambient vectors take at most core.BATCH_BYTES bytes (or one row).  The
     extra half-cell-diagonal of slack beyond the unit ball guarantees every
     vector of norm <= 1 has a net point within step*sqrt(dim)/2 of it.
-    With ``held`` a set of coordinates, only the points that are 0 on all
-    of them.
-    Raises NetTooLargeError before yielding if the whole net exceeds the cap."""
-    dim = basis.dim
-    if dim < 1:
-        raise UGError("empty basis")
+    Raises NetTooLargeError before yielding if the net exceeds the cap."""
+    ambient, dim = basis.shape
     if net_size(dim, step, NET_CAP) > NET_CAP:
         raise NetTooLargeError(
             f"net would have more than cap {NET_CAP} points at dim={dim}, step={step}"
         )
-    rows = max(1, core.BATCH_BYTES // (8 * basis.dim_ambient))
-    for Z in _lattice_chunks(dim, step, rows, held):
+    rows = max(1, core.BATCH_BYTES // (8 * ambient))
+    for Z in _lattice_chunks(dim, step, rows):
         yield Z * step
 
 
@@ -407,10 +406,9 @@ def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window)
     # lifts f (x) 1, so W splits exactly into the lift of the constraint
     # graph's own window at the same threshold and a twisted part orthogonal
     # to it.  Adding f (x) 1 adds f(v) to every entry of vertex v's block, so
-    # no argmax moves: the walk holds the coefficients on the lifted part of
-    # the split basis at 0 and walks the twisted part alone.
-    basis, held = split_lifted(W.basis, k)
-    blocks = label_blocks(basis, k)
+    # no argmax moves: the net walks the split basis's twisted columns alone.
+    basis, twisted = split_lifted(W.basis, k)
+    blocks, walked = label_blocks(basis, k), label_blocks(twisted, k)
     # The signed basis vectors follow the net as candidates so a
     # one-dimensional W cannot be missed by lattice misalignment; as the
     # +-identity coefficient rows they are read off exactly.
@@ -419,12 +417,12 @@ def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window)
     rows = max(1, core.BATCH_BYTES // (8 * n * k))
     more = [(C, label_blocks(B, k)) for C, B in more]
     chunks = itertools.chain(
-        ((C, blocks) for C in net_coefficients(W, step, held)), [(signed, blocks)],
+        ((C, walked) for C in net_coefficients(twisted, step)), [(signed, blocks)],
         ((C[i:i + rows], L) for C, L in more for i in range(0, len(C), rows)))
     others = len(signed) + sum(len(C) for C, _ in more)
     if not len(inst.w):  # every labeling scores 1.0, so the first net point wins
-        first = next(_lattice_chunks(dim, step, 1, held)) * step  # not counting the net
-        chunks, signed, others = [(first, blocks)], signed[:0], 0
+        first = next(_lattice_chunks(twisted.shape[1], step, 1)) * step  # not counting the net
+        chunks, signed, others = [(first, walked)], signed[:0], 0
     narrow = np.min_scalar_type(k - 1)
     row = np.dtype((np.void, n * narrow.itemsize))
     distinct, candidates = {}, 0
@@ -462,7 +460,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window)
         distinct_labelings=len(labelings),
         value_path=inst.value_path,
         signed_candidates=len(signed),
-        held_dims=len(held),
+        held_dims=dim - twisted.shape[1],
         stages=stages,
         eigensolver=W.solver,
         extras=extras,

@@ -177,7 +177,7 @@ def test_criterion_04_net_covering_and_size(capsys):
     for dim, nvec in ((2, 1000), (3, 1000), (4, 1000)):
         step = float(np.sqrt(2 * eps / (gamma * dim)))
         basis = random_orthonormal(dim + 3, dim, seed=dim)
-        pts = np.concatenate(list(net_coefficients(basis, step))) @ basis.basis.T
+        pts = np.concatenate(list(net_coefficients(basis.basis, step))) @ basis.basis.T
         rng = np.random.default_rng(100 + dim)
         C = rng.standard_normal((nvec, dim))
         C /= np.linalg.norm(C, axis=1, keepdims=True)

@@ -198,7 +198,8 @@ class TestSolve:
     def test_edgeless_maxlin_over_net_cap_solves(self, tmp_path):
         """A 4-vertex Z_3 instance without edges searches all 12
         dimensions, whose net is over the cap: the solve reads off its first
-        point alone, and a step whose radius overflows still exits 2."""
+        point alone, and a step whose radius overflows still exits 2, on the
+        8-dim net of the twisted part it walks."""
         path = tmp_path / "edgeless.ml"
         path.write_text("maxlin 4 3\n")
         args = ("solve", path, "--epsilon", 0.01, "--gamma", 0.5, "--maxlin", "--max-dim", 12)
@@ -207,16 +208,17 @@ class TestSolve:
         assert rep["dim_W"] == 12 and rep["best_value"] == 1.0
         proc = run_cli(*args, "--net-step", 1e-200)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: net at dim=12")
+        assert proc.stderr.startswith("error: net at dim=8,")
 
     @pytest.mark.parametrize("header, args", [
-        ("ug 2 1", ("--net-step", 1e-10)),
-        ("ug 2 1", ("--mode", "laplacian", "--net-step", 1e-12)),
+        ("ug 1 2", ("--net-step", 1e-10)),
+        ("ug 1 2", ("--mode", "laplacian", "--net-step", 1e-12)),
         ("maxlin 2 2", ("--maxlin", "--max-dim", 4, "--net-step", 1e-12)),
     ], ids=["adjacency", "laplacian", "maxlin"])
     def test_edgeless_radius_beyond_exact_walk_exit_2(self, tmp_path, header, args):
         """Without edges only the first net point is read off, but a radius
-        too large for the exact walk is still a net too large: exit 2."""
+        too large for the exact walk is still a net too large: exit 2.  Each
+        alphabet has k >= 2, so the walk has a twisted coordinate."""
         path = tmp_path / "edgeless.ug"
         path.write_text(f"{header}\n")
         proc = run_cli("solve", path, "--epsilon", 0.01, "--gamma", 0.5, *args)

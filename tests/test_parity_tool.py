@@ -20,6 +20,7 @@ def test_seed_zero_of_every_workload():
     for line in lines:
         assert list(line) == ["workload", "seed", "best_value", "best_labeling_sha256", "dim_W",
                               "decision", "distinct_labelings", "net_points_evaluated",
-                              "held_dims", "eigensolver", "cut_gap", "failures", "extras"]
+                              "held_dims", "signed_candidates", "eigensolver", "cut_gap",
+                              "failures", "extras"]
         assert line["seed"] == 0 and line["failures"] == []
         assert float.fromhex(line["best_value"]) <= 1.0

@@ -82,8 +82,7 @@ def test_readoff_called_once_per_chunk(monkeypatch):
     basis, on every candidate row.  W holds two lifts, the all-ones vector
     of KV's simple top eigenvalue d and one of the four eigenvectors of its
     second, which the split re-bases out of eigh's mixed basis: the net read
-    off is the points of the full net with two coordinates 0, as many
-    whichever they are."""
+    off is that of the other 3 dimensions, not the full 5-dim net."""
     import ugspectral.core as core_mod
     import ugspectral.recover as recover_mod
     from ugspectral.generators import KVSpec, kv_instance
@@ -101,10 +100,10 @@ def test_readoff_called_once_per_chunk(monkeypatch):
     monkeypatch.setattr(recover_mod, "read_off_batch", counting)
     rep = recover_mod.recover_solution(inst, params)
     net = rep.net_points_evaluated
-    full = np.concatenate(list(recover_mod._lattice_chunks(rep.dim_W, rep.net_step, 8192)))
-    assert len(full) == recover_mod.net_size(rep.dim_W, rep.net_step) == 221
-    assert rep.held_dims == 2
-    assert net == np.count_nonzero(~full[:, :2].any(axis=1)) == 33 > rows
+    walked = np.concatenate(list(recover_mod._lattice_chunks(3, rep.net_step, 8192)))
+    assert recover_mod.net_size(rep.dim_W, rep.net_step) == 221
+    assert (rep.dim_W, rep.held_dims) == (5, 2)
+    assert net == len(walked) == recover_mod.net_size(3, rep.net_step) == 27 > rows
     assert len(calls) == -(-net // rows) + 1
     assert calls[-1] == rep.signed_candidates == 2 * rep.dim_W
     assert sum(calls) == net + 2 * rep.dim_W

@@ -1,5 +1,6 @@
 """Net enumeration, read-off, and the end-to-end solver."""
 
+import dataclasses
 import itertools
 import json
 import time
@@ -61,7 +62,7 @@ def select_search_space(inst, params):
 
 def enumerate_net(basis, step):
     """The net vectors of net_coefficients, as (rows, dim_ambient) arrays."""
-    for C in net_coefficients(basis, step):
+    for C in net_coefficients(basis.basis, step):
         yield C @ basis.basis.T
 
 
@@ -194,33 +195,21 @@ class TestNet:
         assert np.concatenate(chunks).tolist() == [list(z) for z in reference]
         assert len(reference) == net_size(dim, step)
 
-    @pytest.mark.parametrize("dim,step", [(1, 0.3), (1, 2.5), (2, 0.4), (3, 0.4), (4, 0.7)])
-    @pytest.mark.parametrize("rows", [1, 7, 8192])
-    def test_held_walk_is_the_full_nets_zero_slice(self, dim, step, rows):
-        """Holding a set of coordinates walks exactly the full net's points
-        that are 0 on all of them, at the full net's radius, in
-        lexicographic order and in chunks of ``rows``; holding none walks
-        the full net, and holding all of them the origin alone."""
-        r2 = _net_radius2(dim, step)
-        m = int(np.floor(np.sqrt(r2)))
-        full = [z for z in itertools.product(range(-m, m + 1), repeat=dim)
-                if sum(x * x for x in z) <= r2]
-        for size in range(dim + 1):
-            for held in map(set, itertools.combinations(range(dim), size)):
-                chunks = list(_lattice_chunks(dim, step, rows, held))
-                assert all(len(Z) == rows for Z in chunks[:-1]) and 1 <= len(chunks[-1]) <= rows
-                assert np.concatenate(chunks).tolist() == [
-                    list(z) for z in full if not any(z[c] for c in held)]
-
-    def test_held_net_keeps_the_full_cap(self, monkeypatch):
-        """NET_CAP counts the full net, so holding coordinates aborts
-        wherever the full net would, also when the held points fit the cap."""
-        basis = orthonormal_space(6, 3, seed=3)
-        held = sum(len(C) for C in net_coefficients(basis, 0.4, {0, 2}))
-        assert held < net_size(3, 0.4)
-        monkeypatch.setattr(recover_mod, "NET_CAP", held)
-        with pytest.raises(NetTooLargeError):
-            next(net_coefficients(basis, 0.4, {0, 2}))
+    def test_cap_counts_the_twisted_net(self, monkeypatch):
+        """NET_CAP counts the net the solve walks, that of W's twisted part:
+        a perfectly satisfiable Max-Lin instance, whose 3-dim W has one
+        lifted column and a 2-dim twisted net of 277 of the full net's 3,695
+        points, solves with the cap at 277 and aborts at 276, naming the
+        walked dimension."""
+        inst, _ = planted_on(7, 3, complete_skeleton(7), seed=4, family="maxlin")
+        params = SolveParams(0.01, 0.5)
+        monkeypatch.setattr(recover_mod, "NET_CAP", 277)
+        rep = recover_solution(inst, params)
+        assert (rep.dim_W, rep.held_dims, rep.net_points_evaluated) == (3, 1, 277)
+        assert net_size(rep.dim_W, rep.net_step) == 3695
+        monkeypatch.setattr(recover_mod, "NET_CAP", 276)
+        with pytest.raises(NetTooLargeError, match="cap 276 points at dim=2,"):
+            recover_solution(inst, params)
 
     @pytest.mark.parametrize("budget", [1, 8 * 6 * 5 + 7, 8 * 6 * 64, core_mod.BATCH_BYTES])
     def test_net_chunks_within_byte_budget(self, budget, monkeypatch):
@@ -258,13 +247,19 @@ class TestNet:
         with pytest.raises(NetTooLargeError):
             list(enumerate_net(orthonormal_space(4, 3, seed=0), 0.2))
 
-    def test_empty_basis_rejected(self):
-        with pytest.raises(UGError, match="empty basis"):
-            next(net_coefficients(orthonormal_space(4, 0), 0.5))
+    def test_empty_basis_net_is_the_origin(self):
+        """A 0-column basis, an empty twisted part, has one net point, the
+        origin, whatever the step: net_size counts it and the walk yields
+        it as one empty row."""
+        for step in (0.5, 1e-200):
+            chunks = list(net_coefficients(orthonormal_space(4, 0).basis, step))
+            assert [C.shape for C in chunks] == [(1, 0)]
+            assert net_size(0, step) == net_size(0, step, cap=1) == 1
+            assert [Z.shape for Z in _lattice_chunks(0, step, 7)] == [(1, 0)]
 
     def test_invalid_args(self):
         with pytest.raises(UGError):
-            net_size(0, 0.5)
+            net_size(-1, 0.5)
         with pytest.raises(UGError):
             net_size(2, 0.0)
 
@@ -543,14 +538,15 @@ class TestRecover:
     @pytest.mark.parametrize("n, k", [(3, 2), (2, 3)])
     def test_edgeless_reads_off_one_candidate(self, n, k, monkeypatch):
         """Without edges every labeling scores 1.0, so the first candidate
-        in stream order wins: the solve reads off the first net row alone,
-        not the 30,826,865 points of this net, nor the signed basis."""
+        in stream order wins: the solve reads off the first row of its
+        twisted part's net alone, not the rest of that net, nor the signed
+        basis."""
         inst, params = from_rows(n, k, []), SolveParams(0.01, 0.5)
         W, _ = select_search_space(inst, params)
         step = float(np.sqrt(2 * 0.01 / (0.5 * W.dim)))
-        basis, held = split_lifted(W.basis, k)
-        first = next(recover_mod.net_coefficients(W, step, held))[:1]
-        expected = read_off_batch(first, label_blocks(basis, k))[0].tolist()
+        _, twisted = split_lifted(W.basis, k)
+        first = next(recover_mod.net_coefficients(twisted, step))[:1]
+        expected = read_off_batch(first, label_blocks(twisted, k))[0].tolist()
         calls = []
 
         def counting(C, blocks):
@@ -588,8 +584,9 @@ class TestRecover:
     def test_edgeless_radius_beyond_exact_walk_too_large(self, mode, step):
         """A finite radius with r2 >= 2**52, where the walk's float square
         roots are no longer exact (below a step of about 3e-10, past int64), is a net too
-        large, as net_size has it; a step just inside still solves."""
-        inst = from_rows(2, 1, [])
+        large, as net_size has it; a step just inside still solves.  At
+        k = 2 the walk has a coordinate, the vertex's twisted direction."""
+        inst = from_rows(1, 2, [])
         with pytest.raises(NetTooLargeError, match="beyond exact counting"):
             recover_solution(inst, SolveParams(0.01, 0.5, mode=mode, net_step_override=step))
         rep = recover_solution(inst, SolveParams(0.01, 0.5, mode=mode, net_step_override=3e-8))
@@ -720,8 +717,8 @@ class TestHeldWalk:
     """M and L_M commute with P1 = I_n (x) J_k/k, so W splits exactly into
     the lift f (x) 1 of the constraint graph's window at the same threshold
     and a twisted part orthogonal to it.  Adding a lift moves no per-block
-    argmax, so the solve reads off only the net points whose coefficients
-    on the lifted columns of the split basis (``split_lifted``) are 0."""
+    argmax, so the solve walks the net of the twisted columns of the split
+    basis (``split_lifted``) alone, at their own radius."""
 
     def test_one_dimensional_window_reads_the_origin(self):
         """KV kappa = 2 at gamma 0.25 keeps only the simple top eigenvalue d,
@@ -739,8 +736,9 @@ class TestHeldWalk:
     def test_repeated_top_eigenvalue_is_rebased_and_held(self):
         """A perfectly satisfiable Max-Lin instance has the top eigenvalue d
         k times over, so eigh's basis of W mixes the all-ones vector into
-        every column: the split re-bases the three columns, holds the one
-        along it and walks 293 of the full net's 3,695 points."""
+        every column: the split re-bases the three columns, leaves out the
+        one along it and walks the 277 points of the other two's net, not
+        the full net's 3,695."""
         inst, _ = planted_on(7, 3, complete_skeleton(7), seed=4, family="maxlin")
         W = select_search_space(inst, SolveParams(0.01, 0.5))[0]
         mass = 3 * (W.basis.reshape(7, 3, 3).mean(axis=1) ** 2).sum(axis=0)
@@ -748,12 +746,12 @@ class TestHeldWalk:
         rep = recover_solution(inst, SolveParams(0.01, 0.5))
         assert (rep.dim_W, rep.held_dims) == (3, 1)
         assert net_size(rep.dim_W, rep.net_step) == 3695
-        assert rep.net_points_evaluated == 293
+        assert rep.net_points_evaluated == net_size(2, rep.net_step) == 277
 
     def test_laplacian_clustered_count(self, monkeypatch):
-        """The benchmark's laplacian-clustered seed 1 holds the lifts of its
-        four clusters, 4 of its 8 dimensions, and reads 569 of its 47,921
-        net points."""
+        """The benchmark's laplacian-clustered seed 1 leaves out the lifts of
+        its four clusters, 4 of its 8 dimensions, and reads the 297 points
+        of the other 4's net, not the full net's 47,921."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         import workloads
 
@@ -761,22 +759,34 @@ class TestHeldWalk:
         rep = workload.solve(core_mod.parse_instance(workload.make(1).text))
         assert net_size(rep.dim_W, rep.net_step) == 47921
         assert (rep.dim_W, rep.held_dims) == (8, 4)
-        assert rep.net_points_evaluated == 569
+        assert rep.net_points_evaluated == net_size(4, rep.net_step) == 297
+
+    def test_laplacian_clustered_default_step_solves(self, monkeypatch):
+        """At its default step, 0.129, laplacian-clustered seed 1's full
+        8-dim net passes NET_CAP, but the 4-dim twisted net the solve
+        walks has 28,769 points, and it reaches the planted value."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        workload = workloads.WORKLOADS["laplacian-clustered"]
+        params = dataclasses.replace(workloads.LAPLACIAN_PARAMS, net_step_override=None)
+        rep = recover_solution(core_mod.parse_instance(workload.make(1).text), params)
+        assert net_size(rep.dim_W, rep.net_step, recover_mod.NET_CAP) > recover_mod.NET_CAP
+        assert (rep.dim_W, rep.held_dims, rep.net_points_evaluated) == (8, 4, 28769)
+        assert rep.best_value == 0.9891640866873065
 
 
 def reference_labelings(inst, params):
-    """Every candidate in stream order (the net, then the signed basis
-    vectors) over the split basis of W (``split_lifted``), each read off by
-    per-block argmax: the net is the full net's points that are 0 on every
-    held column, in the full net's order."""
+    """Every candidate in stream order (the net of the twisted columns of
+    W's split basis, ``split_lifted``, then the signed vectors of the whole
+    split basis), each read off by per-block argmax."""
     W, _ = select_search_space(inst, params)
     step = params.net_step_override
     if step is None:
         step = float(np.sqrt(2 * params.epsilon / (params.gamma * W.dim)))
-    B, held = split_lifted(W.basis, inst.k)
-    C = np.concatenate(list(net_coefficients(W, step)))
-    C = C[~C[:, list(held)].any(axis=1)]
-    cands = np.concatenate([C @ B.T, B.T, -B.T])
+    B, T = split_lifted(W.basis, inst.k)
+    C = np.concatenate(list(net_coefficients(T, step)))
+    cands = np.concatenate([C @ T.T, B.T, -B.T])
     return [np.argmax(x.reshape(inst.n, inst.k), axis=1) for x in cands]
 
 
@@ -814,20 +824,23 @@ class TestLiftedSplit:
         """On instances of 2-4 components or clusters, whose windows hold at
         least as many lifts (a perfectly satisfiable one shares each of their
         eigenvalues with k - 1 twisted vectors, so its basis is mixed): the
-        held columns of the split basis span the lift of the constraint
-        graph's window at the same threshold; adding any vector of that span
-        moves no label whose top-two margin exceeds 1e-9; and the held walk
-        finds the best value of the full net over the split basis.  That
-        net's held columns are taken as their exact lifts (block means): a
-        lift known to rounding, read off alone, breaks every tie by its
-        rounding."""
+        lifted columns of the split basis span the lift of the constraint
+        graph's window at the same threshold, and the twisted part it hands
+        back is the others; adding any vector of that span moves no label
+        whose top-two margin exceeds 1e-9; and the twisted walk finds the
+        best value of the full net over the split basis's points whose
+        twisted coefficients lie in the twisted net.  That net's lifted
+        columns are taken as their exact lifts (block means): a lift known
+        to rounding, read off alone, breaks every tie by its rounding."""
         inst, params, parts, bridged = case
-        n, k = inst.n, inst.k
+        n, k, step = inst.n, inst.k, params.net_step_override
         A, level = search_operator(inst, params)
         W = select_eigenspace(A, level)
         assume(W.dim <= params.max_dim)
-        B, held = split_lifted(W.basis, k)
-        H = B[:, list(held)]
+        B, T = split_lifted(W.basis, k)
+        held = np.flatnonzero(k * (B.reshape(n, k, -1).mean(axis=1) ** 2).sum(axis=0) >= 0.5)
+        assert np.array_equal(np.delete(B, held, axis=1), T)
+        H = B[:, held]
         S = select_eigenspace(constraint_graph_adjacency(inst) - np.diag(inst.degrees()), level)
         lift = np.repeat(S.basis, k, axis=0) / np.sqrt(k)
         assert len(held) == S.dim >= (1 if bridged else parts)
@@ -835,9 +848,9 @@ class TestLiftedSplit:
 
         rng = np.random.default_rng(0)
         C = rng.standard_normal((200, W.dim))
-        C[:, list(held)] = 0
+        C[:, held] = 0
         moved = C.copy()
-        moved[:, list(held)] = rng.standard_normal((200, len(held)))
+        moved[:, held] = rng.standard_normal((200, len(held)))
         x = np.sort((C @ B.T).reshape(200, n, k), axis=2)
         clear = x[:, :, -1] - x[:, :, -2] > 1e-9
         blocks = label_blocks(B, k)
@@ -847,9 +860,11 @@ class TestLiftedSplit:
         rep = recover_solution(inst, params)
         assert rep.held_dims == len(held)
         exact = B.copy()
-        exact[:, list(held)] = np.repeat(H.reshape(n, k, -1).mean(axis=1), k, axis=0)
-        exact[:, list(held)] /= np.linalg.norm(exact[:, list(held)], axis=0)
-        Z = np.concatenate(list(net_coefficients(W, params.net_step_override)))
+        exact[:, held] = np.repeat(H.reshape(n, k, -1).mean(axis=1), k, axis=0)
+        exact[:, held] /= np.linalg.norm(exact[:, held], axis=0)
+        Z = np.concatenate(list(_lattice_chunks(W.dim, step, 8192)))
+        r2 = np.floor(_net_radius2(T.shape[1], step))
+        Z = Z[(np.delete(Z, held, axis=1) ** 2).sum(axis=1) <= r2] * step
         cands = np.concatenate([Z @ exact.T, B.T, -B.T])
         assert rep.best_value == max(value(inst, np.argmax(x.reshape(n, k), axis=1))
                                      for x in cands)

@@ -52,6 +52,7 @@ def case_line(name, seed, workload, core) -> dict:
         "distinct_labelings": report.distinct_labelings,
         "net_points_evaluated": report.net_points_evaluated,
         "held_dims": report.held_dims,
+        "signed_candidates": report.signed_candidates,
         "eigensolver": report.eigensolver,
         "cut_gap": None if report.cut_gap is None else report.cut_gap.hex(),
         "failures": workload.check(case, inst, report),
