@@ -1,8 +1,9 @@
 """Command line interface.
 
-Subcommands: gen, solve, oracle, spectrum, diagnose, kv-spectrum.  Reports
-are single JSON objects on stdout with an embedded run manifest; logs go to
-stderr.  Exit codes: 0 success, 1 usage/contract error, 2 a valid input
+Subcommands: gen, solve, oracle, spectrum, diagnose, kv-spectrum.  solve,
+oracle and diagnose print one JSON report with a run manifest on stdout;
+gen writes instance text, spectrum and kv-spectrum plain lines.  Logs go
+to stderr.  Exit codes: 0 success, 1 usage/contract error, 2 a valid input
 the solve gave up on (``AbortError``: a budget, dimension cap or numeric
 failure; or running out of memory).
 """
@@ -22,7 +23,6 @@ from . import core, generators, linalg, maxlin, oracle, recover
 from .core import (
     AbortError,
     UGError,
-    UGInstance,
     load_instance,
     save_instance,
     serialize_instance,
@@ -82,13 +82,6 @@ def _parse_labels(text):
 def cmd_gen(args, t0):
     if args.kind == "kv":
         inst = generators.kv_instance(generators.KVSpec(args.kappa, args.eps))
-    elif args.kind == "regular":
-        edges, lam2 = generators.random_regular_graph(args.n, args.d, seed=args.seed)
-        ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        inst = UGInstance.from_arrays(
-            args.n, 1, ends[:, 0], ends[:, 1], np.ones(len(ends)), np.zeros((len(ends), 1))
-        )
-        print(f"second adjacency eigenvalue: {lam2:.6f}", file=sys.stderr)
     else:  # planted
         inst, planted, lam2 = generators.planted_regular_instance(
             args.n, args.d, args.k, seed=args.seed, constraint_family=args.family
@@ -107,14 +100,14 @@ def cmd_gen(args, t0):
     return 0
 
 
-def _params(args, **kwargs):
-    """The solve record of the command line: Max-Lin's with --maxlin."""
-    cls = maxlin.MaxLinParams if args.maxlin else SolveParams
+def _params(args, use_maxlin, **kwargs):
+    """The solve record of the command line: Max-Lin's if use_maxlin."""
+    cls = maxlin.MaxLinParams if use_maxlin else SolveParams
     return cls(args.epsilon, args.gamma, mode=args.mode, **kwargs)
 
 
 def cmd_solve(args, t0):
-    params = _params(args, theta=args.theta, max_dim=args.max_dim,
+    params = _params(args, args.maxlin, theta=args.theta, max_dim=args.max_dim,
                      net_step_override=args.net_step)
     t = time.perf_counter()
     inst = load_instance(args.file)
@@ -140,7 +133,7 @@ def cmd_oracle(args, t0):
 
 def cmd_spectrum(args, t0):
     inst = load_instance(args.file)
-    lem = build_laplacian(inst) if args.laplacian else build_label_extended(inst)
+    lem = (build_laplacian if args.mode == "laplacian" else build_label_extended)(inst)
     # Eigenvalues only, descending: eigvalsh skips the eigenvectors' cost.
     vals = np.linalg.eigvalsh(dense_symmetric(lem.matrix))[::-1]
     for i, lam in enumerate(vals):
@@ -149,23 +142,15 @@ def cmd_spectrum(args, t0):
 
 
 def cmd_diagnose(args, t0):
-    params = _params(args)
+    params = _params(args, args.completion is not None)
     params.validate()
     inst = load_instance(args.file)
-    if args.maxlin:
-        if not args.completion:
-            raise UGError("--maxlin diagnosis needs --completion <file>")
+    if args.completion is not None:
         ml = maxlin.MaxLinInstance.from_instance(inst)
         comp = maxlin.MaxLinInstance.from_instance(load_instance(args.completion))
-        rep = maxlin.sin_theta_report(ml, comp, None, params.gamma)
-        out = rep.to_dict()
+        out = maxlin.sin_theta_report(ml, comp, None, params.gamma).to_dict()
     else:
-        if args.planted_file:
-            planted = _parse_labels(core.read_text(args.planted_file))
-        elif args.planted:
-            planted = _parse_labels(args.planted)
-        else:
-            raise UGError("diagnose needs --planted or --planted-file")
+        planted = _parse_labels(core.read_text(args.planted_file))
         alpha, beta = recover.closeness_diagnostic(inst, planted, params)
         out = {
             "alpha": alpha,
@@ -179,21 +164,18 @@ def cmd_diagnose(args, t0):
 
 
 def cmd_kv_spectrum(args, t0):
-    if args.n < 2 or args.n & (args.n - 1):
-        raise UGError(f"--n must be a power of two >= 2, got {args.n}")
-    spec = generators.KVSpec(args.n.bit_length() - 1, args.eps)
-    for lam, mult in generators.kv_spectrum(spec):
+    for lam, mult in generators.kv_spectrum(generators.KVSpec(args.kappa, args.eps)):
         sys.stdout.write(f"{format(lam, '.17g')} {mult}\n")
     return 0
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="ugspectral")
+    p = argparse.ArgumentParser(prog="ugspectral", allow_abbrev=False)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    g = sub.add_parser("gen", help="generate instances")
+    g = sub.add_parser("gen", help="generate instances", allow_abbrev=False)
     gs = g.add_subparsers(dest="kind", required=True)
-    gp = gs.add_parser("planted")
+    gp = gs.add_parser("planted", allow_abbrev=False)
     gp.add_argument("--n", type=int, required=True)
     gp.add_argument("--d", type=int, required=True)
     gp.add_argument("--k", type=int, required=True)
@@ -203,18 +185,13 @@ def build_parser():
     gp.add_argument("--seed", type=int, default=0)
     gp.add_argument("--out")
     gp.add_argument("--planted-out")
-    gk = gs.add_parser("kv")
+    gk = gs.add_parser("kv", allow_abbrev=False)
     gk.add_argument("--kappa", type=int, required=True)
     gk.add_argument("--eps", type=float, required=True)
     gk.add_argument("--out")
-    gr = gs.add_parser("regular")
-    gr.add_argument("--n", type=int, required=True)
-    gr.add_argument("--d", type=int, required=True)
-    gr.add_argument("--seed", type=int, default=0)
-    gr.add_argument("--out")
     g.set_defaults(func=cmd_gen)
 
-    s = sub.add_parser("solve", help="run the spectral solver")
+    s = sub.add_parser("solve", help="run the spectral solver", allow_abbrev=False)
     s.add_argument("file")
     s.add_argument("--epsilon", type=float, required=True)
     s.add_argument("--gamma", type=float, required=True)
@@ -228,29 +205,28 @@ def build_parser():
                         "default with --maxlin")
     s.set_defaults(func=cmd_solve)
 
-    o = sub.add_parser("oracle", help="exact brute-force optimum")
+    o = sub.add_parser("oracle", help="exact brute-force optimum", allow_abbrev=False)
     o.add_argument("file")
     o.add_argument("--budget", type=int, default=None)
     o.set_defaults(func=cmd_oracle)
 
-    sp = sub.add_parser("spectrum", help="dump the label-extended spectrum")
+    sp = sub.add_parser("spectrum", help="dump the label-extended spectrum", allow_abbrev=False)
     sp.add_argument("file")
-    sp.add_argument("--laplacian", action="store_true")
+    sp.add_argument("--mode", choices=["adjacency", "laplacian"], default="adjacency")
     sp.set_defaults(func=cmd_spectrum)
 
-    d = sub.add_parser("diagnose", help="closeness / perturbation diagnostics")
+    d = sub.add_parser("diagnose", help="closeness / perturbation diagnostics", allow_abbrev=False)
     d.add_argument("file")
     d.add_argument("--epsilon", type=float, default=0.01)
     d.add_argument("--gamma", type=float, default=0.5)
     d.add_argument("--mode", choices=["adjacency", "laplacian"], default="adjacency")
-    d.add_argument("--planted")
-    d.add_argument("--planted-file")
-    d.add_argument("--maxlin", action="store_true")
-    d.add_argument("--completion")
+    given = d.add_mutually_exclusive_group(required=True)
+    given.add_argument("--planted-file", help="planted labeling: the closeness report")
+    given.add_argument("--completion", help="Max-Lin completion: the sin-theta report")
     d.set_defaults(func=cmd_diagnose)
 
-    kv = sub.add_parser("kv-spectrum", help="closed-form KV spectrum table")
-    kv.add_argument("--n", type=int, required=True)
+    kv = sub.add_parser("kv-spectrum", help="closed-form KV spectrum table", allow_abbrev=False)
+    kv.add_argument("--kappa", type=int, required=True)
     kv.add_argument("--eps", type=float, required=True)
     kv.set_defaults(func=cmd_kv_spectrum)
 
@@ -272,10 +248,7 @@ def main(argv=None):
     except MemoryError as exc:  # a valid input too large to solve here
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    except UGError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UGError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

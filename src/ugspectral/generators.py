@@ -10,13 +10,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from .core import UGInstance, UGError, _unit_scale, shift_image, value
+from .core import UGInstance, UGError, _unit_scale, shift_image, validate_labeling, value
 from .label_extended import graph_operator
 from .linalg import select_eigenspace
+
+
+def _is_int(x):
+    """Whether x is an integer, numpy's too, but not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _rng(seed):
+    """The seeded generator of every factory here."""
+    if not _is_int(seed) or seed < 0:
+        raise UGError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
+def _is_maxlin(family):
+    """Whether the family is Max-Lin's shifts; UGError if it is neither family."""
+    if family not in ("general-permutation", "maxlin"):
+        raise UGError(f"unknown constraint family {family!r}")
+    return family == "maxlin"
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +73,14 @@ def planted_instance(spec: PlantedSpec):
     mapping the planted label of u to that of v; the maxlin family uses the
     unique cyclic shift doing so.
     """
-    rng = np.random.default_rng(spec.seed)
-    planted = np.asarray(spec.planted, dtype=np.int64)
+    rng = _rng(spec.seed)
+    planted = validate_labeling(spec, spec.planted)  # reads the spec's n and k
     u, v = (np.array([int(e[i]) for e in spec.skeleton], dtype=np.int64) for i in (0, 1))
+    if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= spec.n):
+        raise UGError(f"skeleton endpoint out of range [0, {spec.n})")
     w, scale = _unit_scale([float(e[2]) if len(e) > 2 else 1.0 for e in spec.skeleton])
     a, b = planted[u], planted[v]
-    if spec.constraint_family == "maxlin":
+    if _is_maxlin(spec.constraint_family):
         perm = shift_image(np.arange(spec.k), (a - b)[:, None], spec.k)
     else:
         perm = [_random_perm_with_image(rng, spec.k, x, y) for x, y in zip(a, b)]
@@ -76,6 +98,7 @@ def perturb(inst: UGInstance, planted, eps, seed=0, constraint_family="general-p
     """
     if not (0 <= eps < 1):
         raise UGError(f"eps must be in [0,1), got {eps}")
+    maxlin = _is_maxlin(constraint_family)
     planted = np.asarray(planted, dtype=np.int64)
     if value(inst, planted) != 1.0:
         raise UGError("perturb requires the planted labeling to satisfy everything")
@@ -84,7 +107,7 @@ def perturb(inst: UGInstance, planted, eps, seed=0, constraint_family="general-p
     k = inst.k
     if k < 2:
         raise UGError("cannot violate constraints with k=1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     order = rng.permutation(len(inst.w))
     # picked[j] is the weight picked before pick j, a sequential running total
     # that never decreases; picking stops at the first j reaching the target.
@@ -93,7 +116,7 @@ def perturb(inst: UGInstance, planted, eps, seed=0, constraint_family="general-p
     perm = inst.perm.copy()
     for i in np.sort(order[:count]):
         a, b = planted[inst.u[i]], planted[inst.v[i]]
-        if constraint_family == "maxlin":
+        if maxlin:
             perm[i] = shift_image(np.arange(k), _other_than(rng, k, (a - b) % k), k)
         else:
             perm[i] = _random_perm_with_image(rng, k, a, _other_than(rng, k, b))
@@ -137,11 +160,13 @@ def random_regular_graph(n, d, seed=0):
     for the same seed.  Returns (edge list, second adjacency eigenvalue);
     expansion is measured, never assumed.
     """
+    if not (_is_int(n) and _is_int(d)):
+        raise UGError(f"n and d must be integers, got {n!r}, {d!r}")
     if (n * d) % 2 != 0:
         raise UGError("n*d must be even")
     if not 0 <= d < n:
         raise UGError("need 0 <= d < n")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(PAIRING_TRIES):
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
@@ -169,8 +194,7 @@ def planted_regular_instance(n, d, k, seed=0, constraint_family="general-permuta
     if k < 1:
         raise UGError(f"need k >= 1, got k={k}")
     skeleton, lambda2 = random_regular_graph(n, d, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    planted = rng.integers(0, k, size=n)
+    planted = _rng(seed + 1).integers(0, k, size=n)
     inst, planted = planted_instance(
         PlantedSpec(n, k, skeleton, planted, constraint_family, seed + 2)
     )
@@ -225,8 +249,8 @@ class KVSpec:
     eps: float
 
     def __post_init__(self):
-        if self.kappa < 1:
-            raise UGError("kappa must be >= 1")
+        if not _is_int(self.kappa) or self.kappa < 1:
+            raise UGError(f"kappa must be an integer >= 1, got {self.kappa!r}")
         if not (0 < self.eps < 0.5):
             raise UGError("eps must be in (0, 1/2)")
 

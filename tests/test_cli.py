@@ -9,12 +9,13 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import ugspectral
 from ugspectral import core, linalg, oracle, recover
 from ugspectral.core import load_instance, save_instance, value
-from ugspectral.generators import PlantedSpec, planted_instance, perturb
+from ugspectral.generators import PlantedSpec, planted_instance, perturb, random_regular_graph
 
 from conftest import complete_skeleton
 
@@ -48,11 +49,16 @@ def validate(report):
     jsonschema.validate(report, SCHEMA)
 
 
+def labels_file(tmp_path, labels):
+    """A planted-labeling file holding labels, comma-separated."""
+    path = tmp_path / "planted.txt"
+    path.write_text(",".join(str(int(x)) for x in labels) + "\n")
+    return path
+
+
 @pytest.fixture
 def maxlin_file(tmp_path):
     """Perturbed planted group-difference instance on a complete graph."""
-    import numpy as np
-
     rng = np.random.default_rng(3)
     inst, planted = planted_instance(
         PlantedSpec(7, 3, complete_skeleton(7), rng.integers(0, 3, 7), "maxlin", 3)
@@ -92,6 +98,23 @@ class TestGen:
         proc = run_cli("gen", "planted", "--n", 8, "--d", 3, "--k", 2,
                        "--seed", 0, check=True)
         assert proc.stdout.startswith("ug 8 2")
+
+    def test_single_label_is_the_skeleton(self):
+        """gen planted --k 1 prints the seeded random regular skeleton with
+        every weight 1 and every permutation the identity on one label."""
+        proc = run_cli("gen", "planted", "--k", 1, "--n", 12, "--d", 3, "--seed", 1,
+                       check=True)
+        edges, lam2 = random_regular_graph(12, 3, seed=1)
+        ends = np.array(edges)
+        inst = core.UGInstance.from_arrays(12, 1, ends[:, 0], ends[:, 1], np.ones(len(ends)),
+                                           np.zeros((len(ends), 1)))
+        assert proc.stdout == core.serialize_instance(inst)
+        assert proc.stderr == f"second adjacency eigenvalue: {lam2:.6f}\n"
+
+    def test_negative_seed_exit_1(self):
+        proc = run_cli("gen", "planted", "--n", 10, "--d", 3, "--k", 2, "--seed", -1)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: seed must be a non-negative integer, got -1\n"
 
     def test_planted_k_below_one_exit_1(self):
         proc = run_cli("gen", "planted", "--n", 6, "--d", 2, "--k", 0)
@@ -366,28 +389,25 @@ class TestSpectrum:
 
     def test_laplacian_flag(self, maxlin_file):
         path, _, _ = maxlin_file
-        proc = run_cli("spectrum", path, "--laplacian", check=True)
+        proc = run_cli("spectrum", path, "--mode", "laplacian", check=True)
         vals = [float(line.split()[1]) for line in proc.stdout.strip().splitlines()]
         assert min(vals) >= -1e-9
 
 
 class TestDiagnose:
-    def test_closeness_report(self, maxlin_file):
+    def test_closeness_report(self, maxlin_file, tmp_path):
         path, _, planted = maxlin_file
         proc = run_cli("diagnose", path, "--epsilon", 0.05, "--gamma", 0.5,
-                       "--planted", ",".join(str(int(x)) for x in planted),
-                       check=True)
+                       "--planted-file", labels_file(tmp_path, planted), check=True)
         rep = json.loads(proc.stdout)
         validate(rep)
         assert rep["alpha"] ** 2 + rep["beta"] ** 2 == pytest.approx(1.0)
 
     def test_maxlin_perturbation_report(self, maxlin_file, tmp_path):
-        path, completion, planted = maxlin_file
+        path, completion, _ = maxlin_file
         comp_path = tmp_path / "completion.ug"
         save_instance(completion, comp_path)
-        proc = run_cli("diagnose", path, "--maxlin", "--completion", comp_path,
-                       "--gamma", 0.5,
-                       "--planted", ",".join(str(int(x)) for x in planted),
+        proc = run_cli("diagnose", path, "--completion", comp_path, "--gamma", 0.5,
                        check=True)
         rep = json.loads(proc.stdout)
         validate(rep)
@@ -399,7 +419,7 @@ class TestDiagnose:
         path, completion, _ = maxlin_file
         comp_path = tmp_path / "completion.ug"
         save_instance(completion, comp_path)
-        proc = run_cli("diagnose", "--maxlin", "--completion", comp_path, path, check=True)
+        proc = run_cli("diagnose", "--completion", comp_path, path, check=True)
         validate(json.loads(proc.stdout))
 
     def test_maxlin_infinite_bound_is_null(self, tmp_path):
@@ -407,7 +427,7 @@ class TestDiagnose:
         lambda_s is -inf: the report writes null and stays strict JSON."""
         path = tmp_path / "loops.ug"
         path.write_text("maxlin 2 2\n0 0 1.0 0\n1 1 1.0 0\n0 1 1.0 0\n")
-        proc = run_cli("diagnose", path, "--maxlin", "--completion", path,
+        proc = run_cli("diagnose", path, "--completion", path,
                        "--epsilon", 0.01, "--gamma", 1.0, check=True)
 
         def reject(token):
@@ -424,7 +444,7 @@ class TestDiagnose:
         path, comp_path = tmp_path / "a.ug", tmp_path / "b.ug"
         path.write_text("maxlin 2 2\n0 1 1.0 0\n")
         comp_path.write_text(f"{header}\n0 1 1.0 1\n")
-        proc = run_cli("diagnose", "--maxlin", "--completion", comp_path, path)
+        proc = run_cli("diagnose", "--completion", comp_path, path)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: instance and completion must share")
         assert "Traceback" not in proc.stderr
@@ -434,7 +454,7 @@ class TestDiagnose:
         the perturbation diagnosis refuses it, as solve --maxlin does."""
         path = tmp_path / "loops.ug"
         path.write_text("maxlin 4 3\n0 1 1 1\n1 2 1 2\n2 3 1 0\n3 0 1 1\n0 0 1 1\n0 1 1 1\n")
-        proc = run_cli("diagnose", "--maxlin", "--completion", path, path)
+        proc = run_cli("diagnose", "--completion", path, path)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: Max-Lin needs a d-regular constraint graph")
 
@@ -442,26 +462,26 @@ class TestDiagnose:
         path, completion, _ = maxlin_file
         comp_path = tmp_path / "completion.ug"
         save_instance(completion, comp_path)
-        proc = run_cli("diagnose", path, "--maxlin", "--completion", comp_path,
-                       "--mode", "laplacian")
+        proc = run_cli("diagnose", path, "--completion", comp_path, "--mode", "laplacian")
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: Max-Lin searches the adjacency window")
 
     @pytest.mark.parametrize("gamma", [-0.5, 2])
     def test_maxlin_gamma_validated(self, maxlin_file, tmp_path, gamma):
-        """--maxlin diagnosis checks gamma as solve --maxlin does."""
+        """The sin-theta diagnosis checks gamma as solve --maxlin does."""
         path, completion, _ = maxlin_file
         comp_path = tmp_path / "completion.ug"
         save_instance(completion, comp_path)
-        proc = run_cli("diagnose", "--maxlin", "--completion", comp_path,
-                       "--gamma", gamma, path)
+        proc = run_cli("diagnose", "--completion", comp_path, "--gamma", gamma, path)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and "gamma" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_bad_label_token_exit_1(self, maxlin_file):
+    def test_bad_label_token_exit_1(self, maxlin_file, tmp_path):
         path, _, _ = maxlin_file
-        proc = run_cli("diagnose", path, "--planted", "0,x,1")
+        labels = tmp_path / "planted.txt"
+        labels.write_text("0,x,1\n")
+        proc = run_cli("diagnose", path, "--planted-file", labels)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: bad labeling") and "'x'" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -471,31 +491,38 @@ class TestDiagnose:
         proc = run_cli("diagnose", path)
         assert proc.returncode == 1
 
+    def test_exactly_one_input_file(self, maxlin_file, tmp_path):
+        """diagnose takes one input file, which picks its report: given a
+        planted labeling and a completion both, it exits 1."""
+        path, completion, planted = maxlin_file
+        comp_path = tmp_path / "completion.ug"
+        save_instance(completion, comp_path)
+        proc = run_cli("diagnose", path, "--planted-file", labels_file(tmp_path, planted),
+                       "--completion", comp_path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "not allowed with argument" in proc.stderr
+
 
 class TestKVSpectrum:
     def test_closed_form_lines(self):
-        proc = run_cli("kv-spectrum", "--n", 4, "--eps", 0.25, check=True)
+        proc = run_cli("kv-spectrum", "--kappa", 2, "--eps", 0.25, check=True)
         rows = [line.split() for line in proc.stdout.strip().splitlines()]
         assert [(float(a), int(b)) for a, b in rows] == [
             (4 * 0.5**r, math.comb(4, r)) for r in range(5)
         ]
 
-    def test_non_power_of_two_exit_1(self):
-        proc = run_cli("kv-spectrum", "--n", 5, "--eps", 0.25)
-        assert proc.returncode == 1
-
-    @pytest.mark.parametrize("n", [0, -4, 1])
-    def test_n_below_two_exit_1(self, n):
-        proc = run_cli("kv-spectrum", "--n", n, "--eps", 0.25)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: --n must be a power of two >= 2")
+    @pytest.mark.parametrize("kappa", [0, -1])
+    def test_kappa_below_one_exit_1(self, kappa):
+        proc = run_cli("kv-spectrum", "--kappa", kappa, "--eps", 0.25)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: kappa must be an integer >= 1, got {kappa}\n"
 
 
 @pytest.mark.parametrize("command", [
     ["solve", "{bad}", "--epsilon", "0.01", "--gamma", "0.5"],
     ["oracle", "{bad}"],
-    ["diagnose", "{bad}", "--planted", "0,1"],
-    ["diagnose", "{ok}", "--maxlin", "--completion", "{bad}"],
+    ["diagnose", "{bad}", "--planted-file", "{ok}"],
+    ["diagnose", "{ok}", "--completion", "{bad}"],
     ["diagnose", "{ok}", "--planted-file", "{bad}"],
 ], ids=["solve", "oracle", "diagnose", "completion", "planted-file"])
 def test_non_utf8_file_exit_1(tmp_path, command):
@@ -542,15 +569,32 @@ def test_unknown_arguments_exit_1():
 
 
 def test_removed_flags_rejected(maxlin_file, tmp_path):
-    """solve --threads, --yes-constant, --uniformity-c and --seed, and
-    --planted-out on gen kv / gen regular, are gone."""
-    path, _, _ = maxlin_file
+    """solve --threads, --yes-constant, --uniformity-c and --seed, gen kv
+    --planted-out, gen regular (gen planted --k 1 prints the same),
+    diagnose --maxlin and --planted (the input file picks the report),
+    kv-spectrum --n (--kappa) and spectrum --laplacian (--mode laplacian)
+    are gone, and no long flag is taken by a prefix of it."""
+    path, completion, planted = maxlin_file
+    comp_path = tmp_path / "completion.ug"
+    save_instance(completion, comp_path)
+    labels = labels_file(tmp_path, planted)
     for flag in (("--threads", 2), ("--yes-constant", 10.0),
                  ("--maxlin", "--uniformity-c", 2.0), ("--seed", 0)):
         assert run_cli("solve", path, "--epsilon", 0.03, "--gamma", 0.5,
                        *flag).returncode == 1
-    for kind in (("kv", "--kappa", 2, "--eps", 0.25), ("regular", "--n", 6, "--d", 2)):
-        assert run_cli("gen", *kind, "--planted-out", tmp_path / "p").returncode == 1
+    for command in (
+        ("gen", "kv", "--kappa", 2, "--eps", 0.25, "--planted-out", tmp_path / "p"),
+        ("gen", "regular", "--n", 6, "--d", 2),
+        ("diagnose", path, "--maxlin", "--completion", comp_path),
+        ("diagnose", path, "--planted", ",".join(str(int(x)) for x in planted)),
+        ("kv-spectrum", "--n", 4, "--eps", 0.25),
+        ("spectrum", path, "--laplacian"),
+        ("solve", path, "--eps", 0.03, "--gamma", 0.5),
+        ("diagnose", path, "--planted", labels),
+        ("gen", "planted", "--n", 6, "--d", 2, "--k", 2, "--se", 1),
+    ):
+        proc = run_cli(*command)
+        assert proc.returncode == 1 and proc.stdout == "", command
 
 
 def test_dense_path_never_imports_scipy_sparse():

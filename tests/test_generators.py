@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ugspectral.generators as generators_mod
-from ugspectral.core import UGError, serialize_instance, value
+from ugspectral.core import InvalidLabelingError, UGError, serialize_instance, value
 from ugspectral.generators import (
     KVSpec,
     _kv_weight_table,
@@ -68,6 +68,51 @@ class TestPlanted:
         )
         assert inst.w.tolist() == [0.25, 0.75]
         assert value(inst, planted) == 1.0
+
+    @pytest.mark.parametrize("family", ["general-permutation", "maxlin"])
+    @pytest.mark.parametrize("planted, match", [
+        ([0, 5, 1], r"label out of range \[0, 2\)"),
+        ([0, -1, 1], r"label out of range \[0, 2\)"),
+        ([0.5, 1, 1], "label 0.5 is not an integer"),
+        ([0, 1], r"labeling length \(2,\) != n=3"),
+    ])
+    def test_bad_planted_labels_rejected(self, family, planted, match):
+        """Planted labels are checked as a labeling of the instance is: an
+        out-of-range label is neither an index error nor, for the maxlin
+        family, taken modulo k."""
+        with pytest.raises(InvalidLabelingError, match=match):
+            planted_instance(PlantedSpec(3, 2, [(0, 1), (1, 2)], planted, family))
+
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 2)])
+    def test_skeleton_endpoint_out_of_range_rejected(self, edge):
+        with pytest.raises(UGError, match=r"skeleton endpoint out of range \[0, 3\)"):
+            planted_instance(PlantedSpec(3, 2, [(0, 1), edge], [0, 1, 0]))
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(UGError, match="unknown constraint family 'max-lin'"):
+            planted_instance(PlantedSpec(5, 2, cycle_skeleton(5), [0] * 5, "max-lin"))
+        inst, planted = planted_instance(PlantedSpec(5, 2, cycle_skeleton(5), [0] * 5))
+        for eps in (0.0, 0.3):
+            with pytest.raises(UGError, match="unknown constraint family 'max-lin'"):
+                perturb(inst, planted, eps, constraint_family="max-lin")
+
+    @pytest.mark.parametrize("seed", [-1, 0.5, True, None])
+    def test_bad_seed_rejected(self, seed):
+        """Every seeded factory takes a non-negative integer seed and names
+        any other, where numpy would raise its own error or take None."""
+        match = f"seed must be a non-negative integer, got {seed!r}"
+        inst, planted = planted_instance(PlantedSpec(5, 2, cycle_skeleton(5), [0] * 5))
+        for make in (
+            lambda: planted_instance(PlantedSpec(5, 2, cycle_skeleton(5), [0] * 5, seed=seed)),
+            lambda: perturb(inst, planted, 0.3, seed=seed),
+            lambda: random_regular_graph(10, 3, seed=seed),
+            lambda: planted_regular_instance(10, 3, 2, seed=seed),
+        ):
+            with pytest.raises(UGError, match=match):
+                make()
+
+    def test_numpy_integer_seed_draws_the_same(self):
+        assert random_regular_graph(10, 3, seed=np.int64(5)) == random_regular_graph(10, 3, 5)
 
 
 class TestPerturb:
@@ -259,6 +304,14 @@ class TestRandomRegular:
                 for seed in range(3):
                     self.assert_simple_regular(random_regular_graph(n, d, seed)[0], n, d)
 
+    @pytest.mark.parametrize("n, d", [(10.0, 3), (10, 3.0), (10, True), (np.float64(10), 3)])
+    def test_non_integer_size_rejected(self, n, d):
+        with pytest.raises(UGError, match="n and d must be integers"):
+            random_regular_graph(n, d)
+
+    def test_numpy_integer_size_accepted(self):
+        assert random_regular_graph(np.int64(10), np.int32(3)) == random_regular_graph(10, 3)
+
     def test_planted_regular_k_below_one_rejected(self):
         with pytest.raises(UGError, match="need k >= 1"):
             planted_regular_instance(12, 3, 0)
@@ -333,6 +386,16 @@ class TestKV:
             KVSpec(2, 0.5)
         s = KVSpec(2, 0.1)
         assert (s.n, s.N, s.m) == (4, 16, 4)
+
+    @pytest.mark.parametrize("kappa", [2.5, 2.0, True, np.bool_(True), "2"])
+    def test_non_integer_kappa_rejected(self, kappa):
+        """kappa is an integer of at least 1: a float, even a whole one,
+        and a bool are rejected when the spec is made."""
+        with pytest.raises(UGError, match="kappa must be an integer >= 1"):
+            KVSpec(kappa, 0.1)
+
+    def test_numpy_integer_kappa_accepted(self):
+        assert KVSpec(np.int64(2), 0.1).n == 4
 
     def test_cosets_partition(self):
         spec = KVSpec(2, 0.1)
