@@ -16,6 +16,7 @@ import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -120,6 +121,8 @@ class UGInstance:
 
     def _store(self, n, k, u, v, w, perm, scale):
         """Validate and store the arrays; every constructor ends here."""
+        if not (_is_int(n) and _is_int(k) and n >= 1 and k >= 1):
+            raise UGError(f"n and k must be integers >= 1, got n={n!r}, k={k!r}")
         self.n, self.k, self.scale = int(n), int(k), float(scale)
         # Copies, made read-only: the instance owns its arrays.
         self.u, self.v, self.perm = (_int64(a, UGError, "vertex or label") for a in (u, v, perm))
@@ -141,6 +144,10 @@ class UGInstance:
             raise UGError(f"bad edge weight {self.w[np.argmax(bad)]}")
         if E and not np.any(self.w > 0):
             raise UGError("total edge weight must be positive")
+        # Twice the total bounds every degree sum and operator row sum.
+        with np.errstate(over="ignore"):  # a sum that overflows is inf
+            if self.w.sum() > np.finfo(np.float64).max / 2:
+                raise UGError("edge weights overflow float64: twice their total is inf")
 
     @property
     def edges(self) -> EdgeView:
@@ -199,11 +206,13 @@ class UGInstance:
         return float(self.degrees().mean())
 
     def is_regular(self):
-        deg = self.degrees()
-        d = deg.mean()
-        if d == 0:
-            return True
-        return bool(np.max(np.abs(deg - d)) <= REGULARITY_REL_TOL * max(1.0, d))
+        d = self.average_degree
+        return bool(np.max(np.abs(self.degrees() - d)) <= REGULARITY_REL_TOL * max(1.0, d))
+
+
+def _is_int(x):
+    """Whether x is an integer, numpy's too, but not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def _int64(a, error, what) -> np.ndarray:

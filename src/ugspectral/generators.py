@@ -10,19 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from .core import UGInstance, UGError, _unit_scale, shift_image, validate_labeling, value
+from .core import (UGInstance, UGError, _int64, _is_int, _unit_scale, shift_image,
+                   validate_labeling, value)
 from .label_extended import graph_operator
 from .linalg import select_eigenspace
-
-
-def _is_int(x):
-    """Whether x is an integer, numpy's too, but not a bool."""
-    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 def _rng(seed):
@@ -75,7 +70,7 @@ def planted_instance(spec: PlantedSpec):
     """
     rng = _rng(spec.seed)
     planted = validate_labeling(spec, spec.planted)  # reads the spec's n and k
-    u, v = (np.array([int(e[i]) for e in spec.skeleton], dtype=np.int64) for i in (0, 1))
+    u, v = (_int64([e[i] for e in spec.skeleton], UGError, "skeleton endpoint") for i in (0, 1))
     if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= spec.n):
         raise UGError(f"skeleton endpoint out of range [0, {spec.n})")
     w, scale = _unit_scale([float(e[2]) if len(e) > 2 else 1.0 for e in spec.skeleton])

@@ -1,16 +1,15 @@
 """Symmetric or Hermitian eigendecomposition, eigenspace selection and
 projections.
 
-A dense real symmetric or complex Hermitian matrix is decomposed whole by
-LAPACK (numpy.linalg.eigh), the small-size path and the reference.  For a
-scipy.sparse matrix select_eigenspace finds the window by Chebyshev-filtered
-block subspace iteration instead (Zhou, Saad, Tiago and Chelikowsky, J.
-Comput. Phys. 2006), which needs only sparse-times-block products and
-numpy.linalg, and certifies the cut by the nearest eigenpair past its edge.
-It falls back to eigh on the densified matrix when the window is a large
-share of the spectrum or the iteration does not converge.  Both paths meet
-the residual/orthonormality contract below, are deterministic for a fixed
-input, and return the window as a frozen Eigenspace built in one step.
+select_eigenspace converts its input once, any scipy.sparse matrix to a CSR
+array and anything else to an ndarray.  A dense matrix is decomposed whole
+by LAPACK (numpy.linalg.eigh), the small-size path and the reference; a
+sparse one by Chebyshev-filtered block subspace iteration (Zhou, Saad, Tiago
+and Chelikowsky, J. Comput. Phys. 2006) on sparse-times-block products and
+numpy.linalg, or by eigh where that does not pay or converge.  Either solve
+is cut in one place, narrow_window, which certifies the window by the
+nearest eigenpair past its edge.  Both paths meet the residual and
+orthonormality contract below and are deterministic for a fixed input.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class Eigenspace:
     """Orthonormal basis of the eigenvalues >= a threshold of a symmetric or
     Hermitian matrix, complex for a complex one; a low window of A is the
     top of -A.  ``basis`` has shape (dim_ambient, dim).  A frozen record,
-    built whole by the solve that finds its eigenpairs (``_eigenspace``)."""
+    built whole; ``narrow_window`` builds every window of one matrix."""
 
     basis: np.ndarray
     eigenvalues: np.ndarray
@@ -101,45 +100,51 @@ def eigendecompose(A):
 def select_eigenspace(A, threshold, max_dim=None) -> Eigenspace:
     """Maximal eigenspace of A with eigenvalues >= threshold (the high window
     W of an adjacency matrix; the low window of a Laplacian L is this window
-    of -L at the negated threshold).  Values within RESIDUAL_TOL * max(1, c)
-    below the threshold, c the Gershgorin bound of A (``_window_cut``), are
-    kept, so a cluster of numerically equal eigenvalues sitting on the
-    threshold is kept whole rather than split by rounding, and a dense and a
-    sparse A get the same window.  A sparse A takes the filtered path
-    (``_sparse_window``) unless it falls back to the dense one, which cuts
-    the full decomposition, a window with nothing dropped, by
-    ``narrow_window``.  With ``max_dim`` either path raises
-    DimensionAbortError once it knows dim W > max_dim: from the Ritz values
-    (filtered) or the kept count (dense).
+    of -L at the negated threshold), A an array or any scipy.sparse matrix.
+    Values within RESIDUAL_TOL * max(1, c) below the threshold, c the
+    Gershgorin bound of A (``_window_cut``), are kept, so a cluster of
+    numerically equal eigenvalues sitting on the threshold is kept whole
+    rather than split by rounding, and a dense and a sparse A get the same
+    window.  A sparse A takes the filtered path (``_sparse_window``) unless
+    it falls back to the full dense decomposition; ``narrow_window`` cuts
+    either.  With ``max_dim`` either path raises DimensionAbortError once it
+    knows dim W > max_dim, from the Ritz values (filtered) or the kept count.
     """
     if not np.isfinite(threshold):
         raise NumericError("threshold must be finite")
-    if _is_sparse(A):
-        W = _sparse_window(A, float(threshold), max_dim)
-        if W is not None:
-            return W
-    else:
-        A = np.asarray(A, dtype=_field(A))
-    vals, vecs = eigendecompose(A)
-    return narrow_window(A, Eigenspace(vecs, vals, -np.inf), threshold, max_dim)
+    A = _converted(A)
+    S = _sparse_window(A, float(threshold), max_dim) if _is_sparse(A) else None
+    if S is None:
+        vals, vecs = eigendecompose(A)
+        S = Eigenspace(vecs, vals, -np.inf)
+    return narrow_window(A, S, threshold, max_dim)
 
 
 def narrow_window(A, S: Eigenspace, threshold, max_dim=None) -> Eigenspace:
     """select_eigenspace(A, threshold, max_dim) read off S, a window of A whose
     threshold is at or below this one, its eigenvalues descending as every
-    window's are: S's eigenpairs at or above the threshold by the same cut,
-    with nearest_dropped (and dropped) the nearest of the rest of S, or S's
-    own if none is left, and S's solver.  Raises DimensionAbortError on
-    more than ``max_dim`` kept, before any residual is computed."""
+    window's are: S's eigenpairs at or above the threshold by the window's
+    cut, with nearest_dropped (and dropped) the nearest of the rest of S, or
+    S's own if none is left, their largest residual and S's solver, A
+    converted as select_eigenspace converts it.  DimensionAbortError on more
+    than ``max_dim`` kept, before any residual is computed."""
+    A = _converted(A)
     c, cut = _window_cut(A, threshold)
     keep = S.eigenvalues + c >= cut
     count = int(np.count_nonzero(keep))
     if max_dim is not None and count > max_dim:
         raise DimensionAbortError(count, max_dim)
     i = count if count < len(keep) else None  # the nearest dropped, as S's values descend
-    return _eigenspace(A, S.eigenvalues[keep], np.ascontiguousarray(S.basis[:, keep]),
-                       S.nearest_dropped if i is None else S.eigenvalues[i],
-                       S.dropped if i is None else S.basis[:, i].copy(), S.solver)
+    vals, basis = S.eigenvalues[keep], np.ascontiguousarray(S.basis[:, keep])
+    residual = np.linalg.norm(A @ basis - basis * vals, axis=0).max(initial=0.0)
+    return Eigenspace(basis, vals, float(S.nearest_dropped if i is None else S.eigenvalues[i]),
+                      S.dropped if i is None else S.basis[:, i].copy(), float(residual), S.solver)
+
+
+def _converted(A):
+    """A in its field (``_field``): a CSR array if sparse, else an ndarray."""
+    convert = sys.modules["scipy.sparse"].csr_array if _is_sparse(A) else np.asarray
+    return convert(A, dtype=_field(A))
 
 
 def _window_cut(A, threshold):
@@ -147,12 +152,6 @@ def _window_cut(A, threshold):
     A + cI, c = max_i sum_j |A_ij| >= max|lambda| the Gershgorin bound."""
     c = float(abs(A).sum(axis=1).max(initial=0.0))
     return c, threshold + c - RESIDUAL_TOL * max(1.0, c)
-
-
-def _eigenspace(A, vals, basis, nearest, dropped, solver) -> Eigenspace:
-    """The window of A a solve found, with the largest residual over it."""
-    residual = np.linalg.norm(A @ basis - basis * vals, axis=0).max(initial=0.0)
-    return Eigenspace(basis, vals, float(nearest), dropped, float(residual), solver)
 
 
 def _is_sparse(A) -> bool:
@@ -168,14 +167,16 @@ SPARSE_MAX_PASSES = 50   # densify after this many filter passes
 
 
 def _sparse_window(A, threshold, max_dim=None) -> Eigenspace | None:
-    """select_eigenspace for a sparse A by Chebyshev-filtered subspace
-    iteration, or None where the dense path should take over.
+    """The converged Ritz block of a CSR array A by Chebyshev-filtered
+    subspace iteration, for ``narrow_window`` to cut, or None where the
+    dense path should take over: columns by descending value, eigenvalues
+    as A's, nearest_dropped -inf, and the solver record.
 
     It searches the top of op = A + cI, c and cut from ``_window_cut``,
     whose spectrum lies in [0, 2c].  Each pass filters a seeded random
     block, damping [0, b] for b its smallest Ritz value, and runs
-    Rayleigh-Ritz.  It stops once every Ritz pair inside the window and the
-    largest below it (``nearest_dropped``) has residual at most
+    Rayleigh-Ritz.  It stops once every Ritz pair at or past the cut and the
+    largest below it (the window's nearest dropped) has residual at most
     RESIDUAL_TOL * max(1, r), r the largest |Ritz value| as an eigenvalue
     of A, so r <= max|lambda| as in the dense contract.
     The block doubles while every Ritz value is kept or the nearest dropped
@@ -192,7 +193,6 @@ def _sparse_window(A, threshold, max_dim=None) -> Eigenspace | None:
     """
     import scipy.sparse as sp
 
-    A = sp.csr_array(A, dtype=_field(A))
     dim, r = A.shape[0], 1 + np.iscomplexobj(A)  # r: real columns per column
     if A.shape != (dim, dim) or (A != A.conj().T).nnz:
         raise NumericError(f"expected an exactly symmetric matrix, got shape {A.shape}")
@@ -212,24 +212,20 @@ def _sparse_window(A, threshold, max_dim=None) -> Eigenspace | None:
         AX = op @ X
         mu, Y = np.linalg.eigh(X.conj().T @ AX)  # ascending Ritz values
         X, AX = X @ Y, AX @ Y
-        edge = np.searchsorted(mu, cut) - 1  # the nearest dropped; -1 if none
+        edge = np.searchsorted(mu - c + c, cut) - 1  # nearest dropped by narrow_window; -1: none
         if max_dim is not None and len(mu) - 1 - edge > max_dim:
             raise DimensionAbortError(len(mu) - 1 - edge, max_dim, at_least=True)
         res = np.linalg.norm(AX - X * mu, axis=0)
         if edge >= 0 and res[edge:].max() <= RESIDUAL_TOL * max(1.0, np.abs(mu - c).max()):
-            break
+            solver = dict(path="filtered", passes=passes, block=r * X.shape[1])
+            return Eigenspace(X[:, ::-1], mu[::-1] - c, -np.inf, solver=solver)
         if edge < 0 or mu[edge] - mu[0] <= 0.01 * (mu[-1] - mu[0]):
             X = np.hstack([X, rng.standard_normal((dim, r * X.shape[1])).view(A.dtype)])
         elif passes < SPARSE_MAX_PASSES:
             X, passes = _chebyshev(op, X, mu[0], mu[-1]), passes + 1
         else:  # the Ritz pairs of the last allowed pass did not converge
             return None
-    else:
-        return None
-    keep = np.arange(len(mu) - 1, edge, -1)  # descending eigenvalue
-    solver = dict(path="filtered", passes=passes, block=r * X.shape[1])
-    return _eigenspace(A, mu[keep] - c, np.ascontiguousarray(X[:, keep]), mu[edge] - c,
-                       X[:, edge].copy(), solver)
+    return None
 
 
 def _chebyshev(op, X, b, top):

@@ -24,7 +24,7 @@ from .core import UGInstance, UGError, shift_image, value
 from .label_extended import build_label_extended, constraint_graph_adjacency, graph_operator
 from .linalg import (RESIDUAL_TOL, DimensionAbortError, Eigenspace, narrow_window, project_split,
                      select_eigenspace)
-from .recover import NonRegularError, SolveParams, SolveReport, finite_degree, recover_solution
+from .recover import NonRegularError, SolveParams, SolveReport, recover_solution
 
 
 @dataclass(frozen=True)
@@ -295,7 +295,7 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
     the first block attaining that nearest_dropped, and its solver record
     sums their passes and takes the widest block."""
     base, k = ml.base, ml.base.k
-    n, d = base.n, finite_degree(base)
+    n, d = base.n, base.average_degree
     if not base.is_regular():
         raise NonRegularError("Max-Lin needs a d-regular constraint graph")
     level = (1 - params.window) * d

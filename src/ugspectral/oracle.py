@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AbortError, UGInstance, UGError, report_dict, shift_image, value, value_batch
+from .core import (AbortError, UGInstance, UGError, _is_int, report_dict, shift_image, value,
+                   value_batch)
 
 
 # Labelings enumerated and scored per value_batch call.
@@ -72,7 +73,7 @@ def brute_force(inst: UGInstance, budget=None) -> OracleResult:
     """
     if budget is None:
         budget = BRUTE_BUDGET
-    if type(budget) is not int or budget < 1:  # type(), as True is an int
+    if not _is_int(budget) or budget < 1:
         raise UGError(f"budget must be a positive integer, got {budget!r}")
     # The shift by c maps 0 to -c, so an edge's image of 0 names its only candidate shift.
     k, image0 = inst.k, inst.perm[:, :1]

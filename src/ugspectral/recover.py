@@ -43,8 +43,7 @@ from .core import (
     value_batch,
 )
 from .label_extended import build_label_extended, build_laplacian
-from .linalg import (RESIDUAL_TOL, DimensionAbortError, NumericError, project_split,
-                     select_eigenspace)
+from .linalg import RESIDUAL_TOL, DimensionAbortError, project_split, select_eigenspace
 
 
 YES_CONSTANT = 10.0  # the O(.) constant of the YES threshold
@@ -89,7 +88,7 @@ class SolveParams:
             raise UGError(f"gamma must be finite, got {self.gamma}")
         if not (0 < self.window <= self.gamma):
             raise UGError(f"need 0 < theta <= gamma, got theta={self.theta}, gamma={self.gamma}")
-        if not isinstance(self.max_dim, (int, np.integer)) or self.max_dim < 1:
+        if not core._is_int(self.max_dim) or self.max_dim < 1:
             raise UGError("max_dim must be >= 1")
         if self.mode not in ("adjacency", "laplacian"):
             raise UGError(f"unknown mode {self.mode!r}")
@@ -326,19 +325,11 @@ def net_coefficients(basis: np.ndarray, step: float) -> Iterator[np.ndarray]:
         yield Z * step
 
 
-def finite_degree(inst: UGInstance) -> float:
-    """The average degree; NumericError where the edge weights overflow it."""
-    d = inst.average_degree
-    if not math.isfinite(d):
-        raise NumericError(f"average degree {d}: the edge weights overflow float64")
-    return d
-
-
 def search_operator(inst: UGInstance, params: SolveParams):
     """(matrix, threshold): W is select_eigenspace(matrix, threshold), the
     top of M at (1 - window) d in adjacency mode, d the regular degree, and
     in laplacian mode the top of -L at -window * d, d the average degree."""
-    d = finite_degree(inst)
+    d = inst.average_degree
     if params.mode == "laplacian":
         return -build_laplacian(inst).matrix, -params.window * d
     if not inst.is_regular():

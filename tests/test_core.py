@@ -32,6 +32,7 @@ from ugspectral.generators import (
     planted_regular_instance,
 )
 from ugspectral.label_extended import build_label_extended
+from ugspectral.oracle import brute_force
 
 from conftest import from_rows, random_instance, random_multigraph
 
@@ -166,6 +167,29 @@ class TestInstance:
         with pytest.raises(UGError, match="integer"):
             build(2, 2, u, v, 1.0, perm)
         assert build(2, 2, 0.0, 1.0, 1.0, (1.0, 0.0)).u.tolist() == [0]
+
+    @both_constructors
+    def test_rejects_weights_whose_total_overflows(self, build):
+        """Weights whose total overflows float64 when doubled (a degree sum,
+        a Laplacian's row sum) are an error when the instance is built;
+        value() divided inf by inf into NaN and brute_force raised
+        TypeError.  A total just below leaves every degree and value finite."""
+        for w in (1e308, 9e307):
+            with pytest.raises(UGError, match="overflow float64"):
+                build(2, 2, 0, 1, w, (0, 1))
+        with pytest.raises(UGError, match="overflow float64"):
+            UGInstance.from_arrays(3, 2, [0, 1], [1, 2], [1e308, 1e308], [[0, 1], [0, 1]])
+        inst = build(2, 2, 0, 1, 8.9e307, (0, 1))
+        assert np.isfinite(inst.degrees()).all() and np.isfinite(inst.average_degree)
+        assert value(inst, [1, 1]) == brute_force(inst).best_value == 1.0
+
+    @pytest.mark.parametrize("n, k", [(2.5, 2), (-1, 2), (2, 0), (True, 2)])
+    def test_rejects_n_and_k_but_positive_integers(self, n, k):
+        """n and k are integers >= 1, numpy's too: 2.5 was stored as 2, and
+        n = -1 broke degrees() later with numpy's ValueError."""
+        with pytest.raises(UGError, match="n and k must be integers >= 1"):
+            UGInstance.from_arrays(n, k, [], [], [], np.zeros((0, k)))
+        assert UGInstance.from_arrays(np.int64(2), np.int32(2), [0], [1], [1.0], [[0, 1]]).n == 2
 
     @both_constructors
     def test_keeps_weights(self, build):

@@ -88,6 +88,12 @@ class TestPlanted:
         with pytest.raises(UGError, match=r"skeleton endpoint out of range \[0, 3\)"):
             planted_instance(PlantedSpec(3, 2, [(0, 1), edge], [0, 1, 0]))
 
+    def test_fractional_skeleton_endpoint_rejected(self):
+        """Endpoints are cast as the instance casts them: (0.5, 1.9) is not
+        the edge (0, 1)."""
+        with pytest.raises(UGError, match="skeleton endpoint 0.5 is not an integer"):
+            planted_instance(PlantedSpec(3, 2, [(0.5, 1.9)], [0, 1, 0]))
+
     def test_unknown_family_rejected(self):
         with pytest.raises(UGError, match="unknown constraint family 'max-lin'"):
             planted_instance(PlantedSpec(5, 2, cycle_skeleton(5), [0] * 5, "max-lin"))

@@ -8,14 +8,14 @@ import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 
 from ugspectral import label_extended
-from ugspectral.core import UGInstance, characteristic_vector, value
+from ugspectral.core import UGError, UGInstance, characteristic_vector, value
 from ugspectral.generators import KVSpec, kv_instance, planted_regular_instance
 from ugspectral.label_extended import (
     build_label_extended,
     build_laplacian,
     constraint_graph_adjacency,
 )
-from ugspectral.linalg import NumericError, eigendecompose
+from ugspectral.linalg import eigendecompose
 from ugspectral.recover import SolveParams, recover_solution
 
 from conftest import complete_skeleton, from_rows, planted_on, random_instance, random_multigraph
@@ -182,12 +182,12 @@ class TestSummationContract:
 
     @pytest.mark.parametrize("mode", ["adjacency", "laplacian"])
     def test_overflowing_parallel_edges_rejected(self, mode):
-        """Two parallel edges of weight 1e308 sum to inf: the solve stops
-        with NumericError, without a warning, before the regularity test or
-        a spectrum of a non-finite operator."""
-        inst = UGInstance.from_arrays(2, 2, [0, 0], [1, 1], [1e308, 1e308], [[0, 1], [0, 1]])
-        with pytest.raises(NumericError, match="overflow"), warnings.catch_warnings():
+        """Two parallel edges of weight 1e308 sum to inf: the instance is
+        rejected with UGError, without a warning, when it is built, so no
+        solve in either mode meets a non-finite degree or operator."""
+        with pytest.raises(UGError, match="overflow"), warnings.catch_warnings():
             warnings.simplefilter("error")
+            inst = UGInstance.from_arrays(2, 2, [0, 0], [1, 1], [1e308, 1e308], [[0, 1], [0, 1]])
             recover_solution(inst, SolveParams(0.01, 0.5, mode=mode))
 
 

@@ -261,8 +261,9 @@ class TestSparseWindow:
         if not on_cluster:
             t = (t + vals[j:][np.abs(vals[j:] - t) > 1e-6][0]) / 2
         dense = select_eigenspace(A, t)
-        sparse = _sparse_window(scipy.sparse.csr_array(A), t)
-        assert sparse is not None
+        ritz = _sparse_window(scipy.sparse.csr_array(A), t)
+        assert ritz is not None
+        sparse = narrow_window(A, ritz, t)
         assert sparse.dim == dense.dim >= j + 1
         assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= tol
         assert abs(sparse.nearest_dropped - dense.nearest_dropped) <= tol
@@ -290,7 +291,7 @@ class TestSparseWindow:
         block, so every Ritz value is kept and nothing certifies the cut:
         the block grows, and every copy is found with the dense eigenvalues."""
         A = _maxlin_operator(64, 8, 0.0, 3)
-        sparse = _sparse_window(A, 3.3)
+        sparse = narrow_window(A, _sparse_window(A, 3.3), 3.3)
         dense = select_eigenspace(A.toarray(), 3.3)
         assert sparse.dim == dense.dim == SPARSE_BLOCK
         assert sparse.solver["block"] > SPARSE_BLOCK and sparse.solver["passes"] > 0
@@ -331,10 +332,11 @@ class TestSparseWindow:
             return cholesky(G)
 
         monkeypatch.setattr(np.linalg, "cholesky", fail_once)
-        sparse = _sparse_window(scipy.sparse.csr_array(A), 3.0)
+        ritz = _sparse_window(scipy.sparse.csr_array(A), 3.0)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         dense = select_eigenspace(A, 3.0)
-        assert failed and sparse is not None
+        assert failed and ritz is not None
+        sparse = narrow_window(A, ritz, 3.0)
         assert sparse.dim == dense.dim > 0
         assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= 1e-9
         P = sparse.basis @ sparse.basis.T - dense.basis @ dense.basis.T
@@ -421,6 +423,34 @@ class TestSparseWindow:
         W1, W2 = (_sparse_window(A, 3.0) for _ in range(2))
         assert np.array_equal(W1.eigenvalues, W2.eigenvalues)
         assert np.array_equal(W1.basis, W2.basis)
+
+    @pytest.mark.parametrize("path", ["filtered", "dense"])
+    def test_every_storage_gives_one_window(self, path):
+        """A is converted once, so select_eigenspace and narrow_window give
+        one window for a dense array and for any scipy.sparse format, on the
+        filtered exit and on the dense fallback: the same bits for every
+        sparse format, and from the dense array the same eigenpairs (the
+        filtered path's to its tolerance).  A csr_matrix or coo_matrix
+        reached the fallback's cut unconverted and raised TypeError."""
+        A = (_maxlin_operator(64, 8, 0.0, 3) if path == "filtered"
+             else scipy.sparse.csr_array(random_symmetric(40, 1)))
+        t, narrower = (3.3, 3.9) if path == "filtered" else (0.0, 1.0)
+        forms = [scipy.sparse.csr_array, scipy.sparse.csr_matrix, scipy.sparse.coo_matrix]
+        wide = select_eigenspace(A, t)
+        dense = select_eigenspace(A.toarray(), t)
+        dense_narrow = narrow_window(A.toarray(), wide, narrower)
+        for form in forms:
+            W, N = select_eigenspace(form(A), t), narrow_window(form(A), wide, narrower)
+            assert W.solver["path"] == path
+            for got, want in ((W, wide), (N, narrow_window(A, wide, narrower))):
+                for f in dataclasses.fields(Eigenspace):
+                    a, b = getattr(got, f.name), getattr(want, f.name)
+                    assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            assert np.array_equal(N.basis, dense_narrow.basis)
+            assert np.array_equal(N.eigenvalues, dense_narrow.eigenvalues)
+            assert W.dim == dense.dim > N.dim > 0
+            assert np.abs(W.eigenvalues - dense.eigenvalues).max() <= 1e-9
+            assert np.abs(W.basis @ W.basis.T - dense.basis @ dense.basis.T).max() <= 1e-8
 
 
 def random_hermitian(n, seed, fill):

@@ -152,6 +152,12 @@ class TestBudget:
             brute_force(inst, budget=budget)
         assert not isinstance(exc.value, AbortError)
 
+    def test_numpy_integer_budget_accepted(self):
+        inst = random_instance(3, 2, p=1.0, seed=0)
+        got, want = brute_force(inst, budget=np.int64(10)), brute_force(inst, budget=10)
+        assert got.best_value == want.best_value
+        assert np.array_equal(got.best_labeling, want.best_labeling)
+
 
 def test_report_dict():
     inst = random_instance(4, 2, p=1.0, seed=3)

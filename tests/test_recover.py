@@ -88,7 +88,8 @@ class TestParams:
                                      dict(epsilon=0.01, gamma=0.5, theta=0.6),
                                      dict(epsilon=0.01, gamma=0.5, theta=float("nan")),
                                      dict(epsilon=0.01, gamma=float("inf")),
-                                     dict(epsilon=0.01, gamma=0.5, max_dim=2.5)])
+                                     dict(epsilon=0.01, gamma=0.5, max_dim=2.5),
+                                     dict(epsilon=0.01, gamma=0.5, max_dim=True)])
     def test_invalid(self, bad):
         with pytest.raises(UGError):
             SolveParams(**bad).validate()
@@ -493,7 +494,7 @@ class TestRecover:
         def unreachable(*args):
             raise AssertionError("the solve computed the residuals of W")
 
-        monkeypatch.setattr(linalg_mod, "_eigenspace", unreachable)
+        monkeypatch.setattr(np.linalg, "norm", unreachable)
         with pytest.raises(DimensionAbortError, match=r"^dim\(W\)=54 exceeds max_dim=8$"):
             recover_solution(inst, params)
 
