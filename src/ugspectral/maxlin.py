@@ -292,8 +292,9 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
     by descending eigenvalue, then j (the trivial block's first among
     equals); its nearest_dropped and max_residual are the largest over the
     blocks, its dropped the first ``_lift`` column of the dropped vector of
-    the first block attaining that nearest_dropped, and its solver record
-    sums their passes and takes the widest block."""
+    the first block attaining that nearest_dropped and its dropped_residual
+    that block's, and its solver record sums their passes and products and
+    takes the widest block."""
     base, k = ml.base, ml.base.k
     n, d = base.n, base.average_degree
     if not base.is_regular():
@@ -324,9 +325,10 @@ def character_window(ml: MaxLinInstance, params: SolveParams,
     if dropped is not None:
         dropped = _lift(dropped[:, None], ml.phases[j], n, k)[:, 0]
     W = Eigenspace(np.hstack(lifts)[:, order], vals[order], near.nearest_dropped, dropped,
-                   max(E.max_residual for E in Es),
+                   near.dropped_residual, max(E.max_residual for E in Es),
                    dict(path="characters", passes=sum(E.solver["passes"] for E in Es),
-                        block=max(E.solver["block"] for E in Es), blocks=len(Es)))
+                        block=max(E.solver["block"] for E in Es),
+                        products=sum(E.solver["products"] for E in Es), blocks=len(Es)))
     lap("eigensolve")
     return W, S, shares
 

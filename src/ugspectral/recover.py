@@ -110,6 +110,7 @@ class SolveReport:
     net_step: float
     mode: str
     cut_gap: float | None = None  # Eigenspace.cut_gap of W
+    dropped_residual: float | None = None  # Eigenspace.dropped_residual of W
     max_residual: float = float("nan")  # Eigenspace.max_residual of W
     distinct_labelings: int = 0  # distinct candidate labelings scored
     value_path: str | None = None  # UGInstance.value_path: 'pair-table' | 'edge'
@@ -119,7 +120,7 @@ class SolveReport:
     # eigen_time, then walk (the net's coefficient stream), readoff, dedupe
     # and scoring, whose sum is enumeration_time.
     stages: dict = field(default_factory=dict)
-    eigensolver: dict = field(default_factory=dict)  # W.solver: path, passes, block(s)
+    eigensolver: dict = field(default_factory=dict)  # W.solver: path, passes, block, products
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -447,6 +448,7 @@ def recover_solution(inst: UGInstance, params: SolveParams, window=solve_window)
         net_step=step,
         mode=params.mode,
         cut_gap=W.cut_gap,
+        dropped_residual=W.dropped_residual,
         max_residual=W.max_residual,
         distinct_labelings=len(labelings),
         value_path=inst.value_path,

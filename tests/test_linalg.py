@@ -13,7 +13,7 @@ import scipy.sparse
 from hypothesis import example, given, settings, strategies as st
 
 import ugspectral.linalg as linalg_mod
-from ugspectral.core import UGInstance
+from ugspectral.core import UGInstance, parse_instance
 from ugspectral.generators import perturb, planted_regular_instance
 from ugspectral.label_extended import build_label_extended, build_laplacian
 from ugspectral.linalg import (
@@ -28,6 +28,7 @@ from ugspectral.linalg import (
     project_split,
     select_eigenspace,
 )
+from ugspectral.recover import SolveParams, recover_solution
 
 
 # Largest entry of V diag(lambda) V^T - A for a 12 x 12 reconstruction.
@@ -250,8 +251,9 @@ class TestSparseWindow:
     # them, so unless the block grows the cluster never converges.
     @example(family=_maxlin_operator, size=(48, 6), frac=0.0, seed=0, j=6, on_cluster=False)
     def test_matches_dense(self, family, size, frac, seed, j, on_cluster):
-        """Same dim W, eigenvalues and nearest dropped eigenvalue within
-        residual_tol, same cut_gap sign and the same projector, with the
+        """Same dim W, eigenvalues within residual_tol and nearest dropped
+        eigenvalue within residual_tol plus the filtered solve's
+        dropped_residual, same cut_gap sign and the same projector, with the
         threshold either on the j-th eigenvalue (its cluster sits on the
         threshold) or midway to the next distinct one."""
         A = family(*size, frac, seed)
@@ -266,17 +268,102 @@ class TestSparseWindow:
         sparse = narrow_window(A, ritz, t)
         assert sparse.dim == dense.dim >= j + 1
         assert np.abs(sparse.eigenvalues - dense.eigenvalues).max() <= tol
-        assert abs(sparse.nearest_dropped - dense.nearest_dropped) <= tol
+        # The filtered solve certifies its nearest dropped pair below the cut,
+        # to a residual of at most max(tol, half its distance to the cut).
+        c, cut = linalg_mod._window_cut(A, t)
+        r_d = sparse.dropped_residual
+        assert r_d <= max(tol, (cut - c - sparse.nearest_dropped) / 2)
+        assert abs(sparse.nearest_dropped - dense.nearest_dropped) <= tol + r_d
         assert np.sign(sparse.cut_gap) == np.sign(dense.cut_gap) == 1
         P = sparse.basis @ sparse.basis.T - dense.basis @ dense.basis.T
         assert np.abs(P).max() <= 1e-8
         assert np.abs(sparse.basis.T @ sparse.basis - np.eye(sparse.dim)).max() <= tol
         for W in (dense, sparse):
             assert W.max_residual <= tol
-            # dropped is a unit eigenvector of nearest_dropped outside W.
+            # dropped is a unit eigenvector of nearest_dropped outside W, the
+            # sparse one to its dropped_residual.
             x = W.dropped
-            assert np.linalg.norm(A @ x - W.nearest_dropped * x) <= tol
+            residual = np.linalg.norm(A @ x - W.nearest_dropped * x)
+            if W is dense:
+                assert residual <= tol
+            else:
+                assert residual == pytest.approx(W.dropped_residual, rel=1e-6, abs=1e-3 * tol)
             assert abs(np.linalg.norm(x) - 1) <= tol and np.abs(W.basis.T @ x).max() <= 1e-8
+
+    @given(st.sampled_from([_maxlin_operator, _components_operator]),
+           st.sampled_from([(64, 4), (48, 6), (40, 8)]), st.sampled_from([0.0, 0.04]),
+           st.integers(0, 10**4), st.integers(-1, 11), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_dropped_pair_is_certified(self, family, size, frac, seed, j, on_cluster):
+        """The filtered window's nearest dropped Ritz pair (mu_d, r_d), the
+        threshold on the j-th eigenvalue's cluster, midway to the next
+        distinct one, or (j = -1) above the top one: where W keeps
+        something, mu_d + r_d lies below the cut and an eigenvalue of A
+        within r_d of mu_d; where W keeps nothing, r_d <= tol, as an empty
+        window's top pair is converged."""
+        A = scipy.sparse.csr_array(family(*size, frac, seed))
+        vals = np.sort(np.linalg.eigvalsh(A.toarray()))[::-1]
+        tol = RESIDUAL_TOL * max(1.0, np.abs(vals).max())
+        if j < 0:
+            t = vals[0] + 0.1
+        else:
+            t = vals[j]
+            if not on_cluster:
+                t = (t + vals[j:][np.abs(vals[j:] - t) > 1e-6][0]) / 2
+        W = select_eigenspace(A, t)
+        assert W.solver["path"] == "filtered" and (W.dim > 0) == (j >= 0)
+        mu, r_d = W.nearest_dropped, W.dropped_residual
+        assert np.abs(vals - mu).min() <= r_d + 1e-3 * tol
+        if W.dim:
+            c, cut = linalg_mod._window_cut(A, t)
+            assert mu + r_d < cut - c
+        else:
+            assert r_d <= tol
+
+    def test_one_window_cut_per_solve(self, monkeypatch):
+        """A filtered select_eigenspace computes the Gershgorin bound and the
+        cut (``_window_cut``, an O(nnz) pass) once, for the iteration and the
+        window's cut alike."""
+        A, calls = _maxlin_operator(64, 8, 0.0, 3), []
+        window_cut = linalg_mod._window_cut
+        monkeypatch.setattr(linalg_mod, "_window_cut",
+                            lambda *args: calls.append(1) or window_cut(*args))
+        W = select_eigenspace(A, 3.3)
+        assert W.solver["path"] == "filtered" and len(calls) == 1
+
+    def test_laplacian_clustered_products(self, monkeypatch):
+        """The benchmark's laplacian-clustered seed 1 solves W in 3 filter
+        passes and 147 sparse block products."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        workload = workloads.WORKLOADS["laplacian-clustered"]
+        rep = workload.solve(parse_instance(workload.make(1).text))
+        assert rep.eigensolver == {"path": "filtered", "passes": 3, "block": 16, "products": 147}
+
+    @pytest.mark.parametrize("storage", ["dense", "filtered"])
+    def test_huge_weights_give_finite_residuals(self, storage):
+        """Residual norms are taken of the residual over the Gershgorin bound,
+        so weights of 1e200, whose squares overflow, solve without a
+        RuntimeWarning (an error under this suite's settings) and report
+        finite residuals: a triangle, stored dense, and a 128-vertex Max-Lin
+        instance, whose label-extended matrix is CSR."""
+        if storage == "dense":
+            inst = UGInstance.from_arrays(3, 2, [0, 1, 2], [1, 2, 0], [1.0] * 3,
+                                          [[0, 1], [1, 0], [0, 1]])
+            params = SolveParams(0.01, 0.5)
+        else:
+            inst, planted, _ = planted_regular_instance(128, 4, 4, seed=1,
+                                                        constraint_family="maxlin")
+            inst = perturb(inst, planted, 0.02, seed=1, constraint_family="maxlin")
+            params = SolveParams(0.005, 0.05, max_dim=8, net_step_override=1.0)
+        huge = UGInstance.from_arrays(inst.n, inst.k, inst.u, inst.v, inst.w * 1e200, inst.perm)
+        assert scipy.sparse.issparse(build_label_extended(huge).matrix) == (storage == "filtered")
+        rep = recover_solution(huge, params)
+        assert rep.eigensolver["path"] == storage
+        assert rep.dim_W == recover_solution(inst, params).dim_W
+        assert np.isfinite(rep.max_residual) and np.isfinite(rep.dropped_residual)
+        assert rep.max_residual <= RESIDUAL_TOL * 1e201 and rep.cut_gap > 0
 
     def test_narrow_window_keeps_the_solver_record(self):
         """A window read off a filtered solve carries that solve's record."""

@@ -21,6 +21,6 @@ def test_seed_zero_of_every_workload():
         assert list(line) == ["workload", "seed", "best_value", "best_labeling_sha256", "dim_W",
                               "decision", "distinct_labelings", "net_points_evaluated",
                               "held_dims", "signed_candidates", "eigensolver", "cut_gap",
-                              "failures", "extras"]
+                              "dropped_residual", "failures", "extras"]
         assert line["seed"] == 0 and line["failures"] == []
         assert float.fromhex(line["best_value"]) <= 1.0

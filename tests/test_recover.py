@@ -639,14 +639,14 @@ class TestRecover:
         assert list(d) == ["best_labeling", "best_value", "decision", "yes_threshold",
                            "dim_W", "net_points_evaluated", "eigen_time",
                            "enumeration_time", "net_step", "mode", "cut_gap",
-                           "max_residual", "distinct_labelings", "value_path",
+                           "dropped_residual", "max_residual", "distinct_labelings", "value_path",
                            "signed_candidates", "held_dims", "stages", "eigensolver"]
         assert all(type(x) is int for x in d["best_labeling"])
         stages = d["stages"]
         assert list(stages) == ["operator", "eigensolve", "walk", "readoff", "dedupe", "scoring"]
         assert all(type(s) is float and s >= 0 for s in stages.values())
         assert d["eigen_time"] == stages["operator"] + stages["eigensolve"]
-        assert d["eigensolver"] == {"path": "dense", "passes": 0, "block": 0}
+        assert d["eigensolver"] == {"path": "dense", "passes": 0, "block": 0, "products": 0}
         assert d["enumeration_time"] == (stages["walk"] + stages["readoff"] + stages["dedupe"]
                                          + stages["scoring"])
         assert d["signed_candidates"] == 2 * d["dim_W"]
@@ -681,7 +681,7 @@ class TestRecover:
         assert r1["eigensolver"]["path"] == "filtered" and r1["eigensolver"]["passes"] > 0
         monkeypatch.setattr(label_extended_mod, "SPARSE_MIN_DIM", 10**9)
         dense = recover_solution(inst, p)
-        assert dense.eigensolver == {"path": "dense", "passes": 0, "block": 0}
+        assert dense.eigensolver == {"path": "dense", "passes": 0, "block": 0, "products": 0}
         assert (dense.dim_W, dense.best_value) == (r1["dim_W"], r1["best_value"])
         assert r1["cut_gap"] == pytest.approx(dense.cut_gap, abs=1e-9) and dense.cut_gap > 0
 
@@ -706,11 +706,11 @@ class TestRecover:
         rep = recover_solution(inst, SolveParams(0.005, 0.05, max_dim=8, net_step_override=1.0))
         (W,) = spaces
         assert rep.eigensolver == W.solver
-        assert list(rep.eigensolver) == ["path", "passes", "block"]
+        assert list(rep.eigensolver) == ["path", "passes", "block", "products"]
         if path == "filtered":
             assert W.solver["path"] == "filtered" and W.solver["passes"] > 0
         else:
-            assert W.solver == {"path": "dense", "passes": 0, "block": 0}
+            assert W.solver == {"path": "dense", "passes": 0, "block": 0, "products": 0}
         assert scipy.sparse.issparse(build_label_extended(inst).matrix) == (path != "dense")
 
 

@@ -15,9 +15,14 @@ the same across thread counts: at 1 and 2 threads every ``kv3-gap`` seed
 reads off a different best labeling and ``distinct_labelings``, and most a
 different ``cut_gap`` (with the same ``best_value`` and decision), most
 likely because the dense ``eigh`` basis of its 8-fold eigenspace differs.
+A filtered solve converges W's kept pairs but only certifies the nearest
+dropped one below the cut, so its ``cut_gap`` is accurate to that pair's
+residual, printed after it as ``dropped_residual``: between two
+checkouts ``cut_gap`` may move within it, and an ``eigensolver`` record
+(passes, ``products``) may change with the iteration.
 A ``maxlin-expander`` line reads ``eigensolver`` from the Max-Lin
-character-block solve (``path: "characters"``, summed passes, widest
-block in real columns, ``blocks``).  That solve finds each conjugate
+character-block solve (``path: "characters"``, summed passes and
+products, widest block in real columns, ``blocks``).  That solve finds each conjugate
 pair's doubled eigenspaces through a complex Hermitian block, so its basis
 of W spans the space a solve of M finds but differs from that basis, and
 its net may put another labeling of the same value first (``best_labeling_sha256``, ``distinct_labelings``).  The last field is
@@ -55,6 +60,8 @@ def case_line(name, seed, workload, core) -> dict:
         "signed_candidates": report.signed_candidates,
         "eigensolver": report.eigensolver,
         "cut_gap": None if report.cut_gap is None else report.cut_gap.hex(),
+        "dropped_residual": None if report.dropped_residual is None
+        else report.dropped_residual.hex(),
         "failures": workload.check(case, inst, report),
         "extras": {key: x.hex() if isinstance(x, float) else x
                    for key, x in report.extras.items()},
